@@ -17,10 +17,14 @@ new stationary vector and group inverse follow in closed form:
     pi_new = pi - phi
     A#_new = A# + e phi' (A# - (phi' A#[:, i] / pi_i) I) - A#[:, i] phi' / pi_i
 
-Each new comparison touches two rows of P (the pair's), so one observation
-costs two rank-one updates, O(n^2) instead of a fresh O(n^3) solve.  The
-running state refreshes itself from scratch periodically to cap floating
-point drift.
+Each new comparison touches two rows of P (the pair's), whose deltas have
+two nonzeros each, so ``apply_observation`` folds both changes in at once.
+Both delta' A# rows come from rows i and j of the old A# in O(n), and both
+breakdown checks run before anything is written.  One read pass forms
+[phi1; phi2]' A#, and one in-place write pass adds the combined rank-3
+correction.  That is O(n^2) with two passes over A#, against a fresh O(n^3)
+solve.  The running state refreshes itself from scratch periodically to cap
+floating point drift.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .data import ComparisonDataset, ComparisonRecord
 from .errors import RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
+    _fill_diagonal,
     default_teleport,
     regularize,
     stationary,
@@ -94,6 +100,30 @@ def group_inverse_residuals(
     }
 
 
+def _pivot(dG: np.ndarray, pi_k: float, k: int) -> np.ndarray:
+    """Stationary shift phi for a change of row ``k`` whose delta'A# is
+    ``dG``; raises UpdateBreakdownError when 1 + dG[k] is numerically zero."""
+    eps = 1.0 + dG[k]
+    if abs(eps) <= _BREAKDOWN_EPS:
+        raise UpdateBreakdownError(
+            f"update denominator 1 + delta'A#[:,{k}] = {eps:.3e} too close to zero"
+        )
+    return (pi_k / eps) * dG
+
+
+def _shift_row(phi: np.ndarray, phiG: np.ndarray, pi_k: float, k: int) -> np.ndarray:
+    """u in A#_new = A# + e u' - A#[:, k] phi' / pi_k, from phiG = phi' A#."""
+    return phiG - (phiG[k] / pi_k) * phi
+
+
+def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
+    """G += sum_k outer(X[k], Y[k]) in place, as one BLAS pass over G."""
+    if not (G.dtype == np.float64 and G.flags.c_contiguous):
+        raise ValueError("group inverse entries must be a C-ordered float64 array")
+    # G' is a Fortran-ordered view of G, which dgemm overwrites where it lies.
+    dgemm(1.0, Y, X, beta=1.0, c=G.T, trans_a=1, overwrite_c=1)
+
+
 def rank_one_update(
     pi_old, Ainv_old, delta: np.ndarray, i: int
 ) -> tuple[ScoreVector, GroupInverse]:
@@ -103,7 +133,7 @@ def rank_one_update(
     ``delta`` must sum to zero (row stochasticity is preserved) and the
     caller is responsible for the updated row staying a probability row.
     Raises UpdateBreakdownError when 1 + delta' A#[:, i] is numerically
-    zero.
+    zero.  The inputs are not modified.
     """
     pi = pi_old.scores if isinstance(pi_old, ScoreVector) else np.asarray(pi_old, float)
     G = Ainv_old.entries if isinstance(Ainv_old, GroupInverse) else np.asarray(Ainv_old)
@@ -120,22 +150,51 @@ def rank_one_update(
     if pii <= 0:
         raise ValueError(f"stationary entry pi[{i}] = {pii} must be positive")
 
-    dG = delta @ G
-    eps = 1.0 + dG[i]
-    if abs(eps) <= _BREAKDOWN_EPS:
-        raise UpdateBreakdownError(
-            f"update denominator 1 + delta'A#[:,{i}] = {eps:.3e} too close to zero"
-        )
-    phi = (pii / eps) * dG
-    pi_new = pi - phi
-    phiG = phi @ G
-    c = phiG[i] / pii
-    G_new = (
-        G
-        + np.outer(np.ones(n), phiG - c * phi)
-        - np.outer(G[:, i], phi) / pii
+    phi = _pivot(delta @ G, pii, i)
+    u = _shift_row(phi, phi @ G, pii, i)
+    G_new = np.array(G, dtype=np.float64, order="C")
+    _add_outer_products(
+        G_new, np.stack([np.ones(n), G[:, i]]), np.stack([u, -phi / pii])
     )
-    return ScoreVector(pi_new, t=getattr(pi_old, "t", None)), GroupInverse(G_new)
+    return ScoreVector(pi - phi, t=getattr(pi_old, "t", None)), GroupInverse(G_new)
+
+
+def _fold_pair(
+    pi: np.ndarray, G: np.ndarray, i: int, j: int, d_ij: float, d_ji: float
+) -> None:
+    """Overwrite ``pi`` and ``G`` with their values after row i of the chain
+    moves ``d_ij`` from entry (i, j) to its diagonal and then row j moves
+    ``d_ji`` from (j, i) to its diagonal.
+
+    Equal to ``rank_one_update`` on row i followed by row j, without either
+    intermediate matrix.  Raises UpdateBreakdownError, with ``pi`` and ``G``
+    untouched, when either denominator is numerically zero or pi_j after the
+    first step is not positive.
+    """
+    pi_i = pi[i]
+    diff = G[j] - G[i]
+    phi1 = _pivot(d_ij * diff, pi_i, i)
+    pi1_j = pi[j] - phi1[j]
+    if pi1_j <= 0.0:
+        raise UpdateBreakdownError(f"intermediate pi[{j}] = {pi1_j:.3e} not positive")
+    # Rows i and j of G1 = G + e u1' - G[:, i] phi1' / pi_i, differenced: the
+    # e u1' term cancels, so G1 itself is never formed.
+    phi2 = _pivot(-d_ji * (diff + ((G[i, i] - G[j, i]) / pi_i) * phi1), pi1_j, j)
+
+    phiG = np.stack([phi1, phi2]) @ G
+    u1 = _shift_row(phi1, phiG[0], pi_i, i)
+    col_i = G[:, i].copy()
+    # phi2' G1 through G1's definition; phi2' e is zero up to rounding.
+    phi2G1 = phiG[1] + phi2.sum() * u1 - ((phi2 @ col_i) / pi_i) * phi1
+    u2 = _shift_row(phi2, phi2G1, pi1_j, j)
+    col1_j = G[:, j] + u1[j] - (phi1[j] / pi_i) * col_i
+    _add_outer_products(
+        G,
+        np.stack([np.ones(pi.shape[0]), col_i, col1_j]),
+        np.stack([u1 + u2, -phi1 / pi_i, -phi2 / pi1_j]),
+    )
+    pi -= phi1
+    pi -= phi2
 
 
 def _transition_from_mass(win_mass: np.ndarray) -> TransitionMatrix:
@@ -149,9 +208,7 @@ def _transition_from_mass(win_mass: np.ndarray) -> TransitionMatrix:
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(den > 0, win_mass.T / den, 0.0)
     P = frac / n
-    np.fill_diagonal(P, 0.0)
-    diag = 1.0 - P.sum(axis=1)
-    np.fill_diagonal(P, np.clip(diag, 0.0, None))
+    _fill_diagonal(P)
     return TransitionMatrix(P)
 
 
@@ -160,9 +217,10 @@ class OnlineState:
 
     Holds the per-pair kernel-weighted win masses, the regularized chain,
     its stationary vector, and the group inverse.  ``apply_observation``
-    folds one record in via two rank-one updates; every ``refresh_every``
-    updates (or on numerical breakdown) everything is recomputed from the
-    running masses.  Single-writer: mutate from one thread only.
+    folds one record in with one fused, in-place pair update; every
+    ``refresh_every`` updates (or on numerical breakdown) everything is
+    recomputed from the running masses.  Single-writer: mutate from one
+    thread only.
     """
 
     def __init__(
@@ -219,10 +277,11 @@ class OnlineState:
         state.tol = float(tol)
         state.max_iter = int(max_iter)
         wm = np.zeros((dataset.n, dataset.n))
-        for (i, j), times, outs in dataset.pairs():
-            w = kernel.weight(t, times, h)
-            wm[j, i] += float(w[outs == 1].sum())
-            wm[i, j] += float(w[outs == 0].sum())
+        w = kernel.weight(t, dataset.times, h)
+        starts, seg_i, seg_j = dataset.pair_segments()
+        won_j = dataset.outcomes == 1
+        wm[seg_j, seg_i] = np.add.reduceat(np.where(won_j, w, 0.0), starts)
+        wm[seg_i, seg_j] = np.add.reduceat(np.where(won_j, 0.0, w), starts)
         state.win_mass = wm
         state.updates_since_refresh = 0
         refresh(state)
@@ -243,12 +302,15 @@ class OnlineState:
 
 
 def refresh(state: OnlineState) -> OnlineState:
-    """Recompute chain, stationary vector, and group inverse from scratch."""
-    raw = _transition_from_mass(state.win_mass)
-    state.P = regularize(raw, state.sigma_n)
-    sv = stationary(state.P, tol=state.tol, max_iter=state.max_iter)
-    state.pi = ScoreVector(sv.scores, t=state.t)
-    state.Ainv = group_inverse(state.P, state.pi)
+    """Recompute chain, stationary vector, and group inverse from scratch.
+
+    The state changes only once all three are computed, so a raised error
+    leaves it as it was."""
+    P = regularize(_transition_from_mass(state.win_mass), state.sigma_n)
+    sv = stationary(P, tol=state.tol, max_iter=state.max_iter)
+    pi = ScoreVector(sv.scores, t=state.t)
+    Ainv = group_inverse(P, pi)
+    state.P, state.pi, state.Ainv = P, pi, Ainv
     state.updates_since_refresh = 0
     return state
 
@@ -259,10 +321,12 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     Records whose kernel weight at the state's evaluation time is zero
     leave the state untouched.  Otherwise rows i and j of P change in
     their diagonal and (i, j) / (j, i) entries and the stationary vector
-    and group inverse are updated in closed form.  For a pair that already
-    carries mass the two off-diagonal moves are equal and opposite; the
-    first in-window record of a pair also lifts the pair sum from its
-    teleport floor, so both deltas are computed directly.
+    and group inverse are updated in closed form, in place.  For a pair
+    that already carries mass the two off-diagonal moves are equal and
+    opposite; the first in-window record of a pair also lifts the pair sum
+    from its teleport floor, so both deltas are computed directly.  If the
+    record cannot be folded in, the state is left as it was and the error
+    is raised.
     """
     if isinstance(record, tuple):
         record = ComparisonRecord(*record)
@@ -278,12 +342,9 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
 
     n, sigma = state.n, state.sigma_n
     wm = state.win_mass
-    had_mass = (wm[i, j] + wm[j, i]) > 0.0
-    if y == 1:
-        wm[j, i] += w
-    else:
-        wm[i, j] += w
-    frac = wm[j, i] / (wm[i, j] + wm[j, i])
+    old_ij, old_ji = wm[i, j], wm[j, i]
+    won_ij, won_ji = (old_ij, old_ji + w) if y == 1 else (old_ij + w, old_ji)
+    frac = won_ji / (won_ij + won_ji)
     p_new_ij = (1.0 - sigma) * (frac / n) + sigma / n
     p_new_ji = (1.0 - sigma) * ((1.0 - frac) / n) + sigma / n
     P = state.P.entries
@@ -292,30 +353,28 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
 
     # With prior mass the pair's off-diagonal sum is pinned, so row j's
     # entry must move exactly opposite to row i's.
-    if had_mass and abs(d_ji + d_ij) > _MIRROR_SLACK:
+    if old_ij + old_ji > 0.0 and abs(d_ji + d_ij) > _MIRROR_SLACK:
         raise RuntimeError(
             f"pair complement drift: {d_ji + d_ij:.3e} beyond slack"
         )
-    delta_i = np.zeros(n)
-    delta_i[j] = d_ij
-    delta_i[i] = -d_ij
-    delta_j = np.zeros(n)
-    delta_j[i] = d_ji
-    delta_j[j] = -d_ji
+    wm[i, j], wm[j, i] = won_ij, won_ji
 
     try:
-        pi_1, G_1 = rank_one_update(state.pi, state.Ainv, delta_i, i)
-        pi_2, G_2 = rank_one_update(pi_1, G_1, delta_j, j)
+        _fold_pair(state.pi.scores, state.Ainv.entries, i, j, d_ij, d_ji)
     except UpdateBreakdownError:
-        # The masses already include the new record; rebuilding from them
-        # is always exact.
-        return refresh(state)
+        # Nothing was written yet.  The masses already include the new
+        # record, so rebuilding from them is exact; if that fails too, take
+        # the record back out.
+        try:
+            return refresh(state)
+        except BaseException:
+            wm[i, j], wm[j, i] = old_ij, old_ji
+            raise
 
     _apply_entries(P, i, j, p_new_ij, p_new_ji, d_ij, d_ji)
-    state.pi = ScoreVector(pi_2.scores, t=state.t)
-    state.Ainv = G_2
     state.updates_since_refresh += 1
-    if state.updates_since_refresh >= state.refresh_every or np.min(pi_2.scores) <= 0:
+    pi = state.pi.scores
+    if state.updates_since_refresh >= state.refresh_every or np.min(pi) <= 0:
         refresh(state)
     return state
 

@@ -5,6 +5,7 @@ import pytest
 
 from krc.estimator import ScoreVector, estimate_curve
 from krc.experiments import (
+    _ad_normal_critical_1pct,
     backtest,
     bandwidth_sweep,
     coverage_experiment,
@@ -128,6 +129,20 @@ def test_coverage_experiment_smoke():
     assert report.mean_ci_halfwidth > 0.0
     assert report.alpha_source == "estimated"
     assert report.n_disconnected >= 0
+    # z-scores of the first min(10, n) items pooled over the replications
+    assert report.ad_critical_1pct == _ad_normal_critical_1pct(100 * 4)
+    assert report.ad_normal_pass == (report.ad_statistic < report.ad_critical_1pct)
+
+
+@pytest.mark.parametrize(
+    "n_samples, expected",
+    # scipy's legacy ``anderson(x, "norm").critical_values[-1]`` at these sizes
+    [(5, 0.835), (10, 0.943), (40, 1.015), (400, 1.033), (1000, 1.034), (5000, 1.035)],
+)
+def test_ad_critical_1pct_formula(n_samples, expected):
+    N = n_samples
+    assert _ad_normal_critical_1pct(N) == round(1.035 / (1 + 0.75 / N + 2.25 / N**2), 3)
+    assert _ad_normal_critical_1pct(N) == expected
 
 
 def test_coverage_needs_enough_replications():

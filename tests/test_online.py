@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+import krc.online
 from krc.data import ComparisonDataset, ComparisonRecord
-from krc.errors import RosterError, UpdateBreakdownError
+from krc.errors import ConvergenceError, RosterError, UpdateBreakdownError
 from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
 from krc.kernels import BOXCAR, GAUSSIAN
 from krc.online import (
     GroupInverse,
     OnlineState,
+    _fold_pair,
+    _transition_from_mass,
     apply_observation,
     group_inverse,
     group_inverse_residuals,
@@ -124,6 +127,18 @@ def test_rank_one_update_validation():
         rank_one_update(pi, G, np.array([0.1, 0.2]), 0)
     with pytest.raises(ValueError, match="outside"):
         rank_one_update(pi, G, np.zeros(2), 5)
+
+
+def test_pair_update_breakdown_writes_nothing():
+    # Row 0 of the uniform 2-state chain becomes [1.3, -0.3]: not a
+    # probability row, and the first step leaves pi_1 = -1.5.
+    P = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    pi, G = solve_state(P)
+    pi_f, G_f = pi.scores.copy(), G.entries.copy()
+    with pytest.raises(UpdateBreakdownError, match="intermediate"):
+        _fold_pair(pi_f, G_f, 0, 1, 0.8, 0.0)
+    assert np.array_equal(pi_f, pi.scores)
+    assert np.array_equal(G_f, G.entries)
 
 
 # -- streaming state -------------------------------------------------------
@@ -294,3 +309,107 @@ def test_group_inverse_column_accessor():
     pi, G = solve_state(P)
     assert np.array_equal(G.column(2), G.entries[:, 2])
     assert isinstance(G, GroupInverse)
+
+
+def loop_win_mass(ds, t, h, kernel):
+    """Reference: one kernel call and two masked sums per observed pair."""
+    wm = np.zeros((ds.n, ds.n))
+    for (i, j), times, outs in ds.pairs():
+        w = kernel.weight(t, times, h)
+        wm[j, i] += float(w[outs == 1].sum())
+        wm[i, j] += float(w[outs == 0].sum())
+    return wm
+
+
+def test_from_dataset_masses_match_pair_loop():
+    ds, _ = generate(SimConfig(n=7, m=9, seed=12))
+    for t, h in ((0.5, 0.3), (0.1, 0.05), (0.95, 0.2)):
+        state = OnlineState.from_dataset(ds, t, h, GAUSSIAN)
+        ref = loop_win_mass(ds, t, h, GAUSSIAN)
+        assert np.all(np.abs(state.win_mass - ref) <= 1e-14 * ref)
+        assert np.array_equal(state.win_mass > 0, ref > 0)
+    empty = ComparisonDataset(4, [], [], [], [])
+    state = OnlineState.from_dataset(empty, 0.5, 0.3, GAUSSIAN)
+    assert not np.any(state.win_mass)
+    assert np.max(np.abs(state.pi.scores - 0.25)) < 1e-12
+
+
+def test_transition_from_mass_checks_diagonal_deficit():
+    # a negative mass pushes row 0's off-diagonal entry to 1.5
+    with pytest.raises(RuntimeError, match="diagonal deficit"):
+        _transition_from_mass(np.array([[0.0, -1.0], [1.5, 0.0]]))
+
+
+def snapshot(state):
+    return (
+        state.win_mass.copy(),
+        state.P.entries.copy(),
+        state.pi.scores.copy(),
+        state.Ainv.entries.copy(),
+        state.updates_since_refresh,
+    )
+
+
+def assert_same_state(state, snap):
+    wm, P, pi, G, count = snap
+    assert np.array_equal(state.win_mass, wm)
+    assert np.array_equal(state.P.entries, P)
+    assert np.array_equal(state.pi.scores, pi)
+    assert np.array_equal(state.Ainv.entries, G)
+    assert state.updates_since_refresh == count
+
+
+def test_failed_fallback_refresh_leaves_state_unchanged(monkeypatch):
+    ds, _ = generate(SimConfig(n=5, m=3, seed=8))
+    state = OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, refresh_every=50)
+    apply_observation(state, (0, 1, 0.4, 1))
+    snap = snapshot(state)
+
+    def failing_stationary(*args, **kwargs):
+        raise ConvergenceError("injected")
+
+    monkeypatch.setattr(krc.online, "stationary", failing_stationary)
+    with pytest.raises(ConvergenceError):
+        refresh(state)
+    assert_same_state(state, snap)
+    # every update breaks down, so each record goes through the refresh
+    monkeypatch.setattr(krc.online, "_BREAKDOWN_EPS", 10.0)
+    for rec in ((0, 1, 0.5, 0), (2, 4, 0.6, 1)):
+        with pytest.raises(ConvergenceError):
+            apply_observation(state, rec)
+        assert_same_state(state, snap)
+
+
+def test_mirror_drift_rejected_before_any_write():
+    ds, _, state = stream_setup()
+    state.P.entries[0, 1] += 1e-6  # corrupt a pair that carries mass
+    snap = snapshot(state)
+    with pytest.raises(RuntimeError, match="complement"):
+        apply_observation(state, (0, 1, 0.5, 1))
+    assert_same_state(state, snap)
+
+
+def test_breakdown_fallback_stream_matches_batch(monkeypatch):
+    monkeypatch.setattr(krc.online, "_BREAKDOWN_EPS", 10.0)
+    rng = np.random.default_rng(91)
+    ds, _ = generate(SimConfig(n=6, m=3, seed=9))
+    state = OnlineState.from_dataset(
+        ds, 0.5, 0.3, GAUSSIAN, refresh_every=10**9, tol=1e-12
+    )
+    rows = []
+    for _ in range(40):
+        i, j = sorted(rng.choice(6, size=2, replace=False))
+        rows.append((int(i), int(j), float(rng.uniform(0, 1)), int(rng.integers(0, 2))))
+        apply_observation(state, rows[-1])
+        assert state.updates_since_refresh == 0
+    tt, ii, jj, yy = ds.in_time_order()
+    extra = np.array(rows, dtype=float)
+    full = ComparisonDataset(
+        6,
+        np.concatenate([ii, extra[:, 0].astype(int)]),
+        np.concatenate([jj, extra[:, 1].astype(int)]),
+        np.concatenate([tt, extra[:, 2]]),
+        np.concatenate([yy, extra[:, 3].astype(int)]),
+    )
+    sv = fit_scores(full, 0.5, 0.3, GAUSSIAN, tol=1e-13)
+    assert np.max(np.abs(state.pi.scores - sv.scores)) < 1e-8
