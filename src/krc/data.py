@@ -155,6 +155,13 @@ class ComparisonDataset:
                 ss = ss[order]
             if dd is not None:
                 dd = dd[order]
+        # A pair's segment starts where the pair key changes; the claim of
+        # _presorted is checked, because every segment sum relies on it.
+        step = np.diff(ii * n + jj, prepend=-1)
+        if np.any(step < 0) or np.any((step[1:] == 0) & (np.diff(tt) < 0)):
+            raise ValueError(
+                "_presorted=True but records are not sorted by pair and time"
+            )
 
         self.n = int(n)
         self.item_labels: tuple[str, ...] = (
@@ -166,25 +173,8 @@ class ComparisonDataset:
         self.encoding = encoding if encoding is not None else TimeEncoding()
         self._ii, self._jj, self._tt, self._yy = ii, jj, tt, yy
         self._season, self._day = ss, dd
-        self._slices = self._build_slices()
-
-    def _build_slices(self) -> dict[tuple[int, int], slice]:
-        slices: dict[tuple[int, int], slice] = {}
-        if self._ii.size == 0:
-            self._seg_starts = np.empty(0, dtype=np.int64)
-            self._seg_i = np.empty(0, dtype=np.int64)
-            self._seg_j = np.empty(0, dtype=np.int64)
-            return slices
-        keys = self._ii * self.n + self._jj
-        uniq, starts = np.unique(keys, return_index=True)
-        starts = np.sort(starts)
-        bounds = np.append(starts, keys.size)
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            slices[(int(self._ii[s]), int(self._jj[s]))] = slice(int(s), int(e))
-        self._seg_starts = starts.astype(np.int64)
-        self._seg_i = self._ii[starts].copy()
-        self._seg_j = self._jj[starts].copy()
-        return slices
+        self._seg_starts = np.flatnonzero(step)
+        self._seg_i, self._seg_j = ii[self._seg_starts], jj[self._seg_starts]
 
     # -- accessors ---------------------------------------------------------
 
@@ -201,10 +191,6 @@ class ComparisonDataset:
     def outcomes(self) -> np.ndarray:
         """Flat canonical outcome column aligned with :attr:`times`."""
         return self._yy
-
-    def pair_slices(self) -> dict[tuple[int, int], slice]:
-        """Canonical pair -> contiguous slice into the flat columns."""
-        return dict(self._slices)
 
     def pair_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(starts, item_i, item_j) describing the pair-grouped flat columns.
@@ -223,24 +209,27 @@ class ComparisonDataset:
         except ValueError:
             raise RosterError(f"unknown item label {label!r}") from None
 
+    def _segments(self) -> Iterator[tuple[tuple[int, int], int, int]]:
+        bounds = np.concatenate((self._seg_starts, [self.n_records])).tolist()
+        pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
+        return zip(pairs, bounds, bounds[1:])
+
     def pairs(self) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
         """Yield ((i, j), times, outcomes) for each observed canonical pair."""
-        for key, sl in self._slices.items():
-            yield key, self._tt[sl], self._yy[sl]
+        for key, s, e in self._segments():
+            yield key, self._tt[s:e], self._yy[s:e]
 
     def pair_times_outcomes(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Time-sorted history for pair (i, j); empty arrays if unobserved."""
         if i == j:
             raise ValueError("a pair needs two distinct items")
-        key, flip = ((i, j), False) if i < j else ((j, i), True)
-        sl = self._slices.get(key)
-        if sl is None:
-            return np.empty(0), np.empty(0, dtype=np.int64)
-        yy = self._yy[sl]
-        return self._tt[sl], (1 - yy) if flip else yy
+        (a, b), flip = ((i, j), False) if i < j else ((j, i), True)
+        rows = np.flatnonzero((self._ii == a) & (self._jj == b))
+        yy = self._yy[rows]
+        return self._tt[rows], (1 - yy) if flip else yy
 
     def pair_counts(self) -> dict[tuple[int, int], int]:
-        return {k: sl.stop - sl.start for k, sl in self._slices.items()}
+        return {key: e - s for key, s, e in self._segments()}
 
     def min_pair_count(self) -> int:
         """min |T_ij| over all unordered pairs; 0 when any pair is unobserved."""

@@ -14,6 +14,7 @@ at pi itself, which is what makes the estimator consistent.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,6 @@ import numpy as np
 from .data import ComparisonDataset
 from .errors import ConvergenceError, EstimationError
 from .kernels import Kernel
-from .util import parallel_map
 
 # Diagonal entries may come out negative by accumulated rounding only; a
 # deficit beyond this is a logic error, not noise.
@@ -96,26 +96,57 @@ def pair_fractions(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kernel-weighted win fraction for every pair with mass at (t, h).
 
-    One vectorized kernel pass over the flat, pair-grouped columns, then
-    segment sums per pair.  Returns (item_i, item_j, fraction) restricted
-    to pairs whose kernel mass is positive; the fraction is the weighted
-    share of outcomes item_j won.  This shared aggregate feeds both the
-    comparison chain and the weighted likelihood.
+    Returns (item_i, item_j, fraction) restricted to pairs whose kernel
+    mass is positive; the fraction is the weighted share of outcomes item_j
+    won.  This shared aggregate feeds both the comparison chain and the
+    weighted likelihood.  It is the one-point case of :func:`estimate_curve`.
     """
-    if not h > 0:
+    return next(_fractions_along(dataset, [t], h, kernel))[1]
+
+
+# Element budget of one (grid points x records) weight tile, about 8 MB per
+# float64 temporary.  It sizes the grid chunks and the record blocks.
+TILE_ELEMENTS = 1 << 20
+
+
+def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Kernel):
+    """Yield (t, (item_i, item_j, fraction)) for each grid point, in order.
+
+    Grid points go in chunks whose per-pair sums fit the budget, records in
+    blocks that end on pair boundaries, so each pair's kernel mass (den) and
+    won mass (num) are one ``np.add.reduceat`` over its whole segment of a
+    (chunk x block) weight tile.
+    """
+    grid = np.asarray(time_grid, dtype=float).ravel()
+    if grid.size and not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    if dataset.n_records == 0:
+    if grid.size and dataset.n_records == 0:
         raise EstimationError("no comparison records to aggregate")
-    w = kernel.weight(t, dataset.times, h)
     starts, seg_i, seg_j = dataset.pair_segments()
-    den = np.add.reduceat(w, starts)
-    num = np.add.reduceat(np.where(dataset.outcomes == 1, w, 0.0), starts)
-    mass = den > 0.0
-    if not np.any(mass):
-        raise EstimationError(
-            f"zero kernel mass for every observed pair at t={t}, h={h}"
-        )
-    return seg_i[mass], seg_j[mass], num[mass] / den[mass]
+    bounds = starts.tolist() + [dataset.n_records]
+    won = dataset.outcomes.astype(float)
+    rows = max(1, TILE_ELEMENTS // max(1, starts.size))
+    for g in range(0, grid.size, rows):
+        chunk = grid[g:g + rows]
+        block = TILE_ELEMENTS // chunk.size  # a longer pair is a block alone
+        den, num = np.empty((2, chunk.size, starts.size))
+        s = 0
+        while s < starts.size:
+            a = bounds[s]
+            e = max(bisect.bisect_right(bounds, a + block) - 1, s + 1)
+            offsets = starts[s:e] - a
+            w = kernel.weight(chunk[:, None], dataset.times[a:bounds[e]], h)
+            np.add.reduceat(w, offsets, axis=1, out=den[:, s:e])
+            w *= won[a:bounds[e]]  # zero the records item_j lost; weights are finite
+            np.add.reduceat(w, offsets, axis=1, out=num[:, s:e])
+            s = e
+        for t, den_t, num_t in zip(chunk.tolist(), den, num):
+            mass = den_t > 0.0
+            if not mass.any():
+                raise EstimationError(
+                    f"zero kernel mass for every observed pair at t={t}, h={h}"
+                )
+            yield t, (seg_i[mass], seg_j[mass], num_t[mass] / den_t[mass])
 
 
 def transition_from_fractions(
@@ -142,8 +173,7 @@ def build_transition(
     off-diagonal entries stay 0).  If every observed pair has zero mass the
     problem is degenerate and an EstimationError is raised.
     """
-    idx_i, idx_j, frac = pair_fractions(dataset, t, h, kernel)
-    return transition_from_fractions(dataset.n, idx_i, idx_j, frac)
+    return transition_from_fractions(dataset.n, *pair_fractions(dataset, t, h, kernel))
 
 
 def build_ideal_transition(pi) -> TransitionMatrix:
@@ -244,6 +274,13 @@ def _direct_stationary(M: np.ndarray) -> np.ndarray:
     return pi / s
 
 
+def _solve(n, fractions, t, sigma_n, tol, max_iter) -> ScoreVector:
+    sigma = default_teleport(n) if sigma_n is None else sigma_n
+    P = regularize(transition_from_fractions(n, *fractions), sigma)
+    sv = stationary(P, tol=tol, max_iter=max_iter)
+    return ScoreVector(sv.scores, t=t)
+
+
 def fit_scores(
     dataset: ComparisonDataset,
     t: float,
@@ -258,10 +295,8 @@ def fit_scores(
     ``sigma_n=None`` means the default teleport 1/n; pass 0.0 explicitly to
     disable regularization.
     """
-    sigma = default_teleport(dataset.n) if sigma_n is None else sigma_n
-    P = regularize(build_transition(dataset, t, h, kernel), sigma)
-    sv = stationary(P, tol=tol, max_iter=max_iter)
-    return ScoreVector(sv.scores, t=t)
+    fractions = pair_fractions(dataset, t, h, kernel)
+    return _solve(dataset.n, fractions, t, sigma_n, tol, max_iter)
 
 
 def estimate_curve(
@@ -273,19 +308,16 @@ def estimate_curve(
     tol: float = 1e-10,
     max_iter: int = 100_000,
 ) -> list[ScoreVector]:
-    """Score vectors along a time grid, each point computed independently.
+    """Score vectors along a time grid, one per point in the given order.
 
-    Evaluation is embarrassingly parallel; set KRC_THREADS to spread grid
-    points over threads.
+    Per-pair kernel sums come from one blocked pass per grid chunk; each
+    point is then solved as :func:`fit_scores` would, and the first point
+    (in grid order) at which fit_scores would raise raises the same error.
     """
-    grid = [float(t) for t in np.asarray(time_grid, dtype=float).ravel()]
-
-    def one(t: float) -> ScoreVector:
-        return fit_scores(
-            dataset, t, h, kernel, sigma_n=sigma_n, tol=tol, max_iter=max_iter
-        )
-
-    return parallel_map(one, grid)
+    return [
+        _solve(dataset.n, fractions, t, sigma_n, tol, max_iter)
+        for t, fractions in _fractions_along(dataset, time_grid, h, kernel)
+    ]
 
 
 def spectral_gap(P: TransitionMatrix) -> float:

@@ -145,7 +145,7 @@ def bandwidth_sweep(
     """Mean curve error per (method, bandwidth) over fresh replications.
 
     The static method ignores h and occupies a single cell (h=None).  A
-    方法 failing at a degenerate bandwidth (disconnected weighted graph,
+    method failing at a degenerate bandwidth (disconnected weighted graph,
     zero mass, non-convergence) loses that replication; failure counts are
     reported per cell and cells with no successes carry NaN means.
     """

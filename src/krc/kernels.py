@@ -20,7 +20,13 @@ WEIGHT_FLOOR = 1e-300
 
 
 def _gaussian_profile(u: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+    # exp(-0.5 * u * u) / sqrt(2 pi), in place for arrays; scaling the rounded
+    # u * u by -0.5 is exact wherever exp could show it, so weights are equal.
+    u *= u
+    u *= -0.5
+    u = np.exp(u, out=u) if isinstance(u, np.ndarray) else np.exp(u)
+    u /= math.sqrt(2.0 * math.pi)
+    return u
 
 
 def _epanechnikov_profile(u: np.ndarray) -> np.ndarray:
@@ -31,6 +37,7 @@ def _boxcar_profile(u: np.ndarray) -> np.ndarray:
     return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
 
 
+# Each profile maps a float array it may overwrite, or a float scalar, to K(u).
 _PROFILES = {
     "gaussian": _gaussian_profile,
     "epanechnikov": _epanechnikov_profile,
@@ -54,18 +61,23 @@ class Kernel:
 
     def evaluate(self, u):
         """K(u), vectorized; scalar in, scalar out."""
-        arr = np.asarray(u, dtype=float)
-        values = _PROFILES[self.family](arr)
-        values = np.where(values < WEIGHT_FLOOR, 0.0, values)
-        if np.ndim(u) == 0:
-            return float(values)
-        return values
+        return self._clamped(np.array(u, dtype=float)[()])  # a 0-d array -> scalar
 
     def weight(self, t: float, t_k, h: float):
         """K((t - t_k) / h) for one or many observation times ``t_k``."""
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        return self.evaluate((t - np.asarray(t_k, dtype=float)) / h)
+        u = t - np.asarray(t_k, dtype=float)  # a new array, or a scalar
+        u /= h
+        return self._clamped(u)
+
+    def _clamped(self, u: np.ndarray):
+        """K(u), weights below WEIGHT_FLOOR set to 0; may overwrite u."""
+        values = _PROFILES[self.family](u)
+        low = values < WEIGHT_FLOOR
+        if low.any():
+            values = np.where(low, 0.0, values)
+        return float(values) if values.ndim == 0 else values
 
 
 GAUSSIAN = Kernel("gaussian", 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))

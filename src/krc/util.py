@@ -1,44 +1,11 @@
-"""Small shared helpers: thread pool sizing and CSV round-trips."""
+"""Small shared helpers: CSV round-trips and float formatting."""
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREADS_ENV = "KRC_THREADS"
-
-
-def thread_count() -> int:
-    """Worker cap from the KRC_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """Map ``fn`` over ``items``, threaded when KRC_THREADS > 1.
-
-    Results keep input order either way, so callers see no difference
-    beyond wall time.
-    """
-    items = list(items)
-    workers = min(thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

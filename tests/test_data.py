@@ -261,6 +261,25 @@ def test_dataset_rejects_inconsistent_input():
         )
 
 
+def test_presorted_flag_is_checked():
+    ii, jj = np.array([0, 0, 1]), np.array([1, 2, 2])
+    tt, yy = np.array([0.4, 0.1, 0.3]), np.array([1, 0, 1])
+    ds = ComparisonDataset(3, ii, jj, tt, yy, _presorted=True)
+    assert np.array_equal(ds.times, tt)
+    # pair keys out of order
+    with pytest.raises(ValueError, match="not sorted"):
+        ComparisonDataset(3, ii[::-1], jj[::-1], tt[::-1], yy[::-1], _presorted=True)
+    # times decreasing within a pair
+    with pytest.raises(ValueError, match="not sorted"):
+        ComparisonDataset(
+            2, np.array([0, 0]), np.array([1, 1]), np.array([0.6, 0.2]),
+            np.array([1, 0]), _presorted=True,
+        )
+    # the same columns without the flag are sorted, not rejected
+    fixed = ComparisonDataset(3, ii[::-1], jj[::-1], tt[::-1], yy[::-1])
+    assert np.array_equal(fixed.times, tt)
+
+
 # -- connectivity ----------------------------------------------------------
 
 

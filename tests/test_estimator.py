@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from krc import estimator
 from krc.data import ComparisonDataset
 from krc.errors import EstimationError
 from krc.estimator import (
@@ -15,11 +16,13 @@ from krc.estimator import (
     default_teleport,
     estimate_curve,
     fit_scores,
+    pair_fractions,
     regularize,
     spectral_gap,
     stationary,
+    transition_from_fractions,
 )
-from krc.kernels import BOXCAR, GAUSSIAN
+from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN, WEIGHT_FLOOR, Kernel
 from krc.simulate import SimConfig, generate
 
 
@@ -211,14 +214,103 @@ def test_estimate_curve_matches_pointwise():
         assert np.array_equal(sv.scores, lone.scores)
 
 
-def test_estimate_curve_parallel_matches_serial(monkeypatch):
-    ds, _ = generate(SimConfig(n=4, m=15, seed=8))
-    grid = np.array([0.3, 0.6])
-    serial = estimate_curve(ds, grid, 0.25, GAUSSIAN)
-    monkeypatch.setenv("KRC_THREADS", "2")
-    parallel = estimate_curve(ds, grid, 0.25, GAUSSIAN)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.scores, b.scores)
+REFERENCE_PROFILES = {
+    "gaussian": lambda u: np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi),
+    "epanechnikov": lambda u: np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0),
+    "boxcar": lambda u: np.where(np.abs(u) <= 1.0, 0.5, 0.0),
+}
+
+
+def reference_fractions(ds, t, h, kernel):
+    """One point's fractions as computed before blocking: a kernel pass over
+    the whole flat time column, written from the kernel formulas, then
+    segment sums."""
+    w = REFERENCE_PROFILES[kernel.family]((t - ds.times) / h)
+    w = np.where(w < WEIGHT_FLOOR, 0.0, w)
+    starts, seg_i, seg_j = ds.pair_segments()
+    den = np.add.reduceat(w, starts)
+    num = np.add.reduceat(np.where(ds.outcomes == 1, w, 0.0), starts)
+    mass = den > 0.0
+    return seg_i[mass], seg_j[mass], num[mass] / den[mass]
+
+
+def ragged_dataset(seed=3):
+    """Six items, pairs with 0 to 9 records each, times in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    ii, jj = np.triu_indices(6, 1)
+    counts = rng.integers(0, 10, size=ii.size)
+    counts[0] = 1
+    tt = rng.uniform(0.0, 1.0, size=counts.sum())
+    yy = rng.integers(0, 2, size=counts.sum())
+    return ComparisonDataset(6, np.repeat(ii, counts), np.repeat(jj, counts), tt, yy)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 24, 64])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV, BOXCAR])
+def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
+    # An unsorted grid with a repeated point.  Small budgets make several
+    # grid chunks and record blocks, and a block of a single segment longer
+    # than the budget; None keeps the module's budget (one block).
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    ds = ragged_dataset()
+    grid = np.array([0.7, 0.1, 0.45, 0.1, 0.95, 0.3, 0.55])
+    h = 0.2
+    curve = estimate_curve(ds, grid, h, kernel)
+    assert [sv.t for sv in curve] == grid.tolist()
+    sigma = default_teleport(ds.n)
+    for sv, t in zip(curve, grid):
+        ref = reference_fractions(ds, t, h, kernel)
+        got = pair_fractions(ds, t, h, kernel)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        P = regularize(transition_from_fractions(ds.n, *ref), sigma)
+        assert np.array_equal(sv.scores, stationary(P).scores)
+        assert np.array_equal(sv.scores, fit_scores(ds, t, h, kernel).scores)
+
+
+def test_small_budget_splits_grid_and_records(monkeypatch):
+    # Guard for the test above: a budget of 24 does split the pass.
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 24)
+    tiles = []
+    real = Kernel.weight
+
+    def spy(self, t, t_k, h):
+        tiles.append((np.shape(t)[0], np.size(t_k)))
+        return real(self, t, t_k, h)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    ds = ragged_dataset()
+    estimate_curve(ds, np.linspace(0.1, 0.9, 7), 0.2, GAUSSIAN)
+    rows = [r for r, _ in tiles]
+    assert max(rows) > 1 and min(rows) < max(rows)  # several multi-point chunks
+    assert len(tiles) > 7  # records are split into blocks
+    assert sum(r * c for r, c in tiles) == 7 * ds.n_records  # each weight once
+
+
+def test_estimate_curve_raises_at_first_zero_mass_point():
+    ds = ComparisonDataset(
+        3, np.array([0, 0, 1]), np.array([1, 2, 2]),
+        np.array([0.1, 0.15, 0.2]), np.array([1, 0, 1]),
+    )
+    with pytest.raises(EstimationError) as lone:
+        fit_scores(ds, 0.6, 0.1, BOXCAR)
+    with pytest.raises(EstimationError) as batched:
+        estimate_curve(ds, [0.15, 0.6, 0.9], 0.1, BOXCAR)
+    assert str(batched.value) == str(lone.value)
+    assert "t=0.6" in str(batched.value)
+
+
+def test_estimate_curve_empty_grid_and_bad_bandwidth():
+    ds, _ = generate(SimConfig(n=4, m=5, seed=1))
+    assert estimate_curve(ds, [], 0.25, GAUSSIAN) == []
+    assert estimate_curve(ds, np.empty(0), 0.25, GAUSSIAN) == []
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth"):
+            estimate_curve(ds, [0.5], h, GAUSSIAN)
+    empty = ComparisonDataset(3, [], [], [], [])
+    with pytest.raises(EstimationError, match="no comparison records"):
+        estimate_curve(empty, [0.5], 0.25, GAUSSIAN)
 
 
 # -- diagnostics -----------------------------------------------------------

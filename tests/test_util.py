@@ -1,33 +1,13 @@
-"""Thread-pool helper and CSV round-trips."""
+"""CSV round-trips and float tokens."""
 
 import numpy as np
 
 from krc.util import (
     float_token,
     format_float_array,
-    parallel_map,
     read_csv,
-    thread_count,
     write_csv,
 )
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("KRC_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("KRC_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("KRC_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.setenv("KRC_THREADS", "lots")
-    assert thread_count() == 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("KRC_THREADS", "3")
-    got = parallel_map(lambda x: x * x, range(20))
-    assert got == [x * x for x in range(20)]
-    assert parallel_map(lambda x: x, []) == []
 
 
 def test_csv_roundtrip(tmp_path):
