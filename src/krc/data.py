@@ -15,7 +15,9 @@ intervals and days are strictly ordered within a season.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -298,26 +300,25 @@ class ComparisonDataset:
         canonicalized game-day ranks, so export/ingest round-trips are stable.
         """
         order = np.lexsort((self._jj, self._ii, self._tt))
+        labels = self.item_labels
+        item_i = map(labels.__getitem__, self._ii[order].tolist())
+        item_j = map(labels.__getitem__, self._jj[order].tolist())
+        outcome = self._yy[order].tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             if self.encoding.scheme == "season-day":
                 if self._season is None or self._day is None:
                     raise ValueError("season-day dataset lacks season/day columns")
                 writer.writerow(_SEASON_HEADER)
-                for k in order:
-                    writer.writerow(
-                        (int(self._season[k]), int(self._day[k]),
-                         self.item_labels[self._ii[k]], self.item_labels[self._jj[k]],
-                         int(self._yy[k]))
-                    )
+                writer.writerows(zip(
+                    self._season[order].tolist(), self._day[order].tolist(),
+                    item_i, item_j, outcome,
+                ))
             else:
                 writer.writerow(_UNIT_HEADER)
-                for k in order:
-                    writer.writerow(
-                        (float_token(self._tt[k]),
-                         self.item_labels[self._ii[k]], self.item_labels[self._jj[k]],
-                         int(self._yy[k]))
-                    )
+                writer.writerows(zip(
+                    map(float_token, self._tt[order].tolist()), item_i, item_j, outcome,
+                ))
 
 
 # -- CSV ingestion ---------------------------------------------------------
@@ -359,7 +360,186 @@ def ingest_csv(
     label set is fixed and unknown labels are rejected; otherwise labels are
     assigned dense indices in order of first appearance.  Errors carry the
     1-based row number (the header is row 1).
+
+    The dialect is that of ``csv.reader``: fields may be quoted with ``"``
+    (``""`` inside quotes is one quote), labels are stripped of surrounding
+    whitespace, and rows that are empty or hold only whitespace and commas
+    are skipped and not counted.  The body is parsed column by column in one
+    ``np.loadtxt`` call; a file that fails any check, or that only
+    ``csv.reader`` can read, goes through the row scanner, which raises the
+    error for the first bad row or returns the same dataset.
     """
+    read = None
+    if os.path.isfile(path):  # not a pipe: the columnar read passes over it twice
+        with open(path, newline="") as fh:
+            read = _read_body(fh, encoding)
+    dataset = None if read is None else _dataset_from_body(*read, encoding, roster)
+    if dataset is None:
+        return _ingest_rows(
+            path, encoding=encoding, roster=roster, normalize_times=normalize_times
+        )
+    if normalize_times and dataset.encoding.scheme == "unit-interval":
+        return dataset.normalized_to_unit()  # season-day times are left as encoded
+    return dataset
+
+
+_SCHEMES = {_UNIT_HEADER: "unit-interval", _SEASON_HEADER: "season-day"}
+# Body columns as np.loadtxt reads them.  Season and day stay text so that
+# they convert with int(), exactly as the row scanner parses them.
+_BODY_DTYPES = {
+    "unit-interval": np.dtype(
+        [("time", "f8"), ("item_i", "O"), ("item_j", "O"), ("outcome", "f8")]
+    ),
+    "season-day": np.dtype(
+        [("season", "O"), ("day", "O"), ("item_i", "O"), ("item_j", "O"),
+         ("outcome", "f8")]
+    ),
+}
+# float() rejects a time padded with these C0 separators; loadtxt strips them
+# as whitespace.  They are the only characters on which the two disagree.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _plain_text(fh) -> bool:
+    """Whether csv.reader and np.loadtxt read the same fields from this text.
+
+    False when the text holds a C0 separator, or may hold a line longer than
+    ``csv.field_size_limit()``: csv.reader raises on such a field, loadtxt
+    does not.  Reading blocks of half the limit, a line that long would hold
+    a whole block, so every block but the last must hold a newline.  A
+    quoted label spanning lines is measured on its own; a quoted number
+    padded across lines past the limit is not caught.
+    """
+    size = max(csv.field_size_limit() // 2, 1)
+    block = fh.read(size)
+    while block:
+        if any(c in block for c in _SEPARATORS):
+            return False
+        following = fh.read(size)
+        if following and "\n" not in block:
+            return False
+        block = following
+    return True
+
+
+def _read_body(fh, encoding: TimeEncoding | None):
+    """(scheme, body) with the body from one np.loadtxt call, or None when the
+    text is not plain, the header is missing, unknown or mismatched, the body
+    is empty, or loadtxt rejects it."""
+    try:
+        if not _plain_text(fh):
+            return None
+        fh.seek(0)
+        header = next(
+            (row for row in csv.reader(fh) if row and any(c.strip() for c in row)), None
+        )
+        scheme = _SCHEMES.get(tuple(c.strip().lower() for c in header or ()))
+        if scheme is None or (encoding is not None and encoding.scheme != scheme):
+            return None
+        # loadtxt warns on a body of empty lines; the row scanner reports it.
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            return None
+        body = np.loadtxt(
+            itertools.chain([first], fh), dtype=_BODY_DTYPES[scheme],
+            delimiter=",", quotechar='"', comments=None, ndmin=1,
+        )
+    except (ValueError, csv.Error):  # decoding errors are ValueErrors
+        return None
+    return scheme, body
+
+
+def _dataset_from_body(
+    scheme: str,
+    body: np.ndarray,
+    encoding: TimeEncoding | None,
+    roster: Sequence[str] | None,
+) -> ComparisonDataset | None:
+    """The row scanner's dataset, built with array operations, or None when
+    any row fails one of its checks."""
+    raw_i, raw_j = body["item_i"], body["item_j"]
+    # Raw labels in order of first appearance, item_i before item_j.
+    first_seen = dict.fromkeys(np.stack((raw_i, raw_j), axis=1).ravel().tolist())
+    stripped = {raw: raw.strip() for raw in first_seen}
+    if "" in stripped.values() or max(map(len, first_seen)) > csv.field_size_limit():
+        return None
+    if roster is None:
+        labels = list(dict.fromkeys(stripped.values()))
+    else:
+        labels = list(roster)
+        if len(set(labels)) < len(labels) or not set(stripped.values()) <= set(labels):
+            return None
+    if len(labels) < 2:
+        return None
+    index = {lab: k for k, lab in enumerate(labels)}
+    code = {raw: index[lab] for raw, lab in stripped.items()}
+    ii = np.fromiter(map(code.__getitem__, raw_i), np.int64, raw_i.size)
+    jj = np.fromiter(map(code.__getitem__, raw_j), np.int64, raw_j.size)
+    outcome = body["outcome"]
+    if np.any(ii == jj) or not np.all((outcome == 0.0) | (outcome == 1.0)):
+        return None
+    if scheme == "unit-interval":
+        if not np.all(np.isfinite(body["time"])):
+            return None
+        enc, tt, season, day = TimeEncoding("unit-interval"), body["time"], None, None
+    else:
+        declared = None if encoding is None else encoding.season_day_counts
+        encoded = _season_day_times(body["season"], body["day"], declared)
+        if encoded is None:
+            return None
+        enc, tt, season, day = encoded
+    return ComparisonDataset(
+        len(labels), ii, jj, tt, outcome.astype(np.int64),
+        item_labels=labels, encoding=enc, season=season, day=day,
+    )
+
+
+def _season_day_times(season_text, day_text, declared):
+    """(encoding, times, seasons, day ranks) from the season and day columns
+    as ``TimeEncoding.encode`` gives them row by row, or None when a season
+    or day does not parse or lies outside its range."""
+    try:
+        season = season_text.astype(np.int64)  # int() of each token
+        day = day_text.astype(np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if season.min() < 1:
+        return None
+    max_season = int(season.max())
+    if declared is not None:
+        counts = tuple(declared)
+        # Integers below 2**53 divide in float64 exactly as Python ints do.
+        if max_season > len(counts) or not all(
+            type(c) is int and abs(c) < 2**53 for c in counts
+        ):
+            return None
+        n_days = np.array(counts, dtype=np.int64)[season - 1]
+        if not np.all((day >= 1) & (day <= n_days)):
+            return None
+        rank = day
+    else:
+        # Rank each day among its season's distinct days.
+        keys, inverse = np.unique(
+            np.stack((season, day), axis=1), axis=0, return_inverse=True
+        )
+        key_season = keys[:, 0]
+        first = np.searchsorted(key_season, key_season)
+        rank = (np.arange(key_season.size) - first + 1)[inverse.reshape(-1)]
+        counts = tuple(np.bincount(key_season, minlength=max_season + 1)[1:].tolist())
+        n_days = np.array(counts, dtype=np.int64)[season - 1]
+    times = (season - 1) + rank / (n_days + 1)
+    return TimeEncoding("season-day", counts), times, season, rank
+
+
+def _ingest_rows(
+    path: str,
+    *,
+    encoding: TimeEncoding | None = None,
+    roster: Sequence[str] | None = None,
+    normalize_times: bool = False,
+) -> ComparisonDataset:
+    """Row-by-row reading with ``csv.reader``: the reference for
+    :func:`ingest_csv`, and what reports the first bad row."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
@@ -533,24 +713,31 @@ def check_strong_connectivity(
     at time t is positive, i.e. when the transition entry (i, j) would be
     positive without regularization.  An empty edge set is disconnected.
     """
-    n = dataset.n
-    adj = np.zeros((n, n), dtype=bool)
-    for (i, j), times, outs in dataset.pairs():
-        w = kernel.weight(t, times, h)
-        if float(w[outs == 1].sum()) > 0.0:
-            adj[i, j] = True
-        if float(w[outs == 0].sum()) > 0.0:
-            adj[j, i] = True
-    return _component_report(adj)
+    weighted = None
+    if dataset.n_records:
+        # Kernel weights are finite and non-negative, so a pair's weighted win
+        # mass is positive exactly when one of its records has positive weight.
+        weighted = kernel.weight(t, dataset.times, h) > 0.0
+    return _component_report(_win_graph(dataset, weighted))
 
 
 def aggregate_connectivity(dataset: ComparisonDataset) -> ConnectivityReport:
     """Connectivity of the pooled (unweighted) win graph over all times."""
+    return _component_report(_win_graph(dataset, None))
+
+
+def _win_graph(dataset: ComparisonDataset, weighted: np.ndarray | None) -> np.ndarray:
+    """Adjacency with i -> j when j beat i in a record marked by ``weighted``
+    (every record when None), from one logical-or reduction per pair."""
     n = dataset.n
     adj = np.zeros((n, n), dtype=bool)
-    for (i, j), _, outs in dataset.pairs():
-        if np.any(outs == 1):
-            adj[i, j] = True
-        if np.any(outs == 0):
-            adj[j, i] = True
-    return _component_report(adj)
+    starts, seg_i, seg_j = dataset.pair_segments()
+    if starts.size:
+        won = dataset.outcomes == 1
+        lost = ~won
+        if weighted is not None:
+            won &= weighted
+            lost &= weighted
+        adj[seg_i, seg_j] = np.logical_or.reduceat(won, starts)
+        adj[seg_j, seg_i] = np.logical_or.reduceat(lost, starts)
+    return adj

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtri
 
 from .data import ComparisonDataset
 from .errors import InferenceError
@@ -39,53 +40,12 @@ from .online import GroupInverse, group_inverse
 
 # -- normal quantile -------------------------------------------------------
 
-# Rational approximation coefficients (central region and tails), polished
-# below by Halley steps against the erfc-based CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF via a rational approximation plus two
-    Halley refinement steps (near machine precision over the full range)."""
+    """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    # Work in the lower half only: cdf(x) - p cancels catastrophically when
-    # p is close to 1, and 1 - p is exact for p >= 0.5.
-    if p > 0.5:
-        return -normal_quantile(1.0 - p)
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q
-              + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r
-              + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r
-                + 1.0))
-    for _ in range(2):
-        err = _norm_cdf(x) - p
-        u = err / _norm_pdf(x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return float(ndtri(p))
 
 
 # -- parameter containers --------------------------------------------------

@@ -1,8 +1,18 @@
 """Record validation, CSV ingestion, time encodings, connectivity."""
 
+import csv
+import math
+import os
+import tempfile
+import threading
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from krc import data
 from krc.data import (
     ComparisonDataset,
     ComparisonRecord,
@@ -13,7 +23,8 @@ from krc.data import (
     season_of_time,
 )
 from krc.errors import DataFormatError, RosterError
-from krc.kernels import BOXCAR, GAUSSIAN
+from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
+from krc.util import float_token
 
 
 def write(tmp_path, name, text):
@@ -364,3 +375,603 @@ def test_connectivity_respects_kernel_support():
     assert not near.strongly_connected
     wide = check_strong_connectivity(ds, 0.9, 2.0, BOXCAR)
     assert wide.edge_count > near.edge_count
+
+
+# -- columnar ingest against the row-by-row reference ------------------------
+
+_UNIT_HEADER = ("time", "item_i", "item_j", "outcome")
+_SEASON_HEADER = ("season", "day", "item_i", "item_j", "outcome")
+
+
+def _parse_outcome(token: str, row_no: int) -> int:
+    text = token.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataFormatError(f"row {row_no}: bad outcome {token!r}") from None
+    if value == 0.0:
+        return 0
+    if value == 1.0:
+        return 1
+    raise DataFormatError(
+        f"row {row_no}: outcome must be 0 or 1, got {token!r} (ties unsupported)"
+    )
+
+
+def _parse_label(token: str, row_no: int, col: str) -> str:
+    text = token.strip()
+    if not text:
+        raise DataFormatError(f"row {row_no}: empty {col} label")
+    return text
+
+
+def reference_ingest_csv(
+    path: str,
+    *,
+    encoding: TimeEncoding | None = None,
+    roster: Sequence[str] | None = None,
+    normalize_times: bool = False,
+) -> ComparisonDataset:
+    """The row-by-row ingest that preceded the columnar read, kept verbatim."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    header = tuple(c.strip().lower() for c in rows[0])
+    if header == _UNIT_HEADER:
+        scheme = "unit-interval"
+    elif header == _SEASON_HEADER:
+        scheme = "season-day"
+    else:
+        raise DataFormatError(
+            f"{path}: unrecognized header {rows[0]!r}; expected "
+            f"{','.join(_UNIT_HEADER)} or {','.join(_SEASON_HEADER)}"
+        )
+    if encoding is not None and encoding.scheme != scheme:
+        raise DataFormatError(
+            f"{path}: header implies {scheme!r} but encoding requests "
+            f"{encoding.scheme!r}"
+        )
+    body = rows[1:]
+    if not body:
+        raise DataFormatError(f"{path}: no data rows")
+
+    labels: dict[str, int] = {}
+    strict = roster is not None
+    if strict:
+        for lab in roster:
+            if lab in labels:
+                raise RosterError(f"duplicate roster label {lab!r}")
+            labels[lab] = len(labels)
+
+    def item_index(token: str, row_no: int, col: str) -> int:
+        lab = _parse_label(token, row_no, col)
+        if lab not in labels:
+            if strict:
+                raise RosterError(f"row {row_no}: label {lab!r} not in roster")
+            labels[lab] = len(labels)
+        return labels[lab]
+
+    ii: list[int] = []
+    jj: list[int] = []
+    yy: list[int] = []
+
+    if scheme == "unit-interval":
+        tt: list[float] = []
+        for offset, row in enumerate(body):
+            row_no = offset + 2
+            if len(row) != 4:
+                raise DataFormatError(
+                    f"row {row_no}: expected 4 fields, got {len(row)}"
+                )
+            try:
+                t = float(row[0])
+            except ValueError:
+                raise DataFormatError(f"row {row_no}: bad time {row[0]!r}") from None
+            if not math.isfinite(t):
+                raise DataFormatError(f"row {row_no}: non-finite time {row[0]!r}")
+            a = item_index(row[1], row_no, "item_i")
+            b = item_index(row[2], row_no, "item_j")
+            if a == b:
+                raise DataFormatError(f"row {row_no}: self-comparison {row[1]!r}")
+            ii.append(a)
+            jj.append(b)
+            tt.append(t)
+            yy.append(_parse_outcome(row[3], row_no))
+        n = len(labels)
+        if n < 2:
+            raise DataFormatError(f"{path}: fewer than two items")
+        ds = ComparisonDataset(
+            n, np.array(ii), np.array(jj), np.array(tt), np.array(yy),
+            item_labels=[lab for lab, _ in sorted(labels.items(), key=lambda kv: kv[1])],
+            encoding=TimeEncoding("unit-interval"),
+        )
+        return ds.normalized_to_unit() if normalize_times else ds
+
+    # season-day
+    seasons: list[int] = []
+    days: list[int] = []
+    for offset, row in enumerate(body):
+        row_no = offset + 2
+        if len(row) != 5:
+            raise DataFormatError(f"row {row_no}: expected 5 fields, got {len(row)}")
+        try:
+            season = int(row[0])
+            day = int(row[1])
+        except ValueError:
+            raise DataFormatError(
+                f"row {row_no}: bad season/day {row[0]!r},{row[1]!r}"
+            ) from None
+        if season < 1:
+            raise DataFormatError(f"row {row_no}: season must be >= 1, got {season}")
+        a = item_index(row[2], row_no, "item_i")
+        b = item_index(row[3], row_no, "item_j")
+        if a == b:
+            raise DataFormatError(f"row {row_no}: self-comparison {row[2]!r}")
+        seasons.append(season)
+        days.append(day)
+        ii.append(a)
+        jj.append(b)
+        yy.append(_parse_outcome(row[4], row_no))
+    n = len(labels)
+    if n < 2:
+        raise DataFormatError(f"{path}: fewer than two items")
+
+    declared = encoding.season_day_counts if encoding is not None else None
+    max_season = max(seasons)
+    if declared is not None:
+        counts = tuple(declared)
+        if max_season > len(counts):
+            raise DataFormatError(
+                f"season {max_season} exceeds declared count list ({len(counts)})"
+            )
+        ranks = days
+        for row_offset, (l, k) in enumerate(zip(seasons, days)):
+            if not 1 <= k <= counts[l - 1]:
+                raise DataFormatError(
+                    f"row {row_offset + 2}: day {k} outside 1..{counts[l - 1]} "
+                    f"for season {l}"
+                )
+    else:
+        by_season: dict[int, set[int]] = {}
+        for l, d in zip(seasons, days):
+            by_season.setdefault(l, set()).add(d)
+        rank_map = {
+            l: {d: r + 1 for r, d in enumerate(sorted(ds_))}
+            for l, ds_ in by_season.items()
+        }
+        counts = tuple(
+            len(by_season.get(l, ())) for l in range(1, max_season + 1)
+        )
+        ranks = [rank_map[l][d] for l, d in zip(seasons, days)]
+
+    enc = TimeEncoding("season-day", counts)
+    tt = np.array([enc.encode(l, k) for l, k in zip(seasons, ranks)])
+    return ComparisonDataset(
+        n, np.array(ii), np.array(jj), tt, np.array(yy),
+        item_labels=[lab for lab, _ in sorted(labels.items(), key=lambda kv: kv[1])],
+        encoding=enc,
+        season=np.array(seasons),
+        day=np.array(ranks),
+    )
+
+
+def dataset_state(ds):
+    """Everything a dataset holds; arrays as (dtype, shape, bytes)."""
+
+    def raw(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    counts = ds.encoding.season_day_counts
+    columns = (ds._ii, ds._jj, ds._tt, ds._yy, ds._season, ds._day, *ds.pair_segments())
+    return (
+        ds.n, ds.item_labels, ds.encoding,
+        None if counts is None else tuple(type(c) for c in counts),
+        *(raw(a) for a in columns),
+    )
+
+
+def ingest_result(ingest, path, **kwargs):
+    try:
+        return "dataset", dataset_state(ingest(path, **kwargs))
+    except Exception as exc:  # the type and message are compared
+        return "error", type(exc), str(exc)
+
+
+def assert_same_as_reference(path, **kwargs):
+    want = ingest_result(reference_ingest_csv, path, **kwargs)
+    assert ingest_result(ingest_csv, path, **kwargs) == want
+    return want
+
+
+def write_exact(path, text):
+    with open(path, "w", newline="") as fh:  # keeps \r\n as written
+        fh.write(text)
+    return str(path)
+
+
+@pytest.fixture
+def row_scans(monkeypatch):
+    """Records each fallback to the row scanner."""
+    calls = []
+
+    def spy(path, **kwargs):
+        calls.append(path)
+        return reference_ingest_csv(path, **kwargs)
+
+    monkeypatch.setattr(data, "_ingest_rows", spy)
+    return calls
+
+
+def test_columnar_read_covers_the_dialect(tmp_path, row_scans):
+    text = (
+        "\r\nTime, item_i ,ITEM_J,outcome\r\n"
+        '0.5,"a,b", c ,1\r\n'
+        "\r\n"
+        '1e-3,#x,"say ""hi""",0e0\r\n'
+        '-2.5E1,c,"#x",1.0\r\n'
+        '"7","a,b","multi\nline", 1 \r\n'
+        '8,c,mid"quote,-0'
+    )
+    path = write_exact(tmp_path / "a.csv", text)
+    assert assert_same_as_reference(path)[0] == "dataset"
+    assert row_scans == []
+    ds = ingest_csv(path)
+    assert ds.item_labels == ("a,b", "c", "#x", 'say "hi"', "multi\nline", 'mid"quote')
+    assert ds.n_records == 5
+    season = "season,day,item_i,item_j,outcome\n2,+7, a ,b,1\n1,003,b,a,0\n2,1_0,a,b,1\n"
+    path = write_exact(tmp_path / "s.csv", season)
+    assert assert_same_as_reference(path)[0] == "dataset"
+    ds = ingest_csv(path)
+    assert row_scans == []
+    assert ds.encoding.season_day_counts == (1, 2)
+    assert sorted(ds._day.tolist()) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("line", ["   ", ",,,", " , ,\t", '""', "\t"])
+def test_lines_only_csv_reader_skips_go_to_the_row_scanner(tmp_path, row_scans, line):
+    text = f"time,item_i,item_j,outcome\n0.1,a,b,1\n{line}\n0.2,b,c,0\n"
+    path = write_exact(tmp_path / "a.csv", text)
+    assert assert_same_as_reference(path)[0] == "dataset"
+    assert len(row_scans) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("time,item_i,item_j,outcome\n0.1_0,a,b,1\n", None),
+    ("time,item_i,item_j,outcome\n0.1\x1c,a,b,1\n", "row 2: bad time '0.1\\x1c'"),
+    ("time,item_i,item_j,outcome\n0.1,a\x1f,b,1\n", None),
+    ("time,item_i,item_j,outcome\n", "no data rows"),
+    ("time,item_i,item_j,outcome\n\n\n", "no data rows"),
+    ("", "empty file"),
+    ("when,i,j,win\n0.1,a,b,1\n", "unrecognized header"),
+])
+def test_row_scanner_decides_what_loadtxt_cannot(tmp_path, row_scans, text, message):
+    path = write_exact(tmp_path / "a.csv", text)
+    result = assert_same_as_reference(path)
+    assert len(row_scans) == 1
+    if message is None:
+        assert result[0] == "dataset"
+    else:
+        assert result[0] == "error" and message in result[2]
+
+
+def test_long_field_is_rejected_as_csv_reader_does(tmp_path):
+    saved = csv.field_size_limit(1000)
+    try:
+        for text in (
+            f"time,item_i,item_j,outcome\n0.1,{'x' * 1001},b,1\n",
+            # each line is short; the quoted label spanning them is not
+            f"time,item_i,item_j,outcome\n0.1,\"{'y' * 400}\n{'y' * 400}\n{'y' * 201}\",b,1\n",
+            f"time,item_i,item_j,outcome\n{'0' * 1000}.1,a,b,1\n",
+        ):
+            result = assert_same_as_reference(write_exact(tmp_path / "a.csv", text))
+            assert result[0] == "error" and "field larger than field limit" in result[2]
+    finally:
+        csv.field_size_limit(saved)
+
+
+def test_ingest_reads_a_pipe_once(tmp_path):
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w") as fh:
+            fh.write(UNIT_CSV)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        ds = ingest_csv(str(fifo))
+    finally:
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert ds.n_records == 4 and ds.item_labels == ("alpha", "beta", "gamma")
+
+
+# Each label is written in several ways that all read back as that label.
+LABEL_TOKENS = {
+    "alpha": ["alpha", " alpha ", '"alpha"', '" alpha"'],
+    "be,ta": ['"be,ta"', '"be,ta" '],
+    'ga"mma': ['"ga""mma"', 'ga"mma'],
+    "#delta": ["#delta", '"#delta"', "\t#delta"],
+    "epsilon": ['"eps"ilon', "epsilon "],
+    "ze\nta": ['"ze\nta"'],
+}
+BAD_LABELS = ["", "  ", '""']
+
+
+def mostly(good, bad, one_in=40):
+    """``good``, or ``bad`` about once in ``one_in`` draws."""
+    return st.integers(1, one_in).flatmap(lambda k: bad if k == one_in else good)
+
+
+def number_token(x):
+    """Ways of writing the float x that float() reads back as x."""
+    text = repr(x)
+    digits = [k for k in range(1, len(text)) if text[k - 1].isdigit() and text[k].isdigit()]
+    forms = [text, f"{x:.17e}", f"{x:.17E}", f" {text} ", f'"{text}"']
+    if digits:
+        forms.append(text[: digits[0]] + "_" + text[digits[0]:])
+    return st.sampled_from(forms)
+
+
+TIME = mostly(
+    st.floats(-1e6, 1e6, allow_nan=False).flatmap(number_token),
+    st.sampled_from(["nan", "-inf", "1e400", "x", "", "1__0", "0.1\x1c"]),
+)
+OUTCOME = mostly(
+    st.sampled_from(["0", "1", "1.0", "0e0", " 1", "1 ", "-0", '"1"', "0_0", "1.000"]),
+    st.sampled_from(["2", "0.5", "", "x", "nan", "1_0"]),
+)
+SEASON = mostly(
+    st.integers(1, 3).flatmap(lambda k: st.sampled_from([str(k), f" {k}", f"+{k}", f"0{k}"])),
+    st.sampled_from(["0", "-1", "1.0", "x", ""]),
+)
+DAY = mostly(
+    st.integers(1, 12).flatmap(lambda k: st.sampled_from([str(k), f"{k} ", f"+{k}", f"1_{k}"])),
+    st.sampled_from(["0", "-3", "2.5", "x", ""]),
+)
+FILLER = st.sampled_from(["", "", "", "   ", ",,,", " , ,", "\t", ",,,,", '""'])
+
+
+@st.composite
+def label_pair(draw):
+    names = sorted(LABEL_TOKENS)
+    a = draw(st.sampled_from(names))
+    b = draw(mostly(st.sampled_from([n for n in names if n != a]), st.just(a)))
+    tokens = [draw(mostly(st.sampled_from(LABEL_TOKENS[n]), st.sampled_from(BAD_LABELS)))
+              for n in (a, b)]
+    return [a, b], tokens
+
+
+@st.composite
+def csv_case(draw):
+    scheme = draw(st.sampled_from(["unit-interval", "season-day"]))
+    header = list(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
+    if draw(st.booleans()):
+        header = [c.upper() if k % 2 else f" {c}" for k, c in enumerate(header)]
+    lines = [",".join(header)]
+    seen = []
+    for _ in range(draw(st.integers(1, 6))):
+        names, (tok_i, tok_j) = draw(label_pair())
+        seen += names
+        lead = [draw(TIME)] if scheme == "unit-interval" else [draw(SEASON), draw(DAY)]
+        fields = lead + [tok_i, tok_j, draw(OUTCOME)]
+        fields = draw(mostly(st.just(fields), st.sampled_from([fields[:-1], fields + ["1"]]), 25))
+        while draw(st.integers(0, 4)) == 4:
+            lines.append(draw(FILLER))
+        lines.append(",".join(fields))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    kwargs = {}
+    roster = draw(mostly(st.sampled_from([None, "exact", "extra"]),
+                         st.sampled_from(["missing", "duplicate"]), 6))
+    labels = list(dict.fromkeys(seen))
+    if roster == "exact":
+        kwargs["roster"] = labels[::-1]
+    elif roster == "extra":
+        kwargs["roster"] = ["spare"] + labels
+    elif roster == "missing" and len(labels) > 2:
+        kwargs["roster"] = labels[1:]
+    elif roster == "duplicate":
+        kwargs["roster"] = labels + labels[:1]
+    if scheme == "season-day":
+        counts = tuple(draw(st.lists(st.integers(8, 30), min_size=2, max_size=4)))
+        encodings = [None, TimeEncoding("season-day", counts), TimeEncoding("season-day")]
+    else:
+        encodings = [None, TimeEncoding()]
+    encoding = draw(mostly(st.sampled_from(encodings), st.sampled_from(
+        [TimeEncoding("unit-interval"), TimeEncoding("season-day")]
+    ), 20))
+    if encoding is not None:
+        kwargs["encoding"] = encoding
+    kwargs["normalize_times"] = draw(st.booleans())
+    return text, kwargs
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(csv_case())
+def test_ingest_matches_row_reference(case):
+    text, kwargs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_exact(os.path.join(tmp, "case.csv"), text)
+        assert_same_as_reference(path, **kwargs)
+        # Whenever the columnar read gives a dataset on its own, it is the
+        # reference's dataset (not only after a fallback).
+        with open(path, newline="") as fh:
+            read = data._read_body(fh, kwargs.get("encoding"))
+        if read is not None:
+            direct = data._dataset_from_body(*read, kwargs.get("encoding"), kwargs.get("roster"))
+            if direct is not None:
+                want = reference_ingest_csv(path, **{**kwargs, "normalize_times": False})
+                assert dataset_state(direct) == dataset_state(want)
+
+
+# -- exact row numbers deep in a large file ----------------------------------
+
+DEEP_ROWS = 50_000
+DEEP_BAD = 43_210  # data row index of the bad row
+DEEP_ROSTER = [f"team{k}" for k in range(12)]
+
+
+def deep_lines(scheme):
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 12, DEEP_ROWS)
+    b = (a + rng.integers(1, 12, DEEP_ROWS)) % 12
+    y = rng.integers(0, 2, DEEP_ROWS)
+    if scheme == "unit-interval":
+        lead = [repr(t) for t in np.sort(rng.uniform(0, 1, DEEP_ROWS)).tolist()]
+    else:
+        season = rng.integers(1, 4, DEEP_ROWS)
+        day = rng.integers(1, 81, DEEP_ROWS)
+        lead = [f"{s},{d}" for s, d in zip(season.tolist(), day.tolist())]
+    return [f"{lead[k]},team{a[k]},team{b[k]},{y[k]}" for k in range(DEEP_ROWS)]
+
+
+DEEP_CASES = [
+    # (scheme, bad row, kwargs, exception, message after "row N: ")
+    ("unit-interval", "0.5,team1,team2", {}, DataFormatError, "expected 4 fields, got 3"),
+    ("unit-interval", "x,team1,team2,1", {}, DataFormatError, "bad time 'x'"),
+    ("unit-interval", "inf,team1,team2,1", {}, DataFormatError, "non-finite time 'inf'"),
+    ("unit-interval", "0.5, ,team2,1", {}, DataFormatError, "empty item_i label"),
+    ("unit-interval", "0.5,team1,,1", {}, DataFormatError, "empty item_j label"),
+    ("unit-interval", "0.5,team3, team3,1", {}, DataFormatError, "self-comparison 'team3'"),
+    ("unit-interval", "0.5,team1,team2,x", {}, DataFormatError, "bad outcome 'x'"),
+    ("unit-interval", "0.5,team1,team2,0.5", {}, DataFormatError,
+     "outcome must be 0 or 1, got '0.5' (ties unsupported)"),
+    ("unit-interval", "0.5,team1,rookie,1", {"roster": DEEP_ROSTER}, RosterError,
+     "label 'rookie' not in roster"),
+    ("season-day", "1,x,team1,team2,1", {}, DataFormatError, "bad season/day '1','x'"),
+    ("season-day", "0,5,team1,team2,1", {}, DataFormatError, "season must be >= 1, got 0"),
+    ("season-day", "2,81,team1,team2,1", {"encoding": TimeEncoding("season-day", (80,) * 3)},
+     DataFormatError, "day 81 outside 1..80 for season 2"),
+    ("season-day", "2,5,team1,team2,nan", {}, DataFormatError,
+     "outcome must be 0 or 1, got 'nan' (ties unsupported)"),
+]
+
+
+@pytest.mark.parametrize("scheme, bad, kwargs, error, message", DEEP_CASES)
+def test_error_row_number_is_exact_deep_in_a_file(tmp_path, scheme, bad, kwargs, error, message):
+    lines = deep_lines(scheme)
+    lines[DEEP_BAD] = bad
+    # Blank lines are not rows: three before the bad row shift no row number.
+    for at in (10, 20_000, DEEP_BAD - 1):
+        lines.insert(at, "")
+    header = ",".join(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
+    path = write_exact(tmp_path / "deep.csv", "\n".join([header] + lines) + "\n")
+    with pytest.raises(error) as caught:
+        ingest_csv(path, **kwargs)
+    assert str(caught.value) == f"row {DEEP_BAD + 2}: {message}"
+    assert ingest_result(reference_ingest_csv, path, **kwargs) == (
+        "error", error, str(caught.value)
+    )
+
+
+@pytest.mark.parametrize("scheme", ["unit-interval", "season-day"])
+def test_deep_file_without_errors_matches_reference(tmp_path, row_scans, scheme):
+    header = ",".join(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
+    path = write_exact(tmp_path / "deep.csv", "\n".join([header] + deep_lines(scheme)))
+    assert assert_same_as_reference(path)[0] == "dataset"
+    assert row_scans == []
+
+
+# -- export ------------------------------------------------------------------
+
+
+def reference_export_csv(ds, path):
+    """The row-by-row writer that preceded the column writer, kept verbatim."""
+    order = np.lexsort((ds._jj, ds._ii, ds._tt))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if ds.encoding.scheme == "season-day":
+            if ds._season is None or ds._day is None:
+                raise ValueError("season-day dataset lacks season/day columns")
+            writer.writerow(_SEASON_HEADER)
+            for k in order:
+                writer.writerow(
+                    (int(ds._season[k]), int(ds._day[k]),
+                     ds.item_labels[ds._ii[k]], ds.item_labels[ds._jj[k]],
+                     int(ds._yy[k]))
+                )
+        else:
+            writer.writerow(_UNIT_HEADER)
+            for k in order:
+                writer.writerow(
+                    (float_token(ds._tt[k]),
+                     ds.item_labels[ds._ii[k]], ds.item_labels[ds._jj[k]],
+                     int(ds._yy[k]))
+                )
+
+
+QUOTING_LABELS = ("plain", "with,comma", 'say "hi"', " padded ", "two\nlines", "#hash", "cr\rlf")
+
+
+def random_columns(rng, n, m):
+    ii = rng.integers(0, n, m)
+    jj = (ii + rng.integers(1, n, m)) % n
+    return ii, jj, rng.integers(0, 2, m)
+
+
+def test_export_matches_row_writer_unit(tmp_path):
+    rng = np.random.default_rng(3)
+    ii, jj, yy = random_columns(rng, 7, 300)
+    tt = np.concatenate([rng.normal(0, 1e3, 290), [0.0, -0.0, 1e-310, 5e-324, 0.1, 1 / 3,
+                                                    1e300, -2.5, 0.5, 0.5]])
+    ds = ComparisonDataset(7, ii, jj, tt, yy, item_labels=QUOTING_LABELS)
+    ds.export_csv(tmp_path / "new.csv")
+    reference_export_csv(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_export_matches_row_writer_season_day(tmp_path):
+    rng = np.random.default_rng(4)
+    ii, jj, yy = random_columns(rng, 7, 300)
+    season = rng.integers(1, 4, 300)
+    day = rng.integers(1, 11, 300)
+    enc = TimeEncoding("season-day", (10, 10, 10))
+    tt = [enc.encode(s, d) for s, d in zip(season.tolist(), day.tolist())]
+    ds = ComparisonDataset(7, ii, jj, tt, yy, item_labels=QUOTING_LABELS,
+                           encoding=enc, season=season, day=day)
+    ds.export_csv(tmp_path / "new.csv")
+    reference_export_csv(ds, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = ingest_csv(str(tmp_path / "new.csv"), encoding=enc)
+    assert np.array_equal(np.sort(back.times), np.sort(ds.times))
+    # a season-day dataset without its columns fails as before, after opening
+    bare = ComparisonDataset(7, ii, jj, tt, yy, encoding=enc)
+    for export in (bare.export_csv, lambda p: reference_export_csv(bare, p)):
+        with pytest.raises(ValueError, match="lacks season/day"):
+            export(tmp_path / "bare.csv")
+        assert (tmp_path / "bare.csv").read_bytes() == b""
+
+
+# -- connectivity against the per-pair loop ----------------------------------
+
+
+def pooled_win_graph_oracle(ds):
+    adj = np.zeros((ds.n, ds.n), dtype=bool)
+    for (i, j), _, outs in ds.pairs():
+        if np.any(outs == 1):
+            adj[i, j] = True
+        if np.any(outs == 0):
+            adj[j, i] = True
+    return adj
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV, BOXCAR], ids=lambda k: k.family)
+@pytest.mark.parametrize("h", [0.001, 0.02, 0.3])
+def test_connectivity_matches_per_pair_loop(kernel, h):
+    rng = np.random.default_rng(17)
+    weights = []
+    for trial in range(40):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(0, 60))
+        ii, jj, yy = random_columns(rng, n, m)
+        ds = ComparisonDataset(n, ii, jj, rng.uniform(0, 1, m), yy)
+        t = float(rng.uniform(-0.05, 1.05))
+        want = data._component_report(win_graph_oracle(ds, t, h, kernel))
+        assert check_strong_connectivity(ds, t, h, kernel) == want
+        pooled = data._component_report(pooled_win_graph_oracle(ds))
+        assert aggregate_connectivity(ds) == pooled
+        weights.append(kernel.weight(t, ds.times, h))
+    if h < 0.01:  # narrow: most weights are exactly 0
+        assert np.mean(np.concatenate(weights) == 0.0) > 0.8
