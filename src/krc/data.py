@@ -138,7 +138,7 @@ class ComparisonDataset:
                 raise RosterError("item index outside 0..n-1")
             if np.any(ii == jj):
                 raise DataFormatError("self-comparison in columns")
-            if not np.all(np.isin(yy, (0, 1))):
+            if not ((yy == 0) | (yy == 1)).all():
                 raise DataFormatError("outcomes must be 0 or 1 (ties unsupported)")
             if not np.all(np.isfinite(tt)):
                 raise DataFormatError("non-finite time value")
@@ -150,16 +150,16 @@ class ComparisonDataset:
         if np.any(swap):
             ii[swap], jj[swap] = jj[swap], ii[swap].copy()
             yy[swap] = 1 - yy[swap]
+        # i * n + j orders pairs as (i, j) do; a pair's segment starts where it
+        # changes.  _presorted is checked, because every segment sum relies on it.
+        pair_key = ii * n + jj
         if not _presorted and ii.size:
-            order = np.lexsort((tt, jj, ii))
-            ii, jj, tt, yy = ii[order], jj[order], tt[order], yy[order]
-            if ss is not None:
-                ss = ss[order]
-            if dd is not None:
-                dd = dd[order]
-        # A pair's segment starts where the pair key changes; the claim of
-        # _presorted is checked, because every segment sum relies on it.
-        step = np.diff(ii * n + jj, prepend=-1)
+            order = np.lexsort((tt, pair_key))
+            for col in (ii, jj, tt, yy, pair_key, ss, dd):
+                if col is not None:  # all are private copies: permute in place
+                    col[:] = col[order]
+        step = np.diff(pair_key, prepend=-1)
+        del pair_key
         if np.any(step < 0) or np.any((step[1:] == 0) & (np.diff(tt) < 0)):
             raise ValueError(
                 "_presorted=True but records are not sorted by pair and time"
@@ -235,11 +235,9 @@ class ComparisonDataset:
 
     def min_pair_count(self) -> int:
         """min |T_ij| over all unordered pairs; 0 when any pair is unobserved."""
-        n_possible = self.n * (self.n - 1) // 2
-        counts = self.pair_counts()
-        if len(counts) < n_possible:
+        if self._seg_starts.size < self.n * (self.n - 1) // 2:
             return 0
-        return min(counts.values())
+        return int(np.diff(self._seg_starts, append=self.n_records).min())
 
     def records(self) -> list[ComparisonRecord]:
         return [
@@ -266,17 +264,11 @@ class ComparisonDataset:
     def with_max_time(self, t_exclusive: float) -> "ComparisonDataset":
         """Subset with strictly earlier records; roster and labels unchanged."""
         mask = self._tt < t_exclusive
+        season, day = (c if c is None else c[mask] for c in (self._season, self._day))
         return ComparisonDataset(
-            self.n,
-            self._ii[mask],
-            self._jj[mask],
-            self._tt[mask],
-            self._yy[mask],
-            item_labels=self.item_labels,
-            encoding=self.encoding,
-            season=None if self._season is None else self._season[mask],
-            day=None if self._day is None else self._day[mask],
-            _presorted=True,
+            self.n, self._ii[mask], self._jj[mask], self._tt[mask], self._yy[mask],
+            item_labels=self.item_labels, encoding=self.encoding,
+            season=season, day=day, _presorted=True,
         )
 
     def normalized_to_unit(self) -> "ComparisonDataset":

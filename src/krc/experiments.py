@@ -26,6 +26,7 @@ from .baselines import (
     _mm_solve,
     _win_from_fractions,
     bt_mle_mm,
+    elo_expected,
     static_rank_centrality,
     wmle,
 )
@@ -471,9 +472,7 @@ def backtest(
                     )
                     tally[0] += 1
                     tally[1] += int(pred == winner)
-            e_j = 1.0 / (
-                1.0 + 10.0 ** ((ratings[i] - ratings[j]) / elo_config.logistic_scale)
-            )
+            e_j = elo_expected(ratings[j], ratings[i], elo_config.logistic_scale)
             ratings[j] += elo_config.k_factor * (y - e_j)
             ratings[i] += elo_config.k_factor * ((1 - y) - (1.0 - e_j))
             seen[i] = seen[j] = True
@@ -483,10 +482,7 @@ def backtest(
     else:
         eval_times = np.unique(tt[test_mask])
         seen_by = np.full(dataset.n, np.inf)
-        for k in range(tt.size):
-            for item in (int(ii[k]), int(jj[k])):
-                if tt[k] < seen_by[item]:
-                    seen_by[item] = tt[k]
+        np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
         for t_day in eval_times:
             past = dataset.with_max_time(float(t_day))
             if past.n_records and not past.time_span()[1] < t_day:

@@ -132,15 +132,15 @@ def plug_in_alpha(
         raise ValueError("score vector length does not match dataset")
     if np.min(scores) <= 0:
         raise ValueError("scores must be strictly positive")
-    weight_inv = np.zeros((n, n))
+    starts, seg_i, seg_j = dataset.pair_segments()
     if effective_counts:
-        for (i, j), times, _ in dataset.pairs():
-            mass = float(np.sum(kernel.weight(t, times, h)))
-            if mass > 0:
-                weight_inv[i, j] = weight_inv[j, i] = 1.0 / mass
+        mass = np.add.reduceat(kernel.weight(t, dataset.times, h), starts)
     else:
-        for (i, j), count in dataset.pair_counts().items():
-            weight_inv[i, j] = weight_inv[j, i] = 1.0 / (count * h)
+        mass = np.diff(starts, append=dataset.n_records) * h
+    weight_inv = np.zeros((n, n))
+    weight_inv[seg_i, seg_j] = weight_inv[seg_j, seg_i] = np.divide(
+        1.0, mass, out=np.zeros_like(mass), where=mass > 0
+    )
     observed = weight_inv > 0
     missing = np.flatnonzero(~observed.any(axis=1))
     if missing.size:
@@ -150,11 +150,8 @@ def plug_in_alpha(
     Y = _win_prob_matrix(scores)
     S1 = np.where(observed, Y, 0.0).sum(axis=1)
     pair_sum = scores[:, None] + scores[None, :]
-    terms = np.where(
-        observed,
-        weight_inv * pair_sum**2 * Y * (1.0 - Y) * kernel.squared_integral,
-        0.0,
-    )
+    # weight_inv is 0 on unobserved pairs, so their terms vanish.
+    terms = weight_inv * pair_sum**2 * Y * (1.0 - Y) * kernel.squared_integral
     D = terms.sum(axis=1)
     alpha = S1 / np.sqrt(D)
     if not np.all(np.isfinite(alpha)) or np.min(alpha) <= 0:

@@ -6,9 +6,11 @@ so skills stay strictly positive and each item oscillates at its own
 frequency.  Every unordered pair receives ``m`` comparisons at uniform
 random times with outcomes drawn from the preference model.
 
-Generation is deterministic given the seed: each pair draws from its own
-generator seeded by (seed, i, j), so the result does not depend on
-iteration or thread order.
+Comparison draws come from a counter-based SplitMix64 generator (Steele,
+Lea & Flood 2014) run over the whole (pairs x m) block in numpy ``uint64``
+arithmetic.  Each draw is keyed by a seed key from ``SeedSequence(seed)``,
+the pair key ``j (j - 1) / 2 + i``, a stream (0: times, 1: outcomes) and a
+counter, so a pair's draws depend on (seed, i, j) only, not on n.
 """
 
 from __future__ import annotations
@@ -96,41 +98,53 @@ def _build_truth(config: SimConfig) -> GroundTruth:
     return GroundTruth(alpha=alpha, dynamic=(config.skill_family == "sine"))
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
+
+
+def _splitmix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix applied to ``z`` in place; ``tmp`` is scratch."""
+    for shift, mult in _MIX:
+        np.bitwise_xor(z, np.right_shift(z, np.uint64(shift), out=tmp), out=z)
+        if mult is not None:
+            np.multiply(z, np.uint64(mult), out=z)
+    return z
+
+
+def _uniform_block(key, pair_key: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (pairs, m) with uniforms in [0, 1) from draws 1..m."""
+    seed = (pair_key + np.uint64(1)) * _GAMMA + key
+    counter = np.arange(1, out.shape[1] + 1, dtype=np.uint64) * _GAMMA
+    z = np.add.outer(_splitmix64(seed, np.empty_like(seed)), counter)
+    _splitmix64(z, out.view(np.uint64))  # out is scratch until the last step
+    return np.multiply(np.right_shift(z, np.uint64(11), out=z), 2.0**-53, out=out)
+
+
 def generate(config: SimConfig) -> tuple[ComparisonDataset, GroundTruth]:
     """Simulate the full comparison design: m outcomes for every pair."""
     truth = _build_truth(config)
     n, m = config.n, config.m
-    n_pairs = n * (n - 1) // 2
-    ii = np.empty(n_pairs * m, dtype=np.int64)
-    jj = np.empty(n_pairs * m, dtype=np.int64)
-    tt = np.empty(n_pairs * m)
-    yy = np.empty(n_pairs * m, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        a_i = truth.alpha[i]
-        for j in range(i + 1, n):
-            a_j = truth.alpha[j]
-            rng = np.random.default_rng((config.seed, i, j))
-            times = np.sort(rng.uniform(0.0, 1.0, size=m))
-            if truth.dynamic:
-                s_i = a_i + np.sin(5.0 * a_i * times)
-                s_j = a_j + np.sin(5.0 * a_j * times)
-            else:
-                s_i = np.full(m, a_i)
-                s_j = np.full(m, a_j)
-            if s_i.min() <= 0 or s_j.min() <= 0:
-                raise RuntimeError("non-positive skill in generator")
-            p_j = s_j / (s_i + s_j)
-            sl = slice(pos, pos + m)
-            ii[sl] = i
-            jj[sl] = j
-            tt[sl] = times
-            yy[sl] = rng.random(m) < p_j
-            pos += m
+    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    iu, ju = np.triu_indices(n, 1)
+    pair_key = (ju * (ju - 1) // 2 + iu).astype(np.uint64)
+    tt = _uniform_block(key[0], pair_key, np.empty((iu.size, m)))
+    tt.sort(axis=1)
+    u = _uniform_block(key[1], pair_key, np.empty_like(tt))
+    s_i, s_j = np.empty_like(tt), np.empty_like(tt)
+    for s, a in ((s_i, truth.alpha[iu, None]), (s_j, truth.alpha[ju, None])):
+        if truth.dynamic:
+            np.sin(np.multiply(5.0 * a, tt, out=s), out=s)
+            s += a
+        else:
+            s[:] = a
+    if s_i.min() <= 0 or s_j.min() <= 0:
+        raise RuntimeError("non-positive skill in generator")
+    p_j = np.divide(s_j, np.add(s_i, s_j, out=s_i), out=s_j)
+    yy = np.less(u, p_j, out=s_i.view(np.int64))
+    del s, s_i, s_j, p_j, u  # free the work blocks before the dataset copies
     dataset = ComparisonDataset(
-        n, ii, jj, tt, yy,
-        encoding=TimeEncoding("unit-interval"),
-        _presorted=True,
+        n, np.repeat(iu, m), np.repeat(ju, m), tt.ravel(), yy.ravel(),
+        encoding=TimeEncoding("unit-interval"), _presorted=True,
     )
     return dataset, truth
 

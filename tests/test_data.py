@@ -975,3 +975,32 @@ def test_connectivity_matches_per_pair_loop(kernel, h):
         weights.append(kernel.weight(t, ds.times, h))
     if h < 0.01:  # narrow: most weights are exactly 0
         assert np.mean(np.concatenate(weights) == 0.0) > 0.8
+
+
+def test_pair_key_sort_matches_three_key_lexsort():
+    # repeated pairs, swapped orientation and tied times
+    rng = np.random.default_rng(4)
+    n, size = 6, 400
+    ii = rng.integers(0, n, size)
+    jj = (ii + rng.integers(1, n, size)) % n
+    tt = rng.integers(0, 5, size) / 4.0
+    yy = rng.integers(0, 2, size)
+    row = np.arange(size)
+    ds = ComparisonDataset(n, ii, jj, tt, yy, season=row, day=row)
+    lo, hi = np.minimum(ii, jj), np.maximum(ii, jj)
+    y_canon = np.where(ii > jj, 1 - yy, yy)
+    order = np.lexsort((tt, hi, lo))
+    assert np.array_equal(ds._day, order)
+    assert np.array_equal(ds._season, order)
+    assert np.array_equal(ds._ii, lo[order])
+    assert np.array_equal(ds._jj, hi[order])
+    assert np.array_equal(ds._tt, tt[order])
+    assert np.array_equal(ds._yy, y_canon[order])
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_bad_outcome_message_unchanged(bad):
+    with pytest.raises(
+        DataFormatError, match=r"^outcomes must be 0 or 1 \(ties unsupported\)$"
+    ):
+        ComparisonDataset(3, [0, 1], [1, 2], [0.1, 0.2], [1, bad])

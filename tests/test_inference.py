@@ -299,3 +299,54 @@ def test_expansion_condition_small_perturbation():
     assert report.condition_holds
     assert report.second_order_norm < report.first_order_residual * 10 + 1e-12
     assert report.first_order_residual < 1e-4
+
+
+def _alpha_by_pair_loops(pi_hat, ds, t, h, kernel, effective_counts):
+    """The per-pair reference: one Python iteration per observed pair."""
+    weight_inv = np.zeros((ds.n, ds.n))
+    if effective_counts:
+        for (i, j), times, _ in ds.pairs():
+            mass = float(np.sum(kernel.weight(t, times, h)))
+            if mass > 0:
+                weight_inv[i, j] = weight_inv[j, i] = 1.0 / mass
+    else:
+        for (i, j), count in ds.pair_counts().items():
+            weight_inv[i, j] = weight_inv[j, i] = 1.0 / (count * h)
+    scores = pi_hat.scores
+    observed = weight_inv > 0
+    Y = scores[None, :] / (scores[:, None] + scores[None, :])
+    np.fill_diagonal(Y, 0.0)
+    S1 = np.where(observed, Y, 0.0).sum(axis=1)
+    pair_sum = scores[:, None] + scores[None, :]
+    terms = np.where(
+        observed,
+        weight_inv * pair_sum**2 * Y * (1.0 - Y) * kernel.squared_integral,
+        0.0,
+    )
+    return S1 / np.sqrt(terms.sum(axis=1))
+
+
+@pytest.mark.parametrize("kernel", [GAUSSIAN, BOXCAR])
+def test_alpha_matches_per_pair_loops(kernel):
+    ds, _ = generate(SimConfig(n=7, m=25, seed=12))
+    # drop one pair so an unobserved pair is in the sums
+    keep = ~((ds._ii == 2) & (ds._jj == 5))
+    ds = ComparisonDataset(ds.n, ds._ii[keep], ds._jj[keep], ds._tt[keep], ds._yy[keep])
+    pi_hat = fit_scores(ds, 0.4, 0.15, kernel)
+    counted = plug_in_alpha(pi_hat, ds, 0.4, 0.15, kernel)
+    ref = _alpha_by_pair_loops(pi_hat, ds, 0.4, 0.15, kernel, False)
+    assert np.array_equal(counted.alpha, ref)
+    effective = plug_in_alpha(pi_hat, ds, 0.4, 0.15, kernel, effective_counts=True)
+    ref = _alpha_by_pair_loops(pi_hat, ds, 0.4, 0.15, kernel, True)
+    np.testing.assert_allclose(effective.alpha, ref, rtol=1e-14, atol=0.0)
+
+
+def test_alpha_effective_counts_missing_opponents_raises():
+    # both of item 2's pairs lie outside the boxcar window around t
+    ds = ComparisonDataset(
+        3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([0.5, 0.9, 0.9]),
+        np.array([1, 0, 1]), item_labels=("ann", "bob", "cid"),
+    )
+    pi_hat = ScoreVector(np.array([1 / 3, 1 / 3, 1 / 3]), t=0.5)
+    with pytest.raises(InferenceError, match=r"opponents for item\(s\): cid$"):
+        plug_in_alpha(pi_hat, ds, 0.5, 0.1, BOXCAR, effective_counts=True)
