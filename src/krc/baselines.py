@@ -6,9 +6,13 @@ Bradley-Terry likelihood: each sweep sets
 
     p_i <- W_i / sum_{j != i} N_ij / (p_i + p_j)
 
-then renormalizes, which never decreases the (weighted) log-likelihood.
-The kernel-weighted variant replaces counts by per-pair normalized win
-shares at the evaluation time, so each observed pair carries unit mass.
+then renormalizes, which never decreases the (weighted) log-likelihood
+(Hunter 2004).  A sweep runs over the observed pairs r < c: q = N_rc /
+(p_r + p_c), and item i's denominator sums q over its pairs.  Every
+iterate's likelihood, from the p_r + p_c the next sweep reuses, is checked
+for ascent.  The kernel-weighted variant replaces counts by per-pair
+normalized win shares at the evaluation time, so each observed pair
+carries unit mass.
 """
 
 from __future__ import annotations
@@ -21,12 +25,11 @@ from .data import ComparisonDataset, aggregate_connectivity, check_strong_connec
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
-    TransitionMatrix,
-    _fill_diagonal,
     default_teleport,
     pair_fractions,
     regularize,
     stationary,
+    transition_from_fractions,
 )
 from .kernels import Kernel
 
@@ -89,6 +92,13 @@ def elo_expected(r_a: float, r_b: float, scale: float = 400.0) -> float:
     return 1.0 / (1.0 + 10.0 ** ((r_b - r_a) / scale))
 
 
+def elo_update(ratings: np.ndarray, i: int, j: int, y: int, config: EloConfig) -> None:
+    """Apply one game between i and j (y = 1 when j won) to ``ratings`` in place."""
+    e_j = elo_expected(ratings[j], ratings[i], config.logistic_scale)
+    ratings[j] += config.k_factor * (y - e_j)
+    ratings[i] += config.k_factor * ((1 - y) - (1.0 - e_j))
+
+
 def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloTable:
     """Sequential Elo over the records in time order.
 
@@ -101,10 +111,8 @@ def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloT
     hist_item = np.empty(2 * tt.size, dtype=np.int64)
     hist_r = np.empty(2 * tt.size)
     for k in range(tt.size):
-        i, j, y = int(ii[k]), int(jj[k]), int(yy[k])
-        e_j = elo_expected(ratings[j], ratings[i], config.logistic_scale)
-        ratings[j] += config.k_factor * (y - e_j)
-        ratings[i] += config.k_factor * ((1 - y) - (1.0 - e_j))
+        i, j = int(ii[k]), int(jj[k])
+        elo_update(ratings, i, j, int(yy[k]), config)
         hist_t[2 * k] = hist_t[2 * k + 1] = tt[k]
         hist_item[2 * k], hist_item[2 * k + 1] = i, j
         hist_r[2 * k], hist_r[2 * k + 1] = ratings[i], ratings[j]
@@ -121,29 +129,19 @@ def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloT
 # -- MM core ---------------------------------------------------------------
 
 
-def _win_from_fractions(
-    n: int, idx_i: np.ndarray, idx_j: np.ndarray, frac: np.ndarray
-) -> np.ndarray:
-    """Unit mass per observed pair, split into weighted win shares."""
+def _win_matrix(n: int, idx_i, idx_j, won, lost) -> np.ndarray:
+    """``win[a, b]``, the win mass of a over b, from each pair's item_j mass
+    over item_i (``won``) and item_i mass over item_j (``lost``)."""
     win = np.zeros((n, n))
-    win[idx_j, idx_i] = frac
-    win[idx_i, idx_j] = 1.0 - frac
+    win[idx_j, idx_i] = won
+    win[idx_i, idx_j] = lost
     return win
 
 
-def _log_likelihood(win: np.ndarray, p: np.ndarray) -> float:
-    """Weighted preference log-likelihood with the 0 log 0 = 0 convention."""
-    W = win.sum(axis=1)
-    pos = W > 0
-    with np.errstate(divide="ignore"):
-        logs = np.log(p[pos])
-    ll = float(np.sum(W[pos] * logs))
-    N = win + win.T
-    iu = np.triu_indices_from(N, k=1)
-    mask = N[iu] > 0
-    psum = (p[:, None] + p[None, :])[iu][mask]
-    ll -= float(np.sum(N[iu][mask] * np.log(psum)))
-    return ll
+def _pair_log_likelihood(w_pos, p_pos, n_pairs, psum) -> float:
+    """Weighted preference log-likelihood from the items with wins and the
+    observed pairs (count, p_r + p_c), with the 0 log 0 = 0 convention."""
+    return float(w_pos @ np.log(p_pos) - n_pairs @ np.log(psum))
 
 
 def _mm_solve(
@@ -156,8 +154,11 @@ def _mm_solve(
     likelihood pushes them anyway.
     """
     n = win.shape[0]
-    N = win + win.T
     W = win.sum(axis=1)
+    pos = W > 0
+    w_pos = W[pos]
+    r, c = np.nonzero(np.triu(win + win.T, 1))
+    Nv = win[r, c] + win[c, r]
     if init is None:
         p = np.full(n, 1.0 / n)
     else:
@@ -167,34 +168,44 @@ def _mm_solve(
         p = p / p.sum()
     info = MMInfo(iterations=0, final_change=np.inf)
     prev_ll = -np.inf
-    for it in range(config.max_iter):
-        psum = p[:, None] + p[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            contrib = np.where((N > 0) & (psum > 0), N / psum, 0.0)
-        denom = contrib.sum(axis=1)
-        new = np.where((W > 0) & (denom > 0), W / np.where(denom > 0, denom, 1.0), 0.0)
-        s = new.sum()
-        if s <= 0:
-            raise ConvergenceError("MM update collapsed to the zero vector")
-        new /= s
-        change = float(np.max(np.abs(new - p)))
-        p = new
-        ll = _log_likelihood(win, p)
-        info.loglik.append(ll)
-        if ll < prev_ll - _ASCENT_SLACK * (1.0 + abs(ll)):
-            raise RuntimeError(
-                f"MM iteration decreased the log-likelihood ({prev_ll} -> {ll})"
-            )
-        prev_ll = ll
-        info.iterations = it + 1
-        info.final_change = change
-        if change <= config.tol:
-            return p, info
+    psum = p[r] + p[c]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(config.max_iter):
+            # a pair with p_r + p_c = 0 (zeros in init) adds nothing
+            q = np.where(psum > 0, Nv / psum, 0.0)
+            denom = np.bincount(r, q, n) + np.bincount(c, q, n)
+            new = np.where(pos & (denom > 0), W / denom, 0.0)
+            s = new.sum()
+            if s <= 0:
+                raise ConvergenceError("MM update collapsed to the zero vector")
+            new /= s
+            change = float(np.max(np.abs(new - p)))
+            p = new
+            psum = p[r] + p[c]
+            ll = _pair_log_likelihood(w_pos, p[pos], Nv, psum)
+            info.loglik.append(ll)
+            if ll < prev_ll - _ASCENT_SLACK * (1.0 + abs(ll)):
+                raise RuntimeError(
+                    f"MM iteration decreased the log-likelihood ({prev_ll} -> {ll})"
+                )
+            prev_ll = ll
+            info.iterations = it + 1
+            info.final_change = change
+            if change <= config.tol:
+                return p, info
     raise ConvergenceError(
         f"MM failed to reach tol {config.tol} in {config.max_iter} iterations "
         f"(last change {info.final_change:.3e})",
         residual=info.final_change,
     )
+
+
+def _pooled_wins(dataset: ComparisonDataset):
+    """(item_i, item_j, item_j's wins, item_i's wins) for every observed
+    pair, from one segment sum over the pair-grouped outcome column."""
+    starts, seg_i, seg_j = dataset.pair_segments()
+    won = np.add.reduceat(dataset.outcomes, starts)
+    return seg_i, seg_j, won, np.diff(starts, append=dataset.n_records) - won
 
 
 def bt_mle_mm(
@@ -218,11 +229,7 @@ def bt_mle_mm(
                 "pooled win graph is not strongly connected "
                 f"({report.n_components} components); the MLE does not exist"
             )
-    win = np.zeros((dataset.n, dataset.n))
-    for (i, j), _, outs in dataset.pairs():
-        win[j, i] += float(np.sum(outs == 1))
-        win[i, j] += float(np.sum(outs == 0))
-    p, info = _mm_solve(win, config, init)
+    p, info = _mm_solve(_win_matrix(dataset.n, *_pooled_wins(dataset)), config, init)
     sv = ScoreVector(p, t=None)
     return (sv, info) if return_info else sv
 
@@ -255,7 +262,7 @@ def wmle(
                 f"t={t}, h={h} ({report.n_components} components)"
             )
     idx_i, idx_j, frac = pair_fractions(dataset, t, h, kernel)
-    win = _win_from_fractions(dataset.n, idx_i, idx_j, frac)
+    win = _win_matrix(dataset.n, idx_i, idx_j, frac, 1.0 - frac)
     p, info = _mm_solve(win, config, init)
     sv = ScoreVector(p, t=t)
     return (sv, info) if return_info else sv
@@ -285,14 +292,9 @@ def static_rank_centrality(
                 "pooled win graph is not strongly connected and sigma_n=0 "
                 f"({report.n_components} components)"
             )
-    P = np.zeros((n, n))
     if dataset.n_records == 0:
         raise EstimationError("cannot rank an empty dataset")
-    for (i, j), _, outs in dataset.pairs():
-        frac = float(np.mean(outs))
-        P[i, j] = frac / n
-        P[j, i] = (1.0 - frac) / n
-    _fill_diagonal(P)
-    reg = regularize(TransitionMatrix(P), sigma)
-    sv = stationary(reg, tol=tol, max_iter=max_iter)
+    seg_i, seg_j, won, lost = _pooled_wins(dataset)
+    P = transition_from_fractions(n, seg_i, seg_j, won / (won + lost))
+    sv = stationary(regularize(P, sigma), tol=tol, max_iter=max_iter)
     return ScoreVector(sv.scores, t=None)

@@ -24,9 +24,9 @@ from .baselines import (
     EloConfig,
     MMConfig,
     _mm_solve,
-    _win_from_fractions,
+    _win_matrix,
     bt_mle_mm,
-    elo_expected,
+    elo_update,
     static_rank_centrality,
     wmle,
 )
@@ -254,7 +254,8 @@ def timing_bench(
             return stationary(P)
 
         def wmle_stage():
-            return _mm_solve(_win_from_fractions(n, idx_i, idx_j, frac), mm_config, None)
+            win = _win_matrix(n, idx_i, idx_j, frac, 1.0 - frac)
+            return _mm_solve(win, mm_config, None)
 
         krc_stage()  # warmup
         wmle_stage()
@@ -447,34 +448,31 @@ def backtest(
     n_skipped = 0
     n_failed_fits = 0
 
-    def predict(scores: np.ndarray, i: int, j: int) -> int:
+    def score_game(scores: np.ndarray, k: int) -> None:
         nonlocal n_ties
+        i, j = int(ii[k]), int(jj[k])
         if scores[j] > scores[i]:
-            return j
-        if scores[j] < scores[i]:
-            return i
-        n_ties += 1
-        return min(i, j)
+            pred = j
+        elif scores[j] < scores[i]:
+            pred = i
+        else:
+            n_ties += 1
+            pred = min(i, j)
+        tally = season_tally.setdefault(season_of_time(float(tt[k])), [0, 0])
+        tally[0] += 1
+        tally[1] += int(pred == (j if yy[k] == 1 else i))
 
     if method == "elo":
         ratings = np.full(dataset.n, elo_config.initial_rating)
         seen = np.zeros(dataset.n, dtype=bool)
         for k in range(tt.size):
-            i, j, y = int(ii[k]), int(jj[k]), int(yy[k])
+            i, j = int(ii[k]), int(jj[k])
             if test_mask[k]:
-                if not (seen[i] and seen[j]):
-                    n_skipped += 1
+                if seen[i] and seen[j]:
+                    score_game(ratings, k)
                 else:
-                    winner = j if y == 1 else i
-                    pred = predict(ratings, i, j)
-                    tally = season_tally.setdefault(
-                        season_of_time(float(tt[k])), [0, 0]
-                    )
-                    tally[0] += 1
-                    tally[1] += int(pred == winner)
-            e_j = elo_expected(ratings[j], ratings[i], elo_config.logistic_scale)
-            ratings[j] += elo_config.k_factor * (y - e_j)
-            ratings[i] += elo_config.k_factor * ((1 - y) - (1.0 - e_j))
+                    n_skipped += 1
+            elo_update(ratings, i, j, int(yy[k]), elo_config)
             seen[i] = seen[j] = True
         params.update(
             {"k_factor": elo_config.k_factor, "scale": elo_config.logistic_scale}
@@ -483,6 +481,7 @@ def backtest(
         eval_times = np.unique(tt[test_mask])
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
+        warm = None  # MM days start from the last day's scores, when usable
         for t_day in eval_times:
             past = dataset.with_max_time(float(t_day))
             if past.n_records and not past.time_span()[1] < t_day:
@@ -494,26 +493,24 @@ def backtest(
                 elif method == "rc":
                     scores = static_rank_centrality(past, sigma_n).scores
                 elif method == "wmle":
-                    scores = wmle(
-                        past, float(t_day), h, kernel, mm_config, strict=False
-                    ).scores
+                    scores = wmle(past, float(t_day), h, kernel, mm_config,
+                                  strict=False, init=warm).scores
                 else:  # mle
-                    scores = bt_mle_mm(past, mm_config, strict=False).scores
+                    scores = bt_mle_mm(past, mm_config, strict=False, init=warm).scores
             except _FIT_ERRORS:
                 # a day the method cannot price counts as skipped, not wrong
+                warm = None
                 n_failed_fits += 1
                 n_skipped += int(np.count_nonzero(day_mask))
                 continue
+            # from a zero score an item that has since won can stay at zero
+            # (when its rivals score zero too), so such a day starts cold
+            warm = scores if scores.min() > 0 else None
             for k in np.flatnonzero(day_mask):
-                i, j, y = int(ii[k]), int(jj[k]), int(yy[k])
-                if not (seen_by[i] < t_day and seen_by[j] < t_day):
+                if seen_by[ii[k]] < t_day and seen_by[jj[k]] < t_day:
+                    score_game(scores, k)
+                else:
                     n_skipped += 1
-                    continue
-                winner = j if y == 1 else i
-                pred = predict(scores, i, j)
-                tally = season_tally.setdefault(season_of_time(float(t_day)), [0, 0])
-                tally[0] += 1
-                tally[1] += int(pred == winner)
 
     per_season = [
         SeasonResult(season=s, n_games=v[0], n_correct=v[1])

@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+from krc import baselines
 from krc.baselines import (
+    _ASCENT_SLACK,
     EloConfig,
     MMConfig,
+    MMInfo,
+    _mm_solve,
+    _win_matrix,
     bt_mle_mm,
     elo_expected,
     elo_fit,
@@ -14,6 +19,14 @@ from krc.baselines import (
 )
 from krc.data import ComparisonDataset
 from krc.errors import ConnectivityError, ConvergenceError
+from krc.estimator import (
+    TransitionMatrix,
+    _fill_diagonal,
+    default_teleport,
+    pair_fractions,
+    regularize,
+    stationary,
+)
 from krc.kernels import BOXCAR, GAUSSIAN
 from krc.simulate import SimConfig, generate
 
@@ -201,3 +214,182 @@ def test_static_rc_default_teleport_is_recorded():
     ds, _ = generate(SimConfig(n=4, m=6, seed=2))
     sv = static_rank_centrality(ds)
     assert sv.scores.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# -- references: the dense MM solver and the per-pair loops ---------------
+# The two functions below are the dense solver the pair-list `_mm_solve`
+# replaced, kept verbatim; the loops after them are the old pooled-count
+# paths of bt_mle_mm and static_rank_centrality.
+
+
+def _log_likelihood(win: np.ndarray, p: np.ndarray) -> float:
+    """Weighted preference log-likelihood with the 0 log 0 = 0 convention."""
+    W = win.sum(axis=1)
+    pos = W > 0
+    with np.errstate(divide="ignore"):
+        logs = np.log(p[pos])
+    ll = float(np.sum(W[pos] * logs))
+    N = win + win.T
+    iu = np.triu_indices_from(N, k=1)
+    mask = N[iu] > 0
+    psum = (p[:, None] + p[None, :])[iu][mask]
+    ll -= float(np.sum(N[iu][mask] * np.log(psum)))
+    return ll
+
+
+def _dense_mm_solve(
+    win: np.ndarray, config: MMConfig, init: np.ndarray | None
+) -> tuple[np.ndarray, MMInfo]:
+    """Iterate Hunter's update to a fixed point on the simplex.
+
+    ``win[a, b]`` is the (possibly fractional) win mass of a over b.  Items
+    with zero total wins are pinned at score zero, which is where the
+    likelihood pushes them anyway.
+    """
+    n = win.shape[0]
+    N = win + win.T
+    W = win.sum(axis=1)
+    if init is None:
+        p = np.full(n, 1.0 / n)
+    else:
+        p = np.asarray(init, dtype=float).copy()
+        if p.shape != (n,) or np.min(p) < 0 or p.sum() <= 0:
+            raise ValueError("init must be a nonnegative vector with positive sum")
+        p = p / p.sum()
+    info = MMInfo(iterations=0, final_change=np.inf)
+    prev_ll = -np.inf
+    for it in range(config.max_iter):
+        psum = p[:, None] + p[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            contrib = np.where((N > 0) & (psum > 0), N / psum, 0.0)
+        denom = contrib.sum(axis=1)
+        new = np.where((W > 0) & (denom > 0), W / np.where(denom > 0, denom, 1.0), 0.0)
+        s = new.sum()
+        if s <= 0:
+            raise ConvergenceError("MM update collapsed to the zero vector")
+        new /= s
+        change = float(np.max(np.abs(new - p)))
+        p = new
+        ll = _log_likelihood(win, p)
+        info.loglik.append(ll)
+        if ll < prev_ll - _ASCENT_SLACK * (1.0 + abs(ll)):
+            raise RuntimeError(
+                f"MM iteration decreased the log-likelihood ({prev_ll} -> {ll})"
+            )
+        prev_ll = ll
+        info.iterations = it + 1
+        info.final_change = change
+        if change <= config.tol:
+            return p, info
+    raise ConvergenceError(
+        f"MM failed to reach tol {config.tol} in {config.max_iter} iterations "
+        f"(last change {info.final_change:.3e})",
+        residual=info.final_change,
+    )
+
+
+def _loop_pooled_win(dataset):
+    win = np.zeros((dataset.n, dataset.n))
+    for (i, j), _, outs in dataset.pairs():
+        win[j, i] += float(np.sum(outs == 1))
+        win[i, j] += float(np.sum(outs == 0))
+    return win
+
+
+def _loop_static_chain(dataset):
+    n = dataset.n
+    P = np.zeros((n, n))
+    for (i, j), _, outs in dataset.pairs():
+        frac = float(np.mean(outs))
+        P[i, j] = frac / n
+        P[j, i] = (1.0 - frac) / n
+    _fill_diagonal(P)
+    return P
+
+
+def _seeded_win(n, seed):
+    ds, _ = generate(SimConfig(n=n, m=4, seed=seed))
+    return _loop_pooled_win(ds)
+
+
+def _mm_cases():
+    """(label, win, init): seeded counts, fractional wmle shares, a pinned
+    item, a zero entry in init, and the 2-item closed form."""
+    cases = [
+        (f"counts-{n}", _seeded_win(n, seed), None)
+        for n, seed in ((5, 1), (8, 2), (12, 3))
+    ]
+    ds, _ = generate(SimConfig(n=6, m=12, seed=31))
+    idx_i, idx_j, frac = pair_fractions(ds, 0.4, 0.2, GAUSSIAN)
+    cases.append(("wmle-shares", _win_matrix(6, idx_i, idx_j, frac, 1.0 - frac), None))
+    pinned = _seeded_win(6, 4)
+    pinned[2, :] = 0.0  # item 2 never wins
+    cases.append(("pinned", pinned, None))
+    # items 1 and 3 start at zero, so their own pair adds nothing at first
+    zero_init = np.array([0.3, 0.0, 0.2, 0.0, 0.25, 0.25])
+    cases.append(("zero-init", _seeded_win(6, 5), zero_init))
+    cases.append(("two-item", np.array([[0.0, 1.0], [3.0, 0.0]]), None))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("label, win, init", _mm_cases())
+def test_pair_list_mm_matches_dense_reference(label, win, init):
+    p, info = _mm_solve(win, MMConfig(), init)
+    p_ref, info_ref = _dense_mm_solve(win, MMConfig(), init)
+    assert np.max(np.abs(p - p_ref)) <= 1e-9
+    lls = np.asarray(info.loglik)
+    assert np.all(np.diff(lls) >= -_ASCENT_SLACK * (1.0 + np.abs(lls[1:])))
+    assert lls[-1] == pytest.approx(info_ref.loglik[-1], rel=1e-9, abs=1e-9)
+    assert info.final_change <= MMConfig().tol
+    if label == "two-item":
+        assert np.max(np.abs(p - [0.25, 0.75])) < 1e-9
+    if label == "pinned":
+        assert p[2] == 0.0 and p_ref[2] == 0.0
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
+    ds, _ = generate(SimConfig(n=7, m=9, seed=seed))
+    seen = {}
+
+    def spy_solve(win, config, init):
+        seen["win"] = win
+        return _mm_solve(win, config, init)
+
+    def spy_regularize(P, sigma):
+        seen["P"] = P.entries.copy()
+        return regularize(P, sigma)
+
+    monkeypatch.setattr(baselines, "_mm_solve", spy_solve)
+    monkeypatch.setattr(baselines, "regularize", spy_regularize)
+    ml = bt_mle_mm(ds)
+    rc = static_rank_centrality(ds)
+    assert np.array_equal(seen["win"], _loop_pooled_win(ds))
+    P_ref = _loop_static_chain(ds)
+    assert np.array_equal(seen["P"], P_ref)
+    monkeypatch.undo()
+    ref_rc = stationary(regularize(TransitionMatrix(P_ref), default_teleport(ds.n)))
+    assert np.array_equal(rc.scores, ref_rc.scores)
+    ref_ml, _ = _dense_mm_solve(_loop_pooled_win(ds), MMConfig(), None)
+    assert np.max(np.abs(ml.scores - ref_ml)) <= 1e-9
+
+
+def test_mm_ascent_check_fires(monkeypatch):
+    # the third iterate's likelihood is reported 1.0 too low
+    true_loglik = baselines._pair_log_likelihood
+    calls = []
+
+    def dropping(*args):
+        calls.append(args)
+        return true_loglik(*args) - (1.0 if len(calls) == 3 else 0.0)
+
+    monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
+    message = r"MM iteration decreased the log-likelihood \(.+ -> .+\)"
+    with pytest.raises(RuntimeError, match=message):
+        _mm_solve(_seeded_win(5, 1), MMConfig(), None)
+    assert len(calls) == 3
+
+
+def test_mm_zero_win_collapses():
+    with pytest.raises(ConvergenceError, match="collapsed to the zero vector"):
+        _mm_solve(np.zeros((3, 3)), MMConfig(), None)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from krc import experiments
+from krc.data import ComparisonDataset, TimeEncoding
+from krc.errors import ConvergenceError
 from krc.estimator import ScoreVector, estimate_curve
 from krc.experiments import (
     _ad_normal_critical_1pct,
@@ -211,3 +214,93 @@ def test_backtest_elo_vs_krc_consistency():
     a = backtest(ds, base_seasons=3, method="elo")
     b = backtest(ds, base_seasons=3, method="rc")
     assert a.n_games + a.n_skipped == b.n_games + b.n_skipped
+
+
+# -- warm-started MM days --------------------------------------------------
+
+_SOLVER = {"mle": "bt_mle_mm", "wmle": "wmle"}
+
+
+def _report_fields(report):
+    seasons = [(r.season, r.n_games, r.n_correct) for r in report.per_season]
+    return seasons, report.n_ties, report.n_skipped, report.n_failed_fits
+
+
+@pytest.mark.parametrize("method", ["mle", "wmle"])
+@pytest.mark.parametrize("seed", [13, 14])
+def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
+    ds, _ = generate_season_dataset(
+        n=8, n_seasons=4, days_per_season=6, games_per_day=4, seed=seed, drift=0.4
+    )
+    solve = getattr(experiments, _SOLVER[method])
+    days = []
+
+    def warm(*args, **kwargs):
+        sv = solve(*args, **kwargs)
+        days.append((args, kwargs, sv.scores))
+        return sv
+
+    def cold(*args, **kwargs):
+        return solve(*args, **{**kwargs, "init": None})
+
+    monkeypatch.setattr(experiments, _SOLVER[method], warm)
+    warm_report = backtest(ds, base_seasons=2, method=method, h=1.0)
+    monkeypatch.setattr(experiments, _SOLVER[method], cold)
+    cold_report = backtest(ds, base_seasons=2, method=method, h=1.0)
+    assert _report_fields(warm_report) == _report_fields(cold_report)
+    assert warm_report.n_failed_fits == 0 and len(days) == 12
+    # the first day starts cold, every later one from the day before
+    assert days[0][1]["init"] is None
+    for (_, kwargs, _), (_, _, before) in zip(days[1:], days):
+        assert kwargs["init"] is before
+    for args, kwargs, scores in days:
+        cold_scores = solve(*args, **{**kwargs, "init": None}).scores
+        assert np.max(np.abs(scores - cold_scores)) <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["mle", "wmle"])
+def test_backtest_day_after_failed_fit_starts_cold(monkeypatch, method):
+    ds, _ = season_fixture()
+    solve = getattr(experiments, _SOLVER[method])
+    inits = []
+
+    def failing_fourth(*args, **kwargs):
+        inits.append(kwargs["init"])
+        if len(inits) == 4:
+            raise ConvergenceError("forced failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, _SOLVER[method], failing_fourth)
+    report = backtest(ds, base_seasons=2, method=method, h=1.0)
+    assert report.n_failed_fits == 1
+    assert len(inits) == 12
+    assert inits[0] is None and inits[4] is None
+    assert all(init is not None for k, init in enumerate(inits) if k not in (0, 4))
+
+
+@pytest.mark.parametrize("method", ["mle", "wmle"])
+def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
+    # Items 0 and 1 play throughout.  Items 2 and 3 first meet on season 2,
+    # day 1, and then only each other, so the day-1 fit scores them zero; a
+    # day-2 start from those zeros would keep the winner, item 3, at zero.
+    rows = [(0, 1, s, day, int(day < 4)) for s in (1, 2) for day in range(1, 5)]
+    rows += [(2, 3, 2, day, 1) for day in range(1, 5)]
+    enc = TimeEncoding("season-day", (4, 4))
+    ds = ComparisonDataset(
+        4,
+        np.array([r[0] for r in rows]),
+        np.array([r[1] for r in rows]),
+        np.array([enc.encode(r[2], r[3]) for r in rows]),
+        np.array([r[4] for r in rows]),
+        encoding=enc,
+    )
+    solve = getattr(experiments, _SOLVER[method])
+    warm_report = backtest(ds, base_seasons=1, method=method, h=1.0)
+    monkeypatch.setattr(
+        experiments, _SOLVER[method],
+        lambda *args, **kwargs: solve(*args, **{**kwargs, "init": None}),
+    )
+    cold_report = backtest(ds, base_seasons=1, method=method, h=1.0)
+    assert _report_fields(warm_report) == _report_fields(cold_report)
+    # no score ties: item 3, unbeaten by item 2, is picked on days 2-4
+    assert warm_report.n_ties == 0
