@@ -127,10 +127,14 @@ class ComparisonDataset:
     ):
         if n < 2:
             raise ValueError(f"need at least two items, got n={n}")
-        ii = np.asarray(item_i, dtype=np.int64).copy()
-        jj = np.asarray(item_j, dtype=np.int64).copy()
-        tt = np.asarray(time, dtype=float).copy()
-        yy = np.asarray(outcome, dtype=np.int64).copy()
+        # Presorted columns are taken as given and never written, so callers
+        # hand over arrays they are done with; others become private copies,
+        # canonicalized and sorted in place.
+        column = np.asarray if _presorted else np.array
+        ii = column(item_i, dtype=np.int64)
+        jj = column(item_j, dtype=np.int64)
+        tt = column(time, dtype=float)
+        yy = column(outcome, dtype=np.int64)
         if not (ii.shape == jj.shape == tt.shape == yy.shape):
             raise ValueError("column length mismatch")
         if ii.size:
@@ -142,12 +146,14 @@ class ComparisonDataset:
                 raise DataFormatError("outcomes must be 0 or 1 (ties unsupported)")
             if not np.all(np.isfinite(tt)):
                 raise DataFormatError("non-finite time value")
-        ss = None if season is None else np.asarray(season, dtype=np.int64).copy()
-        dd = None if day is None else np.asarray(day, dtype=np.int64).copy()
+        ss = None if season is None else column(season, dtype=np.int64)
+        dd = None if day is None else column(day, dtype=np.int64)
 
         # Canonicalize orientation: item_i < item_j, outcome flipped on swap.
         swap = ii > jj
         if np.any(swap):
+            if _presorted:
+                raise ValueError("_presorted=True but a record has item_i > item_j")
             ii[swap], jj[swap] = jj[swap], ii[swap].copy()
             yy[swap] = 1 - yy[swap]
         # i * n + j orders pairs as (i, j) do; a pair's segment starts where it
@@ -156,7 +162,7 @@ class ComparisonDataset:
         if not _presorted and ii.size:
             order = np.lexsort((tt, pair_key))
             for col in (ii, jj, tt, yy, pair_key, ss, dd):
-                if col is not None:  # all are private copies: permute in place
+                if col is not None:  # permute the private copies in place
                     col[:] = col[order]
         step = np.diff(pair_key, prepend=-1)
         del pair_key

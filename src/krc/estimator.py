@@ -10,6 +10,14 @@ every row sums to one.  The chain encodes "i passes votes to whoever beats
 it"; its stationary distribution is the score vector.  With the idealized
 entries (1/n) * pi_j / (pi_i + pi_j) the chain is reversible and stationary
 at pi itself, which is what makes the estimator consistent.
+
+Stationary vectors come from one solver, which takes a stack of chains:
+power iteration from the uniform start, one batched matmul per sweep over
+the chains still iterating, each chain leaving once it converges, and a
+direct solve for a chain that stalls.  :func:`stationary` is its one-chain
+case.  :func:`causal_fits` builds one chain per walk-forward day from a
+single kernel pass masked to the records strictly before each day, and
+solves the days as one stack.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ComparisonDataset
-from .errors import ConvergenceError, EstimationError
+from .data import ComparisonDataset, _component_report
+from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .kernels import Kernel
 
 # Diagonal entries may come out negative by accumulated rounding only; a
@@ -80,15 +88,16 @@ def default_teleport(n: int) -> float:
 
 
 def _fill_diagonal(P: np.ndarray) -> None:
-    n = P.shape[0]
-    np.fill_diagonal(P, 0.0)
-    diag = 1.0 - P.sum(axis=1)
-    if np.min(diag) < -_DIAG_SLACK:
+    """Set each chain's diagonal in ``P`` (..., n, n) to its row slack."""
+    idx = np.arange(P.shape[-1])
+    P[..., idx, idx] = 0.0
+    diag = 1.0 - P.sum(axis=-1)
+    if diag.size and np.min(diag) < -_DIAG_SLACK:
         raise RuntimeError(
             f"diagonal deficit {np.min(diag)} exceeds rounding slack"
         )
     np.clip(diag, 0.0, None, out=diag)
-    np.fill_diagonal(P, diag)
+    P[..., idx, idx] = diag
 
 
 def pair_fractions(
@@ -105,24 +114,33 @@ def pair_fractions(
 
 
 # Element budget of one (grid points x records) weight tile, about 8 MB per
-# float64 temporary.  It sizes the grid chunks and the record blocks.
+# float64 temporary.  It sizes the grid chunks and the record blocks, and the
+# chunks of a chain stack.
 TILE_ELEMENTS = 1 << 20
 
 
-def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Kernel):
-    """Yield (t, (item_i, item_j, fraction)) for each grid point, in order.
+def _pair_sums(
+    dataset: ComparisonDataset, time_grid, h: float, kernel: Kernel | None,
+    before: bool = False,
+):
+    """Yield (chunk, den, num, kept) over the grid, one grid chunk at a time.
 
-    Grid points go in chunks whose per-pair sums fit the budget, records in
-    blocks that end on pair boundaries, so each pair's kernel mass (den) and
-    won mass (num) are one ``np.add.reduceat`` over its whole segment of a
-    (chunk x block) weight tile.
+    ``den`` and ``num`` are (chunk x pairs): each pair's kernel mass and the
+    mass on records item_j won.  Grid points go in chunks whose sums fit the
+    budget, records in blocks that end on pair boundaries, so each sum is one
+    ``np.add.reduceat`` over a pair's whole segment of a (chunk x block)
+    weight tile.  With ``before`` a record weighs 0 at every point it is not
+    strictly earlier than, and ``kept`` counts, per point, the records that
+    weigh in (None otherwise).  A pair's records are time-sorted, so the
+    masked ones are the tail of its segment.  ``kernel=None`` (only with
+    ``before``) gives every record unit weight: pooled counts.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
-    if grid.size and not h > 0:
+    if grid.size and kernel is not None and not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     if grid.size and dataset.n_records == 0:
         raise EstimationError("no comparison records to aggregate")
-    starts, seg_i, seg_j = dataset.pair_segments()
+    starts = dataset.pair_segments()[0]
     bounds = starts.tolist() + [dataset.n_records]
     won = dataset.outcomes.astype(float)
     rows = max(1, TILE_ELEMENTS // max(1, starts.size))
@@ -130,16 +148,34 @@ def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Ke
         chunk = grid[g:g + rows]
         block = TILE_ELEMENTS // chunk.size  # a longer pair is a block alone
         den, num = np.empty((2, chunk.size, starts.size))
+        kept = np.zeros(chunk.size, dtype=np.int64) if before else None
         s = 0
         while s < starts.size:
             a = bounds[s]
             e = max(bisect.bisect_right(bounds, a + block) - 1, s + 1)
             offsets = starts[s:e] - a
-            w = kernel.weight(chunk[:, None], dataset.times[a:bounds[e]], h)
+            times = dataset.times[a:bounds[e]]
+            if before:
+                past = times < chunk[:, None]
+                kept += np.count_nonzero(past, axis=1)
+            if kernel is None:
+                w = past.astype(float)
+            else:
+                w = kernel.weight(chunk[:, None], times, h)
+                if before:
+                    w *= past  # weights are finite, so a masked record adds 0
             np.add.reduceat(w, offsets, axis=1, out=den[:, s:e])
-            w *= won[a:bounds[e]]  # zero the records item_j lost; weights are finite
+            w *= won[a:bounds[e]]  # zero the records item_j lost
             np.add.reduceat(w, offsets, axis=1, out=num[:, s:e])
             s = e
+        w = past = None  # free the last tile while the caller works
+        yield chunk, den, num, kept
+
+
+def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Kernel):
+    """Yield (t, (item_i, item_j, fraction)) for each grid point, in order."""
+    _, seg_i, seg_j = dataset.pair_segments()
+    for chunk, den, num, _ in _pair_sums(dataset, time_grid, h, kernel):
         for t, den_t, num_t in zip(chunk.tolist(), den, num):
             mass = den_t > 0.0
             if not mass.any():
@@ -147,6 +183,22 @@ def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Ke
                     f"zero kernel mass for every observed pair at t={t}, h={h}"
                 )
             yield t, (seg_i[mass], seg_j[mass], num_t[mass] / den_t[mass])
+
+
+def _chains(n: int, idx_i, idx_j, frac: np.ndarray, mass=None) -> np.ndarray:
+    """Comparison chains (..., n, n) from per-pair win fractions (..., pairs).
+
+    A pair outside ``mass`` (when given), like a pair absent from the index
+    arrays, contributes nothing: its off-diagonal entries stay 0.
+    """
+    P = np.zeros(frac.shape[:-1] + (n, n))
+    up, down = frac / n, (1.0 - frac) / n
+    if mass is not None:
+        up[~mass] = down[~mass] = 0.0
+    P[..., idx_i, idx_j] = up
+    P[..., idx_j, idx_i] = down
+    _fill_diagonal(P)
+    return P
 
 
 def transition_from_fractions(
@@ -157,11 +209,7 @@ def transition_from_fractions(
     Pairs absent from the index arrays contribute nothing (their
     off-diagonal entries stay 0).
     """
-    P = np.zeros((n, n))
-    P[idx_i, idx_j] = frac / n
-    P[idx_j, idx_i] = (1.0 - frac) / n
-    _fill_diagonal(P)
-    return TransitionMatrix(P)
+    return TransitionMatrix(_chains(n, idx_i, idx_j, np.asarray(frac, dtype=float)))
 
 
 def build_transition(
@@ -193,6 +241,13 @@ def build_ideal_transition(pi) -> TransitionMatrix:
     return TransitionMatrix(P)
 
 
+def _teleport(entries: np.ndarray, sigma_n: float) -> np.ndarray:
+    """Each chain of ``entries`` (..., n, n) blended with the uniform chain."""
+    if not 0.0 <= sigma_n < 1.0:
+        raise ValueError(f"sigma_n must be in [0, 1), got {sigma_n}")
+    return (1.0 - sigma_n) * entries + sigma_n / entries.shape[-1]
+
+
 def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
     """Blend with the uniform chain: (1 - sigma) P + sigma/n.
 
@@ -200,14 +255,10 @@ def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
     the stationary vector that vanishes with sigma.  sigma_n = 0 returns the
     matrix unchanged.
     """
-    if not 0.0 <= sigma_n < 1.0:
-        raise ValueError(f"sigma_n must be in [0, 1), got {sigma_n}")
     if sigma_n == 0.0:
         return TransitionMatrix(P.entries.copy(), P.regularization)
-    n = P.n
-    entries = (1.0 - sigma_n) * P.entries + sigma_n / n
     combined = 1.0 - (1.0 - P.regularization) * (1.0 - sigma_n)
-    return TransitionMatrix(entries, combined)
+    return TransitionMatrix(_teleport(P.entries, sigma_n), combined)
 
 
 def stationary(
@@ -219,42 +270,96 @@ def stationary(
     residual drops below ``tol``.  If the iteration stalls (slow geometric
     rate or max_iter reached) the rank-deficient linear system is solved
     directly with a normalization row.  A final residual above ``tol``
-    raises ConvergenceError.
+    raises ConvergenceError.  This is the one-chain case of
+    :func:`_stationary_stack`.
     """
-    M = P.entries
-    n = P.n
-    pi = np.full(n, 1.0 / n)
+    (pi,) = _stationary_stack(P.entries[None], tol, max_iter)
+    if isinstance(pi, ConvergenceError):
+        raise pi
+    return ScoreVector(pi)
+
+
+def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
+    """Stationary vector of each chain in the (k, n, n) stack ``M``, or the
+    ConvergenceError its solve raises.
+
+    Every chain iterates pi' <- pi' P from the uniform start until the
+    infinity-norm residual drops below ``tol``; the chains still iterating
+    take one batched matmul per sweep, and a chain leaves them when it
+    converges.  A chain whose iteration stalls (a sum that is not positive,
+    or no halving of the residual over a 1,000-sweep window) or reaches
+    ``max_iter`` is solved directly as the rank-deficient linear system with
+    a normalization row; a final residual above ``tol`` is its
+    ConvergenceError.  Chains go in chunks of TILE_ELEMENTS entries, and no
+    chain's result depends on the others.
+    """
+    n = M.shape[-1]
+    step = max(1, TILE_ELEMENTS // (n * n))
+    out = []
+    for a in range(0, M.shape[0], step):
+        chunk = M[a:a + step]
+        for m, pi in zip(chunk, _power_iterate(chunk, tol, max_iter)):
+            out.append(pi if isinstance(pi, np.ndarray) else _fallback(m, tol, pi))
+    return out
+
+
+def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
+    """Power iteration on every chain of the stack at once.  Per chain: its
+    converged vector, or True if it stalled and False if it ran out of
+    iterations."""
+    k, n = M.shape[:2]
+    lone = k == 1  # (n,) @ (n, n) costs less per sweep than a stack of one
+    Ma = M[0] if lone else M
+    pi = np.full(n if lone else (k, 1, n), 1.0 / n)
+    last = np.full(pi.shape[:-1] + (1,), np.inf)
+    active = np.arange(k)
+    out = [False] * k
     check_every = 1000
-    last_res = np.inf
-    stalled = False
-    for it in range(max_iter):
-        nxt = pi @ M
-        s = nxt.sum()
-        if s <= 0 or not np.isfinite(s):
-            stalled = True
-            break
-        nxt /= s
-        res = float(np.max(np.abs(nxt - pi)))
-        pi = nxt
-        if res <= tol:
-            return ScoreVector(pi)
-        if (it + 1) % check_every == 0:
-            # No halving over a full window means the asymptotic rate is too
-            # slow for iteration to be worthwhile.
-            if res > 0.5 * last_res:
-                stalled = True
-                break
-            last_res = res
-    pi = _direct_stationary(M)
-    sv = ScoreVector(pi)
-    res = sv.residual(P)
+    limit = np.asarray(tol)  # a 0-d array compares faster than a float
+    with np.errstate(divide="ignore", invalid="ignore"):  # NaNs are caught
+        for it in range(max_iter):
+            nxt = pi @ Ma
+            s = np.add.reduce(nxt, axis=-1, keepdims=True)
+            nxt /= s
+            res = np.maximum.reduce(abs(nxt - pi), axis=-1, keepdims=True)
+            # A chain goes on while its residual is above tol and its sum
+            # positive: the residual takes the sum's sign, and is NaN after
+            # a zero or NaN sum (an infinite sum leaves a zero or NaN
+            # iterate, so the chain leaves one sweep later).
+            go = np.copysign(res, s) > limit
+            if (it + 1) % check_every == 0:
+                # No halving over a full window means the asymptotic rate is
+                # too slow for iteration to be worthwhile.
+                go &= res <= 0.5 * last
+                last = res
+            pi = nxt
+            if np.count_nonzero(go) < active.size:
+                go = go.ravel()
+                for c in np.flatnonzero(~go):
+                    converged = s.flat[c] > 0 and res.flat[c] <= tol
+                    out[active[c]] = nxt.reshape(-1, n)[c].copy() if converged else True
+                active = active[go]
+                if not active.size:
+                    break
+                pi, Ma, last = pi[go], Ma[go], last[go]
+    return out
+
+
+def _fallback(M: np.ndarray, tol: float, stalled: bool):
+    """Direct solve of a chain that power iteration did not settle, or the
+    ConvergenceError it raises."""
+    try:
+        pi = _direct_stationary(M)
+    except ConvergenceError as err:
+        return err
+    res = float(np.max(np.abs(pi @ M - pi)))
     if res > tol:
-        raise ConvergenceError(
+        return ConvergenceError(
             f"stationary solve residual {res:.3e} above tol {tol:.3e}"
             + (" (after stall fallback)" if stalled else ""),
             residual=res,
         )
-    return sv
+    return pi
 
 
 def _direct_stationary(M: np.ndarray) -> np.ndarray:
@@ -318,6 +423,57 @@ def estimate_curve(
         _solve(dataset.n, fractions, t, sigma_n, tol, max_iter)
         for t, fractions in _fractions_along(dataset, time_grid, h, kernel)
     ]
+
+
+def causal_fits(
+    dataset: ComparisonDataset,
+    times,
+    h: float,
+    kernel: Kernel | None,
+    sigma_n: float | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+):
+    """Walk-forward fits: yield (kept, fit) for each time t, in order, from
+    the records strictly before t alone.
+
+    ``fit`` is the ScoreVector, tagged t, that :func:`fit_scores` gives on
+    ``dataset.with_max_time(t)``; with ``kernel=None`` (``h`` unused) it is
+    the pooled chain's, as ``static_rank_centrality`` gives it there.  A fit
+    that would raise yields its EstimationError, ConnectivityError or
+    ConvergenceError instead, and the other times are unaffected.  ``kept``
+    counts the records the strictly-before mask let in.  The per-pair sums
+    of every time come from one masked pass, and the chains of a grid chunk
+    are solved as one stack.
+    """
+    n = dataset.n
+    sigma = default_teleport(n) if sigma_n is None else sigma_n
+    _, seg_i, seg_j = dataset.pair_segments()
+    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before=True):
+        mass = den > 0.0
+        with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+            P = _chains(n, seg_i, seg_j, num / den, mass)
+        fits = {
+            d: EstimationError(f"no record with kernel mass before t={chunk[d]}")
+            for d in np.flatnonzero(~mass.any(axis=1)).tolist()
+        }
+        if kernel is None and sigma == 0.0:
+            # The raw pooled chain's support is the pooled win graph.
+            for d in range(chunk.size):
+                if not _component_report(P[d] > 0.0).strongly_connected:
+                    fits[d] = ConnectivityError(
+                        "pooled win graph before "
+                        f"t={chunk[d]} is not strongly connected and sigma_n=0"
+                    )
+        if sigma != 0.0:
+            P = _teleport(P, sigma)
+        solve = [d for d in range(chunk.size) if d not in fits]
+        for d, pi in zip(solve, _stationary_stack(P[solve], tol, max_iter)):
+            fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
+                pi, t=float(chunk[d])
+            )
+        for d in range(chunk.size):
+            yield int(kept[d]), fits[d]
 
 
 def spectral_gap(P: TransitionMatrix) -> float:

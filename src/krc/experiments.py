@@ -34,6 +34,7 @@ from .data import ComparisonDataset, check_strong_connectivity, season_of_time
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
+    causal_fits,
     default_teleport,
     estimate_curve,
     fit_scores,
@@ -404,6 +405,41 @@ class BacktestReport:
 _BACKTEST_METHODS = ("krc", "rc", "wmle", "mle", "elo")
 
 
+def _causal_scores(dataset, tt, eval_times, h, kernel, sigma_n):
+    """Each test day's krc scores (rc with ``kernel=None``) from one causal
+    batched pass, or None for a day whose fit failed."""
+    n_before = np.searchsorted(tt, eval_times)  # tt is in time order
+    fits = causal_fits(dataset, eval_times, h, kernel, sigma_n)
+    for (kept, fit), expected in zip(fits, n_before.tolist()):
+        if kept != expected:
+            raise RuntimeError("leakage: a fitted record is not earlier than t")
+        yield None if isinstance(fit, _FIT_ERRORS) else fit.scores
+
+
+def _mm_scores(dataset, eval_times, method, h, kernel, mm_config):
+    """Each test day's mle or wmle scores, fitted on that day's prefix, or
+    None for a day whose fit failed."""
+    warm = None  # MM days start from the last day's scores, when usable
+    for t_day in eval_times.tolist():
+        past = dataset.with_max_time(t_day)
+        if past.n_records and not past.time_span()[1] < t_day:
+            raise RuntimeError("leakage: a fitted record is not earlier than t")
+        try:
+            if method == "wmle":
+                scores = wmle(past, t_day, h, kernel, mm_config,
+                              strict=False, init=warm).scores
+            else:
+                scores = bt_mle_mm(past, mm_config, strict=False, init=warm).scores
+        except _FIT_ERRORS:
+            warm = None
+            yield None
+            continue
+        # from a zero score an item that has since won can stay at zero
+        # (when its rivals score zero too), so such a day starts cold
+        warm = scores if scores.min() > 0 else None
+        yield scores
+
+
 def backtest(
     dataset: ComparisonDataset,
     base_seasons: int,
@@ -481,31 +517,19 @@ def backtest(
         eval_times = np.unique(tt[test_mask])
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
-        warm = None  # MM days start from the last day's scores, when usable
-        for t_day in eval_times:
-            past = dataset.with_max_time(float(t_day))
-            if past.n_records and not past.time_span()[1] < t_day:
-                raise RuntimeError("leakage: a fitted record is not earlier than t")
+        if method in ("krc", "rc"):
+            fits = _causal_scores(
+                dataset, tt, eval_times, h, kernel if method == "krc" else None, sigma_n
+            )
+        else:
+            fits = _mm_scores(dataset, eval_times, method, h, kernel, mm_config)
+        for t_day, scores in zip(eval_times, fits):
             day_mask = test_mask & (tt == t_day)
-            try:
-                if method == "krc":
-                    scores = fit_scores(past, float(t_day), h, kernel, sigma_n).scores
-                elif method == "rc":
-                    scores = static_rank_centrality(past, sigma_n).scores
-                elif method == "wmle":
-                    scores = wmle(past, float(t_day), h, kernel, mm_config,
-                                  strict=False, init=warm).scores
-                else:  # mle
-                    scores = bt_mle_mm(past, mm_config, strict=False, init=warm).scores
-            except _FIT_ERRORS:
+            if scores is None:
                 # a day the method cannot price counts as skipped, not wrong
-                warm = None
                 n_failed_fits += 1
                 n_skipped += int(np.count_nonzero(day_mask))
                 continue
-            # from a zero score an item that has since won can stay at zero
-            # (when its rivals score zero too), so such a day starts cold
-            warm = scores if scores.min() > 0 else None
             for k in np.flatnonzero(day_mask):
                 if seen_by[ii[k]] < t_day and seen_by[jj[k]] < t_day:
                     score_game(scores, k)

@@ -141,7 +141,7 @@ def generate(config: SimConfig) -> tuple[ComparisonDataset, GroundTruth]:
         raise RuntimeError("non-positive skill in generator")
     p_j = np.divide(s_j, np.add(s_i, s_j, out=s_i), out=s_j)
     yy = np.less(u, p_j, out=s_i.view(np.int64))
-    del s, s_i, s_j, p_j, u  # free the work blocks before the dataset copies
+    del s, s_i, s_j, p_j, u  # free the work blocks the dataset does not keep
     dataset = ComparisonDataset(
         n, np.repeat(iu, m), np.repeat(ju, m), tt.ravel(), yy.ravel(),
         encoding=TimeEncoding("unit-interval"), _presorted=True,

@@ -291,6 +291,61 @@ def test_presorted_flag_is_checked():
     assert np.array_equal(fixed.times, tt)
 
 
+def _columns(ds):
+    return (ds._ii, ds._jj, ds._tt, ds._yy, ds._season, ds._day)
+
+
+def assert_same_dataset(a, b):
+    assert a.n == b.n and a.item_labels == b.item_labels and a.encoding == b.encoding
+    for x, y in zip(_columns(a), _columns(b)):
+        assert (x is None and y is None) or np.array_equal(x, y)
+    for x, y in zip(a.pair_segments(), b.pair_segments()):
+        assert np.array_equal(x, y)
+
+
+def test_presorted_columns_are_taken_as_given():
+    from krc.simulate import SimConfig, generate, generate_season_dataset
+
+    ii, jj = np.array([0, 0, 1]), np.array([1, 2, 2])
+    tt, yy = np.array([0.1, 0.4, 0.3]), np.array([1, 0, 1])
+    given = [c.copy() for c in (ii, jj, tt, yy)]
+    ds = ComparisonDataset(3, ii, jj, tt, yy, _presorted=True)
+    for col, kept in zip((ii, jj, tt, yy), _columns(ds)):
+        assert np.shares_memory(col, kept)  # no copy
+    assert_same_dataset(ds, ComparisonDataset(3, *given))
+    # a non-canonical row is an error, and the caller's arrays stay unwritten
+    flipped = [np.array([1, 0, 1]), np.array([0, 2, 2]), tt.copy(), yy.copy()]
+    before = [c.copy() for c in flipped]
+    with pytest.raises(ValueError, match="item_i > item_j"):
+        ComparisonDataset(3, *flipped, _presorted=True)
+    for col, old in zip(flipped, before):
+        assert np.array_equal(col, old)
+    # without the flag the columns are copied before they are canonicalized
+    # and sorted, so the caller's arrays stay unwritten too
+    ComparisonDataset(3, *flipped)
+    for col, old in zip(flipped, before):
+        assert np.array_equal(col, old)
+
+    # The presorted callers build the dataset the copying path builds.
+    sim, _ = generate(SimConfig(n=5, m=7, seed=3))
+    season, _ = generate_season_dataset(4, 3, 3, 2, seed=1)
+    for got in (sim, sim.with_max_time(0.5), sim.normalized_to_unit(),
+                season.with_max_time(1.5)):
+        ii, jj, tt, yy, ss, dd = (
+            None if c is None else c.copy() for c in _columns(got)
+        )
+        assert_same_dataset(got, ComparisonDataset(
+            got.n, ii, jj, tt, yy, item_labels=got.item_labels,
+            encoding=got.encoding, season=ss, day=dd,
+        ))
+    # deriving a dataset leaves its source as it was
+    source = [c.copy() for c in _columns(sim)[:4]]
+    sim.with_max_time(0.5)
+    sim.normalized_to_unit()
+    for col, old in zip(_columns(sim), source):
+        assert np.array_equal(col, old)
+
+
 # -- connectivity ----------------------------------------------------------
 
 

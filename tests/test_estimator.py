@@ -7,7 +7,7 @@ import pytest
 
 from krc import estimator
 from krc.data import ComparisonDataset
-from krc.errors import EstimationError
+from krc.errors import ConvergenceError, EstimationError
 from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
@@ -183,6 +183,184 @@ def test_stationary_fallback_on_tiny_iteration_budget():
     sv = stationary(P, tol=1e-12, max_iter=1)
     oracle = eig_stationary(P.entries)
     assert np.max(np.abs(sv.scores - oracle)) < 1e-10
+
+
+# -- the stacked solver ----------------------------------------------------
+
+
+def reference_stationary(
+    P: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100_000
+) -> ScoreVector:
+    """The single-chain solver that the stacked one replaced, verbatim."""
+    M = P.entries
+    n = P.n
+    pi = np.full(n, 1.0 / n)
+    check_every = 1000
+    last_res = np.inf
+    stalled = False
+    for it in range(max_iter):
+        nxt = pi @ M
+        s = nxt.sum()
+        if s <= 0 or not np.isfinite(s):
+            stalled = True
+            break
+        nxt /= s
+        res = float(np.max(np.abs(nxt - pi)))
+        pi = nxt
+        if res <= tol:
+            return ScoreVector(pi)
+        if (it + 1) % check_every == 0:
+            # No halving over a full window means the asymptotic rate is too
+            # slow for iteration to be worthwhile.
+            if res > 0.5 * last_res:
+                stalled = True
+                break
+            last_res = res
+    pi = estimator._direct_stationary(M)
+    sv = ScoreVector(pi)
+    res = sv.residual(P)
+    if res > tol:
+        raise ConvergenceError(
+            f"stationary solve residual {res:.3e} above tol {tol:.3e}"
+            + (" (after stall fallback)" if stalled else ""),
+            residual=res,
+        )
+    return sv
+
+
+PERIODIC = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.3, 0.7, 0.0]])
+
+
+def lazy_walk(n, stay):
+    """A walk on a path that stays put with probability ``stay`` and else
+    steps up (0.7) or down (0.3), held at the ends; the closer ``stay`` is
+    to 1, the more sweeps power iteration needs."""
+    M = stay * np.eye(n)
+    up, down = np.arange(n - 1), np.arange(1, n)
+    M[up, up + 1] = 0.7 * (1.0 - stay)
+    M[down, down - 1] = 0.3 * (1.0 - stay)
+    M[np.arange(n), np.arange(n)] += 1.0 - M.sum(axis=1)
+    return TransitionMatrix(M)
+
+
+def _solver_fixtures():
+    """(label, chain, tol, max_iter): the chains of the tests above."""
+    rng = np.random.default_rng(3)
+    cases = [(f"teleported-{n}", teleported_chain(rng, n), 1e-12, 100_000)
+             for n in (2, 5, 12, 30)]
+    cases += [
+        ("two-state", TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]])), 1e-13,
+         100_000),
+        ("periodic", TransitionMatrix(PERIODIC), 1e-12, 100_000),
+        ("tiny-budget", teleported_chain(np.random.default_rng(9), 8), 1e-12, 1),
+        ("ideal", build_ideal_transition(np.array([0.5, 0.3, 0.2])), 1e-13, 100_000),
+        ("slow-walk", lazy_walk(6, 0.99), 1e-10, 100_000),
+        ("default-tol", teleported_chain(np.random.default_rng(4), 10), 1e-10, 100_000),
+    ]
+    big = np.random.default_rng(10)
+    cases += [(f"large-{n}", teleported_chain(big, n, sigma=1.0 / n), 1e-10, 100_000)
+              for n in (100, 500)]
+    return cases
+
+
+SOLVER_FIXTURES = _solver_fixtures()
+
+
+@pytest.mark.parametrize(
+    "label,P,tol,max_iter", SOLVER_FIXTURES, ids=[c[0] for c in SOLVER_FIXTURES]
+)
+def test_one_chain_solve_is_bitwise_the_reference(label, P, tol, max_iter):
+    ref = reference_stationary(P, tol=tol, max_iter=max_iter).scores
+    assert np.array_equal(stationary(P, tol=tol, max_iter=max_iter).scores, ref)
+
+
+def fallback_spy(monkeypatch):
+    """Record the chains that reach the direct solve."""
+    seen = []
+    real = estimator._direct_stationary
+
+    def spy(M):
+        seen.append(M.copy())
+        return real(M)
+
+    monkeypatch.setattr(estimator, "_direct_stationary", spy)
+    return seen
+
+
+def test_stack_falls_back_only_for_the_chains_that_stall(monkeypatch):
+    rng = np.random.default_rng(5)
+    regular = [teleported_chain(rng, 3) for _ in range(3)]
+    chains = regular[:2] + [TransitionMatrix(PERIODIC)] + regular[2:]
+    refs = [reference_stationary(P, tol=1e-12).scores for P in chains]
+    seen = fallback_spy(monkeypatch)
+    out = estimator._stationary_stack(
+        np.stack([P.entries for P in chains]), 1e-12, 100_000
+    )
+    assert len(seen) == 1 and np.array_equal(seen[0], PERIODIC)
+    for pi, ref in zip(out, refs):
+        assert np.array_equal(pi, ref)
+
+
+def test_stack_falls_back_for_the_chains_out_of_iterations(monkeypatch):
+    # The slow walk needs far more than 50 sweeps, the teleported chains
+    # fewer; at max_iter=1 every chain runs out.
+    rng = np.random.default_rng(6)
+    fast = [teleported_chain(rng, 6, sigma=0.5) for _ in range(3)]
+    slow = lazy_walk(6, 0.99)
+    chains = [fast[0], slow, fast[1], fast[2]]
+    for max_iter, n_fallbacks in ((50, 1), (1, 4)):
+        refs = [reference_stationary(P, max_iter=max_iter).scores for P in chains]
+        seen = fallback_spy(monkeypatch)
+        out = estimator._stationary_stack(
+            np.stack([P.entries for P in chains]), 1e-10, max_iter
+        )
+        assert len(seen) == n_fallbacks
+        if n_fallbacks == 1:
+            assert np.array_equal(seen[0], slow.entries)
+        for pi, ref in zip(out, refs):
+            assert np.array_equal(pi, ref)
+
+
+@pytest.mark.parametrize("bad", ["zero", "negative-sum"])
+def test_non_convergent_chain_fails_alone(bad):
+    # A zero chain has sum 0, -I a negative sum that still normalizes to a
+    # fixed point; both must stall and fail the residual check, as before.
+    rng = np.random.default_rng(7)
+    M = np.zeros((4, 4)) if bad == "zero" else -np.eye(4)
+    chains = [teleported_chain(rng, 4), TransitionMatrix(M), teleported_chain(rng, 4)]
+    with pytest.raises(ConvergenceError) as ref_err:
+        reference_stationary(chains[1])
+    out = estimator._stationary_stack(
+        np.stack([P.entries for P in chains]), 1e-10, 100_000
+    )
+    assert isinstance(out[1], ConvergenceError)
+    assert str(out[1]) == str(ref_err.value)
+    with pytest.raises(ConvergenceError, match="after stall fallback"):
+        stationary(chains[1])
+    for k in (0, 2):
+        assert np.array_equal(out[k], reference_stationary(chains[k]).scores)
+
+
+def test_small_budget_splits_the_stack(monkeypatch):
+    rng = np.random.default_rng(8)
+    M = np.stack([teleported_chain(rng, 5).entries for _ in range(7)])
+    M[3] = 0.0  # a failing chain stays in its own chunk's results
+    whole = estimator._stationary_stack(M, 1e-12, 100_000)
+    sizes = []
+    real = estimator._power_iterate
+
+    def spy(chunk, tol, max_iter):
+        sizes.append(chunk.shape[0])
+        return real(chunk, tol, max_iter)
+
+    monkeypatch.setattr(estimator, "_power_iterate", spy)
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 2 * 5 * 5)
+    split = estimator._stationary_stack(M, 1e-12, 100_000)
+    assert sizes == [2, 2, 2, 1]
+    assert isinstance(split[3], ConvergenceError)
+    assert str(split[3]) == str(whole[3])
+    for k in (0, 1, 2, 4, 5, 6):
+        assert np.array_equal(split[k], whole[k])
 
 
 # -- end-to-end fits -------------------------------------------------------

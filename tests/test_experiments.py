@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from krc import experiments
-from krc.data import ComparisonDataset, TimeEncoding
-from krc.errors import ConvergenceError
-from krc.estimator import ScoreVector, estimate_curve
+from krc import estimator, experiments
+from krc.baselines import static_rank_centrality
+from krc.data import ComparisonDataset, TimeEncoding, season_of_time
+from krc.errors import ConnectivityError, ConvergenceError, EstimationError
+from krc.estimator import ScoreVector, causal_fits, estimate_curve, fit_scores
 from krc.experiments import (
     _ad_normal_critical_1pct,
     backtest,
@@ -16,7 +17,7 @@ from krc.experiments import (
     metric_grid,
     timing_bench,
 )
-from krc.kernels import GAUSSIAN
+from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.simulate import (
     GroundTruth,
     SimConfig,
@@ -304,3 +305,149 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
     assert _report_fields(warm_report) == _report_fields(cold_report)
     # no score ties: item 3, unbeaten by item 2, is picked on days 2-4
     assert warm_report.n_ties == 0
+
+
+# -- krc and rc days as one causal batched pass -------------------------------
+
+
+def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None):
+    """The per-day krc/rc loop that the causal pass replaced: report fields
+    and each test day's scores (None for a failed fit).  ``fail_day`` forces
+    that day's fit to fail."""
+    tt, ii, jj, yy = ds.in_time_order()
+    test_mask = tt >= float(base_seasons)
+    season_tally = {}
+    n_ties = n_skipped = n_failed_fits = 0
+    eval_times = np.unique(tt[test_mask])
+    seen_by = np.full(ds.n, np.inf)
+    np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
+    days = []
+    for d, t_day in enumerate(eval_times):
+        past = ds.with_max_time(float(t_day))
+        if past.n_records and not past.time_span()[1] < t_day:
+            raise RuntimeError("leakage: a fitted record is not earlier than t")
+        day_mask = test_mask & (tt == t_day)
+        try:
+            if d == fail_day:
+                raise ConvergenceError("forced failure")
+            if method == "krc":
+                scores = fit_scores(past, float(t_day), h, kernel, sigma_n).scores
+            else:
+                scores = static_rank_centrality(past, sigma_n).scores
+        except (EstimationError, ConnectivityError, ConvergenceError):
+            n_failed_fits += 1
+            n_skipped += int(np.count_nonzero(day_mask))
+            days.append(None)
+            continue
+        days.append(scores)
+        for k in np.flatnonzero(day_mask):
+            i, j = int(ii[k]), int(jj[k])
+            if not (seen_by[i] < t_day and seen_by[j] < t_day):
+                n_skipped += 1
+                continue
+            if scores[j] > scores[i]:
+                pred = j
+            elif scores[j] < scores[i]:
+                pred = i
+            else:
+                n_ties += 1
+                pred = min(i, j)
+            tally = season_tally.setdefault(season_of_time(float(tt[k])), [0, 0])
+            tally[0] += 1
+            tally[1] += int(pred == (j if yy[k] == 1 else i))
+    seasons = [(s, v[0], v[1]) for s, v in sorted(season_tally.items())]
+    return (seasons, n_ties, n_skipped, n_failed_fits), days
+
+
+def rc_gap_dataset():
+    """Three items over two four-day seasons.  Item 2 first beats item 1 on
+    season 2, day 2, so the pooled win graph before that day's end is not
+    strongly connected."""
+    rows = []
+    for season in (1, 2):
+        for day in range(1, 5):
+            rows.append((0, 1, season, day, day % 2))
+            rows.append((1, 2, season, day, int((season, day) == (2, 2))))
+    enc = TimeEncoding("season-day", (4, 4))
+    return ComparisonDataset(
+        3,
+        np.array([r[0] for r in rows]),
+        np.array([r[1] for r in rows]),
+        np.array([enc.encode(r[2], r[3]) for r in rows]),
+        np.array([r[4] for r in rows]),
+        encoding=enc,
+    )
+
+
+# (label, dataset, base seasons, method, h, kernel, sigma_n, days that fail)
+WALK_FORWARD_CASES = [
+    ("krc-gaussian", season_fixture, 2, "krc", 1.0, GAUSSIAN, None, 0),
+    ("krc-gaussian-raw", season_fixture, 2, "krc", 0.5, GAUSSIAN, 0.0, 0),
+    ("krc-epanechnikov", season_fixture, 2, "krc", 0.5, EPANECHNIKOV, None, 0),
+    # 0.2 is short of the gap between seasons: each season's first day has
+    # no record with mass
+    ("krc-boxcar", season_fixture, 1, "krc", 0.2, BOXCAR, None, 3),
+    ("rc", season_fixture, 2, "rc", 1.0, GAUSSIAN, None, 0),
+    ("rc-disconnected", rc_gap_dataset, 1, "rc", 1.0, GAUSSIAN, 0.0, 2),
+    ("rc-teleported", rc_gap_dataset, 1, "rc", 1.0, GAUSSIAN, None, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "label,make,base,method,h,kernel,sigma_n,n_failed",
+    WALK_FORWARD_CASES,
+    ids=[c[0] for c in WALK_FORWARD_CASES],
+)
+def test_causal_pass_matches_per_day_loop(
+    label, make, base, method, h, kernel, sigma_n, n_failed
+):
+    ds = make()
+    if isinstance(ds, tuple):
+        ds = ds[0]
+    fields, ref_days = reference_backtest(ds, base, method, h, kernel, sigma_n)
+    report = backtest(ds, base_seasons=base, method=method, h=h, kernel=kernel,
+                      sigma_n=sigma_n)
+    assert _report_fields(report) == fields
+    assert report.n_failed_fits == n_failed
+    tt = ds.in_time_order()[0]
+    eval_times = np.unique(tt[tt >= base])
+    fits = list(causal_fits(ds, eval_times, h, kernel if method == "krc" else None,
+                            sigma_n))
+    assert len(fits) == len(ref_days)
+    for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
+        assert kept == ds.with_max_time(float(t_day)).n_records
+        if ref is None:
+            assert isinstance(fit, (EstimationError, ConnectivityError))
+        else:
+            assert fit.t == t_day
+            assert np.max(np.abs(fit.scores - ref)) <= 1e-15
+
+
+def test_causal_pass_day_failure_stays_on_its_day(monkeypatch):
+    ds, _ = season_fixture()
+    real = estimator._stationary_stack
+
+    def fail_fifth(M, tol, max_iter):
+        out = real(M, tol, max_iter)
+        out[4] = ConvergenceError("forced failure")
+        return out
+
+    for method in ("krc", "rc"):
+        fields, _ = reference_backtest(ds, 2, method, 1.0, GAUSSIAN, None, fail_day=4)
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_stationary_stack", fail_fifth)
+            report = backtest(ds, base_seasons=2, method=method, h=1.0)
+        assert _report_fields(report) == fields
+        assert report.n_failed_fits == 1
+
+
+def test_causal_pass_leakage_check_trips(monkeypatch):
+    ds, _ = season_fixture()
+
+    def leaky(*args, **kwargs):
+        for kept, fit in causal_fits(*args, **kwargs):
+            yield kept + 1, fit
+
+    monkeypatch.setattr(experiments, "causal_fits", leaky)
+    with pytest.raises(RuntimeError, match="leakage"):
+        backtest(ds, base_seasons=2, method="krc", h=1.0)
