@@ -98,6 +98,12 @@ class ConnectivityReport:
         return len(self.components)
 
 
+def _read_only(col: np.ndarray) -> np.ndarray:
+    view = col.view()
+    view.flags.writeable = False
+    return view
+
+
 def season_of_time(t: float) -> int:
     """Season number containing an encoded season-day time."""
     return int(math.floor(t)) + 1
@@ -179,10 +185,16 @@ class ComparisonDataset:
         if len(self.item_labels) != n:
             raise ValueError("label count does not match n")
         self.encoding = encoding if encoding is not None else TimeEncoding()
-        self._ii, self._jj, self._tt, self._yy = ii, jj, tt, yy
-        self._season, self._day = ss, dd
-        self._seg_starts = np.flatnonzero(step)
-        self._seg_i, self._seg_j = ii[self._seg_starts], jj[self._seg_starts]
+        starts = np.flatnonzero(step)
+        # Stored columns are read-only views, so a dataset may share them with
+        # its caller or with the dataset it was derived from.
+        (
+            self._ii, self._jj, self._tt, self._yy, self._season, self._day,
+            self._seg_starts, self._seg_i, self._seg_j,
+        ) = (
+            None if col is None else _read_only(col)
+            for col in (ii, jj, tt, yy, ss, dd, starts, ii[starts], jj[starts])
+        )
 
     # -- accessors ---------------------------------------------------------
 
@@ -197,7 +209,8 @@ class ComparisonDataset:
 
     @property
     def outcomes(self) -> np.ndarray:
-        """Flat canonical outcome column aligned with :attr:`times`."""
+        """Flat canonical outcome column aligned with :attr:`times` (read-only
+        view)."""
         return self._yy
 
     def pair_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -242,10 +242,13 @@ def build_ideal_transition(pi) -> TransitionMatrix:
 
 
 def _teleport(entries: np.ndarray, sigma_n: float) -> np.ndarray:
-    """Each chain of ``entries`` (..., n, n) blended with the uniform chain."""
+    """Blend each chain of ``entries`` (..., n, n) with the uniform chain, in
+    place, and return it."""
     if not 0.0 <= sigma_n < 1.0:
         raise ValueError(f"sigma_n must be in [0, 1), got {sigma_n}")
-    return (1.0 - sigma_n) * entries + sigma_n / entries.shape[-1]
+    entries *= 1.0 - sigma_n
+    entries += sigma_n / entries.shape[-1]
+    return entries
 
 
 def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
@@ -258,7 +261,7 @@ def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
     if sigma_n == 0.0:
         return TransitionMatrix(P.entries.copy(), P.regularization)
     combined = 1.0 - (1.0 - P.regularization) * (1.0 - sigma_n)
-    return TransitionMatrix(_teleport(P.entries, sigma_n), combined)
+    return TransitionMatrix(_teleport(P.entries.copy(), sigma_n), combined)
 
 
 def stationary(
@@ -290,17 +293,22 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     or no halving of the residual over a 1,000-sweep window) or reaches
     ``max_iter`` is solved directly as the rank-deficient linear system with
     a normalization row; a final residual above ``tol`` is its
-    ConvergenceError.  Chains go in chunks of TILE_ELEMENTS entries, and no
-    chain's result depends on the others.
+    ConvergenceError.  Chains go in chunks of at most TILE_ELEMENTS entries
+    (one chain when a chain alone is larger), and no chain's result depends
+    on the others.
     """
-    n = M.shape[-1]
-    step = max(1, TILE_ELEMENTS // (n * n))
     out = []
+    step = _stack_rows(M.shape[-1])
     for a in range(0, M.shape[0], step):
         chunk = M[a:a + step]
         for m, pi in zip(chunk, _power_iterate(chunk, tol, max_iter)):
             out.append(pi if isinstance(pi, np.ndarray) else _fallback(m, tol, pi))
     return out
+
+
+def _stack_rows(n: int) -> int:
+    """Chains of n items per stack: as many as fit TILE_ELEMENTS, at least one."""
+    return max(1, TILE_ELEMENTS // (n * n))
 
 
 def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
@@ -431,8 +439,6 @@ def causal_fits(
     h: float,
     kernel: Kernel | None,
     sigma_n: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
 ):
     """Walk-forward fits: yield (kept, fit) for each time t, in order, from
     the records strictly before t alone.
@@ -442,14 +448,21 @@ def causal_fits(
     the pooled chain's, as ``static_rank_centrality`` gives it there.  A fit
     that would raise yields its EstimationError, ConnectivityError or
     ConvergenceError instead, and the other times are unaffected.  ``kept``
-    counts the records the strictly-before mask let in.  The per-pair sums
-    of every time come from one masked pass, and the chains of a grid chunk
-    are solved as one stack.
+    counts the records the strictly-before mask let in.  The times go in
+    slices whose chain stack fits TILE_ELEMENTS; each slice's per-pair sums
+    come from one masked pass, and its chains are solved as one stack.
     """
     n = dataset.n
     sigma = default_teleport(n) if sigma_n is None else sigma_n
     _, seg_i, seg_j = dataset.pair_segments()
-    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before=True):
+    times = np.asarray(times, dtype=float).ravel()
+    step = _stack_rows(n)
+    sums = (
+        block
+        for a in range(0, times.size, step)
+        for block in _pair_sums(dataset, times[a:a + step], h, kernel, before=True)
+    )
+    for chunk, den, num, kept in sums:
         mass = den > 0.0
         with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
             P = _chains(n, seg_i, seg_j, num / den, mass)
@@ -468,7 +481,10 @@ def causal_fits(
         if sigma != 0.0:
             P = _teleport(P, sigma)
         solve = [d for d in range(chunk.size) if d not in fits]
-        for d, pi in zip(solve, _stationary_stack(P[solve], tol, max_iter)):
+        if len(solve) < chunk.size:
+            P = P[solve]
+        # stationary()'s default tol and max_iter
+        for d, pi in zip(solve, _stationary_stack(P, 1e-10, 100_000)):
             fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
                 pi, t=float(chunk[d])
             )

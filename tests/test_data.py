@@ -346,6 +346,22 @@ def test_presorted_columns_are_taken_as_given():
         assert np.array_equal(col, old)
 
 
+def test_stored_columns_are_read_only():
+    from krc.simulate import SimConfig, generate
+
+    ii, jj = np.array([0, 0, 1]), np.array([1, 2, 2])
+    tt, yy = np.array([0.1, 0.4, 0.3]), np.array([1, 0, 1])
+    sim, _ = generate(SimConfig(n=4, m=3, seed=5))
+    for ds in (ComparisonDataset(3, ii, jj, tt, yy, _presorted=True),
+               ComparisonDataset(3, jj, ii, tt, yy), sim,
+               sim.with_max_time(0.5), sim.normalized_to_unit()):
+        for col in (ds.times, ds.outcomes, *ds.pair_segments()):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[0]
+    # the caller's own arrays keep their flags
+    assert all(c.flags.writeable for c in (ii, jj, tt, yy))
+
+
 # -- connectivity ----------------------------------------------------------
 
 

@@ -441,6 +441,33 @@ def test_causal_pass_day_failure_stays_on_its_day(monkeypatch):
         assert report.n_failed_fits == 1
 
 
+@pytest.mark.parametrize("budget", [10, 3 * 8 * 8])
+def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
+    # Days go in stacks of at most TILE_ELEMENTS chain entries, one chain
+    # when a chain alone is larger (n=8: 64 entries), with the same fits.
+    ds, _ = season_fixture()
+    eval_times = np.unique(ds.times[ds.times >= 2])
+    for kernel in (GAUSSIAN, None):
+        whole = list(causal_fits(ds, eval_times, 1.0, kernel))
+        stacks = []
+        real = estimator._chains
+
+        def spy(*args):
+            P = real(*args)
+            stacks.append(P.shape[0])
+            return P
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "_chains", spy)
+            patch.setattr(estimator, "TILE_ELEMENTS", budget)
+            split = list(causal_fits(ds, eval_times, 1.0, kernel))
+        assert max(stacks) == max(1, budget // 64) and len(stacks) > 1
+        assert sum(stacks) == eval_times.size
+        assert [k for k, _ in split] == [k for k, _ in whole]
+        for (_, a), (_, b) in zip(split, whole):
+            assert a.t == b.t and np.array_equal(a.scores, b.scores)
+
+
 def test_causal_pass_leakage_check_trips(monkeypatch):
     ds, _ = season_fixture()
 
