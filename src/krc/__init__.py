@@ -80,7 +80,7 @@ from .inference import (
     plug_in_alpha,
     score_ci,
 )
-from .kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN, Kernel, kernel_by_name, weight
+from .kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN, Kernel, kernel_by_name
 from .online import (
     GroupInverse,
     OnlineState,

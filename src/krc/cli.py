@@ -9,6 +9,7 @@ Tabular output is CSV; experiment reports are JSON.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import sys
@@ -202,11 +203,12 @@ def _cmd_update_stream(args) -> int:
     )
     label_to_index = {lab: k for k, lab in enumerate(dataset.item_labels)}
     n_seen = 0
-    for line_no, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line or line.lower().startswith("time,"):
+    reader = csv.reader(sys.stdin)  # the dialect ingest_csv reads
+    for row in reader:
+        line_no = reader.line_num
+        fields = [f.strip() for f in row]
+        if not any(fields) or fields[0].lower() == "time":
             continue
-        fields = [f.strip() for f in line.split(",")]
         if len(fields) != 4:
             raise KrcError(f"stdin line {line_no}: expected 4 fields")
         try:
@@ -373,7 +375,7 @@ def cli_dispatch(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (KrcError, OSError, ValueError) as exc:
+    except (KrcError, OSError, ValueError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,13 +11,16 @@ it"; its stationary distribution is the score vector.  With the idealized
 entries (1/n) * pi_j / (pi_i + pi_j) the chain is reversible and stationary
 at pi itself, which is what makes the estimator consistent.
 
-Stationary vectors come from one solver, which takes a stack of chains:
-power iteration from the uniform start, one batched matmul per sweep over
-the chains still iterating, each chain leaving once it converges, and a
-direct solve for a chain that stalls.  :func:`stationary` is its one-chain
-case.  :func:`causal_fits` builds one chain per walk-forward day from a
-single kernel pass masked to the records strictly before each day, and
-solves the days as one stack.
+Every fit runs one pipeline: a blocked kernel pass gives each time's
+per-pair sums, one grid chunk at a time; each chunk's chains are built in
+stacks that fit the tile budget, teleported in place, and solved as one
+stack.  The solver runs power iteration from the uniform start, one batched
+matmul per sweep over the chains still iterating, each chain leaving once
+it converges, and a direct solve for a chain that stalls.
+:func:`estimate_curve` is the pipeline over a grid, :func:`fit_scores` its
+one-point case, and :func:`causal_fits` its case masked to the records
+strictly before each walk-forward day; :func:`stationary` is the solver's
+one-chain case.
 """
 
 from __future__ import annotations
@@ -107,11 +110,26 @@ def pair_fractions(
 
     Returns (item_i, item_j, fraction) restricted to pairs whose kernel
     mass is positive; the fraction is the weighted share of outcomes item_j
-    won.  This shared aggregate feeds both the comparison chain and the
-    weighted likelihood.  It is the one-point case of :func:`estimate_curve`.
+    won.  This is the aggregate the weighted likelihood reads; it comes from
+    the kernel pass that :func:`fit_scores` runs.
     """
-    return next(_fractions_along(dataset, [t], h, kernel))[1]
+    _, seg_i, seg_j = dataset.pair_segments()
+    _, den, num, _ = next(_pair_sums(dataset, [t], h, kernel))
+    mass = den[0] > 0.0
+    if not mass.any():
+        raise _no_mass(t, h, before=False)
+    return seg_i[mass], seg_j[mass], num[0, mass] / den[0, mass]
 
+
+def _no_mass(t: float, h: float, before: bool) -> EstimationError:
+    if before:
+        return EstimationError(f"no record with kernel mass before t={t}")
+    return EstimationError(f"zero kernel mass for every observed pair at t={t}, h={h}")
+
+
+# Residual bound and sweep limit of a stationary solve unless a caller sets them.
+_TOL = 1e-10
+_MAX_ITER = 100_000
 
 # Element budget of one (grid points x records) weight tile, about 8 MB per
 # float64 temporary.  It sizes the grid chunks and the record blocks, and the
@@ -170,19 +188,6 @@ def _pair_sums(
             s = e
         w = past = None  # free the last tile while the caller works
         yield chunk, den, num, kept
-
-
-def _fractions_along(dataset: ComparisonDataset, time_grid, h: float, kernel: Kernel):
-    """Yield (t, (item_i, item_j, fraction)) for each grid point, in order."""
-    _, seg_i, seg_j = dataset.pair_segments()
-    for chunk, den, num, _ in _pair_sums(dataset, time_grid, h, kernel):
-        for t, den_t, num_t in zip(chunk.tolist(), den, num):
-            mass = den_t > 0.0
-            if not mass.any():
-                raise EstimationError(
-                    f"zero kernel mass for every observed pair at t={t}, h={h}"
-                )
-            yield t, (seg_i[mass], seg_j[mass], num_t[mass] / den_t[mass])
 
 
 def _chains(n: int, idx_i, idx_j, frac: np.ndarray, mass=None) -> np.ndarray:
@@ -265,7 +270,7 @@ def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
 
 
 def stationary(
-    P: TransitionMatrix, tol: float = 1e-10, max_iter: int = 100_000
+    P: TransitionMatrix, tol: float = _TOL, max_iter: int = _MAX_ITER
 ) -> ScoreVector:
     """Stationary distribution by power iteration with a dense fallback.
 
@@ -387,11 +392,53 @@ def _direct_stationary(M: np.ndarray) -> np.ndarray:
     return pi / s
 
 
-def _solve(n, fractions, t, sigma_n, tol, max_iter) -> ScoreVector:
+def _fits(
+    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
+    sigma_n: float | None, tol: float, max_iter: int, before: bool = False,
+):
+    """Yield (kept, fit) for each time, in order.
+
+    ``fit`` is the ScoreVector, tagged t, of the chain that the per-pair sums
+    at t give, teleported by ``sigma_n`` (None: the default 1/n), or the
+    EstimationError, ConnectivityError or ConvergenceError that fit raises;
+    the other times are unaffected.  ``kept`` and ``before`` are those of
+    :func:`_pair_sums`.  Each grid chunk's chains are built in stacks that
+    fit TILE_ELEMENTS, and each stack is teleported in place and solved as
+    one, so the memory does not grow with the number of times.
+    """
+    n = dataset.n
     sigma = default_teleport(n) if sigma_n is None else sigma_n
-    P = regularize(transition_from_fractions(n, *fractions), sigma)
-    sv = stationary(P, tol=tol, max_iter=max_iter)
-    return ScoreVector(sv.scores, t=t)
+    _, seg_i, seg_j = dataset.pair_segments()
+    step = _stack_rows(n)
+    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
+        for a in range(0, chunk.size, step):
+            ts = chunk[a:a + step].tolist()
+            mass = den[a:a + step] > 0.0
+            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+                P = _chains(n, seg_i, seg_j, num[a:a + step] / den[a:a + step], mass)
+            fits = {
+                d: _no_mass(ts[d], h, before)
+                for d in np.flatnonzero(~mass.any(axis=1)).tolist()
+            }
+            if kernel is None and sigma == 0.0:
+                # The raw pooled chain's support is the pooled win graph.
+                for d, t in enumerate(ts):
+                    if not _component_report(P[d] > 0.0).strongly_connected:
+                        fits[d] = ConnectivityError(
+                            f"pooled win graph before t={t} is not strongly "
+                            "connected and sigma_n=0"
+                        )
+            if sigma != 0.0:
+                _teleport(P, sigma)
+            solve = [d for d in range(len(ts)) if d not in fits]
+            if len(solve) < len(ts):
+                P = P[solve]
+            for d, pi in zip(solve, _stationary_stack(P, tol, max_iter)):
+                fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
+                    pi, t=ts[d]
+                )
+            for d in range(len(ts)):
+                yield None if kept is None else int(kept[a + d]), fits[d]
 
 
 def fit_scores(
@@ -400,16 +447,17 @@ def fit_scores(
     h: float,
     kernel: Kernel,
     sigma_n: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> ScoreVector:
     """Build, regularize, and solve in one step; the everyday entry point.
 
     ``sigma_n=None`` means the default teleport 1/n; pass 0.0 explicitly to
-    disable regularization.
+    disable regularization.  This is the one-point case of
+    :func:`estimate_curve`.
     """
-    fractions = pair_fractions(dataset, t, h, kernel)
-    return _solve(dataset.n, fractions, t, sigma_n, tol, max_iter)
+    (fit,) = estimate_curve(dataset, [t], h, kernel, sigma_n, tol, max_iter)
+    return fit
 
 
 def estimate_curve(
@@ -418,19 +466,22 @@ def estimate_curve(
     h: float,
     kernel: Kernel,
     sigma_n: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = _TOL,
+    max_iter: int = _MAX_ITER,
 ) -> list[ScoreVector]:
     """Score vectors along a time grid, one per point in the given order.
 
-    Per-pair kernel sums come from one blocked pass per grid chunk; each
-    point is then solved as :func:`fit_scores` would, and the first point
-    (in grid order) at which fit_scores would raise raises the same error.
+    Per-pair kernel sums come from one blocked pass per grid chunk, and the
+    chunk's chains are solved as stacks; each point's scores are those
+    :func:`fit_scores` gives there.  The first point (in grid order) whose
+    fit fails raises its error.
     """
-    return [
-        _solve(dataset.n, fractions, t, sigma_n, tol, max_iter)
-        for t, fractions in _fractions_along(dataset, time_grid, h, kernel)
-    ]
+    curve = []
+    for _, fit in _fits(dataset, time_grid, h, kernel, sigma_n, tol, max_iter):
+        if not isinstance(fit, ScoreVector):
+            raise fit
+        curve.append(fit)
+    return curve
 
 
 def causal_fits(
@@ -448,48 +499,9 @@ def causal_fits(
     the pooled chain's, as ``static_rank_centrality`` gives it there.  A fit
     that would raise yields its EstimationError, ConnectivityError or
     ConvergenceError instead, and the other times are unaffected.  ``kept``
-    counts the records the strictly-before mask let in.  The times go in
-    slices whose chain stack fits TILE_ELEMENTS; each slice's per-pair sums
-    come from one masked pass, and its chains are solved as one stack.
+    counts the records the strictly-before mask let in.
     """
-    n = dataset.n
-    sigma = default_teleport(n) if sigma_n is None else sigma_n
-    _, seg_i, seg_j = dataset.pair_segments()
-    times = np.asarray(times, dtype=float).ravel()
-    step = _stack_rows(n)
-    sums = (
-        block
-        for a in range(0, times.size, step)
-        for block in _pair_sums(dataset, times[a:a + step], h, kernel, before=True)
-    )
-    for chunk, den, num, kept in sums:
-        mass = den > 0.0
-        with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-            P = _chains(n, seg_i, seg_j, num / den, mass)
-        fits = {
-            d: EstimationError(f"no record with kernel mass before t={chunk[d]}")
-            for d in np.flatnonzero(~mass.any(axis=1)).tolist()
-        }
-        if kernel is None and sigma == 0.0:
-            # The raw pooled chain's support is the pooled win graph.
-            for d in range(chunk.size):
-                if not _component_report(P[d] > 0.0).strongly_connected:
-                    fits[d] = ConnectivityError(
-                        "pooled win graph before "
-                        f"t={chunk[d]} is not strongly connected and sigma_n=0"
-                    )
-        if sigma != 0.0:
-            P = _teleport(P, sigma)
-        solve = [d for d in range(chunk.size) if d not in fits]
-        if len(solve) < chunk.size:
-            P = P[solve]
-        # stationary()'s default tol and max_iter
-        for d, pi in zip(solve, _stationary_stack(P, 1e-10, 100_000)):
-            fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
-                pi, t=float(chunk[d])
-            )
-        for d in range(chunk.size):
-            yield int(kept[d]), fits[d]
+    return _fits(dataset, times, h, kernel, sigma_n, _TOL, _MAX_ITER, before=True)
 
 
 def spectral_gap(P: TransitionMatrix) -> float:

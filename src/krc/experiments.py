@@ -30,7 +30,7 @@ from .baselines import (
     static_rank_centrality,
     wmle,
 )
-from .data import ComparisonDataset, check_strong_connectivity, season_of_time
+from .data import ComparisonDataset, check_strong_connectivity
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
@@ -478,43 +478,26 @@ def backtest(
         "sigma_n": default_teleport(dataset.n) if sigma_n is None else sigma_n,
     }
     tt, ii, jj, yy = dataset.in_time_order()
-    test_mask = tt >= float(base_seasons)
-    season_tally: dict[int, list[int]] = {}
-    n_ties = 0
-    n_skipped = 0
+    first = int(np.searchsorted(tt, float(base_seasons)))  # test games: a suffix
     n_failed_fits = 0
-
-    def score_game(scores: np.ndarray, k: int) -> None:
-        nonlocal n_ties
-        i, j = int(ii[k]), int(jj[k])
-        if scores[j] > scores[i]:
-            pred = j
-        elif scores[j] < scores[i]:
-            pred = i
-        else:
-            n_ties += 1
-            pred = min(i, j)
-        tally = season_tally.setdefault(season_of_time(float(tt[k])), [0, 0])
-        tally[0] += 1
-        tally[1] += int(pred == (j if yy[k] == 1 else i))
-
     if method == "elo":
         ratings = np.full(dataset.n, elo_config.initial_rating)
         seen = np.zeros(dataset.n, dtype=bool)
+        games, pre = [], []  # each scored game and its pre-game ratings
         for k in range(tt.size):
             i, j = int(ii[k]), int(jj[k])
-            if test_mask[k]:
-                if seen[i] and seen[j]:
-                    score_game(ratings, k)
-                else:
-                    n_skipped += 1
+            if k >= first and seen[i] and seen[j]:
+                games.append(k)
+                pre.append((ratings[i], ratings[j]))
             elo_update(ratings, i, j, int(yy[k]), elo_config)
             seen[i] = seen[j] = True
+        games = np.asarray(games, dtype=np.intp)
+        s_i, s_j = np.asarray(pre, dtype=float).reshape(-1, 2).T
         params.update(
             {"k_factor": elo_config.k_factor, "scale": elo_config.logistic_scale}
         )
     else:
-        eval_times = np.unique(tt[test_mask])
+        eval_times = np.unique(tt[first:])
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
         if method in ("krc", "rc"):
@@ -523,22 +506,32 @@ def backtest(
             )
         else:
             fits = _mm_scores(dataset, eval_times, method, h, kernel, mm_config)
-        for t_day, scores in zip(eval_times, fits):
-            day_mask = test_mask & (tt == t_day)
-            if scores is None:
-                # a day the method cannot price counts as skipped, not wrong
-                n_failed_fits += 1
-                n_skipped += int(np.count_nonzero(day_mask))
-                continue
-            for k in np.flatnonzero(day_mask):
-                if seen_by[ii[k]] < t_day and seen_by[jj[k]] < t_day:
-                    score_game(scores, k)
-                else:
-                    n_skipped += 1
-
+        day_scores = list(fits)
+        fitted = np.array([s is not None for s in day_scores], dtype=bool)
+        n_failed_fits = int(np.count_nonzero(~fitted))
+        scores = np.array(
+            [np.zeros(dataset.n) if s is None else s for s in day_scores]
+        ).reshape(-1, dataset.n)
+        t_test = tt[first:]
+        day = np.searchsorted(eval_times, t_test)  # each test game's day
+        # a game on a day the method cannot price counts as skipped, not wrong
+        play = fitted[day] & (seen_by[ii[first:]] < t_test) & (seen_by[jj[first:]] < t_test)
+        games, day = first + np.flatnonzero(play), day[play]
+        s_i, s_j = scores[day, ii[games]], scores[day, jj[games]]
+    n_skipped = tt.size - first - games.size
+    # the higher score is the pick; a tie goes to item_i, the lower index
+    pick_j = s_j > s_i
+    n_ties = int(np.count_nonzero(~pick_j & ~(s_j < s_i)))
+    correct = pick_j == (yy[games] == 1)
+    season = np.floor(tt[games]).astype(np.int64) + 1  # season_of_time, per game
+    seasons, which = np.unique(season, return_inverse=True)
     per_season = [
-        SeasonResult(season=s, n_games=v[0], n_correct=v[1])
-        for s, v in sorted(season_tally.items())
+        SeasonResult(season=s, n_games=g, n_correct=c)
+        for s, g, c in zip(
+            seasons.tolist(),
+            np.bincount(which, minlength=seasons.size).tolist(),
+            np.bincount(which[correct], minlength=seasons.size).tolist(),
+        )
     ]
     n_games = sum(r.n_games for r in per_season)
     n_correct = sum(r.n_correct for r in per_season)

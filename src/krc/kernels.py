@@ -94,8 +94,3 @@ def kernel_by_name(name: str) -> Kernel:
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {sorted(_BY_NAME)}"
         ) from None
-
-
-def weight(kernel: Kernel, t: float, t_k, h: float):
-    """Module-level alias for :meth:`Kernel.weight`."""
-    return kernel.weight(t, t_k, h)

@@ -39,10 +39,10 @@ from .errors import RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
-    _fill_diagonal,
     default_teleport,
     regularize,
     stationary,
+    transition_from_fractions,
 )
 from .kernels import Kernel
 
@@ -197,21 +197,6 @@ def _fold_pair(
     pi -= phi2
 
 
-def _transition_from_mass(win_mass: np.ndarray) -> TransitionMatrix:
-    """Raw (unregularized) chain from a matrix of kernel-weighted win masses.
-
-    ``win_mass[a, b]`` is the weighted mass of events where a beat b.  Pairs
-    with zero total mass keep zero off-diagonal entries.
-    """
-    n = win_mass.shape[0]
-    den = win_mass + win_mass.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(den > 0, win_mass.T / den, 0.0)
-    P = frac / n
-    _fill_diagonal(P)
-    return TransitionMatrix(P)
-
-
 class OnlineState:
     """Running estimate at a fixed evaluation time t.
 
@@ -234,6 +219,11 @@ class OnlineState:
         tol: float = 1e-10,
         max_iter: int = 100_000,
     ):
+        self._start(n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, None)
+
+    def _start(self, n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, win_mass):
+        """Check the settings, set every field, and refresh from ``win_mass``
+        (None: no mass yet)."""
         if n < 2:
             raise ValueError("need at least two items")
         if not h > 0:
@@ -248,7 +238,7 @@ class OnlineState:
         self.refresh_every = int(refresh_every)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.win_mass = np.zeros((n, n))
+        self.win_mass = np.zeros((n, n)) if win_mass is None else win_mass
         self.updates_since_refresh = 0
         self.P: TransitionMatrix
         self.pi: ScoreVector
@@ -267,24 +257,16 @@ class OnlineState:
         tol: float = 1e-10,
         max_iter: int = 100_000,
     ) -> "OnlineState":
-        state = cls.__new__(cls)
-        state.n = dataset.n
-        state.t = float(t)
-        state.h = float(h)
-        state.kernel = kernel
-        state.sigma_n = default_teleport(dataset.n) if sigma_n is None else float(sigma_n)
-        state.refresh_every = int(refresh_every)
-        state.tol = float(tol)
-        state.max_iter = int(max_iter)
+        """Running state seeded with the kernel-weighted masses of every
+        record in ``dataset``; the same checks as the constructor."""
         wm = np.zeros((dataset.n, dataset.n))
         w = kernel.weight(t, dataset.times, h)
         starts, seg_i, seg_j = dataset.pair_segments()
         won_j = dataset.outcomes == 1
         wm[seg_j, seg_i] = np.add.reduceat(np.where(won_j, w, 0.0), starts)
         wm[seg_i, seg_j] = np.add.reduceat(np.where(won_j, 0.0, w), starts)
-        state.win_mass = wm
-        state.updates_since_refresh = 0
-        refresh(state)
+        state = cls.__new__(cls)
+        state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, wm)
         return state
 
     @classmethod
@@ -306,7 +288,12 @@ def refresh(state: OnlineState) -> OnlineState:
 
     The state changes only once all three are computed, so a raised error
     leaves it as it was."""
-    P = regularize(_transition_from_mass(state.win_mass), state.sigma_n)
+    W = state.win_mass
+    i, j = np.triu_indices(state.n, 1)
+    den = W[i, j] + W[j, i]
+    seen = den > 0.0  # pairs without mass keep zero off-diagonal entries
+    raw = transition_from_fractions(state.n, i[seen], j[seen], W[j, i][seen] / den[seen])
+    P = regularize(raw, state.sigma_n)
     sv = stationary(P, tol=state.tol, max_iter=state.max_iter)
     pi = ScoreVector(sv.scores, t=state.t)
     Ainv = group_inverse(P, pi)

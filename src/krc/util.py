@@ -1,4 +1,4 @@
-"""Small shared helpers: CSV round-trips and float formatting."""
+"""Small shared helpers: CSV writing and float formatting."""
 
 from __future__ import annotations
 
@@ -14,15 +14,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]
 
 
 def float_token(x: float) -> str:

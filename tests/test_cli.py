@@ -195,6 +195,25 @@ def test_update_stream_subprocess(sim_csv, tmp_path):
     assert scores.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+def test_update_stream_reads_quoted_labels(tmp_path):
+    # stdin is read in the csv dialect of --data: a quoted label may hold a comma
+    data = tmp_path / "quoted.csv"
+    rows = [(f"0.{k + 1}", "\"A, Inc\"", "B", k % 2) for k in range(6)]
+    data.write_text("time,item_i,item_j,outcome\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    out = tmp_path / "scores.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "krc.cli", "update-stream",
+         "--data", str(data), "--t", "0.5", "--h", "0.2", "--out", str(out)],
+        input="time,item_i,item_j,outcome\n0.52,\"A, Inc\",B,1\n0.53,B,\"A, Inc\",0\n",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "applied 2 records" in proc.stderr
+    assert read_rows(out)[0] == ["t", "A, Inc", "B"]
+
+
 def test_update_stream_rejects_ties(sim_csv, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "krc.cli", "update-stream",

@@ -479,6 +479,35 @@ def test_estimate_curve_raises_at_first_zero_mass_point():
     assert "t=0.6" in str(batched.value)
 
 
+def test_curve_solves_chain_stacks_equal_to_single_fits(monkeypatch):
+    # A budget of four 30-item chains splits a 20-point curve into several
+    # grid chunks and stacks; every point equals its one-chain fit.
+    ds, _ = generate(SimConfig(n=30, m=4, seed=21))
+    grid = np.linspace(0.05, 0.95, 20)
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 30 * 30)
+    sizes = []
+    real = estimator._power_iterate
+
+    def spy(M, tol, max_iter):
+        sizes.append(M.shape[0])
+        return real(M, tol, max_iter)
+
+    monkeypatch.setattr(estimator, "_power_iterate", spy)
+    curve = estimate_curve(ds, grid, 0.1, GAUSSIAN)
+    assert len(sizes) >= 3 and min(sizes) > 1 and max(sizes) <= 4
+    assert sum(sizes) == grid.size
+    for sv, t in zip(curve, grid):
+        lone = fit_scores(ds, float(t), 0.1, GAUSSIAN)
+        assert sv.t == t and np.array_equal(sv.scores, lone.scores)
+    # Zero-mass points inside one stack: the first in grid order raises.
+    bad = [0.2, 0.5, 5.0, 7.0, 0.7, 9.0]
+    with pytest.raises(EstimationError) as lone:
+        fit_scores(ds, 5.0, 0.1, BOXCAR)
+    with pytest.raises(EstimationError) as batched:
+        estimate_curve(ds, bad, 0.1, BOXCAR)
+    assert str(batched.value) == str(lone.value) and "t=5.0" in str(lone.value)
+
+
 def test_estimate_curve_empty_grid_and_bad_bandwidth():
     ds, _ = generate(SimConfig(n=4, m=5, seed=1))
     assert estimate_curve(ds, [], 0.25, GAUSSIAN) == []

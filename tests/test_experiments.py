@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from krc import estimator, experiments
-from krc.baselines import static_rank_centrality
+from krc.baselines import EloConfig, elo_update, static_rank_centrality
 from krc.data import ComparisonDataset, TimeEncoding, season_of_time
 from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import ScoreVector, causal_fits, estimate_curve, fit_scores
@@ -215,6 +215,35 @@ def test_backtest_elo_vs_krc_consistency():
     a = backtest(ds, base_seasons=3, method="elo")
     b = backtest(ds, base_seasons=3, method="rc")
     assert a.n_games + a.n_skipped == b.n_games + b.n_skipped
+
+
+def test_elo_backtest_matches_per_game_loop():
+    # The per-game loop that the array tally replaced is the reference:
+    # each test game is scored from the ratings before its own update.
+    ds, _ = generate_season_dataset(
+        n=10, n_seasons=3, days_per_season=3, games_per_day=2, seed=5, drift=0.4
+    )
+    config = EloConfig()
+    tt, ii, jj, yy = ds.in_time_order()
+    ratings = np.full(ds.n, config.initial_rating)
+    seen = np.zeros(ds.n, dtype=bool)
+    tally, n_ties, n_skipped = {}, 0, 0
+    for k in range(tt.size):
+        i, j = int(ii[k]), int(jj[k])
+        if tt[k] >= 1 and not (seen[i] and seen[j]):
+            n_skipped += 1
+        elif tt[k] >= 1:
+            pick = j if ratings[j] > ratings[i] else i
+            n_ties += int(ratings[j] == ratings[i])
+            season = tally.setdefault(season_of_time(float(tt[k])), [0, 0])
+            season[0] += 1
+            season[1] += int(pick == (j if yy[k] == 1 else i))
+        elo_update(ratings, i, j, int(yy[k]), config)
+        seen[i] = seen[j] = True
+    report = backtest(ds, base_seasons=1, method="elo")
+    seasons = [(s, g, c) for s, (g, c) in sorted(tally.items())]
+    assert _report_fields(report) == (seasons, n_ties, n_skipped, 0)
+    assert n_skipped > 0 and report.n_games > 0
 
 
 # -- warm-started MM days --------------------------------------------------

@@ -13,7 +13,6 @@ from krc.kernels import (
     WEIGHT_FLOOR,
     Kernel,
     kernel_by_name,
-    weight,
 )
 
 ALL_KERNELS = [GAUSSIAN, EPANECHNIKOV, BOXCAR]
@@ -101,10 +100,6 @@ def test_kernel_by_name_roundtrip():
     assert kernel_by_name("GAUSSIAN") is GAUSSIAN
     with pytest.raises(ValueError):
         kernel_by_name("triangular")
-
-
-def test_module_level_weight_alias():
-    assert weight(BOXCAR, 0.5, 0.4, 0.2) == BOXCAR.weight(0.5, 0.4, 0.2)
 
 
 def test_kernel_is_frozen():

@@ -12,7 +12,6 @@ from krc.online import (
     GroupInverse,
     OnlineState,
     _fold_pair,
-    _transition_from_mass,
     apply_observation,
     group_inverse,
     group_inverse_residuals,
@@ -303,6 +302,20 @@ def test_state_validation():
         OnlineState(3, 0.5, 0.2, GAUSSIAN, refresh_every=0)
 
 
+def test_both_constructors_reject_refresh_every_below_one(monkeypatch):
+    ds, _ = generate(SimConfig(n=4, m=3, seed=2))
+    for every in (0, -5):
+        with pytest.raises(ValueError, match="refresh_every"):
+            OnlineState(4, 0.5, 0.3, GAUSSIAN, refresh_every=every)
+        with pytest.raises(ValueError, match="refresh_every"):
+            OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, refresh_every=every)
+    refreshes = []
+    real = krc.online.refresh
+    monkeypatch.setattr(krc.online, "refresh", lambda s: refreshes.append(s) or real(s))
+    state = OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, refresh_every=2)
+    assert refreshes == [state] and state.refresh_every == 2
+
+
 def test_group_inverse_column_accessor():
     rng = np.random.default_rng(2)
     P = random_chain(rng, 4)
@@ -336,8 +349,24 @@ def test_from_dataset_masses_match_pair_loop():
 
 def test_transition_from_mass_checks_diagonal_deficit():
     # a negative mass pushes row 0's off-diagonal entry to 1.5
+    state = OnlineState(2, 0.5, 0.3, GAUSSIAN)
+    state.win_mass[:] = [[0.0, -1.0], [1.5, 0.0]]
     with pytest.raises(RuntimeError, match="diagonal deficit"):
-        _transition_from_mass(np.array([[0.0, -1.0], [1.5, 0.0]]))
+        refresh(state)
+
+
+def test_refresh_rebuilds_the_streamed_off_diagonal_entries():
+    # refresh and apply_observation build a pair's entries the same way
+    ds, _ = generate(SimConfig(n=8, m=5, seed=3))
+    state = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=10**9)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        i, j = sorted(rng.choice(8, size=2, replace=False))
+        apply_observation(state, (int(i), int(j), float(rng.uniform()), int(rng.integers(2))))
+    streamed = state.P.entries.copy()
+    refresh(state)
+    off = ~np.eye(8, dtype=bool)
+    assert np.array_equal(state.P.entries[off], streamed[off])
 
 
 def snapshot(state):
