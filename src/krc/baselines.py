@@ -13,11 +13,19 @@ iterate's likelihood, from the p_r + p_c the next sweep reuses, is checked
 for ascent.  The kernel-weighted variant replaces counts by per-pair
 normalized win shares at the evaluation time, so each observed pair
 carries unit mass.
+
+The solver takes a stack of win matrices: the rows still iterating share
+each sweep, and a row leaves when it converges or fails, with the result
+it would have alone.  A single solve is its one-row case.  Many times'
+fits (a weighted-MLE curve, or the walk-forward pooled MLE on the records
+strictly before each day) come from one pass of per-pair sums and are
+solved as such stacks, each from the uniform start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -25,6 +33,9 @@ from .data import ComparisonDataset, aggregate_connectivity, check_strong_connec
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
+    _no_mass,
+    _pair_sums,
+    _stack_rows,
     default_teleport,
     pair_fractions,
     regularize,
@@ -130,18 +141,32 @@ def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloT
 
 
 def _win_matrix(n: int, idx_i, idx_j, won, lost) -> np.ndarray:
-    """``win[a, b]``, the win mass of a over b, from each pair's item_j mass
-    over item_i (``won``) and item_i mass over item_j (``lost``)."""
-    win = np.zeros((n, n))
-    win[idx_j, idx_i] = won
-    win[idx_i, idx_j] = lost
+    """``win[..., a, b]``, the win mass of a over b, from each pair's item_j
+    mass over item_i (``won``) and item_i mass over item_j (``lost``); a
+    stack of (..., pairs) masses gives a stack of matrices."""
+    win = np.zeros(np.shape(won)[:-1] + (n, n))
+    win[..., idx_j, idx_i] = won
+    win[..., idx_i, idx_j] = lost
     return win
 
 
-def _pair_log_likelihood(w_pos, p_pos, n_pairs, psum) -> float:
-    """Weighted preference log-likelihood from the items with wins and the
-    observed pairs (count, p_r + p_c), with the 0 log 0 = 0 convention."""
-    return float(w_pos @ np.log(p_pos) - n_pairs @ np.log(psum))
+def _pair_log_likelihood(W, p, pinned, Nv, psum, starts) -> np.ndarray:
+    """Each row's weighted preference log-likelihood, from its items' win
+    mass ``W`` and scores ``p`` (rows x n; ``pinned`` is 1 where W = 0 and
+    0 elsewhere, so 0 log 0 counts 0) and its observed pairs' counts ``Nv``
+    and p_r + p_c, grouped by row from ``starts``."""
+    items = (W * np.log(p + pinned)).sum(axis=1)
+    return items - np.add.reduceat(Nv * np.log(psum), starts)
+
+
+def _observed_pairs(win: np.ndarray):
+    """The observed pairs r < c of each matrix in the (k, n, n) stack
+    ``win``, grouped by row: (row, row*n + r, row*n + c, win[r, c] +
+    win[c, r]), the flat indices being into a (k x n) array."""
+    n = win.shape[-1]
+    slot, r, c = np.nonzero(np.triu(win + np.swapaxes(win, 1, 2), 1))
+    base = slot * n
+    return slot, base + r, base + c, win[slot, r, c] + win[slot, c, r]
 
 
 def _mm_solve(
@@ -151,53 +176,122 @@ def _mm_solve(
 
     ``win[a, b]`` is the (possibly fractional) win mass of a over b.  Items
     with zero total wins are pinned at score zero, which is where the
-    likelihood pushes them anyway.
+    likelihood pushes them anyway.  This is the one-row case of
+    :func:`_mm_stack`, started from ``init`` when given.
     """
     n = win.shape[0]
-    W = win.sum(axis=1)
-    pos = W > 0
-    w_pos = W[pos]
-    r, c = np.nonzero(np.triu(win + win.T, 1))
-    Nv = win[r, c] + win[c, r]
-    if init is None:
-        p = np.full(n, 1.0 / n)
-    else:
-        p = np.asarray(init, dtype=float).copy()
-        if p.shape != (n,) or np.min(p) < 0 or p.sum() <= 0:
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (n,) or np.min(init) < 0 or init.sum() <= 0:
             raise ValueError("init must be a nonnegative vector with positive sum")
-        p = p / p.sum()
-    info = MMInfo(iterations=0, final_change=np.inf)
-    prev_ll = -np.inf
-    psum = p[r] + p[c]
+        init = (init / init.sum())[None]
+    (fit,) = _mm_stack(win[None], config, init)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
+
+
+def _mm_stack(
+    win: np.ndarray, config: MMConfig, init=None, trace: bool = True
+) -> list:
+    """Hunter's MM on each win matrix of the (k, n, n) stack ``win``: per
+    row, (scores, MMInfo) or the error its solve raises.  With ``trace``
+    off, the MMInfo keeps no likelihood trace (the check still runs), so a
+    caller that reads only the scores holds no rows x sweeps floats.
+
+    Every row starts from the uniform vector (or its row of ``init``) and
+    keeps the one-matrix rules: a sweep over its observed pairs r < c, the
+    ascent check on every iterate's likelihood, the step-size stop at
+    ``tol`` within ``max_iter`` sweeps, and the ConvergenceError of an
+    update that collapses to zero.  The rows still iterating take each
+    sweep together, their denominators from two ``np.bincount`` calls over
+    the flat indices row*n + r and row*n + c, and a row leaves when it
+    converges or fails.  No row's result depends on the others.
+    """
+    k, n = win.shape[:2]
+    W = win.sum(axis=2)
+    slot, fr, fc, Nv = _observed_pairs(win)
+    del win  # the sweeps read W and the pairs alone
+    counts = np.bincount(slot, minlength=k)
+    infos = [MMInfo(iterations=0, final_change=np.inf) for _ in range(k)]
+    out: list = [None] * k
+    stay = counts > 0  # the rows kept at the next sweep; None: all of them
+    if config.max_iter > 0 and np.count_nonzero(stay) < k:
+        for d in np.flatnonzero(~stay).tolist():  # no pairs: the update is zero
+            out[d] = ConvergenceError("MM update collapsed to the zero vector")
+    p = np.full((k, n), 1.0 / n) if init is None else init
+    rows = np.arange(k)  # each slot's row
+    prev_ll = [-np.inf] * k
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(config.max_iter):
-            # a pair with p_r + p_c = 0 (zeros in init) adds nothing
-            q = np.where(psum > 0, Nv / psum, 0.0)
-            denom = np.bincount(r, q, n) + np.bincount(c, q, n)
-            new = np.where(pos & (denom > 0), W / denom, 0.0)
-            s = new.sum()
-            if s <= 0:
-                raise ConvergenceError("MM update collapsed to the zero vector")
-            new /= s
-            change = float(np.max(np.abs(new - p)))
+            if stay is not None:
+                if np.count_nonzero(stay) < stay.size:  # drop the rows that left
+                    pair_stay = stay[slot]
+                    kept = slot[pair_stay]
+                    slot = (np.cumsum(stay) - 1)[kept]
+                    shift = n * (kept - slot)  # the rows renumbered
+                    fr, fc = fr[pair_stay] - shift, fc[pair_stay] - shift
+                    Nv = Nv[pair_stay]
+                    rows, p, W, counts = rows[stay], p[stay], W[stay], counts[stay]
+                    prev_ll = list(compress(prev_ll, stay.tolist()))
+                    if not rows.size:
+                        break
+                stay = None
+                pinned = (W == 0).astype(float)
+                wins = W.ravel()
+                starts = counts.cumsum() - counts
+                size = rows.size * n
+                row_ids = rows.tolist()
+                psum = p.ravel()[fr] + p.ravel()[fc]
+            q = Nv / psum
+            if not psum.min() > 0:  # a pair with p_r + p_c = 0 adds nothing
+                q[~(psum > 0)] = 0.0
+            denom = np.bincount(fr, q, size) + np.bincount(fc, q, size)
+            flat = wins / denom  # 0 for an item without wins
+            if not denom.min() > 0:  # an item without comparisons scores 0
+                flat[~(denom > 0)] = 0.0
+            new = flat.reshape(-1, n)
+            s = new.sum(axis=1)
+            new /= s[:, None]
+            change = np.maximum.reduce(abs(new - p), axis=1)
             p = new
-            psum = p[r] + p[c]
-            ll = _pair_log_likelihood(w_pos, p[pos], Nv, psum)
-            info.loglik.append(ll)
-            if ll < prev_ll - _ASCENT_SLACK * (1.0 + abs(ll)):
-                raise RuntimeError(
-                    f"MM iteration decreased the log-likelihood ({prev_ll} -> {ll})"
-                )
-            prev_ll = ll
-            info.iterations = it + 1
-            info.final_change = change
-            if change <= config.tol:
-                return p, info
-    raise ConvergenceError(
-        f"MM failed to reach tol {config.tol} in {config.max_iter} iterations "
-        f"(last change {info.final_change:.3e})",
-        residual=info.final_change,
-    )
+            psum = flat[fr]
+            psum += flat[fc]
+            lls = _pair_log_likelihood(W, p, pinned, Nv, psum, starts).tolist()
+            gone = []
+            for a, (d, total, step, ll, before) in enumerate(zip(
+                row_ids, s.tolist(), change.tolist(), lls, prev_ll
+            )):
+                if total <= 0:
+                    out[d] = ConvergenceError("MM update collapsed to the zero vector")
+                    gone.append(a)
+                    continue
+                info = infos[d]
+                if trace:
+                    info.loglik.append(ll)
+                if ll < before - _ASCENT_SLACK * (1.0 + abs(ll)):
+                    out[d] = RuntimeError(
+                        f"MM iteration decreased the log-likelihood ({before} -> {ll})"
+                    )
+                    gone.append(a)
+                    continue
+                info.iterations = it + 1
+                info.final_change = step
+                if step <= config.tol:
+                    out[d] = (p[a].copy(), info)
+                    gone.append(a)
+            prev_ll = lls
+            if gone:
+                stay = np.ones(rows.size, dtype=bool)
+                stay[gone] = False
+    for d, info in enumerate(infos):
+        if out[d] is None:
+            out[d] = ConvergenceError(
+                f"MM failed to reach tol {config.tol} in {config.max_iter} "
+                f"iterations (last change {info.final_change:.3e})",
+                residual=info.final_change,
+            )
+    return out
 
 
 def _pooled_wins(dataset: ComparisonDataset):
@@ -266,6 +360,46 @@ def wmle(
     p, info = _mm_solve(win, config, init)
     sv = ScoreVector(p, t=t)
     return (sv, info) if return_info else sv
+
+
+def _mm_fits(
+    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
+    config: MMConfig, before: bool = False,
+):
+    """Yield (kept, fit) for each time, in order, every solve started cold.
+
+    With a kernel, ``fit`` is a ScoreVector, tagged t, with the scores of
+    ``wmle(dataset, t, h, kernel, config, strict=False)``; with
+    ``kernel=None`` and ``before`` (``h`` unused) its scores are those of
+    ``bt_mle_mm(dataset.with_max_time(t), config, strict=False)``, from the
+    pooled counts of the records strictly before t.  A fit that would raise
+    yields its error instead, and the other times are unaffected.
+    ``kept`` and ``before`` are those of ``_pair_sums``; each grid chunk's
+    win matrices go to :func:`_mm_stack` in stacks that fit the tile
+    budget.
+    """
+    n = dataset.n
+    _, seg_i, seg_j = dataset.pair_segments()
+    step = _stack_rows(n)
+    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
+        for a in range(0, chunk.size, step):
+            ts = chunk[a:a + step].tolist()
+            won, mass = num[a:a + step], den[a:a + step]
+            if kernel is None:  # pooled counts
+                lost = mass - won
+            else:  # each pair with mass splits unit mass into win shares
+                with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+                    won = np.where(mass > 0.0, won / mass, 0.0)
+                lost = np.where(mass > 0.0, 1.0 - won, 0.0)
+            win = _win_matrix(n, seg_i, seg_j, won, lost)
+            fits = _mm_stack(win, config, trace=False)
+            for d, t in enumerate(ts):
+                fit = fits[d]
+                if kernel is not None and not mass[d].any():
+                    fit = _no_mass(t, h, before)
+                elif not isinstance(fit, Exception):
+                    fit = ScoreVector(fit[0], t=t)
+                yield None if kept is None else int(kept[a + d]), fit
 
 
 # -- static rank centrality ------------------------------------------------

@@ -132,8 +132,8 @@ _TOL = 1e-10
 _MAX_ITER = 100_000
 
 # Element budget of one (grid points x records) weight tile, about 8 MB per
-# float64 temporary.  It sizes the grid chunks and the record blocks, and the
-# chunks of a chain stack.
+# float64 temporary.  It sizes the grid chunks, the record blocks, and the
+# stacks of chains (or MM win matrices) solved together.
 TILE_ELEMENTS = 1 << 20
 
 
@@ -298,17 +298,13 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     or no halving of the residual over a 1,000-sweep window) or reaches
     ``max_iter`` is solved directly as the rank-deficient linear system with
     a normalization row; a final residual above ``tol`` is its
-    ConvergenceError.  Chains go in chunks of at most TILE_ELEMENTS entries
-    (one chain when a chain alone is larger), and no chain's result depends
-    on the others.
+    ConvergenceError.  No chain's result depends on the others.  Callers
+    keep a stack within the tile budget (see :func:`_stack_rows`).
     """
-    out = []
-    step = _stack_rows(M.shape[-1])
-    for a in range(0, M.shape[0], step):
-        chunk = M[a:a + step]
-        for m, pi in zip(chunk, _power_iterate(chunk, tol, max_iter)):
-            out.append(pi if isinstance(pi, np.ndarray) else _fallback(m, tol, pi))
-    return out
+    return [
+        pi if isinstance(pi, np.ndarray) else _fallback(m, tol, pi)
+        for m, pi in zip(M, _power_iterate(M, tol, max_iter))
+    ]
 
 
 def _stack_rows(n: int) -> int:

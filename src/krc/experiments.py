@@ -23,9 +23,10 @@ from scipy import stats as _scipy_stats
 from .baselines import (
     EloConfig,
     MMConfig,
+    _mm_fits,
     _mm_solve,
     _win_matrix,
-    bt_mle_mm,
+    bt_mle_mm,  # noqa: F401  (tests patch experiments.bt_mle_mm)
     elo_update,
     static_rank_centrality,
     wmle,
@@ -135,6 +136,17 @@ def _static_curve(sv: ScoreVector, grid: np.ndarray) -> list[ScoreVector]:
     return [ScoreVector(sv.scores, t=float(t)) for t in grid]
 
 
+def _wmle_curve(dataset, grid, h, kernel, mm_config) -> list[ScoreVector]:
+    """Cold-started wmle scores at every grid point, from one kernel pass;
+    the first point (in grid order) whose fit fails raises its error."""
+    curve = []
+    for _, fit in _mm_fits(dataset, grid, h, kernel, mm_config):
+        if not isinstance(fit, ScoreVector):
+            raise fit
+        curve.append(fit)
+    return curve
+
+
 def bandwidth_sweep(
     config: SimConfig,
     h_grid,
@@ -181,10 +193,7 @@ def bandwidth_sweep(
                     if method == "krc":
                         curve = estimate_curve(dataset, grid, h, kernel, sigma_n)
                     else:
-                        curve = [
-                            wmle(dataset, float(t), h, kernel, mm_config, strict=False)
-                            for t in grid
-                        ]
+                        curve = _wmle_curve(dataset, grid, h, kernel, mm_config)
                     rpt = evaluate_metrics(curve, truth, config.m)
                     results[(method, h)].append((rpt.rmse_avg, rpt.linf_max))
                 except _FIT_ERRORS:
@@ -405,31 +414,39 @@ class BacktestReport:
 _BACKTEST_METHODS = ("krc", "rc", "wmle", "mle", "elo")
 
 
-def _causal_scores(dataset, tt, eval_times, h, kernel, sigma_n):
-    """Each test day's krc scores (rc with ``kernel=None``) from one causal
-    batched pass, or None for a day whose fit failed."""
+def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config):
+    """Each test day's krc, rc or mle scores from one causal batched pass,
+    or None for a day whose fit failed.  The records each day's fit let in
+    must number those strictly before it."""
+    if method == "mle":
+        fits = _mm_fits(dataset, eval_times, h, None, mm_config, before=True)
+    else:
+        fits = causal_fits(
+            dataset, eval_times, h, kernel if method == "krc" else None, sigma_n
+        )
     n_before = np.searchsorted(tt, eval_times)  # tt is in time order
-    fits = causal_fits(dataset, eval_times, h, kernel, sigma_n)
     for (kept, fit), expected in zip(fits, n_before.tolist()):
         if kept != expected:
             raise RuntimeError("leakage: a fitted record is not earlier than t")
-        yield None if isinstance(fit, _FIT_ERRORS) else fit.scores
+        if isinstance(fit, _FIT_ERRORS):
+            yield None
+        elif isinstance(fit, Exception):
+            raise fit
+        else:
+            yield fit.scores
 
 
-def _mm_scores(dataset, eval_times, method, h, kernel, mm_config):
-    """Each test day's mle or wmle scores, fitted on that day's prefix, or
-    None for a day whose fit failed."""
-    warm = None  # MM days start from the last day's scores, when usable
+def _wmle_scores(dataset, eval_times, h, kernel, mm_config):
+    """Each test day's wmle scores, fitted on that day's prefix, or None for
+    a day whose fit failed."""
+    warm = None  # a day starts from the last day's scores, when usable
     for t_day in eval_times.tolist():
         past = dataset.with_max_time(t_day)
         if past.n_records and not past.time_span()[1] < t_day:
             raise RuntimeError("leakage: a fitted record is not earlier than t")
         try:
-            if method == "wmle":
-                scores = wmle(past, t_day, h, kernel, mm_config,
-                              strict=False, init=warm).scores
-            else:
-                scores = bt_mle_mm(past, mm_config, strict=False, init=warm).scores
+            scores = wmle(past, t_day, h, kernel, mm_config,
+                          strict=False, init=warm).scores
         except _FIT_ERRORS:
             warm = None
             yield None
@@ -457,6 +474,13 @@ def backtest(
     predicted winner is the higher-scored item, exact score ties going to
     the lower index and counted separately.  Games involving an item never
     seen before the game day are skipped and reported.
+
+    krc, rc and mle fit every test day in one causal pass: one blocked pass
+    gives each day's per-pair sums over the records strictly before it, and
+    the days are solved as stacks (chains for krc and rc, win counts for
+    mle, each mle day started cold).  The records each day's fit let in
+    must number those strictly before the day.  wmle fits each day on its
+    ``with_max_time`` prefix, started from the previous day's scores.
     """
     if dataset.encoding.scheme != "season-day":
         raise ValueError("backtest requires a season-day encoded dataset")
@@ -500,12 +524,12 @@ def backtest(
         eval_times = np.unique(tt[first:])
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
-        if method in ("krc", "rc"):
-            fits = _causal_scores(
-                dataset, tt, eval_times, h, kernel if method == "krc" else None, sigma_n
-            )
+        if method == "wmle":
+            fits = _wmle_scores(dataset, eval_times, h, kernel, mm_config)
         else:
-            fits = _mm_scores(dataset, eval_times, method, h, kernel, mm_config)
+            fits = _causal_scores(
+                dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config
+            )
         day_scores = list(fits)
         fitted = np.array([s is not None for s in day_scores], dtype=bool)
         n_failed_fits = int(np.count_nonzero(~fitted))

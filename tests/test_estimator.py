@@ -341,28 +341,6 @@ def test_non_convergent_chain_fails_alone(bad):
         assert np.array_equal(out[k], reference_stationary(chains[k]).scores)
 
 
-def test_small_budget_splits_the_stack(monkeypatch):
-    rng = np.random.default_rng(8)
-    M = np.stack([teleported_chain(rng, 5).entries for _ in range(7)])
-    M[3] = 0.0  # a failing chain stays in its own chunk's results
-    whole = estimator._stationary_stack(M, 1e-12, 100_000)
-    sizes = []
-    real = estimator._power_iterate
-
-    def spy(chunk, tol, max_iter):
-        sizes.append(chunk.shape[0])
-        return real(chunk, tol, max_iter)
-
-    monkeypatch.setattr(estimator, "_power_iterate", spy)
-    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 2 * 5 * 5)
-    split = estimator._stationary_stack(M, 1e-12, 100_000)
-    assert sizes == [2, 2, 2, 1]
-    assert isinstance(split[3], ConvergenceError)
-    assert str(split[3]) == str(whole[3])
-    for k in (0, 1, 2, 4, 5, 6):
-        assert np.array_equal(split[k], whole[k])
-
-
 # -- end-to-end fits -------------------------------------------------------
 
 

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from krc import estimator, experiments
-from krc.baselines import EloConfig, elo_update, static_rank_centrality
+from krc import baselines, estimator, experiments
+from krc.baselines import (
+    EloConfig,
+    MMConfig,
+    _mm_fits,
+    bt_mle_mm,
+    elo_update,
+    static_rank_centrality,
+)
 from krc.data import ComparisonDataset, TimeEncoding, season_of_time
 from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import ScoreVector, causal_fits, estimate_curve, fit_scores
@@ -246,7 +253,7 @@ def test_elo_backtest_matches_per_game_loop():
     assert n_skipped > 0 and report.n_games > 0
 
 
-# -- warm-started MM days --------------------------------------------------
+# -- warm-started wmle days ------------------------------------------------
 
 _SOLVER = {"mle": "bt_mle_mm", "wmle": "wmle"}
 
@@ -256,7 +263,7 @@ def _report_fields(report):
     return seasons, report.n_ties, report.n_skipped, report.n_failed_fits
 
 
-@pytest.mark.parametrize("method", ["mle", "wmle"])
+@pytest.mark.parametrize("method", ["wmle"])
 @pytest.mark.parametrize("seed", [13, 14])
 def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
     ds, _ = generate_season_dataset(
@@ -288,7 +295,7 @@ def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
         assert np.max(np.abs(scores - cold_scores)) <= 1e-8
 
 
-@pytest.mark.parametrize("method", ["mle", "wmle"])
+@pytest.mark.parametrize("method", ["wmle"])
 def test_backtest_day_after_failed_fit_starts_cold(monkeypatch, method):
     ds, _ = season_fixture()
     solve = getattr(experiments, _SOLVER[method])
@@ -339,10 +346,12 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
 # -- krc and rc days as one causal batched pass -------------------------------
 
 
-def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None):
-    """The per-day krc/rc loop that the causal pass replaced: report fields
-    and each test day's scores (None for a failed fit).  ``fail_day`` forces
-    that day's fit to fail."""
+def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None,
+                       warm=False):
+    """The per-day krc/rc/mle loop that the causal pass replaced: report
+    fields and each test day's scores (None for a failed fit).  ``fail_day``
+    forces that day's fit to fail.  With ``warm`` an mle day starts from the
+    last day's scores when they are all positive, as the loop once did."""
     tt, ii, jj, yy = ds.in_time_order()
     test_mask = tt >= float(base_seasons)
     season_tally = {}
@@ -351,6 +360,7 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
     seen_by = np.full(ds.n, np.inf)
     np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
     days = []
+    start = None
     for d, t_day in enumerate(eval_times):
         past = ds.with_max_time(float(t_day))
         if past.n_records and not past.time_span()[1] < t_day:
@@ -361,14 +371,18 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
                 raise ConvergenceError("forced failure")
             if method == "krc":
                 scores = fit_scores(past, float(t_day), h, kernel, sigma_n).scores
-            else:
+            elif method == "rc":
                 scores = static_rank_centrality(past, sigma_n).scores
+            else:
+                scores = bt_mle_mm(past, strict=False, init=start).scores
         except (EstimationError, ConnectivityError, ConvergenceError):
+            start = None
             n_failed_fits += 1
             n_skipped += int(np.count_nonzero(day_mask))
             days.append(None)
             continue
         days.append(scores)
+        start = scores if warm and scores.min() > 0 else None
         for k in np.flatnonzero(day_mask):
             i, j = int(ii[k]), int(jj[k])
             if not (seen_by[i] < t_day and seen_by[j] < t_day):
@@ -461,10 +475,18 @@ def test_causal_pass_day_failure_stays_on_its_day(monkeypatch):
         out[4] = ConvergenceError("forced failure")
         return out
 
-    for method in ("krc", "rc"):
+    real_mm = baselines._mm_stack
+
+    def fail_fifth_mm(*args, **kwargs):
+        out = real_mm(*args, **kwargs)
+        out[4] = ConvergenceError("forced failure")
+        return out
+
+    for method in ("krc", "rc", "mle"):
         fields, _ = reference_backtest(ds, 2, method, 1.0, GAUSSIAN, None, fail_day=4)
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_stationary_stack", fail_fifth)
+            patch.setattr(baselines, "_mm_stack", fail_fifth_mm)
             report = backtest(ds, base_seasons=2, method=method, h=1.0)
         assert _report_fields(report) == fields
         assert report.n_failed_fits == 1
@@ -497,13 +519,49 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
             assert a.t == b.t and np.array_equal(a.scores, b.scores)
 
 
-def test_causal_pass_leakage_check_trips(monkeypatch):
+@pytest.mark.parametrize("method", ["krc", "mle"])
+def test_causal_pass_leakage_check_trips(monkeypatch, method):
     ds, _ = season_fixture()
+    name = {"krc": "causal_fits", "mle": "_mm_fits"}[method]
+    real = getattr(experiments, name)
 
     def leaky(*args, **kwargs):
-        for kept, fit in causal_fits(*args, **kwargs):
+        for kept, fit in real(*args, **kwargs):
             yield kept + 1, fit
 
-    monkeypatch.setattr(experiments, "causal_fits", leaky)
+    monkeypatch.setattr(experiments, name, leaky)
     with pytest.raises(RuntimeError, match="leakage"):
-        backtest(ds, base_seasons=2, method="krc", h=1.0)
+        backtest(ds, base_seasons=2, method=method, h=1.0)
+
+
+# -- mle days as one causal pass with a stacked MM solve ----------------------
+
+
+# (label, dataset, base seasons)
+MLE_CASES = [
+    ("season-13", lambda: season_fixture()[0], 2),
+    ("season-14", lambda: generate_season_dataset(
+        n=8, n_seasons=4, days_per_season=6, games_per_day=4, seed=14, drift=0.4
+    )[0], 2),
+    # item 2 has not beaten item 1 before season 2, day 2: it scores zero
+    ("pinned", rc_gap_dataset, 1),
+]
+
+
+@pytest.mark.parametrize("label,make,base", MLE_CASES, ids=[c[0] for c in MLE_CASES])
+def test_mle_days_match_per_day_loop(label, make, base):
+    ds = make()
+    cold_fields, cold_days = reference_backtest(ds, base, "mle", 1.0, GAUSSIAN, None)
+    warm_fields, warm_days = reference_backtest(
+        ds, base, "mle", 1.0, GAUSSIAN, None, warm=True
+    )
+    report = backtest(ds, base_seasons=base, method="mle", h=1.0)
+    assert _report_fields(report) == cold_fields == warm_fields
+    tt = ds.in_time_order()[0]
+    eval_times = np.unique(tt[tt >= base])
+    fits = list(_mm_fits(ds, eval_times, 1.0, None, MMConfig(), before=True))
+    assert len(fits) == len(cold_days) == eval_times.size
+    for (kept, fit), t_day, cold, warm in zip(fits, eval_times, cold_days, warm_days):
+        assert kept == ds.with_max_time(float(t_day)).n_records
+        assert np.array_equal(fit.scores, cold)
+        assert np.max(np.abs(fit.scores - warm)) <= 1e-8
