@@ -216,6 +216,8 @@ def _cmd_update_stream(args) -> int:
             raw_outcome = float(fields[3])
         except ValueError:
             raise KrcError(f"stdin line {line_no}: bad time or outcome") from None
+        if not np.isfinite(t_rec):
+            raise KrcError(f"stdin line {line_no}: non-finite time {fields[0]!r}")
         if raw_outcome not in (0.0, 1.0):
             raise KrcError(
                 f"stdin line {line_no}: outcome must be 0 or 1 (ties unsupported)"
@@ -228,6 +230,8 @@ def _cmd_update_stream(args) -> int:
             raise KrcError(
                 f"stdin line {line_no}: unknown label {exc.args[0]!r}"
             ) from None
+        if i == j:
+            raise KrcError(f"stdin line {line_no}: self-comparison {fields[1]!r}")
         apply_observation(state, ComparisonRecord(i, j, t_rec, outcome))
         n_seen += 1
     _write_curve(args.out, [state.pi], dataset.item_labels)

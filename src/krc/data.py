@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import DataFormatError, RosterError
+from .errors import DataFormatError, KrcError, RosterError
 from .kernels import Kernel
 from .util import float_token
 
@@ -335,28 +335,6 @@ class ComparisonDataset:
 # -- CSV ingestion ---------------------------------------------------------
 
 
-def _parse_outcome(token: str, row_no: int) -> int:
-    text = token.strip()
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataFormatError(f"row {row_no}: bad outcome {token!r}") from None
-    if value == 0.0:
-        return 0
-    if value == 1.0:
-        return 1
-    raise DataFormatError(
-        f"row {row_no}: outcome must be 0 or 1, got {token!r} (ties unsupported)"
-    )
-
-
-def _parse_label(token: str, row_no: int, col: str) -> str:
-    text = token.strip()
-    if not text:
-        raise DataFormatError(f"row {row_no}: empty {col} label")
-    return text
-
-
 def ingest_csv(
     path: str,
     *,
@@ -375,40 +353,68 @@ def ingest_csv(
     The dialect is that of ``csv.reader``: fields may be quoted with ``"``
     (``""`` inside quotes is one quote), labels are stripped of surrounding
     whitespace, and rows that are empty or hold only whitespace and commas
-    are skipped and not counted.  The body is parsed column by column in one
-    ``np.loadtxt`` call; a file that fails any check, or that only
-    ``csv.reader`` can read, goes through the row scanner, which raises the
-    error for the first bad row or returns the same dataset.
+    are skipped and not counted.  Two readers feed one column check: a
+    regular file of plain text is read by one ``np.loadtxt`` call, and a
+    pipe, other text, or a file whose columns fail a check by one
+    ``csv.reader`` pass, whose raw fields give the first bad row's error.
     """
     read = None
-    if os.path.isfile(path):  # not a pipe: the columnar read passes over it twice
+    if os.path.isfile(path):  # not a pipe: a bad file is read a second time
         with open(path, newline="") as fh:
             read = _read_body(fh, encoding)
-    dataset = None if read is None else _dataset_from_body(*read, encoding, roster)
+    dataset = None if read is None else _dataset(*read, encoding, roster)
     if dataset is None:
-        return _ingest_rows(
-            path, encoding=encoding, roster=roster, normalize_times=normalize_times
-        )
+        dataset = _dataset(*_read_rows(path, encoding), encoding, roster)
     if normalize_times and dataset.encoding.scheme == "unit-interval":
         return dataset.normalized_to_unit()  # season-day times are left as encoded
     return dataset
 
 
 _SCHEMES = {_UNIT_HEADER: "unit-interval", _SEASON_HEADER: "season-day"}
-# Body columns as np.loadtxt reads them.  Season and day stay text so that
-# they convert with int(), exactly as the row scanner parses them.
-_BODY_DTYPES = {
-    "unit-interval": np.dtype(
-        [("time", "f8"), ("item_i", "O"), ("item_j", "O"), ("outcome", "f8")]
-    ),
-    "season-day": np.dtype(
-        [("season", "O"), ("day", "O"), ("item_i", "O"), ("item_j", "O"),
-         ("outcome", "f8")]
-    ),
+# Numeric columns: how a csv.reader token converts (an outcome is stripped
+# first), and the dtype that both readers hand over.
+_NUMBERS = {
+    "time": (float, np.float64), "season": (int, np.int64), "day": (int, np.int64),
+    "outcome": (lambda token: float(token.strip()), np.float64),
 }
 # float() rejects a time padded with these C0 separators; loadtxt strips them
 # as whitespace.  They are the only characters on which the two disagree.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# Every ingest error's message.  A row error is formatted from the row's raw
+# fields, named as in the header, and prefixed with the row number.
+_ERRORS = {
+    "empty file": "{path}: empty file",
+    "header": "{path}: unrecognized header {fields!r}; expected "
+              "time,item_i,item_j,outcome or season,day,item_i,item_j,outcome",
+    "scheme": "{path}: header implies {scheme!r} but encoding requests {requested!r}",
+    "no rows": "{path}: no data rows",
+    "roster": "duplicate roster label {label!r}",
+    # row checks, in the order that each row is checked
+    "width": "expected {width} fields, got {got}",
+    "time": "bad time {time!r}",
+    "finite": "non-finite time {time!r}",
+    "season/day": "bad season/day {season!r},{day!r}",
+    "season": "season must be >= 1, got {season_no}",
+    "empty item_i": "empty item_i label",
+    "unknown item_i": "label {label_i!r} not in roster",
+    "empty item_j": "empty item_j label",
+    "unknown item_j": "label {label_j!r} not in roster",
+    "self": "self-comparison {item_i!r}",
+    "outcome": "bad outcome {outcome!r}",
+    "tie": "outcome must be 0 or 1, got {outcome!r} (ties unsupported)",
+    # checks after every row
+    "seasons": "season {season_no} exceeds declared count list ({declared})",
+    "day": "day {day_no} outside 1..{count} for season {season_no}",
+}
+
+
+def _error(kind: str, offset: int | None = None, **fields) -> KrcError:
+    """The error of this kind, for the body row at ``offset`` if one is given."""
+    roster = kind in ("roster", "unknown item_i", "unknown item_j")
+    text = _ERRORS[kind].format(**fields)
+    error = RosterError if roster else DataFormatError
+    return error(text if offset is None else f"row {offset + 2}: {text}")
 
 
 def _plain_text(fh) -> bool:
@@ -434,9 +440,9 @@ def _plain_text(fh) -> bool:
 
 
 def _read_body(fh, encoding: TimeEncoding | None):
-    """(scheme, body) with the body from one np.loadtxt call, or None when the
+    """(scheme, columns, None) from one np.loadtxt call, or None when the
     text is not plain, the header is missing, unknown or mismatched, the body
-    is empty, or loadtxt rejects it."""
+    is empty, or a column does not parse.  This reader keeps no raw fields."""
     try:
         if not _plain_text(fh):
             return None
@@ -444,253 +450,178 @@ def _read_body(fh, encoding: TimeEncoding | None):
         header = next(
             (row for row in csv.reader(fh) if row and any(c.strip() for c in row)), None
         )
-        scheme = _SCHEMES.get(tuple(c.strip().lower() for c in header or ()))
+        header = tuple(c.strip().lower() for c in header or ())
+        scheme = _SCHEMES.get(header)
         if scheme is None or (encoding is not None and encoding.scheme != scheme):
             return None
-        # loadtxt warns on a body of empty lines; the row scanner reports it.
+        # loadtxt warns on a body of empty lines; the csv.reader pass reports it.
         first = next((line for line in fh if line.strip("\r\n")), None)
         if first is None:
             return None
+        # Season and day are read as text, to convert with int() below.
+        dtype = [(name, "f8" if name in ("time", "outcome") else "O") for name in header]
         body = np.loadtxt(
-            itertools.chain([first], fh), dtype=_BODY_DTYPES[scheme],
+            itertools.chain([first], fh), dtype=dtype,
             delimiter=",", quotechar='"', comments=None, ndmin=1,
         )
-    except (ValueError, csv.Error):  # decoding errors are ValueErrors
+        parsed = np.broadcast_to(True, body.shape)  # every token parsed
+        columns = {
+            name: (body[name].astype(_NUMBERS[name][1], copy=False), parsed)
+            if name in _NUMBERS else body[name]
+            for name in header
+        }
+    except (ValueError, OverflowError, csv.Error):  # decoding errors are ValueErrors
         return None
-    return scheme, body
+    return scheme, columns, None
 
 
-def _dataset_from_body(
-    scheme: str,
-    body: np.ndarray,
-    encoding: TimeEncoding | None,
-    roster: Sequence[str] | None,
-) -> ComparisonDataset | None:
-    """The row scanner's dataset, built with array operations, or None when
-    any row fails one of its checks."""
-    raw_i, raw_j = body["item_i"], body["item_j"]
-    # Raw labels in order of first appearance, item_i before item_j.
-    first_seen = dict.fromkeys(np.stack((raw_i, raw_j), axis=1).ravel().tolist())
-    stripped = {raw: raw.strip() for raw in first_seen}
-    if "" in stripped.values() or max(map(len, first_seen)) > csv.field_size_limit():
-        return None
-    if roster is None:
-        labels = list(dict.fromkeys(stripped.values()))
-    else:
-        labels = list(roster)
-        if len(set(labels)) < len(labels) or not set(stripped.values()) <= set(labels):
-            return None
-    if len(labels) < 2:
-        return None
-    index = {lab: k for k, lab in enumerate(labels)}
-    code = {raw: index[lab] for raw, lab in stripped.items()}
-    ii = np.fromiter(map(code.__getitem__, raw_i), np.int64, raw_i.size)
-    jj = np.fromiter(map(code.__getitem__, raw_j), np.int64, raw_j.size)
-    outcome = body["outcome"]
-    if np.any(ii == jj) or not np.all((outcome == 0.0) | (outcome == 1.0)):
-        return None
-    if scheme == "unit-interval":
-        if not np.all(np.isfinite(body["time"])):
-            return None
-        enc, tt, season, day = TimeEncoding("unit-interval"), body["time"], None, None
-    else:
-        declared = None if encoding is None else encoding.season_day_counts
-        encoded = _season_day_times(body["season"], body["day"], declared)
-        if encoded is None:
-            return None
-        enc, tt, season, day = encoded
-    return ComparisonDataset(
-        len(labels), ii, jj, tt, outcome.astype(np.int64),
-        item_labels=labels, encoding=enc, season=season, day=day,
-    )
-
-
-def _season_day_times(season_text, day_text, declared):
-    """(encoding, times, seasons, day ranks) from the season and day columns
-    as ``TimeEncoding.encode`` gives them row by row, or None when a season
-    or day does not parse or lies outside its range."""
-    try:
-        season = season_text.astype(np.int64)  # int() of each token
-        day = day_text.astype(np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if season.min() < 1:
-        return None
-    max_season = int(season.max())
-    if declared is not None:
-        counts = tuple(declared)
-        # Integers below 2**53 divide in float64 exactly as Python ints do.
-        if max_season > len(counts) or not all(
-            type(c) is int and abs(c) < 2**53 for c in counts
-        ):
-            return None
-        n_days = np.array(counts, dtype=np.int64)[season - 1]
-        if not np.all((day >= 1) & (day <= n_days)):
-            return None
-        rank = day
-    else:
-        # Rank each day among its season's distinct days.
-        keys, inverse = np.unique(
-            np.stack((season, day), axis=1), axis=0, return_inverse=True
-        )
-        key_season = keys[:, 0]
-        first = np.searchsorted(key_season, key_season)
-        rank = (np.arange(key_season.size) - first + 1)[inverse.reshape(-1)]
-        counts = tuple(np.bincount(key_season, minlength=max_season + 1)[1:].tolist())
-        n_days = np.array(counts, dtype=np.int64)[season - 1]
-    times = (season - 1) + rank / (n_days + 1)
-    return TimeEncoding("season-day", counts), times, season, rank
-
-
-def _ingest_rows(
-    path: str,
-    *,
-    encoding: TimeEncoding | None = None,
-    roster: Sequence[str] | None = None,
-    normalize_times: bool = False,
-) -> ComparisonDataset:
-    """Row-by-row reading with ``csv.reader``: the reference for
-    :func:`ingest_csv`, and what reports the first bad row."""
+def _read_rows(path: str, encoding: TimeEncoding | None):
+    """(scheme, columns, rows) from one csv.reader pass over any path, a pipe
+    included.  ``rows`` are the body's raw fields; the columns hold each row
+    cut or padded with empty fields to the header's width."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
-        raise DataFormatError(f"{path}: empty file")
+        raise _error("empty file", path=path)
     header = tuple(c.strip().lower() for c in rows[0])
-    if header == _UNIT_HEADER:
-        scheme = "unit-interval"
-    elif header == _SEASON_HEADER:
-        scheme = "season-day"
-    else:
-        raise DataFormatError(
-            f"{path}: unrecognized header {rows[0]!r}; expected "
-            f"{','.join(_UNIT_HEADER)} or {','.join(_SEASON_HEADER)}"
-        )
+    scheme = _SCHEMES.get(header)
+    if scheme is None:
+        raise _error("header", path=path, fields=rows[0])
     if encoding is not None and encoding.scheme != scheme:
-        raise DataFormatError(
-            f"{path}: header implies {scheme!r} but encoding requests "
-            f"{encoding.scheme!r}"
+        raise _error("scheme", path=path, scheme=scheme, requested=encoding.scheme)
+    del rows[0]
+    if not rows:
+        raise _error("no rows", path=path)
+    width = len(header)
+    table = np.array([(row + [""] * width)[:width] for row in rows], dtype=object)
+    columns = dict(zip(header, table.reshape(-1, width).T))
+    for name in columns.keys() & _NUMBERS:
+        columns[name] = _parse_column(columns[name], *_NUMBERS[name])
+    return scheme, columns, rows
+
+
+def _parse_column(tokens: np.ndarray, parse, dtype):
+    """(values, mask of the tokens that parse to a ``dtype`` value), with 0
+    for the others: an int beyond int64 does not parse, as in loadtxt's."""
+    values = np.zeros(tokens.size, dtype)
+    parsed = np.ones(tokens.size, dtype=bool)
+    for k, token in enumerate(tokens.tolist()):
+        try:
+            values[k] = parse(token)
+        except (ValueError, OverflowError):
+            parsed[k] = False
+    return values, parsed
+
+
+def _dataset(
+    scheme: str, columns: dict, rows: list[list[str]] | None,
+    encoding: TimeEncoding | None, roster: Sequence[str] | None,
+) -> ComparisonDataset | None:
+    """The dataset that a reader's columns hold, or the error of the first
+    bad row, in the order of ``_ERRORS``.
+
+    ``columns`` maps each header name to its column: raw labels as object
+    arrays, numbers as (values, mask of the rows that parsed).  ``rows``
+    holds the raw fields of each row; without them a failed check returns
+    None, to read the file again.  Each check runs on whole columns, and
+    only when one fails are the rows searched for the first that fails any.
+    """
+    header = tuple(columns)
+
+    def fail(kind, offset=None, **fields) -> None:
+        if rows is not None:
+            raw = {} if offset is None else dict(zip(header, rows[offset]))
+            raise _error(kind, offset, **raw, **fields)
+
+    labels = None if roster is None else list(roster)
+    if labels is not None and len(set(labels)) < len(labels):
+        duplicate = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
+        return fail("roster", label=duplicate)
+    raw_i, raw_j = columns["item_i"], columns["item_j"]
+    # Raw labels in order of first appearance, item_i before item_j.
+    first_seen = dict.fromkeys(np.stack((raw_i, raw_j), axis=1).ravel().tolist())
+    stripped = {raw: raw.strip() for raw in first_seen}
+    if labels is None:
+        labels = list(dict.fromkeys(lab for lab in stripped.values() if lab))
+    index = {lab: k for k, lab in enumerate(labels)}
+    # -2 codes an empty label, -1 a label outside the roster.
+    code = {raw: index.get(lab, -1) if lab else -2 for raw, lab in stripped.items()}
+    ii = np.fromiter(map(code.__getitem__, raw_i), np.int64, raw_i.size)
+    jj = np.fromiter(map(code.__getitem__, raw_j), np.int64, raw_j.size)
+    outcome, outcome_parsed = columns["outcome"]
+    if scheme == "unit-interval":
+        times, times_parsed = columns["time"]
+    else:
+        (season, season_parsed), (day, day_parsed) = columns["season"], columns["day"]
+
+    def row_checks():
+        """(kind, mask of the rows that pass it) for each row check."""
+        if rows is not None:  # a row of the wrong width fails before its fields
+            yield "width", np.array([len(row) == len(header) for row in rows])
+        if scheme == "unit-interval":
+            yield "time", times_parsed
+            yield "finite", np.isfinite(times)
+        else:
+            yield "season/day", season_parsed & day_parsed
+            yield "season", season >= 1
+        if min(code.values()) < 0:  # else every label passes
+            for col, codes in (("item_i", ii), ("item_j", jj)):
+                yield f"empty {col}", codes != -2
+                yield f"unknown {col}", codes != -1
+        yield "self", ii != jj
+        yield "outcome", outcome_parsed
+        yield "tie", (outcome == 0.0) | (outcome == 1.0)
+
+    if not (
+        max(map(len, first_seen)) <= csv.field_size_limit()
+        and all(passed.all() for _, passed in row_checks())
+    ):
+        if rows is None:
+            return None
+        checks = list(row_checks())
+        failed = ~np.stack([passed for _, passed in checks])
+        r = int(failed.any(axis=0).argmax())
+        kind = checks[int(failed[:, r].argmax())][0]  # the first check that row fails
+        numbers = {f"{n}_no": columns[n][0][r] for n in columns.keys() & _NUMBERS}
+        return fail(
+            kind, r, width=len(header), got=len(rows[r]),
+            label_i=raw_i[r].strip(), label_j=raw_j[r].strip(), **numbers,
         )
-    body = rows[1:]
-    if not body:
-        raise DataFormatError(f"{path}: no data rows")
-
-    labels: dict[str, int] = {}
-    strict = roster is not None
-    if strict:
-        for lab in roster:
-            if lab in labels:
-                raise RosterError(f"duplicate roster label {lab!r}")
-            labels[lab] = len(labels)
-
-    def item_index(token: str, row_no: int, col: str) -> int:
-        lab = _parse_label(token, row_no, col)
-        if lab not in labels:
-            if strict:
-                raise RosterError(f"row {row_no}: label {lab!r} not in roster")
-            labels[lab] = len(labels)
-        return labels[lab]
-
-    ii: list[int] = []
-    jj: list[int] = []
-    yy: list[int] = []
 
     if scheme == "unit-interval":
-        tt: list[float] = []
-        for offset, row in enumerate(body):
-            row_no = offset + 2
-            if len(row) != 4:
-                raise DataFormatError(
-                    f"row {row_no}: expected 4 fields, got {len(row)}"
-                )
-            try:
-                t = float(row[0])
-            except ValueError:
-                raise DataFormatError(f"row {row_no}: bad time {row[0]!r}") from None
-            if not math.isfinite(t):
-                raise DataFormatError(f"row {row_no}: non-finite time {row[0]!r}")
-            a = item_index(row[1], row_no, "item_i")
-            b = item_index(row[2], row_no, "item_j")
-            if a == b:
-                raise DataFormatError(f"row {row_no}: self-comparison {row[1]!r}")
-            ii.append(a)
-            jj.append(b)
-            tt.append(t)
-            yy.append(_parse_outcome(row[3], row_no))
-        n = len(labels)
-        if n < 2:
-            raise DataFormatError(f"{path}: fewer than two items")
-        ds = ComparisonDataset(
-            n, np.array(ii), np.array(jj), np.array(tt), np.array(yy),
-            item_labels=[lab for lab, _ in sorted(labels.items(), key=lambda kv: kv[1])],
-            encoding=TimeEncoding("unit-interval"),
-        )
-        return ds.normalized_to_unit() if normalize_times else ds
-
-    # season-day
-    seasons: list[int] = []
-    days: list[int] = []
-    for offset, row in enumerate(body):
-        row_no = offset + 2
-        if len(row) != 5:
-            raise DataFormatError(f"row {row_no}: expected 5 fields, got {len(row)}")
-        try:
-            season = int(row[0])
-            day = int(row[1])
-        except ValueError:
-            raise DataFormatError(
-                f"row {row_no}: bad season/day {row[0]!r},{row[1]!r}"
-            ) from None
-        if season < 1:
-            raise DataFormatError(f"row {row_no}: season must be >= 1, got {season}")
-        a = item_index(row[2], row_no, "item_i")
-        b = item_index(row[3], row_no, "item_j")
-        if a == b:
-            raise DataFormatError(f"row {row_no}: self-comparison {row[2]!r}")
-        seasons.append(season)
-        days.append(day)
-        ii.append(a)
-        jj.append(b)
-        yy.append(_parse_outcome(row[4], row_no))
-    n = len(labels)
-    if n < 2:
-        raise DataFormatError(f"{path}: fewer than two items")
-
-    declared = encoding.season_day_counts if encoding is not None else None
-    max_season = max(seasons)
-    if declared is not None:
-        counts = tuple(declared)
-        if max_season > len(counts):
-            raise DataFormatError(
-                f"season {max_season} exceeds declared count list ({len(counts)})"
-            )
-        ranks = days
-        for row_offset, (l, k) in enumerate(zip(seasons, days)):
-            if not 1 <= k <= counts[l - 1]:
-                raise DataFormatError(
-                    f"row {row_offset + 2}: day {k} outside 1..{counts[l - 1]} "
-                    f"for season {l}"
-                )
+        enc, season, rank = TimeEncoding("unit-interval"), None, None
     else:
-        by_season: dict[int, set[int]] = {}
-        for l, d in zip(seasons, days):
-            by_season.setdefault(l, set()).add(d)
-        rank_map = {
-            l: {d: r + 1 for r, d in enumerate(sorted(ds_))}
-            for l, ds_ in by_season.items()
-        }
-        counts = tuple(
-            len(by_season.get(l, ())) for l in range(1, max_season + 1)
-        )
-        ranks = [rank_map[l][d] for l, d in zip(seasons, days)]
-
-    enc = TimeEncoding("season-day", counts)
-    tt = np.array([enc.encode(l, k) for l, k in zip(seasons, ranks)])
+        declared = None if encoding is None else encoding.season_day_counts
+        if declared is not None and season.max() > len(declared):
+            return fail("seasons", season_no=season.max(), declared=len(declared))
+        if declared is None:
+            # Rank each day among its season's distinct days.
+            keys, inverse = np.unique(
+                np.stack((season, day), axis=1), axis=0, return_inverse=True
+            )
+            key_season = keys[:, 0]
+            first = np.searchsorted(key_season, key_season)
+            rank = (np.arange(key_season.size) - first + 1)[inverse.reshape(-1)]
+            counts = tuple(
+                np.bincount(key_season, minlength=int(season.max()) + 1)[1:].tolist()
+            )
+            n_days = np.array(counts, dtype=np.int64)[season - 1]
+        else:
+            counts, rank = tuple(declared), day
+            # Ints below 2**53 divide in float64 exactly as TimeEncoding.encode
+            # divides them; other counts divide as the Python objects they are.
+            plain = all(type(c) is int and abs(c) < 2**53 for c in counts)
+            n_days = np.array(counts, dtype=np.int64 if plain else object)[season - 1]
+            outside = ~((rank >= 1) & (rank <= n_days))
+            if outside.any():
+                r = int(outside.argmax())
+                return fail("day", r, day_no=rank[r], count=counts[season[r] - 1],
+                            season_no=season[r])
+        times = np.asarray((season - 1) + rank / (n_days + 1), dtype=float)
+        enc = TimeEncoding("season-day", counts)
     return ComparisonDataset(
-        n, np.array(ii), np.array(jj), tt, np.array(yy),
-        item_labels=[lab for lab, _ in sorted(labels.items(), key=lambda kv: kv[1])],
-        encoding=enc,
-        season=np.array(seasons),
-        day=np.array(ranks),
+        len(labels), ii, jj, times, outcome.astype(np.int64),
+        item_labels=labels, encoding=enc, season=season, day=rank,
     )
 
 

@@ -26,7 +26,6 @@ from .baselines import (
     _mm_fits,
     _mm_solve,
     _win_matrix,
-    bt_mle_mm,  # noqa: F401  (tests patch experiments.bt_mle_mm)
     elo_update,
     static_rank_centrality,
     wmle,

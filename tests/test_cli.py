@@ -240,6 +240,24 @@ def test_update_stream_unknown_label(sim_csv, tmp_path):
     assert "mystery" in proc.stderr
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan,item_0,item_1,1", "non-finite time 'nan'"),
+    ("0.5,item_0, item_0 ,1", "self-comparison 'item_0'"),
+])
+def test_update_stream_names_the_line(sim_csv, tmp_path, row, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "krc.cli", "update-stream",
+         "--data", str(sim_csv), "--t", "0.5", "--h", "0.2",
+         "--out", str(tmp_path / "s.csv")],
+        input=f"time,item_i,item_j,outcome\n0.4,item_0,item_1,1\n{row}\n",
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: stdin line 3: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_console_script_help():
     """The declared ``krc`` console script runs and prints the usage.
 

@@ -663,14 +663,15 @@ def write_exact(path, text):
 
 @pytest.fixture
 def row_scans(monkeypatch):
-    """Records each fallback to the row scanner."""
+    """Records each fallback to the csv.reader pass."""
     calls = []
+    read_rows = data._read_rows
 
-    def spy(path, **kwargs):
+    def spy(path, *args):
         calls.append(path)
-        return reference_ingest_csv(path, **kwargs)
+        return read_rows(path, *args)
 
-    monkeypatch.setattr(data, "_ingest_rows", spy)
+    monkeypatch.setattr(data, "_read_rows", spy)
     return calls
 
 
@@ -872,7 +873,7 @@ def test_ingest_matches_row_reference(case):
         with open(path, newline="") as fh:
             read = data._read_body(fh, kwargs.get("encoding"))
         if read is not None:
-            direct = data._dataset_from_body(*read, kwargs.get("encoding"), kwargs.get("roster"))
+            direct = data._dataset(*read, kwargs.get("encoding"), kwargs.get("roster"))
             if direct is not None:
                 want = reference_ingest_csv(path, **{**kwargs, "normalize_times": False})
                 assert dataset_state(direct) == dataset_state(want)
@@ -918,16 +919,24 @@ DEEP_CASES = [
      DataFormatError, "day 81 outside 1..80 for season 2"),
     ("season-day", "2,5,team1,team2,nan", {}, DataFormatError,
      "outcome must be 0 or 1, got 'nan' (ties unsupported)"),
+    ("season-day", "2,5,team3, team3,1", {}, DataFormatError, "self-comparison 'team3'"),
 ]
+# A line holding only \x1f sends a file to the csv.reader pass; both readers
+# skip it as blank, so it shifts no row number either.
+READERS = {"loadtxt": "", "csv.reader": "\x1f"}
 
 
+@pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("scheme, bad, kwargs, error, message", DEEP_CASES)
-def test_error_row_number_is_exact_deep_in_a_file(tmp_path, scheme, bad, kwargs, error, message):
+def test_error_row_number_is_exact_deep_in_a_file(
+    tmp_path, scheme, bad, kwargs, error, message, reader
+):
     lines = deep_lines(scheme)
     lines[DEEP_BAD] = bad
     # Blank lines are not rows: three before the bad row shift no row number.
     for at in (10, 20_000, DEEP_BAD - 1):
         lines.insert(at, "")
+    lines.insert(30_000, READERS[reader])
     header = ",".join(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
     path = write_exact(tmp_path / "deep.csv", "\n".join([header] + lines) + "\n")
     with pytest.raises(error) as caught:
@@ -938,12 +947,92 @@ def test_error_row_number_is_exact_deep_in_a_file(tmp_path, scheme, bad, kwargs,
     )
 
 
+SEASONS_OF_80 = {"encoding": TimeEncoding("season-day", (80,) * 3)}
+# (scheme, {data row index: line}, kwargs, exception, message)
+DEEP_ORDER_CASES = [
+    # The first row of the wrong width ends the read: a bad row before it
+    # is reported, one after it is never reached.
+    ("unit-interval", {DEEP_BAD: "x,team1,team2,1", DEEP_BAD + 7: "0.5,team1"}, {},
+     DataFormatError, f"row {DEEP_BAD + 2}: bad time 'x'"),
+    ("unit-interval", {DEEP_BAD: "0.5,team1", DEEP_BAD + 7: "x,team1,team2,1"}, {},
+     DataFormatError, f"row {DEEP_BAD + 2}: expected 4 fields, got 2"),
+    # Declared seasons and days are checked after every row.
+    ("season-day", {DEEP_BAD: "2,81,team1,team2,1", DEEP_BAD + 7: "2,5,team1"},
+     SEASONS_OF_80, DataFormatError, f"row {DEEP_BAD + 9}: expected 5 fields, got 3"),
+    ("season-day", {DEEP_BAD - 9: "4,5,team1,team2,1", DEEP_BAD: "2,5,team1,team2,x"},
+     SEASONS_OF_80, DataFormatError, f"row {DEEP_BAD + 2}: bad outcome 'x'"),
+    ("season-day", {DEEP_BAD - 9: "4,5,team1,team2,1", DEEP_BAD: "2,81,team1,team2,1"},
+     SEASONS_OF_80, DataFormatError, "season 4 exceeds declared count list (3)"),
+    # The roster is checked before any row.
+    ("unit-interval", {DEEP_BAD: "x,team1,team2,1"}, {"roster": DEEP_ROSTER + ["team3"]},
+     RosterError, "duplicate roster label 'team3'"),
+    # Within a row, the first check that fails is reported.
+    ("unit-interval", {DEEP_BAD: "inf, ,team2,x"}, {},
+     DataFormatError, f"row {DEEP_BAD + 2}: non-finite time 'inf'"),
+    ("unit-interval", {DEEP_BAD: "0.5,team1,rookie,2"}, {"roster": DEEP_ROSTER},
+     RosterError, f"row {DEEP_BAD + 2}: label 'rookie' not in roster"),
+    ("season-day", {DEEP_BAD: "0,x,team1,team1,2"}, {},
+     DataFormatError, f"row {DEEP_BAD + 2}: bad season/day '0','x'"),
+    ("season-day", {DEEP_BAD: "0,5,team1,,2"}, {},
+     DataFormatError, f"row {DEEP_BAD + 2}: season must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("scheme, changed, kwargs, error, message", DEEP_ORDER_CASES)
+def test_first_error_deep_in_a_file(tmp_path, scheme, changed, kwargs, error, message, reader):
+    lines = deep_lines(scheme)
+    for at, line in changed.items():
+        lines[at] = line
+    for at in (10, 20_000, DEEP_BAD - 1):
+        lines.insert(at, "")
+    lines.insert(30_000, READERS[reader])
+    header = ",".join(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
+    path = write_exact(tmp_path / "deep.csv", "\n".join([header] + lines) + "\n")
+    with pytest.raises(error) as caught:
+        ingest_csv(path, **kwargs)
+    assert str(caught.value) == message
+    assert ingest_result(reference_ingest_csv, path, **kwargs) == ("error", error, message)
+
+
 @pytest.mark.parametrize("scheme", ["unit-interval", "season-day"])
 def test_deep_file_without_errors_matches_reference(tmp_path, row_scans, scheme):
     header = ",".join(_UNIT_HEADER if scheme == "unit-interval" else _SEASON_HEADER)
     path = write_exact(tmp_path / "deep.csv", "\n".join([header] + deep_lines(scheme)))
     assert assert_same_as_reference(path)[0] == "dataset"
     assert row_scans == []
+
+
+@pytest.mark.parametrize("counts", [
+    (np.int64(5), 9.0), (5.5, 6.5), (2**53, 7), (True, 7), (5, 6),
+], ids=repr)
+def test_declared_counts_of_any_type_encode_as_encode_does(tmp_path, counts):
+    text = "season,day,item_i,item_j,outcome\n1,2,a,b,1\n1,1,b,a,0\n2,7,a,c,1\n"
+    path = write_exact(tmp_path / "a.csv", text)
+    assert_same_as_reference(path, encoding=TimeEncoding("season-day", counts))
+
+
+@pytest.mark.parametrize("outcome", ["1\x1c", "\x1f0"])
+def test_outcome_is_stripped_of_separators(tmp_path, outcome):
+    # float() rejects these separators; the outcome is stripped of them first
+    path = write_exact(tmp_path / "a.csv", f"time,item_i,item_j,outcome\n0.1,a,b,{outcome}\n")
+    assert assert_same_as_reference(path)[0] == "dataset"
+
+
+@pytest.mark.parametrize("row", [
+    "1.0,1,b,a,0", "1,2.5,b,a,0", f"1,{2**63},b,a,0", f"{2**63},1,b,a,0",
+])
+def test_season_and_day_parse_as_int64(tmp_path, row):
+    # Both readers hand over int() of each token as int64; the row reference
+    # took any int, so a value beyond int64 is the one difference.
+    head = "season,day,item_i,item_j,outcome\n1,1,a,b,1\n"
+    path = write_exact(tmp_path / "a.csv", head + f"1,{2**63 - 1},b,a,0\n")
+    assert assert_same_as_reference(path)[0] == "dataset"
+    path = write_exact(tmp_path / "a.csv", head + row + "\n")
+    season, day = row.split(",")[:2]
+    with pytest.raises(DataFormatError) as caught:
+        ingest_csv(path)
+    assert str(caught.value) == f"row 3: bad season/day {season!r},{day!r}"
 
 
 # -- export ------------------------------------------------------------------

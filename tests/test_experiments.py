@@ -255,7 +255,7 @@ def test_elo_backtest_matches_per_game_loop():
 
 # -- warm-started wmle days ------------------------------------------------
 
-_SOLVER = {"mle": "bt_mle_mm", "wmle": "wmle"}
+_SOLVER = {"wmle": "wmle"}
 
 
 def _report_fields(report):
@@ -331,14 +331,17 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
         np.array([r[4] for r in rows]),
         encoding=enc,
     )
-    solve = getattr(experiments, _SOLVER[method])
     warm_report = backtest(ds, base_seasons=1, method=method, h=1.0)
-    monkeypatch.setattr(
-        experiments, _SOLVER[method],
-        lambda *args, **kwargs: solve(*args, **{**kwargs, "init": None}),
-    )
-    cold_report = backtest(ds, base_seasons=1, method=method, h=1.0)
-    assert _report_fields(warm_report) == _report_fields(cold_report)
+    if method == "mle":  # every mle day is solved cold: check it against a per-day loop
+        cold_fields, _ = reference_backtest(ds, 1, "mle", 1.0, GAUSSIAN, None)
+    else:
+        solve = getattr(experiments, _SOLVER[method])
+        monkeypatch.setattr(
+            experiments, _SOLVER[method],
+            lambda *args, **kwargs: solve(*args, **{**kwargs, "init": None}),
+        )
+        cold_fields = _report_fields(backtest(ds, base_seasons=1, method=method, h=1.0))
+    assert _report_fields(warm_report) == cold_fields
     # no score ties: item 3, unbeaten by item 2, is picked on days 2-4
     assert warm_report.n_ties == 0
 
