@@ -48,7 +48,6 @@ from .estimator import (
     estimate_curve,
     fit_scores,
     regularize,
-    spectral_gap,
     stationary,
 )
 from .experiments import (

@@ -29,19 +29,9 @@ from itertools import compress
 
 import numpy as np
 
-from .data import ComparisonDataset, aggregate_connectivity, check_strong_connectivity
-from .errors import ConnectivityError, ConvergenceError, EstimationError
-from .estimator import (
-    ScoreVector,
-    _no_mass,
-    _pair_sums,
-    _stack_rows,
-    default_teleport,
-    pair_fractions,
-    regularize,
-    stationary,
-    transition_from_fractions,
-)
+from .data import ComparisonDataset, _component_report
+from .errors import ConnectivityError, ConvergenceError
+from .estimator import ScoreVector, _fits, _no_mass, _pair_sums, _stack_rows
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
@@ -77,13 +67,6 @@ class EloTable:
     final: np.ndarray
     item_labels: tuple[str, ...]
     config: EloConfig
-
-    def ratings_before(self, t: float) -> np.ndarray:
-        """Each item's last rating from games strictly before time t."""
-        out = np.full(len(self.item_labels), self.config.initial_rating)
-        for k in np.flatnonzero(self.times < t):
-            out[self.items[k]] = self.ratings[k]
-        return out
 
     def export_csv(self, path: str) -> None:
         from .util import float_token, write_csv
@@ -294,12 +277,42 @@ def _mm_stack(
     return out
 
 
-def _pooled_wins(dataset: ComparisonDataset):
-    """(item_i, item_j, item_j's wins, item_i's wins) for every observed
-    pair, from one segment sum over the pair-grouped outcome column."""
-    starts, seg_i, seg_j = dataset.pair_segments()
-    won = np.add.reduceat(dataset.outcomes, starts)
-    return seg_i, seg_j, won, np.diff(starts, append=dataset.n_records) - won
+def _win_stacks(
+    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
+    before: bool = False,
+):
+    """Yield (times, kept, mass, win) per stack of the times, in order:
+    ``win`` stacks their win matrices, within the tile budget, and ``mass``
+    marks each time's pairs with mass.  With a kernel each such pair splits
+    unit mass into win shares; ``kernel=None`` (only with ``before``) gives
+    pooled counts.  ``kept`` and ``before`` are those of ``_pair_sums``."""
+    n = dataset.n
+    _, seg_i, seg_j = dataset.pair_segments()
+    step = _stack_rows(n)
+    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
+        for a in range(0, chunk.size, step):
+            won, mass = num[a:a + step], den[a:a + step]
+            if kernel is None:  # pooled counts
+                lost = mass - won
+            else:  # each pair with mass splits unit mass into win shares
+                with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+                    won = np.where(mass > 0.0, won / mass, 0.0)
+                lost = np.where(mass > 0.0, 1.0 - won, 0.0)
+            win = _win_matrix(n, seg_i, seg_j, won, lost)
+            k = None if kept is None else kept[a:a + step]
+            yield chunk[a:a + step].tolist(), k, mass > 0.0, win
+
+
+def _require_strong_connectivity(win: np.ndarray, graph: str) -> None:
+    """Raise ConnectivityError unless the win matrix ``win`` is strongly
+    connected, the condition for the MLE to exist in the simplex interior
+    (Zermelo 1929; Ford 1957)."""
+    report = _component_report(win > 0.0)
+    if not report.strongly_connected:
+        raise ConnectivityError(
+            f"{graph} is not strongly connected "
+            f"({report.n_components} components); the MLE does not exist"
+        )
 
 
 def bt_mle_mm(
@@ -312,18 +325,15 @@ def bt_mle_mm(
 ):
     """Pooled maximum-likelihood scores (all comparisons weighted equally).
 
-    ``strict`` enforces strong connectivity of the pooled win graph, the
-    condition for the maximizer to exist in the simplex interior; with
-    ``strict=False`` items the data cannot support are pinned at zero.
+    The counts are the walk-forward pass's at t=+inf.  ``strict`` requires
+    the win matrix solved to be strongly connected, the condition for the
+    maximizer to exist in the simplex interior; with ``strict=False`` items
+    the data cannot support are pinned at zero.
     """
+    ((_, _, _, win),) = _win_stacks(dataset, [np.inf], 0.0, None, before=True)
     if strict:
-        report = aggregate_connectivity(dataset)
-        if not report.strongly_connected:
-            raise ConnectivityError(
-                "pooled win graph is not strongly connected "
-                f"({report.n_components} components); the MLE does not exist"
-            )
-    p, info = _mm_solve(_win_matrix(dataset.n, *_pooled_wins(dataset)), config, init)
+        _require_strong_connectivity(win[0], "pooled win graph")
+    p, info = _mm_solve(win[0], config, init)
     sv = ScoreVector(p, t=None)
     return (sv, info) if return_info else sv
 
@@ -344,20 +354,17 @@ def wmle(
     Each pair observed at (t, h) contributes unit mass split into weighted
     win shares S_ij = sum_k y_ij(t_k) K_h(t, t_k) / sum_k K_h(t, t_k).
     Maximizing sum S_ij log(p_j / (p_i + p_j)) is then a weighted version
-    of the pooled likelihood.
+    of the pooled likelihood.  ``strict`` requires the matrix of these
+    shares, the one solved, to be strongly connected.
     """
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    ((_, _, mass, win),) = _win_stacks(dataset, [t], h, kernel)
     if strict:
-        report = check_strong_connectivity(dataset, t, h, kernel)
-        if not report.strongly_connected:
-            raise ConnectivityError(
-                "kernel-weighted win graph is not strongly connected at "
-                f"t={t}, h={h} ({report.n_components} components)"
-            )
-    idx_i, idx_j, frac = pair_fractions(dataset, t, h, kernel)
-    win = _win_matrix(dataset.n, idx_i, idx_j, frac, 1.0 - frac)
-    p, info = _mm_solve(win, config, init)
+        _require_strong_connectivity(
+            win[0], f"kernel-weighted win graph at t={t}, h={h}"
+        )
+    if not mass.any():
+        raise _no_mass(t, h, before=False)
+    p, info = _mm_solve(win[0], config, init)
     sv = ScoreVector(p, t=t)
     return (sv, info) if return_info else sv
 
@@ -374,32 +381,18 @@ def _mm_fits(
     ``bt_mle_mm(dataset.with_max_time(t), config, strict=False)``, from the
     pooled counts of the records strictly before t.  A fit that would raise
     yields its error instead, and the other times are unaffected.
-    ``kept`` and ``before`` are those of ``_pair_sums``; each grid chunk's
-    win matrices go to :func:`_mm_stack` in stacks that fit the tile
-    budget.
+    ``kept`` and ``before`` are those of ``_pair_sums``; each stack of
+    :func:`_win_stacks` goes to :func:`_mm_stack` as one.
     """
-    n = dataset.n
-    _, seg_i, seg_j = dataset.pair_segments()
-    step = _stack_rows(n)
-    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
-        for a in range(0, chunk.size, step):
-            ts = chunk[a:a + step].tolist()
-            won, mass = num[a:a + step], den[a:a + step]
-            if kernel is None:  # pooled counts
-                lost = mass - won
-            else:  # each pair with mass splits unit mass into win shares
-                with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-                    won = np.where(mass > 0.0, won / mass, 0.0)
-                lost = np.where(mass > 0.0, 1.0 - won, 0.0)
-            win = _win_matrix(n, seg_i, seg_j, won, lost)
-            fits = _mm_stack(win, config, trace=False)
-            for d, t in enumerate(ts):
-                fit = fits[d]
-                if kernel is not None and not mass[d].any():
-                    fit = _no_mass(t, h, before)
-                elif not isinstance(fit, Exception):
-                    fit = ScoreVector(fit[0], t=t)
-                yield None if kept is None else int(kept[a + d]), fit
+    for ts, kept, mass, win in _win_stacks(dataset, times, h, kernel, before):
+        fits = _mm_stack(win, config, trace=False)
+        for d, t in enumerate(ts):
+            fit = fits[d]
+            if kernel is not None and not mass[d].any():
+                fit = _no_mass(t, h, before)
+            elif not isinstance(fit, Exception):
+                fit = ScoreVector(fit[0], t=t)
+            yield None if kept is None else int(kept[d]), fit
 
 
 # -- static rank centrality ------------------------------------------------
@@ -415,20 +408,10 @@ def static_rank_centrality(
 
     Off-diagonal entries are (1/n) times the pooled win fraction, exactly
     the kernel estimator's limit under a flat kernel wide enough to cover
-    the whole observation window.
+    the whole observation window.  It is the untagged pooled fit at t=+inf
+    of :func:`~krc.estimator.causal_fits`, raising what that fit yields.
     """
-    n = dataset.n
-    sigma = default_teleport(n) if sigma_n is None else sigma_n
-    if sigma == 0.0:
-        report = aggregate_connectivity(dataset)
-        if not report.strongly_connected:
-            raise ConnectivityError(
-                "pooled win graph is not strongly connected and sigma_n=0 "
-                f"({report.n_components} components)"
-            )
-    if dataset.n_records == 0:
-        raise EstimationError("cannot rank an empty dataset")
-    seg_i, seg_j, won, lost = _pooled_wins(dataset)
-    P = transition_from_fractions(n, seg_i, seg_j, won / (won + lost))
-    sv = stationary(regularize(P, sigma), tol=tol, max_iter=max_iter)
-    return ScoreVector(sv.scores, t=None)
+    ((_, fit),) = _fits(dataset, [np.inf], 0.0, None, sigma_n, tol, max_iter, True)
+    if not isinstance(fit, ScoreVector):
+        raise fit
+    return ScoreVector(fit.scores, t=None)

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .baselines import EloConfig, MMConfig
-from .data import ComparisonRecord, ingest_csv
+from .data import ComparisonRecord, _error, ingest_csv
 from .errors import KrcError
 from .estimator import ScoreVector, estimate_curve, fit_scores
 from .experiments import (
@@ -201,42 +201,50 @@ def _cmd_update_stream(args) -> int:
         dataset, args.t, args.h, kernel,
         sigma_n=args.sigma, refresh_every=args.refresh_every, tol=args.tol,
     )
-    label_to_index = {lab: k for k, lab in enumerate(dataset.item_labels)}
+    index = {lab: k for k, lab in enumerate(dataset.item_labels)}
     n_seen = 0
     reader = csv.reader(sys.stdin)  # the dialect ingest_csv reads
     for row in reader:
-        line_no = reader.line_num
         fields = [f.strip() for f in row]
         if not any(fields) or fields[0].lower() == "time":
             continue
-        if len(fields) != 4:
-            raise KrcError(f"stdin line {line_no}: expected 4 fields")
         try:
-            t_rec = float(fields[0])
-            raw_outcome = float(fields[3])
-        except ValueError:
-            raise KrcError(f"stdin line {line_no}: bad time or outcome") from None
-        if not np.isfinite(t_rec):
-            raise KrcError(f"stdin line {line_no}: non-finite time {fields[0]!r}")
-        if raw_outcome not in (0.0, 1.0):
-            raise KrcError(
-                f"stdin line {line_no}: outcome must be 0 or 1 (ties unsupported)"
-            )
-        outcome = int(raw_outcome)
-        try:
-            i = label_to_index[fields[1]]
-            j = label_to_index[fields[2]]
-        except KeyError as exc:
-            raise KrcError(
-                f"stdin line {line_no}: unknown label {exc.args[0]!r}"
-            ) from None
-        if i == j:
-            raise KrcError(f"stdin line {line_no}: self-comparison {fields[1]!r}")
-        apply_observation(state, ComparisonRecord(i, j, t_rec, outcome))
+            record = _stream_record(fields, index)
+        except KrcError as exc:
+            raise KrcError(f"stdin line {reader.line_num}: {exc}") from None
+        apply_observation(state, record)
         n_seen += 1
     _write_curve(args.out, [state.pi], dataset.item_labels)
     print(f"applied {n_seen} records", file=sys.stderr)
     return 0
+
+
+def _stream_record(fields: list[str], index: dict[str, int]) -> ComparisonRecord:
+    """The record in one stripped time,item_i,item_j,outcome row, or the
+    error that CSV ingest gives the first check the row fails."""
+    if len(fields) != 4:
+        raise _error("width", width=4, got=len(fields))
+    raw = dict(zip(("time", "item_i", "item_j", "outcome"), fields))
+    try:
+        t = float(raw["time"])
+    except ValueError:
+        raise _error("time", **raw) from None
+    if not np.isfinite(t):
+        raise _error("finite", **raw)
+    for col in ("item_i", "item_j"):
+        if not raw[col]:
+            raise _error(f"empty {col}")
+        if raw[col] not in index:
+            raise _error(f"unknown {col}", label_i=raw["item_i"], label_j=raw["item_j"])
+    if raw["item_i"] == raw["item_j"]:
+        raise _error("self", **raw)
+    try:
+        outcome = float(raw["outcome"])
+    except ValueError:
+        raise _error("outcome", **raw) from None
+    if outcome not in (0.0, 1.0):
+        raise _error("tie", **raw)
+    return ComparisonRecord(index[raw["item_i"]], index[raw["item_j"]], t, int(outcome))
 
 
 def _cmd_ci(args) -> int:

@@ -651,9 +651,10 @@ def check_strong_connectivity(
 ) -> ConnectivityReport:
     """Connectivity of the kernel-weighted win graph at evaluation time t.
 
-    Edge i -> j is present exactly when j's kernel-weighted win mass over i
-    at time t is positive, i.e. when the transition entry (i, j) would be
-    positive without regularization.  An empty edge set is disconnected.
+    Edge i -> j is present exactly when some record in which j beat i has
+    positive kernel weight at time t.  The unregularized chain lacks that
+    edge when j's share of the pair's mass rounds to 0, so fits check the
+    chain they solve, not this graph.  An empty edge set is disconnected.
     """
     weighted = None
     if dataset.n_records:

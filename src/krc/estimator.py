@@ -396,11 +396,12 @@ def _fits(
 
     ``fit`` is the ScoreVector, tagged t, of the chain that the per-pair sums
     at t give, teleported by ``sigma_n`` (None: the default 1/n), or the
-    EstimationError, ConnectivityError or ConvergenceError that fit raises;
-    the other times are unaffected.  ``kept`` and ``before`` are those of
-    :func:`_pair_sums`.  Each grid chunk's chains are built in stacks that
-    fit TILE_ELEMENTS, and each stack is teleported in place and solved as
-    one, so the memory does not grow with the number of times.
+    error that fit raises, the other times being unaffected: EstimationError
+    without mass, ConnectivityError for a ``sigma_n=0`` chain that is not
+    strongly connected, or ConvergenceError.  ``kept`` and ``before`` are
+    those of :func:`_pair_sums`.  Each grid chunk's chains are built in
+    stacks that fit TILE_ELEMENTS, and each stack is teleported in place and
+    solved as one, so the memory does not grow with the number of times.
     """
     n = dataset.n
     sigma = default_teleport(n) if sigma_n is None else sigma_n
@@ -416,15 +417,17 @@ def _fits(
                 d: _no_mass(ts[d], h, before)
                 for d in np.flatnonzero(~mass.any(axis=1)).tolist()
             }
-            if kernel is None and sigma == 0.0:
-                # The raw pooled chain's support is the pooled win graph.
+            if sigma == 0.0:
+                # The stationary vector is unique only if the chain solved is
+                # strongly connected; a share that rounds to 0 drops an edge.
                 for d, t in enumerate(ts):
-                    if not _component_report(P[d] > 0.0).strongly_connected:
+                    report = _component_report(P[d] > 0.0)
+                    if d not in fits and not report.strongly_connected:
                         fits[d] = ConnectivityError(
-                            f"pooled win graph before t={t} is not strongly "
-                            "connected and sigma_n=0"
+                            f"sigma_n=0 chain {'before' if before else 'at'} t={t} is "
+                            f"not strongly connected ({report.n_components} components)"
                         )
-            if sigma != 0.0:
+            else:
                 _teleport(P, sigma)
             solve = [d for d in range(len(ts)) if d not in fits]
             if len(solve) < len(ts):
@@ -449,7 +452,8 @@ def fit_scores(
     """Build, regularize, and solve in one step; the everyday entry point.
 
     ``sigma_n=None`` means the default teleport 1/n; pass 0.0 explicitly to
-    disable regularization.  This is the one-point case of
+    disable regularization, and a chain that is then not strongly connected
+    raises ConnectivityError.  This is the one-point case of
     :func:`estimate_curve`.
     """
     (fit,) = estimate_curve(dataset, [t], h, kernel, sigma_n, tol, max_iter)
@@ -493,22 +497,8 @@ def causal_fits(
     ``fit`` is the ScoreVector, tagged t, that :func:`fit_scores` gives on
     ``dataset.with_max_time(t)``; with ``kernel=None`` (``h`` unused) it is
     the pooled chain's, as ``static_rank_centrality`` gives it there.  A fit
-    that would raise yields its EstimationError, ConnectivityError or
-    ConvergenceError instead, and the other times are unaffected.  ``kept``
-    counts the records the strictly-before mask let in.
+    that would raise yields its EstimationError, ConnectivityError (with
+    ``sigma_n=0`` only) or ConvergenceError instead, and the other times are
+    unaffected.  ``kept`` counts the records the strictly-before mask let in.
     """
     return _fits(dataset, times, h, kernel, sigma_n, _TOL, _MAX_ITER, before=True)
-
-
-def spectral_gap(P: TransitionMatrix) -> float:
-    """1 - |lambda_2|: distance from the unit eigenvalue to the rest.
-
-    Computed from the full dense spectrum; the eigenvalue closest to 1 is
-    treated as the Perron root.
-    """
-    ev = np.linalg.eigvals(P.entries)
-    anchor = int(np.argmin(np.abs(ev - 1.0)))
-    rest = np.delete(ev, anchor)
-    if rest.size == 0:
-        return 1.0
-    return float(1.0 - np.max(np.abs(rest)))

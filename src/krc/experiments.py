@@ -30,7 +30,7 @@ from .baselines import (
     static_rank_centrality,
     wmle,
 )
-from .data import ComparisonDataset, check_strong_connectivity
+from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
@@ -326,10 +326,10 @@ def coverage_experiment(
 
     Uses under-smoothing (small h) so the bias term is negligible and the
     intervals are centered.  With sigma_n = 0 the raw chain is used; the
-    rare replication whose weighted win graph is disconnected falls back
-    to the default teleport and is counted.  Marginal normality of the
-    standardized errors is checked with an Anderson-Darling test at the 1%
-    point, pooled over the first ten items.
+    rare replication whose sigma_n=0 chain is not strongly connected is
+    fitted again with the default teleport and counted.  Marginal normality
+    of the standardized errors is checked with an Anderson-Darling test at
+    the 1% point, pooled over the first ten items.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -346,12 +346,11 @@ def coverage_experiment(
         cfg = dataclasses.replace(config, seed=config.seed + rep)
         dataset, truth = generate(cfg)
         pi_true = truth.normalized_skill(t)
-        sigma = sigma_n
-        if sigma == 0.0:
-            if not check_strong_connectivity(dataset, t, h, kernel).strongly_connected:
-                sigma = default_teleport(n)
-                n_disconnected += 1
-        sv = fit_scores(dataset, t, h, kernel, sigma)
+        try:
+            sv = fit_scores(dataset, t, h, kernel, sigma_n)
+        except ConnectivityError:  # raised for a sigma_n=0 chain alone
+            sv = fit_scores(dataset, t, h, kernel, default_teleport(n))
+            n_disconnected += 1
         source_vec = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
         params = plug_in_alpha(
             source_vec, dataset, t, h, kernel, source=alpha_source

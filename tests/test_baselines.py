@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from krc import baselines
+from krc import baselines, estimator
 from krc.baselines import (
     _ASCENT_SLACK,
     EloConfig,
@@ -65,17 +65,6 @@ def test_elo_rating_conservation():
     table = elo_fit(ds)
     assert table.final.sum() == pytest.approx(6 * 1500.0, abs=1e-8)
     assert table.times.size == 2 * ds.n_records
-
-
-def test_elo_ratings_before_is_strict():
-    ds = dataset_from_rows(2, [(0, 1, 0.2, 1), (0, 1, 0.6, 1)])
-    table = elo_fit(ds)
-    at_start = table.ratings_before(0.2)
-    assert np.array_equal(at_start, [1500.0, 1500.0])
-    mid = table.ratings_before(0.6)
-    assert mid[1] == pytest.approx(1510.0)
-    end = table.ratings_before(2.0)
-    assert end[1] > mid[1]
 
 
 def test_elo_export(tmp_path):
@@ -171,6 +160,16 @@ def test_wmle_strict_connectivity_gate():
     ds = dataset_from_rows(3, rows)
     with pytest.raises(ConnectivityError):
         wmle(ds, 0.1, 0.05, GAUSSIAN)
+
+
+def test_wmle_strict_checks_the_rounded_shares():
+    # the record graph at t=0.5 is strongly connected, but item 0's share
+    # rounds to 0, so the share matrix the solver gets is not
+    ds = dataset_from_rows(2, [(0, 1, 0.5, 1), (0, 1, 0.5, 1), (0, 1, 0.59, 0)])
+    with pytest.raises(ConnectivityError, match="MLE does not exist"):
+        wmle(ds, 0.5, 0.01, GAUSSIAN, strict=True)
+    sv = wmle(ds, 0.5, 0.01, GAUSSIAN, strict=False)
+    assert sv.t == 0.5 and sv.scores.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wmle_bandwidth_validation():
@@ -356,12 +355,13 @@ def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
         seen["win"] = win
         return _mm_solve(win, config, init)
 
-    def spy_regularize(P, sigma):
-        seen["P"] = P.entries.copy()
-        return regularize(P, sigma)
+    def spy_teleport(P, sigma):  # the raw pooled chain, before the teleport
+        (seen["P"],) = P.copy()
+        return teleport(P, sigma)
 
+    teleport = estimator._teleport
     monkeypatch.setattr(baselines, "_mm_solve", spy_solve)
-    monkeypatch.setattr(baselines, "regularize", spy_regularize)
+    monkeypatch.setattr(estimator, "_teleport", spy_teleport)
     ml = bt_mle_mm(ds)
     rc = static_rank_centrality(ds)
     assert np.array_equal(seen["win"], _loop_pooled_win(ds))

@@ -243,6 +243,10 @@ def test_update_stream_unknown_label(sim_csv, tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("nan,item_0,item_1,1", "non-finite time 'nan'"),
     ("0.5,item_0, item_0 ,1", "self-comparison 'item_0'"),
+    ("x,item_0,item_1,1", "bad time 'x'"),
+    ("0.5,item_0,item_1,0.5", "outcome must be 0 or 1, got '0.5' (ties unsupported)"),
+    ("0.5,item_0,item_1", "expected 4 fields, got 3"),
+    ("0.5,item_0,mystery,1", "label 'mystery' not in roster"),
 ])
 def test_update_stream_names_the_line(sim_csv, tmp_path, row, message):
     proc = subprocess.run(

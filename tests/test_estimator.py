@@ -7,7 +7,7 @@ import pytest
 
 from krc import estimator
 from krc.data import ComparisonDataset
-from krc.errors import ConvergenceError, EstimationError
+from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
@@ -18,7 +18,6 @@ from krc.estimator import (
     fit_scores,
     pair_fractions,
     regularize,
-    spectral_gap,
     stationary,
     transition_from_fractions,
 )
@@ -97,6 +96,24 @@ def test_zero_mass_everywhere_raises():
     ds = ComparisonDataset(2, ii, jj, tt, yy)
     with pytest.raises(EstimationError, match="zero kernel mass"):
         build_transition(ds, 0.9, 0.01, BOXCAR)
+
+
+def test_raw_chain_with_rounded_share_raises():
+    # Item 1 beats item 0 twice at t=0.5, item 0 wins once at t=0.59.  At
+    # t=0.5 and h=0.01 the record graph is strongly connected, but item 0's
+    # share 1 - num/den rounds to 0, so the raw chain has no edge into item 0.
+    ds = ComparisonDataset(2, [0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.59], [1, 1, 0])
+    with pytest.raises(ConnectivityError, match="not strongly connected"):
+        fit_scores(ds, 0.5, 0.01, GAUSSIAN, sigma_n=0.0)
+    with pytest.raises(ConnectivityError, match="t=0.5 "):
+        estimate_curve(ds, [0.5, 0.55], 0.01, GAUSSIAN, sigma_n=0.0)
+    fits = [fit for _, fit in estimator._fits(
+        ds, [0.5, 0.55], 0.01, GAUSSIAN, 0.0, 1e-10, 100_000
+    )]
+    assert isinstance(fits[0], ConnectivityError)
+    assert fits[1].t == 0.55 and np.min(fits[1].scores) > 0.0
+    teleported = fit_scores(ds, 0.5, 0.01, GAUSSIAN)
+    assert np.min(teleported.scores) > 0.0
 
 
 def test_ideal_chain_frozen_entries():
@@ -499,13 +516,6 @@ def test_estimate_curve_empty_grid_and_bad_bandwidth():
 
 
 # -- diagnostics -----------------------------------------------------------
-
-
-def test_spectral_gap_uniform_ideal_chain():
-    for n in (3, 6, 11):
-        pi = np.full(n, 1.0 / n)
-        gap = spectral_gap(build_ideal_transition(pi))
-        assert gap == pytest.approx(0.5, abs=1e-12)
 
 
 def test_transition_check_catches_violations():

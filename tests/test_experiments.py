@@ -145,6 +145,32 @@ def test_coverage_experiment_smoke():
     assert report.ad_normal_pass == (report.ad_statistic < report.ad_critical_1pct)
 
 
+def test_coverage_refits_a_reducible_chain_with_the_teleport(monkeypatch):
+    # One replication's data is swapped for two items whose record graph at
+    # t=0.5 is strongly connected while item 0's share rounds to 0 (h=0.01),
+    # so its sigma_n=0 chain is reducible; the other replications' chains
+    # are strongly connected.
+    bad = ComparisonDataset(2, [0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.59], [1, 1, 0])
+    config = SimConfig(n=2, m=200, seed=40)
+    real_generate = experiments.generate
+    real_alpha = experiments.plug_in_alpha
+    fitted = []
+
+    def swap_third(cfg):
+        dataset, truth = real_generate(cfg)
+        return (bad if cfg.seed == config.seed + 2 else dataset), truth
+
+    def spy_alpha(pi_hat, *args, **kwargs):
+        fitted.append(pi_hat)
+        return real_alpha(pi_hat, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "generate", swap_third)
+    monkeypatch.setattr(experiments, "plug_in_alpha", spy_alpha)
+    report = coverage_experiment(config, t=0.5, h=0.01, replications=100)
+    assert report.n_disconnected == 1
+    assert np.array_equal(fitted[2].scores, fit_scores(bad, 0.5, 0.01, GAUSSIAN).scores)
+
+
 @pytest.mark.parametrize(
     "n_samples, expected",
     # scipy's legacy ``anderson(x, "norm").critical_values[-1]`` at these sizes
