@@ -43,7 +43,6 @@ from .estimator import (
     ScoreVector,
     TransitionMatrix,
     build_ideal_transition,
-    build_transition,
     default_teleport,
     estimate_curve,
     fit_scores,

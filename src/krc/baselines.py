@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import ComparisonDataset, _component_report
 from .errors import ConnectivityError, ConvergenceError
-from .estimator import ScoreVector, _fits, _no_mass, _pair_sums, _stack_rows
+from .estimator import ScoreVector, _fits, _no_mass, _pair_sums
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
@@ -281,26 +281,23 @@ def _win_stacks(
     dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
     before: bool = False,
 ):
-    """Yield (times, kept, mass, win) per stack of the times, in order:
-    ``win`` stacks their win matrices, within the tile budget, and ``mass``
-    marks each time's pairs with mass.  With a kernel each such pair splits
-    unit mass into win shares; ``kernel=None`` (only with ``before``) gives
-    pooled counts.  ``kept`` and ``before`` are those of ``_pair_sums``."""
+    """Yield (times, kept, mass, win) per grid chunk of ``_pair_sums``, in
+    order: ``win`` stacks the chunk's win matrices, one solver stack within
+    the tile budget, and ``mass`` marks each time's pairs with mass.  With a
+    kernel each such pair splits unit mass into win shares; ``kernel=None``
+    (only with ``before``) gives pooled counts.  ``kept`` and ``before`` are
+    those of ``_pair_sums``."""
     n = dataset.n
     _, seg_i, seg_j = dataset.pair_segments()
-    step = _stack_rows(n)
-    for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
-        for a in range(0, chunk.size, step):
-            won, mass = num[a:a + step], den[a:a + step]
-            if kernel is None:  # pooled counts
-                lost = mass - won
-            else:  # each pair with mass splits unit mass into win shares
-                with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-                    won = np.where(mass > 0.0, won / mass, 0.0)
-                lost = np.where(mass > 0.0, 1.0 - won, 0.0)
-            win = _win_matrix(n, seg_i, seg_j, won, lost)
-            k = None if kept is None else kept[a:a + step]
-            yield chunk[a:a + step].tolist(), k, mass > 0.0, win
+    for chunk, den, won, kept in _pair_sums(dataset, times, h, kernel, before):
+        mass = den > 0.0
+        if kernel is None:  # pooled counts
+            lost = den - won
+        else:  # each pair with mass splits unit mass into win shares
+            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+                won = np.where(mass, won / den, 0.0)
+            lost = np.where(mass, 1.0 - won, 0.0)
+        yield chunk.tolist(), kept, mass, _win_matrix(n, seg_i, seg_j, won, lost)
 
 
 def _require_strong_connectivity(win: np.ndarray, graph: str) -> None:

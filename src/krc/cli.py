@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from .baselines import EloConfig, MMConfig
 from .data import ComparisonRecord, _error, ingest_csv
 from .errors import KrcError
 from .estimator import ScoreVector, estimate_curve, fit_scores
@@ -41,20 +40,6 @@ def _write_curve(path: str, curve: list[ScoreVector], labels) -> None:
         t_cell = "" if sv.t is None else float_token(sv.t)
         rows.append([t_cell] + format_float_array(sv.scores))
     write_csv(path, header, rows)
-
-
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 def _float_list(text: str) -> list[float]:
@@ -344,7 +329,7 @@ def _cmd_coverage(args) -> int:
         sigma_n=args.sigma,
     )
     with open(args.out, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
         fh.write("\n")
     return 0
 
@@ -360,7 +345,7 @@ def _cmd_backtest(args) -> int:
         sigma_n=args.sigma,
     )
     with open(args.out, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
+        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
         fh.write("\n")
     return 0
 

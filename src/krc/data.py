@@ -221,9 +221,6 @@ class ComparisonDataset:
         """
         return self._seg_starts, self._seg_i, self._seg_j
 
-    def label_of(self, index: int) -> str:
-        return self.item_labels[index]
-
     def index_of(self, label: str) -> int:
         try:
             return self.item_labels.index(label)

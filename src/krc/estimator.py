@@ -12,11 +12,11 @@ entries (1/n) * pi_j / (pi_i + pi_j) the chain is reversible and stationary
 at pi itself, which is what makes the estimator consistent.
 
 Every fit runs one pipeline: a blocked kernel pass gives each time's
-per-pair sums, one grid chunk at a time; each chunk's chains are built in
-stacks that fit the tile budget, teleported in place, and solved as one
-stack.  The solver runs power iteration from the uniform start, one batched
-matmul per sweep over the chains still iterating, each chain leaving once
-it converges, and a direct solve for a chain that stalls.
+per-pair sums, one grid chunk at a time; each chunk's chains, one stack
+within the tile budget, are teleported in place and solved together.  The
+solver runs power iteration from the uniform start, one batched matmul per
+sweep over the chains still iterating, each chain leaving once it
+converges, and a direct solve for a chain that stalls.
 :func:`estimate_curve` is the pipeline over a grid, :func:`fit_scores` its
 one-point case, and :func:`causal_fits` its case masked to the records
 strictly before each walk-forward day; :func:`stationary` is the solver's
@@ -144,9 +144,10 @@ def _pair_sums(
     """Yield (chunk, den, num, kept) over the grid, one grid chunk at a time.
 
     ``den`` and ``num`` are (chunk x pairs): each pair's kernel mass and the
-    mass on records item_j won.  Grid points go in chunks whose sums fit the
-    budget, records in blocks that end on pair boundaries, so each sum is one
-    ``np.add.reduceat`` over a pair's whole segment of a (chunk x block)
+    mass on records item_j won.  Grid points go in chunks of one solver stack
+    (:func:`_stack_rows`), whose sums fit the budget as there are fewer pairs
+    than n^2; records go in blocks that end on pair boundaries, so each sum is
+    one ``np.add.reduceat`` over a pair's whole segment of a (chunk x block)
     weight tile.  With ``before`` a record weighs 0 at every point it is not
     strictly earlier than, and ``kept`` counts, per point, the records that
     weigh in (None otherwise).  A pair's records are time-sorted, so the
@@ -161,7 +162,7 @@ def _pair_sums(
     starts = dataset.pair_segments()[0]
     bounds = starts.tolist() + [dataset.n_records]
     won = dataset.outcomes.astype(float)
-    rows = max(1, TILE_ELEMENTS // max(1, starts.size))
+    rows = _stack_rows(dataset.n)
     for g in range(0, grid.size, rows):
         chunk = grid[g:g + rows]
         block = TILE_ELEMENTS // chunk.size  # a longer pair is a block alone
@@ -215,18 +216,6 @@ def transition_from_fractions(
     off-diagonal entries stay 0).
     """
     return TransitionMatrix(_chains(n, idx_i, idx_j, np.asarray(frac, dtype=float)))
-
-
-def build_transition(
-    dataset: ComparisonDataset, t: float, h: float, kernel: Kernel
-) -> TransitionMatrix:
-    """Kernel-weighted transition matrix at evaluation time ``t``.
-
-    Pairs with zero kernel mass at (t, h) contribute nothing (their
-    off-diagonal entries stay 0).  If every observed pair has zero mass the
-    problem is degenerate and an EstimationError is raised.
-    """
-    return transition_from_fractions(dataset.n, *pair_fractions(dataset, t, h, kernel))
 
 
 def build_ideal_transition(pi) -> TransitionMatrix:
@@ -399,45 +388,43 @@ def _fits(
     error that fit raises, the other times being unaffected: EstimationError
     without mass, ConnectivityError for a ``sigma_n=0`` chain that is not
     strongly connected, or ConvergenceError.  ``kept`` and ``before`` are
-    those of :func:`_pair_sums`.  Each grid chunk's chains are built in
-    stacks that fit TILE_ELEMENTS, and each stack is teleported in place and
-    solved as one, so the memory does not grow with the number of times.
+    those of :func:`_pair_sums`.  Each grid chunk's chains are one stack
+    within TILE_ELEMENTS, teleported in place and solved as one, so the
+    memory does not grow with the number of times.
     """
     n = dataset.n
     sigma = default_teleport(n) if sigma_n is None else sigma_n
     _, seg_i, seg_j = dataset.pair_segments()
-    step = _stack_rows(n)
     for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
-        for a in range(0, chunk.size, step):
-            ts = chunk[a:a + step].tolist()
-            mass = den[a:a + step] > 0.0
-            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-                P = _chains(n, seg_i, seg_j, num[a:a + step] / den[a:a + step], mass)
-            fits = {
-                d: _no_mass(ts[d], h, before)
-                for d in np.flatnonzero(~mass.any(axis=1)).tolist()
-            }
-            if sigma == 0.0:
-                # The stationary vector is unique only if the chain solved is
-                # strongly connected; a share that rounds to 0 drops an edge.
-                for d, t in enumerate(ts):
-                    report = _component_report(P[d] > 0.0)
-                    if d not in fits and not report.strongly_connected:
-                        fits[d] = ConnectivityError(
-                            f"sigma_n=0 chain {'before' if before else 'at'} t={t} is "
-                            f"not strongly connected ({report.n_components} components)"
-                        )
-            else:
-                _teleport(P, sigma)
-            solve = [d for d in range(len(ts)) if d not in fits]
-            if len(solve) < len(ts):
-                P = P[solve]
-            for d, pi in zip(solve, _stationary_stack(P, tol, max_iter)):
-                fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
-                    pi, t=ts[d]
-                )
-            for d in range(len(ts)):
-                yield None if kept is None else int(kept[a + d]), fits[d]
+        ts = chunk.tolist()
+        mass = den > 0.0
+        with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+            P = _chains(n, seg_i, seg_j, num / den, mass)
+        fits = {
+            d: _no_mass(ts[d], h, before)
+            for d in np.flatnonzero(~mass.any(axis=1)).tolist()
+        }
+        if sigma == 0.0:
+            # The stationary vector is unique only if the chain solved is
+            # strongly connected; a share that rounds to 0 drops an edge.
+            for d, t in enumerate(ts):
+                report = _component_report(P[d] > 0.0)
+                if d not in fits and not report.strongly_connected:
+                    fits[d] = ConnectivityError(
+                        f"sigma_n=0 chain {'before' if before else 'at'} t={t} is "
+                        f"not strongly connected ({report.n_components} components)"
+                    )
+        else:
+            _teleport(P, sigma)
+        solve = [d for d in range(len(ts)) if d not in fits]
+        if len(solve) < len(ts):
+            P = P[solve]
+        for d, pi in zip(solve, _stationary_stack(P, tol, max_iter)):
+            fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
+                pi, t=ts[d]
+            )
+        for d in range(len(ts)):
+            yield None if kept is None else int(kept[d]), fits[d]
 
 
 def fit_scores(

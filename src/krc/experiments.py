@@ -26,14 +26,15 @@ from .baselines import (
     _mm_fits,
     _mm_solve,
     _win_matrix,
+    _win_stacks,
     elo_update,
     static_rank_centrality,
-    wmle,
 )
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
+    _no_mass,
     causal_fits,
     default_teleport,
     estimate_curve,
@@ -413,11 +414,13 @@ _BACKTEST_METHODS = ("krc", "rc", "wmle", "mle", "elo")
 
 
 def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config):
-    """Each test day's krc, rc or mle scores from one causal batched pass,
-    or None for a day whose fit failed.  The records each day's fit let in
-    must number those strictly before it."""
+    """Each test day's krc, rc, mle or wmle scores from one causal batched
+    pass, or None for a day whose fit failed.  The records each day's fit let
+    in must number those strictly before it."""
     if method == "mle":
         fits = _mm_fits(dataset, eval_times, h, None, mm_config, before=True)
+    elif method == "wmle":
+        fits = _wmle_fits(dataset, eval_times, h, kernel, mm_config)
     else:
         fits = causal_fits(
             dataset, eval_times, h, kernel if method == "krc" else None, sigma_n
@@ -434,25 +437,27 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_confi
             yield fit.scores
 
 
-def _wmle_scores(dataset, eval_times, h, kernel, mm_config):
-    """Each test day's wmle scores, fitted on that day's prefix, or None for
-    a day whose fit failed."""
-    warm = None  # a day starts from the last day's scores, when usable
-    for t_day in eval_times.tolist():
-        past = dataset.with_max_time(t_day)
-        if past.n_records and not past.time_span()[1] < t_day:
-            raise RuntimeError("leakage: a fitted record is not earlier than t")
-        try:
-            scores = wmle(past, t_day, h, kernel, mm_config,
-                          strict=False, init=warm).scores
-        except _FIT_ERRORS:
-            warm = None
-            yield None
-            continue
-        # from a zero score an item that has since won can stay at zero
-        # (when its rivals score zero too), so such a day starts cold
-        warm = scores if scores.min() > 0 else None
-        yield scores
+def _wmle_fits(dataset, eval_times, h, kernel, mm_config):
+    """Yield (kept, fit) for each day's wmle fit on the records strictly
+    before it, from one causal pass, each day solved alone.  A day starts
+    from the previous day's scores when they are all positive; the first
+    day, a day after a failed fit and a day after a zero score start cold.
+    ``fit`` is the ScoreVector or the error that the fit raises."""
+    warm = None
+    for ts, kept, mass, win in _win_stacks(dataset, eval_times, h, kernel, before=True):
+        for d, t in enumerate(ts):
+            if not mass[d].any():
+                fit = _no_mass(t, h, before=True)
+            else:
+                try:
+                    fit = ScoreVector(_mm_solve(win[d], mm_config, warm)[0], t=t)
+                except _FIT_ERRORS as err:
+                    fit = err
+            # from a zero score an item that has since won can stay at zero
+            # (when its rivals score zero too), so such a day starts cold
+            usable = isinstance(fit, ScoreVector) and fit.scores.min() > 0
+            warm = fit.scores if usable else None
+            yield int(kept[d]), fit
 
 
 def backtest(
@@ -476,9 +481,10 @@ def backtest(
     krc, rc and mle fit every test day in one causal pass: one blocked pass
     gives each day's per-pair sums over the records strictly before it, and
     the days are solved as stacks (chains for krc and rc, win counts for
-    mle, each mle day started cold).  The records each day's fit let in
-    must number those strictly before the day.  wmle fits each day on its
-    ``with_max_time`` prefix, started from the previous day's scores.
+    mle, each mle day started cold).  wmle reads its days' win shares from
+    the same kind of pass and solves each day alone, started from the
+    previous day's scores.  The records each day's fit let in must number
+    those strictly before the day.
     """
     if dataset.encoding.scheme != "season-day":
         raise ValueError("backtest requires a season-day encoded dataset")
@@ -522,13 +528,9 @@ def backtest(
         eval_times = np.unique(tt[first:])
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
-        if method == "wmle":
-            fits = _wmle_scores(dataset, eval_times, h, kernel, mm_config)
-        else:
-            fits = _causal_scores(
-                dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config
-            )
-        day_scores = list(fits)
+        day_scores = list(_causal_scores(
+            dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config
+        ))
         fitted = np.array([s is not None for s in day_scores], dtype=bool)
         n_failed_fits = int(np.count_nonzero(~fitted))
         scores = np.array(

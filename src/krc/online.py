@@ -269,19 +269,6 @@ class OnlineState:
         state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, wm)
         return state
 
-    @classmethod
-    def from_empty(
-        cls,
-        n: int,
-        t: float,
-        h: float,
-        kernel: Kernel,
-        sigma_n: float | None = None,
-        refresh_every: int = 500,
-    ) -> "OnlineState":
-        """Cold start with no data; requires sigma_n > 0 for irreducibility."""
-        return cls(n, t, h, kernel, sigma_n=sigma_n, refresh_every=refresh_every)
-
 
 def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.

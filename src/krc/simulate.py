@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ComparisonDataset, TimeEncoding
-from .estimator import ScoreVector
 from .util import float_token, format_float_array, write_csv
 
 _FAMILIES = ("sine", "constant", "custom")
@@ -65,9 +64,6 @@ class GroundTruth:
     def normalized_skill(self, t: float) -> np.ndarray:
         s = self.skill(t)
         return s / s.sum()
-
-    def score_vector(self, t: float) -> ScoreVector:
-        return ScoreVector(self.normalized_skill(t), t=t)
 
 
 def truth_probability(truth: GroundTruth, i: int, j: int, t: float) -> float:

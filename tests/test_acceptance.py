@@ -86,7 +86,7 @@ def test_criterion_02_online_matches_batch():
     rng = np.random.default_rng(20240802)
     n, t, h = 20, 0.5, 0.15
     start = time.perf_counter()
-    state = OnlineState.from_empty(n, t, h, GAUSSIAN, refresh_every=100)
+    state = OnlineState(n, t, h, GAUSSIAN, refresh_every=100)
     cols_i, cols_j, cols_t, cols_y = [], [], [], []
     for _ in range(1000):
         i, j = (int(v) for v in rng.choice(n, size=2, replace=False))

@@ -69,7 +69,7 @@ def test_ingest_unit_interval(tmp_path):
     assert ds.n == 3
     assert ds.n_records == 4
     # labels indexed by first appearance
-    assert ds.label_of(0) == "alpha"
+    assert ds.item_labels[0] == "alpha"
     assert ds.index_of("gamma") == 2
     # row 2 (beta, gamma, 0) is canonical already; row 4 flips to (0, 2, 1)
     times, outs = ds.pair_times_outcomes(0, 2)
@@ -173,8 +173,8 @@ def test_export_ingest_roundtrip(tmp_path):
     assert back.n == ds.n
     assert np.array_equal(back.times, ds.times)
     assert np.array_equal(back.outcomes, ds.outcomes)
-    assert [back.label_of(k) for k in range(back.n)] == [
-        ds.label_of(k) for k in range(ds.n)
+    assert [back.item_labels[k] for k in range(back.n)] == [
+        ds.item_labels[k] for k in range(ds.n)
     ]
 
 

@@ -1,7 +1,5 @@
 """Transition construction, stationary solves, score curves."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
     build_ideal_transition,
-    build_transition,
     default_teleport,
     estimate_curve,
     fit_scores,
@@ -51,7 +48,7 @@ def test_balanced_two_item_chain():
     tt = np.array([0.2, 0.4, 0.6, 0.8])
     yy = np.array([1, 0, 1, 0])
     ds = ComparisonDataset(2, ii, jj, tt, yy)
-    P = build_transition(ds, 0.5, 10.0, BOXCAR)
+    P = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 10.0, BOXCAR))
     assert P.entries[0, 1] == 0.25
     assert P.entries[1, 0] == 0.25
     assert P.entries[0, 0] == 0.75
@@ -60,19 +57,19 @@ def test_balanced_two_item_chain():
 
 def test_pair_sum_identity():
     ds, _ = generate(SimConfig(n=6, m=12, seed=5))
-    P = build_transition(ds, 0.5, 0.2, GAUSSIAN).entries
+    P = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 0.2, GAUSSIAN)).entries
     n = ds.n
     for i in range(n):
         for j in range(i + 1, n):
             if P[i, j] > 0 or P[j, i] > 0:
                 assert P[i, j] + P[j, i] == pytest.approx(1.0 / n, abs=1e-15)
-    P2 = build_transition(ds, 0.5, 0.2, GAUSSIAN)
+    P2 = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 0.2, GAUSSIAN))
     P2.check(tol=1e-12)
 
 
 def test_transition_rows_stochastic():
     ds, _ = generate(SimConfig(n=5, m=10, seed=1))
-    P = build_transition(ds, 0.3, 0.15, GAUSSIAN)
+    P = transition_from_fractions(ds.n, *pair_fractions(ds, 0.3, 0.15, GAUSSIAN))
     rows = P.entries.sum(axis=1)
     assert np.allclose(rows, 1.0, atol=1e-14)
     assert np.min(P.entries) >= 0.0
@@ -84,7 +81,7 @@ def test_unobserved_pair_leaves_zero_entries():
     tt = np.array([0.5, 0.5])
     yy = np.array([1, 0])
     ds = ComparisonDataset(3, ii, jj, tt, yy)
-    P = build_transition(ds, 0.5, 0.2, GAUSSIAN).entries
+    P = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 0.2, GAUSSIAN)).entries
     assert P[0, 2] == 0.0 and P[2, 0] == 0.0
 
 
@@ -95,7 +92,7 @@ def test_zero_mass_everywhere_raises():
     yy = np.array([1])
     ds = ComparisonDataset(2, ii, jj, tt, yy)
     with pytest.raises(EstimationError, match="zero kernel mass"):
-        build_transition(ds, 0.9, 0.01, BOXCAR)
+        transition_from_fractions(ds.n, *pair_fractions(ds, 0.9, 0.01, BOXCAR))
 
 
 def test_raw_chain_with_rounded_share_raises():
@@ -418,7 +415,7 @@ def ragged_dataset(seed=3):
     return ComparisonDataset(6, np.repeat(ii, counts), np.repeat(jj, counts), tt, yy)
 
 
-@pytest.mark.parametrize("budget", [None, 1, 24, 64])
+@pytest.mark.parametrize("budget", [None, 1, 24, 64, 72])
 @pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV, BOXCAR])
 def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
     # An unsorted grid with a repeated point.  Small budgets make several
@@ -443,8 +440,10 @@ def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
 
 
 def test_small_budget_splits_grid_and_records(monkeypatch):
-    # Guard for the test above: a budget of 24 does split the pass.
-    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 24)
+    # Guard for the test above: a budget of 72 does split the pass.  A grid
+    # chunk is one stack of 6-item chains, two of them at that budget, so its
+    # tiles hold 36 of the 45 records: two blocks per two-point chunk.
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 72)
     tiles = []
     real = Kernel.weight
 
@@ -457,7 +456,7 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
     estimate_curve(ds, np.linspace(0.1, 0.9, 7), 0.2, GAUSSIAN)
     rows = [r for r, _ in tiles]
     assert max(rows) > 1 and min(rows) < max(rows)  # several multi-point chunks
-    assert len(tiles) > 7  # records are split into blocks
+    assert len(tiles) > -(-7 // max(rows))  # records are split into blocks
     assert sum(r * c for r, c in tiles) == 7 * ds.n_records  # each weight once
 
 

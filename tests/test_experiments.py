@@ -11,6 +11,7 @@ from krc.baselines import (
     bt_mle_mm,
     elo_update,
     static_rank_centrality,
+    wmle,
 )
 from krc.data import ComparisonDataset, TimeEncoding, season_of_time
 from krc.errors import ConnectivityError, ConvergenceError, EstimationError
@@ -61,7 +62,7 @@ def test_evaluate_metrics_grid_mismatch():
 def test_evaluate_metrics_perfect_estimate():
     ds, truth = generate(SimConfig(n=4, m=5, seed=1))
     grid = metric_grid(5)
-    est = [truth.score_vector(float(t)) for t in grid]
+    est = [ScoreVector(truth.normalized_skill(float(t)), t=float(t)) for t in grid]
     report = evaluate_metrics(est, truth, 5)
     assert report.rmse_avg == 0.0
     assert report.linf_max == 0.0
@@ -281,7 +282,8 @@ def test_elo_backtest_matches_per_game_loop():
 
 # -- warm-started wmle days ------------------------------------------------
 
-_SOLVER = {"wmle": "wmle"}
+# each wmle day is one MM solve, called as solve(win, config, init)
+_SOLVER = {"wmle": "_mm_solve"}
 
 
 def _report_fields(report):
@@ -298,13 +300,13 @@ def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
     solve = getattr(experiments, _SOLVER[method])
     days = []
 
-    def warm(*args, **kwargs):
-        sv = solve(*args, **kwargs)
-        days.append((args, kwargs, sv.scores))
-        return sv
+    def warm(win, config, init):
+        scores, info = solve(win, config, init)
+        days.append((win, config, init, scores))
+        return scores, info
 
-    def cold(*args, **kwargs):
-        return solve(*args, **{**kwargs, "init": None})
+    def cold(win, config, init):
+        return solve(win, config, None)
 
     monkeypatch.setattr(experiments, _SOLVER[method], warm)
     warm_report = backtest(ds, base_seasons=2, method=method, h=1.0)
@@ -313,11 +315,11 @@ def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
     assert _report_fields(warm_report) == _report_fields(cold_report)
     assert warm_report.n_failed_fits == 0 and len(days) == 12
     # the first day starts cold, every later one from the day before
-    assert days[0][1]["init"] is None
-    for (_, kwargs, _), (_, _, before) in zip(days[1:], days):
-        assert kwargs["init"] is before
-    for args, kwargs, scores in days:
-        cold_scores = solve(*args, **{**kwargs, "init": None}).scores
+    assert days[0][2] is None
+    for (_, _, init, _), (_, _, _, before) in zip(days[1:], days):
+        assert init is before
+    for win, config, _, scores in days:
+        cold_scores, _ = solve(win, config, None)
         assert np.max(np.abs(scores - cold_scores)) <= 1e-8
 
 
@@ -327,11 +329,11 @@ def test_backtest_day_after_failed_fit_starts_cold(monkeypatch, method):
     solve = getattr(experiments, _SOLVER[method])
     inits = []
 
-    def failing_fourth(*args, **kwargs):
-        inits.append(kwargs["init"])
+    def failing_fourth(win, config, init):
+        inits.append(init)
         if len(inits) == 4:
             raise ConvergenceError("forced failure")
-        return solve(*args, **kwargs)
+        return solve(win, config, init)
 
     monkeypatch.setattr(experiments, _SOLVER[method], failing_fourth)
     report = backtest(ds, base_seasons=2, method=method, h=1.0)
@@ -364,7 +366,7 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
         solve = getattr(experiments, _SOLVER[method])
         monkeypatch.setattr(
             experiments, _SOLVER[method],
-            lambda *args, **kwargs: solve(*args, **{**kwargs, "init": None}),
+            lambda win, config, init: solve(win, config, None),
         )
         cold_fields = _report_fields(backtest(ds, base_seasons=1, method=method, h=1.0))
     assert _report_fields(warm_report) == cold_fields
@@ -377,10 +379,11 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
 
 def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None,
                        warm=False):
-    """The per-day krc/rc/mle loop that the causal pass replaced: report
+    """The per-day krc/rc/mle/wmle loop that the causal pass replaced: report
     fields and each test day's scores (None for a failed fit).  ``fail_day``
     forces that day's fit to fail.  With ``warm`` an mle day starts from the
-    last day's scores when they are all positive, as the loop once did."""
+    last day's scores when they are all positive, as the loop once did; a
+    wmle day always does."""
     tt, ii, jj, yy = ds.in_time_order()
     test_mask = tt >= float(base_seasons)
     season_tally = {}
@@ -402,6 +405,9 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
                 scores = fit_scores(past, float(t_day), h, kernel, sigma_n).scores
             elif method == "rc":
                 scores = static_rank_centrality(past, sigma_n).scores
+            elif method == "wmle":
+                scores = wmle(past, float(t_day), h, kernel, strict=False,
+                              init=start).scores
             else:
                 scores = bt_mle_mm(past, strict=False, init=start).scores
         except (EstimationError, ConnectivityError, ConvergenceError):
@@ -411,7 +417,7 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
             days.append(None)
             continue
         days.append(scores)
-        start = scores if warm and scores.min() > 0 else None
+        start = scores if (warm or method == "wmle") and scores.min() > 0 else None
         for k in np.flatnonzero(day_mask):
             i, j = int(ii[k]), int(jj[k])
             if not (seen_by[i] < t_day and seen_by[j] < t_day):
@@ -548,10 +554,10 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
             assert a.t == b.t and np.array_equal(a.scores, b.scores)
 
 
-@pytest.mark.parametrize("method", ["krc", "mle"])
+@pytest.mark.parametrize("method", ["krc", "mle", "wmle"])
 def test_causal_pass_leakage_check_trips(monkeypatch, method):
     ds, _ = season_fixture()
-    name = {"krc": "causal_fits", "mle": "_mm_fits"}[method]
+    name = {"krc": "causal_fits", "mle": "_mm_fits", "wmle": "_wmle_fits"}[method]
     real = getattr(experiments, name)
 
     def leaky(*args, **kwargs):
@@ -594,3 +600,31 @@ def test_mle_days_match_per_day_loop(label, make, base):
         assert kept == ds.with_max_time(float(t_day)).n_records
         assert np.array_equal(fit.scores, cold)
         assert np.max(np.abs(fit.scores - warm)) <= 1e-8
+
+
+# -- wmle days from the causal pass -------------------------------------------
+
+
+@pytest.mark.parametrize("seed,n_failed", [(10, 1), (5, 3)])
+def test_wmle_days_match_per_day_loop(seed, n_failed):
+    # a day after a failed fit starts cold in both paths
+    ds, _ = generate_season_dataset(
+        n=8, n_seasons=4, days_per_season=6, games_per_day=4, seed=seed,
+        drift=1.2, spread=0.4,
+    )
+    fields, ref_days = reference_backtest(ds, 2, "wmle", 0.8, GAUSSIAN, None)
+    report = backtest(ds, base_seasons=2, method="wmle", h=0.8)
+    assert _report_fields(report) == fields
+    assert report.n_failed_fits == n_failed
+    tt = ds.in_time_order()[0]
+    eval_times = np.unique(tt[tt >= 2])
+    fits = list(experiments._wmle_fits(ds, eval_times, 0.8, GAUSSIAN, MMConfig()))
+    assert len(fits) == len(ref_days) == eval_times.size
+    assert ref_days[-1] is not None  # the last failure is followed by a day
+    for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
+        assert kept == ds.with_max_time(float(t_day)).n_records
+        if ref is None:
+            assert isinstance(fit, ConvergenceError)
+        else:
+            assert fit.t == t_day
+            assert np.max(np.abs(fit.scores - ref)) <= 1e-12

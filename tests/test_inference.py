@@ -277,9 +277,9 @@ def test_expansion_identity_is_exact():
     G = group_inverse(P_star, ScoreVector(pi))
     ds, _ = generate(SimConfig(n=6, m=60, seed=9))
     sv = fit_scores(ds, 0.5, 0.3, GAUSSIAN, sigma_n=0.0, tol=1e-13)
-    from krc.estimator import build_transition
+    from krc.estimator import pair_fractions, transition_from_fractions
 
-    P_hat = build_transition(ds, 0.5, 0.3, GAUSSIAN)
+    P_hat = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 0.3, GAUSSIAN))
     report = expansion_diagnostic(P_hat, P_star, G, pi_hat=sv,
                                   pi_star=ScoreVector(pi))
     assert report.identity_gap < 1e-12

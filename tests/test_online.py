@@ -250,7 +250,7 @@ def test_refresh_is_idempotent_for_scores():
 
 
 def test_from_empty_starts_uniform():
-    state = OnlineState.from_empty(4, 0.5, 0.2, GAUSSIAN)
+    state = OnlineState(4, 0.5, 0.2, GAUSSIAN)
     assert np.max(np.abs(state.pi.scores - 0.25)) < 1e-12
     apply_observation(state, (0, 1, 0.5, 1))
     assert state.pi.scores[1] > state.pi.scores[0]
@@ -260,7 +260,7 @@ def test_stream_from_empty_matches_batch():
     # every pair passes through the first-mass transition
     rng = np.random.default_rng(44)
     n = 5
-    state = OnlineState.from_empty(n, 0.5, 0.3, GAUSSIAN)
+    state = OnlineState(n, 0.5, 0.3, GAUSSIAN)
     rows = []
     for _ in range(120):
         i, j = sorted(rng.choice(n, size=2, replace=False))
@@ -279,8 +279,8 @@ def test_stream_from_empty_matches_batch():
 
 
 def test_non_canonical_record_equivalence():
-    s1 = OnlineState.from_empty(4, 0.5, 0.2, GAUSSIAN)
-    s2 = OnlineState.from_empty(4, 0.5, 0.2, GAUSSIAN)
+    s1 = OnlineState(4, 0.5, 0.2, GAUSSIAN)
+    s2 = OnlineState(4, 0.5, 0.2, GAUSSIAN)
     apply_observation(s1, (2, 0, 0.5, 1))
     apply_observation(s2, ComparisonRecord(0, 2, 0.5, 0))
     assert np.array_equal(s1.pi.scores, s2.pi.scores)
@@ -288,7 +288,7 @@ def test_non_canonical_record_equivalence():
 
 
 def test_record_outside_roster_rejected():
-    state = OnlineState.from_empty(3, 0.5, 0.2, GAUSSIAN)
+    state = OnlineState(3, 0.5, 0.2, GAUSSIAN)
     with pytest.raises(RosterError):
         apply_observation(state, (0, 7, 0.5, 1))
 

@@ -89,7 +89,7 @@ def test_random_stream_matches_batch(case):
     n, base, stream, start, refresh_every = case
     t, h = 0.5, 0.3
     if start == "empty":
-        state = OnlineState.from_empty(n, t, h, GAUSSIAN, refresh_every=refresh_every)
+        state = OnlineState(n, t, h, GAUSSIAN, refresh_every=refresh_every)
         base = []
     else:
         state = OnlineState.from_dataset(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krc.data import season_of_time
+from krc.estimator import ScoreVector
 from krc.simulate import (
     GroundTruth,
     SimConfig,
@@ -75,7 +76,7 @@ def test_normalized_skill_is_simplex():
         pi = truth.normalized_skill(t)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.min(pi) > 0.0
-        sv = truth.score_vector(t)
+        sv = ScoreVector(truth.normalized_skill(t), t=t)
         assert sv.t == t
 
 
