@@ -1,40 +1,41 @@
 """Baseline rating methods: static rank centrality, Elo, and maximum
 likelihood under the pairwise preference model (pooled and kernel-weighted).
 
-The MM solver follows Hunter's minorization-maximization scheme for the
-Bradley-Terry likelihood: each sweep sets
-
-    p_i <- W_i / sum_{j != i} N_ij / (p_i + p_j)
-
-then renormalizes, which never decreases the (weighted) log-likelihood
-(Hunter 2004).  A sweep runs over the observed pairs r < c: q = N_rc /
-(p_r + p_c), and item i's denominator sums q over its pairs.  Every
-iterate's likelihood, from the p_r + p_c the next sweep reuses, is checked
-for ascent.  The kernel-weighted variant replaces counts by per-pair
-normalized win shares at the evaluation time, so each observed pair
-carries unit mass.
+The MLE solver is a safeguarded Newton method on theta = log p for the
+(weighted) Bradley-Terry likelihood sum_i W_i log p_i - sum_{i<j} N_ij
+log(p_i + p_j).  Its score in theta is W_i - sum_j N_ij p_i / (p_i + p_j);
+its negative Hessian is the Laplacian of N_ij p_i p_j / (p_i + p_j)^2.
+Items without wins are pinned at zero, where the likelihood pushes them;
+the others have an interior maximizer exactly when their win graph is
+strongly connected (Zermelo 1929; Ford 1957), checked before any step.
+Every step passes an ascent check, and a fit stops on the score equations
+relative to each item's win mass.  The kernel-weighted variant replaces
+counts by per-pair normalized win shares at the evaluation time, so each
+observed pair carries unit mass.  Hunter's (2004) MM, which this solver
+replaced, stays in the tests as the reference.
 
 The solver takes a stack of win matrices: the rows still iterating share
-each sweep, and a row leaves when it converges or fails, with the result
-it would have alone.  A single solve is its one-row case.  Many times'
-fits (a weighted-MLE curve, or the walk-forward pooled MLE on the records
-strictly before each day) come from one pass of per-pair sums and are
-solved as such stacks, each from the uniform start.
+each batched linear solve, and a row leaves when it converges or fails, with
+the result it would have alone.  A single solve is its one-row case.  Many
+times' fits (a weighted-MLE curve, or the walk-forward pooled and weighted
+MLE on the records strictly before each day) come from one pass of per-pair
+sums and are solved as such stacks, each started cold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
-from .data import ComparisonDataset, _component_report
+from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError
 from .estimator import ScoreVector, _fits, _no_mass, _pair_sums
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
+_HALVINGS = 40  # step halvings a Newton step may take before its row fails
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,15 @@ class EloConfig:
 
 @dataclass(frozen=True)
 class MMConfig:
-    tol: float = 1e-10
-    max_iter: int = 10_000
+    tol: float = 1e-10  # bound on max_i |W_i - sum_j N_ij p_i/(p_i+p_j)| / W_i
+    max_iter: int = 10_000  # Newton steps before a fit fails
 
 
 @dataclass
 class MMInfo:
-    iterations: int
-    final_change: float
-    loglik: list[float] = field(default_factory=list)
+    iterations: int  # Newton steps taken
+    final_change: float  # the last relative score residual, which tol bounds
+    loglik: list[float] = field(default_factory=list)  # at the start, then each step
 
 
 @dataclass
@@ -120,7 +121,7 @@ def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloT
     )
 
 
-# -- MM core ---------------------------------------------------------------
+# -- MLE core --------------------------------------------------------------
 
 
 def _win_matrix(n: int, idx_i, idx_j, won, lost) -> np.ndarray:
@@ -133,41 +134,55 @@ def _win_matrix(n: int, idx_i, idx_j, won, lost) -> np.ndarray:
     return win
 
 
-def _pair_log_likelihood(W, p, pinned, Nv, psum, starts) -> np.ndarray:
-    """Each row's weighted preference log-likelihood, from its items' win
-    mass ``W`` and scores ``p`` (rows x n; ``pinned`` is 1 where W = 0 and
-    0 elsewhere, so 0 log 0 counts 0) and its observed pairs' counts ``Nv``
-    and p_r + p_c, grouped by row from ``starts``."""
-    items = (W * np.log(p + pinned)).sum(axis=1)
-    return items - np.add.reduceat(Nv * np.log(psum), starts)
+def _pair_log_likelihood(W, p, pinned, N, absent) -> np.ndarray:
+    """Each row's log-likelihood sum_i W_i log p_i - sum_{i<j} N_ij log(p_i +
+    p_j), from its win masses ``W`` and scores ``p`` (rows x n) and its pair
+    masses ``N`` (rows x n x n, symmetric).  ``pinned`` is 1 where W = 0 and
+    ``absent`` 1 where N = 0 (0 elsewhere), so 0 log 0 counts 0."""
+    items = (W * np.log(p + pinned)).sum(axis=-1)
+    pairs = N * np.log(p[:, :, None] + p[:, None, :] + absent)
+    return items - 0.5 * pairs.sum(axis=-1).sum(axis=-1)
 
 
-def _observed_pairs(win: np.ndarray):
-    """The observed pairs r < c of each matrix in the (k, n, n) stack
-    ``win``, grouped by row: (row, row*n + r, row*n + c, win[r, c] +
-    win[c, r]), the flat indices being into a (k x n) array."""
-    n = win.shape[-1]
-    slot, r, c = np.nonzero(np.triu(win + np.swapaxes(win, 1, 2), 1))
-    base = slot * n
-    return slot, base + r, base + c, win[slot, r, c] + win[slot, c, r]
+def _winners_connected(win: np.ndarray, wins: np.ndarray) -> np.ndarray:
+    """Per matrix of the (k, n, n) stack ``win``: whether its items with wins
+    (``wins``, k x n) are in one strongly connected component of its win
+    graph; an item without wins has no out-edge, so no path runs through it.
+    The stack goes to csgraph as one block-diagonal graph."""
+    k, n = wins.shape
+    slot, a, b = np.nonzero(win > 0.0)
+    graph = csr_matrix((np.ones(slot.size), (slot * n + a, slot * n + b)), (k * n, k * n))
+    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    labels = labels.reshape(k, n)
+    lo = np.where(wins, labels, k * n).min(axis=1)
+    return lo == np.where(wins, labels, -1).max(axis=1)
+
+
+def _newton_steps(H: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Solve the stack of systems H x = score in one call or, if one is
+    singular in floating point, one at a time, a singular one's x NaN."""
+    try:
+        return np.linalg.solve(H, score[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(H) == 1:
+            return np.full_like(score, np.nan)
+        return np.concatenate([_newton_steps(H[a:a + 1], score[a:a + 1]) for a in range(len(H))])
 
 
 def _mm_solve(
     win: np.ndarray, config: MMConfig, init: np.ndarray | None
 ) -> tuple[np.ndarray, MMInfo]:
-    """Iterate Hunter's update to a fixed point on the simplex.
+    """Maximize the preference likelihood of one win matrix on the simplex.
 
-    ``win[a, b]`` is the (possibly fractional) win mass of a over b.  Items
-    with zero total wins are pinned at score zero, which is where the
-    likelihood pushes them anyway.  This is the one-row case of
-    :func:`_mm_stack`, started from ``init`` when given.
+    ``win[a, b]`` is the (possibly fractional) win mass of a over b.  This is
+    the one-row case of :func:`_mm_stack`, started from ``init`` when given.
     """
     n = win.shape[0]
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (n,) or np.min(init) < 0 or init.sum() <= 0:
             raise ValueError("init must be a nonnegative vector with positive sum")
-        init = (init / init.sum())[None]
+        init = init[None]
     (fit,) = _mm_stack(win[None], config, init)
     if isinstance(fit, Exception):
         raise fit
@@ -177,102 +192,123 @@ def _mm_solve(
 def _mm_stack(
     win: np.ndarray, config: MMConfig, init=None, trace: bool = True
 ) -> list:
-    """Hunter's MM on each win matrix of the (k, n, n) stack ``win``: per
-    row, (scores, MMInfo) or the error its solve raises.  With ``trace``
-    off, the MMInfo keeps no likelihood trace (the check still runs), so a
-    caller that reads only the scores holds no rows x sweeps floats.
+    """Safeguarded Newton on theta = log p for each win matrix of the (k, n,
+    n) stack ``win``: per row, (scores, MMInfo) or the error its solve
+    raises.  With ``trace`` off, the MMInfo keeps no likelihood trace (the
+    check still runs).
 
-    Every row starts from the uniform vector (or its row of ``init``) and
-    keeps the one-matrix rules: a sweep over its observed pairs r < c, the
-    ascent check on every iterate's likelihood, the step-size stop at
-    ``tol`` within ``max_iter`` sweeps, and the ConvergenceError of an
-    update that collapses to zero.  The rows still iterating take each
-    sweep together, their denominators from two ``np.bincount`` calls over
-    the flat indices row*n + r and row*n + c, and a row leaves when it
-    converges or fails.  No row's result depends on the others.
+    Per row, items without wins are pinned at 0.  Before any step, a row
+    without wins collapses (once ``max_iter`` > 0), and a row whose items
+    with wins are not strongly connected is a ConnectivityError.  The others
+    start from their row of ``init`` (an item at 0 there takes the row's
+    smallest positive start) or, when it is None, from their win rates W_a /
+    sum_b N_ab; the one with most wins is held fixed.  Each iteration solves
+    the rows' Newton systems, the Laplacians of c_ab = N_ab p_a p_b / (p_a +
+    p_b)^2 with the fixed items' rows and columns made unit, in one
+    ``np.linalg.solve``; a row whose system is singular fails alone.  A row
+    halves its step until the likelihood passes the ascent check, and fails
+    after ``_HALVINGS`` halvings.  It stops once max_a |W_a - sum_b N_ab p_a
+    / (p_a + p_b)| / W_a <= ``tol`` over its items with wins, or fails after
+    ``max_iter`` steps.  Every reduction runs along a row's own axes, so no
+    row's result depends on the others.
     """
     k, n = win.shape[:2]
     W = win.sum(axis=2)
-    slot, fr, fc, Nv = _observed_pairs(win)
-    del win  # the sweeps read W and the pairs alone
-    counts = np.bincount(slot, minlength=k)
-    infos = [MMInfo(iterations=0, final_change=np.inf) for _ in range(k)]
+    wins = W > 0
     out: list = [None] * k
-    stay = counts > 0  # the rows kept at the next sweep; None: all of them
-    if config.max_iter > 0 and np.count_nonzero(stay) < k:
-        for d in np.flatnonzero(~stay).tolist():  # no pairs: the update is zero
-            out[d] = ConvergenceError("MM update collapsed to the zero vector")
-    p = np.full((k, n), 1.0 / n) if init is None else init
-    rows = np.arange(k)  # each slot's row
-    prev_ll = [-np.inf] * k
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for it in range(config.max_iter):
-            if stay is not None:
-                if np.count_nonzero(stay) < stay.size:  # drop the rows that left
-                    pair_stay = stay[slot]
-                    kept = slot[pair_stay]
-                    slot = (np.cumsum(stay) - 1)[kept]
-                    shift = n * (kept - slot)  # the rows renumbered
-                    fr, fc = fr[pair_stay] - shift, fc[pair_stay] - shift
-                    Nv = Nv[pair_stay]
-                    rows, p, W, counts = rows[stay], p[stay], W[stay], counts[stay]
-                    prev_ll = list(compress(prev_ll, stay.tolist()))
-                    if not rows.size:
-                        break
-                stay = None
-                pinned = (W == 0).astype(float)
-                wins = W.ravel()
-                starts = counts.cumsum() - counts
-                size = rows.size * n
-                row_ids = rows.tolist()
-                psum = p.ravel()[fr] + p.ravel()[fc]
-            q = Nv / psum
-            if not psum.min() > 0:  # a pair with p_r + p_c = 0 adds nothing
-                q[~(psum > 0)] = 0.0
-            denom = np.bincount(fr, q, size) + np.bincount(fc, q, size)
-            flat = wins / denom  # 0 for an item without wins
-            if not denom.min() > 0:  # an item without comparisons scores 0
-                flat[~(denom > 0)] = 0.0
-            new = flat.reshape(-1, n)
-            s = new.sum(axis=1)
-            new /= s[:, None]
-            change = np.maximum.reduce(abs(new - p), axis=1)
-            p = new
-            psum = flat[fr]
-            psum += flat[fc]
-            lls = _pair_log_likelihood(W, p, pinned, Nv, psum, starts).tolist()
-            gone = []
-            for a, (d, total, step, ll, before) in enumerate(zip(
-                row_ids, s.tolist(), change.tolist(), lls, prev_ll
-            )):
-                if total <= 0:
-                    out[d] = ConvergenceError("MM update collapsed to the zero vector")
-                    gone.append(a)
-                    continue
-                info = infos[d]
+    empty = ~wins.any(axis=1)
+    if config.max_iter > 0:  # a row without wins collapses at its first step
+        for d in np.flatnonzero(empty).tolist():
+            out[d] = ConvergenceError("no wins: the scores collapsed to the zero vector")
+    supported = _winners_connected(win, wins)
+    for d in np.flatnonzero(~supported & ~empty).tolist():
+        out[d] = ConnectivityError("the items with wins are not strongly connected; "
+                                   "the MLE does not exist")
+    rows = np.flatnonzero(supported)
+    W, wins = W[rows], wins[rows]
+    N = win[rows] + np.swapaxes(win[rows], 1, 2)
+    rates = W / (N.sum(axis=-1) + ~wins)  # 0, not 0/0, for an item without wins
+    p = np.where(wins, rates if init is None else init[rows], 0.0)
+    low = np.where(p > 0, p, np.inf).min(axis=1, keepdims=True)
+    p = np.where(wins & ~(p > 0), np.where(low < np.inf, low, 1.0), p)
+    p /= p.sum(axis=1, keepdims=True)
+    del win  # the iterations read W and N alone
+    absent = (N == 0).astype(float)
+    pinned = (~wins).astype(float)
+    free = wins.copy()
+    # The item with the most wins is held fixed: its score equation, the one
+    # left out, then carries the others' rounding relative to the most mass.
+    free[np.arange(rows.size), W.argmax(axis=1)] = False
+    unit = -(free[:, :, None] & free[:, None, :]).astype(float)  # -1 or 0
+    steps = np.zeros(rows.size, dtype=np.int64)
+    failed = np.zeros(rows.size, dtype=bool)
+    last = np.full(k, np.inf)  # each row's residual when it runs out of steps
+    ll = _pair_log_likelihood(W, p, pinned, N, absent)
+    traces = {d: [x] for d, x in zip(rows.tolist(), ll.tolist())} if trace else {}
+    diag = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in range(config.max_iter + 1):
+            if not rows.size:
+                break
+            F = p[:, :, None] / (p[:, :, None] + p[:, None, :] + absent)
+            C = N * F
+            g = W - C.sum(axis=-1)  # the score in theta
+            resid = np.max(abs(g) / (W + pinned), axis=1)
+            done = (resid <= config.tol) & ~failed
+            for a in np.flatnonzero(done).tolist():
+                info = MMInfo(int(steps[a]), float(resid[a]), traces.get(rows[a], []))
+                out[rows[a]] = (p[a].copy(), info)
+            keep = ~done & ~failed
+            if it == config.max_iter:
+                last[rows] = resid
+                break
+            if not keep.all():
+                rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g = (
+                    x[keep] for x in
+                    (rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g)
+                )
+                failed = failed[keep]
+                if not rows.size:
+                    break
+            C *= np.swapaxes(F, 1, 2)  # c_ab, from p_b / (p_a + p_b), not 1 - F
+            degree = C.sum(axis=-1)
+            C *= unit  # the fixed items' rows and columns are unit
+            C[:, diag, diag] = np.where(free, degree, 1.0)
+            step = _newton_steps(C, np.where(free, g, 0.0))
+            solved = np.isfinite(step).all(axis=1)
+            for a in np.flatnonzero(~solved).tolist():
+                failed[a] = True
+                out[rows[a]] = ConvergenceError("the Newton system is singular in floating point")
+            todo = np.flatnonzero(solved)
+            for r in range(_HALVINGS + 1):
+                at = slice(None) if todo.size == rows.size else todo
+                z = step[at] * 0.5**r
+                z -= z.max(axis=1, keepdims=True)
+                q = p[at] * np.exp(z)
+                q /= q.sum(axis=1, keepdims=True)
+                llq = _pair_log_likelihood(W[at], q, pinned[at], N[at], absent[at])
+                ok = llq >= ll[at] - _ASCENT_SLACK * (1.0 + np.abs(llq))
+                took = todo[ok]
+                p[took], ll[took] = q[ok], llq[ok]
+                steps[took] += 1
                 if trace:
-                    info.loglik.append(ll)
-                if ll < before - _ASCENT_SLACK * (1.0 + abs(ll)):
-                    out[d] = RuntimeError(
-                        f"MM iteration decreased the log-likelihood ({before} -> {ll})"
-                    )
-                    gone.append(a)
-                    continue
-                info.iterations = it + 1
-                info.final_change = step
-                if step <= config.tol:
-                    out[d] = (p[a].copy(), info)
-                    gone.append(a)
-            prev_ll = lls
-            if gone:
-                stay = np.ones(rows.size, dtype=bool)
-                stay[gone] = False
-    for d, info in enumerate(infos):
-        if out[d] is None:
+                    for a, x in zip(took.tolist(), llq[ok].tolist()):
+                        traces[rows[a]].append(x)
+                todo, llq = todo[~ok], llq[~ok]
+                if not todo.size:
+                    break
+            for a, x in zip(todo.tolist(), llq.tolist()):
+                failed[a] = True
+                out[rows[a]] = RuntimeError(
+                    f"every Newton step length decreased the log-likelihood "
+                    f"({ll[a]} -> {x} at the shortest)"
+                )
+    for d, fit in enumerate(out):
+        if fit is None:
             out[d] = ConvergenceError(
-                f"MM failed to reach tol {config.tol} in {config.max_iter} "
-                f"iterations (last change {info.final_change:.3e})",
-                residual=info.final_change,
+                f"MLE failed to reach tol {config.tol} in {config.max_iter} "
+                f"iterations (last residual {last[d]:.3e})",
+                residual=float(last[d]),
             )
     return out
 
@@ -300,16 +336,15 @@ def _win_stacks(
         yield chunk.tolist(), kept, mass, _win_matrix(n, seg_i, seg_j, won, lost)
 
 
-def _require_strong_connectivity(win: np.ndarray, graph: str) -> None:
-    """Raise ConnectivityError unless the win matrix ``win`` is strongly
-    connected, the condition for the MLE to exist in the simplex interior
-    (Zermelo 1929; Ford 1957)."""
-    report = _component_report(win > 0.0)
-    if not report.strongly_connected:
-        raise ConnectivityError(
-            f"{graph} is not strongly connected "
-            f"({report.n_components} components); the MLE does not exist"
-        )
+def _one_fit(win, t, config, strict, init, return_info, graph: str):
+    """The ScoreVector (with its MMInfo if ``return_info``) of one win
+    matrix, tagged t.  With ``strict`` an item without wins is an error, not
+    pinned at zero; the items with wins must be strongly connected anyway."""
+    if strict and not win.sum(axis=1).all():
+        raise ConnectivityError(f"an item never won in the {graph}; the MLE does not exist")
+    p, info = _mm_solve(win, config, init)
+    sv = ScoreVector(p, t=t)
+    return (sv, info) if return_info else sv
 
 
 def bt_mle_mm(
@@ -325,14 +360,10 @@ def bt_mle_mm(
     The counts are the walk-forward pass's at t=+inf.  ``strict`` requires
     the win matrix solved to be strongly connected, the condition for the
     maximizer to exist in the simplex interior; with ``strict=False`` items
-    the data cannot support are pinned at zero.
+    without wins are pinned at zero, and the others' graph must be.
     """
     ((_, _, _, win),) = _win_stacks(dataset, [np.inf], 0.0, None, before=True)
-    if strict:
-        _require_strong_connectivity(win[0], "pooled win graph")
-    p, info = _mm_solve(win[0], config, init)
-    sv = ScoreVector(p, t=None)
-    return (sv, info) if return_info else sv
+    return _one_fit(win[0], None, config, strict, init, return_info, "pooled win graph")
 
 
 def wmle(
@@ -351,26 +382,21 @@ def wmle(
     Each pair observed at (t, h) contributes unit mass split into weighted
     win shares S_ij = sum_k y_ij(t_k) K_h(t, t_k) / sum_k K_h(t, t_k).
     Maximizing sum S_ij log(p_j / (p_i + p_j)) is then a weighted version
-    of the pooled likelihood.  ``strict`` requires the matrix of these
-    shares, the one solved, to be strongly connected.
+    of the pooled likelihood.  ``strict`` is :func:`bt_mle_mm`'s, on the
+    matrix of these shares, the one solved.
     """
     ((_, _, mass, win),) = _win_stacks(dataset, [t], h, kernel)
-    if strict:
-        _require_strong_connectivity(
-            win[0], f"kernel-weighted win graph at t={t}, h={h}"
-        )
-    if not mass.any():
+    if not (strict or mass.any()):  # a strict fit without mass has no wins
         raise _no_mass(t, h, before=False)
-    p, info = _mm_solve(win[0], config, init)
-    sv = ScoreVector(p, t=t)
-    return (sv, info) if return_info else sv
+    return _one_fit(win[0], t, config, strict, init, return_info,
+                    f"kernel-weighted win graph at t={t}, h={h}")
 
 
 def _mm_fits(
     dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
     config: MMConfig, before: bool = False,
 ):
-    """Yield (kept, fit) for each time, in order, every solve started cold.
+    """Yield (kept, fit) for each time, in order, every fit started cold.
 
     With a kernel, ``fit`` is a ScoreVector, tagged t, with the scores of
     ``wmle(dataset, t, h, kernel, config, strict=False)``; with

@@ -133,7 +133,7 @@ _MAX_ITER = 100_000
 
 # Element budget of one (grid points x records) weight tile, about 8 MB per
 # float64 temporary.  It sizes the grid chunks, the record blocks, and the
-# stacks of chains (or MM win matrices) solved together.
+# stacks of chains (or MLE win matrices) solved together.
 TILE_ELEMENTS = 1 << 20
 
 

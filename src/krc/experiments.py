@@ -26,7 +26,6 @@ from .baselines import (
     _mm_fits,
     _mm_solve,
     _win_matrix,
-    _win_stacks,
     elo_update,
     static_rank_centrality,
 )
@@ -34,7 +33,6 @@ from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .estimator import (
     ScoreVector,
-    _no_mass,
     causal_fits,
     default_teleport,
     estimate_curve,
@@ -251,7 +249,8 @@ def timing_bench(
     shared smoothing pass runs once outside the clock.  What is timed is
     each method's own work downstream of it: assembling the comparison
     chain and solving for its stationary vector, versus assembling the
-    win-share matrix and iterating the MM update to convergence.
+    win-share matrix and solving it as ``wmle`` does, the existence check
+    included.
     """
     rows: list[BenchRow] = []
     for n in [int(v) for v in n_grid]:
@@ -417,14 +416,11 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_confi
     """Each test day's krc, rc, mle or wmle scores from one causal batched
     pass, or None for a day whose fit failed.  The records each day's fit let
     in must number those strictly before it."""
-    if method == "mle":
-        fits = _mm_fits(dataset, eval_times, h, None, mm_config, before=True)
-    elif method == "wmle":
-        fits = _wmle_fits(dataset, eval_times, h, kernel, mm_config)
+    weights = kernel if method in ("krc", "wmle") else None  # None: pooled counts
+    if method in ("mle", "wmle"):
+        fits = _mm_fits(dataset, eval_times, h, weights, mm_config, before=True)
     else:
-        fits = causal_fits(
-            dataset, eval_times, h, kernel if method == "krc" else None, sigma_n
-        )
+        fits = causal_fits(dataset, eval_times, h, weights, sigma_n)
     n_before = np.searchsorted(tt, eval_times)  # tt is in time order
     for (kept, fit), expected in zip(fits, n_before.tolist()):
         if kept != expected:
@@ -435,29 +431,6 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_confi
             raise fit
         else:
             yield fit.scores
-
-
-def _wmle_fits(dataset, eval_times, h, kernel, mm_config):
-    """Yield (kept, fit) for each day's wmle fit on the records strictly
-    before it, from one causal pass, each day solved alone.  A day starts
-    from the previous day's scores when they are all positive; the first
-    day, a day after a failed fit and a day after a zero score start cold.
-    ``fit`` is the ScoreVector or the error that the fit raises."""
-    warm = None
-    for ts, kept, mass, win in _win_stacks(dataset, eval_times, h, kernel, before=True):
-        for d, t in enumerate(ts):
-            if not mass[d].any():
-                fit = _no_mass(t, h, before=True)
-            else:
-                try:
-                    fit = ScoreVector(_mm_solve(win[d], mm_config, warm)[0], t=t)
-                except _FIT_ERRORS as err:
-                    fit = err
-            # from a zero score an item that has since won can stay at zero
-            # (when its rivals score zero too), so such a day starts cold
-            usable = isinstance(fit, ScoreVector) and fit.scores.min() > 0
-            warm = fit.scores if usable else None
-            yield int(kept[d]), fit
 
 
 def backtest(
@@ -478,13 +451,13 @@ def backtest(
     the lower index and counted separately.  Games involving an item never
     seen before the game day are skipped and reported.
 
-    krc, rc and mle fit every test day in one causal pass: one blocked pass
-    gives each day's per-pair sums over the records strictly before it, and
-    the days are solved as stacks (chains for krc and rc, win counts for
-    mle, each mle day started cold).  wmle reads its days' win shares from
-    the same kind of pass and solves each day alone, started from the
-    previous day's scores.  The records each day's fit let in must number
-    those strictly before the day.
+    krc, rc, mle and wmle fit every test day in one causal pass: one
+    blocked pass gives each day's per-pair sums over the records strictly
+    before it, and the days are solved as stacks (chains for krc and rc, win
+    counts for mle and win shares for wmle, each MLE day started cold).  A day whose win graph gives no interior MLE over the
+    items with wins fails with ConnectivityError, and is counted in
+    ``n_failed_fits`` with its games skipped.  The records each day's fit
+    let in must number those strictly before the day.
     """
     if dataset.encoding.scheme != "season-day":
         raise ValueError("backtest requires a season-day encoded dataset")

@@ -216,9 +216,9 @@ def test_static_rc_default_teleport_is_recorded():
 
 
 # -- references: the dense MM solver and the per-pair loops ---------------
-# The two functions below are the dense solver the pair-list `_mm_solve`
-# replaced, kept verbatim; the loops after them are the old pooled-count
-# paths of bt_mle_mm and static_rank_centrality.
+# The two functions below are Hunter's MM as a dense solver, kept verbatim
+# as the reference for the Newton `_mm_solve`; the loops after them are the
+# old pooled-count paths of bt_mle_mm and static_rank_centrality.
 
 
 def _log_likelihood(win: np.ndarray, p: np.ndarray) -> float:
@@ -346,6 +346,38 @@ def test_pair_list_mm_matches_dense_reference(label, win, init):
         assert p[2] == 0.0 and p_ref[2] == 0.0
 
 
+def _relative_score_residual(win, p):
+    """max_i |W_i - sum_j N_ij p_i / (p_i + p_j)| / W_i over the items with
+    wins, with the pairs never compared left out."""
+    W = win.sum(axis=1)
+    N = win + win.T
+    with np.errstate(invalid="ignore"):
+        share = np.where(N > 0, p[:, None] / (p[:, None] + p[None, :]), 0.0)
+    won = W > 0
+    return np.max(np.abs(W - (N * share).sum(axis=1))[won] / W[won])
+
+
+@pytest.mark.parametrize("label, win, init", _mm_cases())
+def test_mle_meets_the_score_bound_at_the_mm_fixed_point(label, win, init):
+    p, info = _mm_solve(win, MMConfig(), init)
+    assert info.final_change <= MMConfig().tol
+    assert _relative_score_residual(win, p) <= MMConfig().tol
+    p_ref, _ = _dense_mm_solve(win, MMConfig(tol=1e-14, max_iter=100_000), init)
+    assert np.max(np.abs(p - p_ref)) <= 1e-9
+    assert info.iterations == len(info.loglik) - 1  # the start, then each step
+
+
+@pytest.mark.parametrize("tiny", [1e-20, 1e-200])
+def test_mle_resolves_a_tiny_win_share(tiny):
+    # Item 0 wins a share ``tiny`` of its unit games with items 1 and 2, who
+    # split theirs: p_0 / p_1 = tiny / (1 - tiny), far below rounding of 1.
+    win = np.array([[0.0, tiny, tiny], [1 - tiny, 0.0, 0.5], [1 - tiny, 0.5, 0.0]])
+    p, info = _mm_solve(win, MMConfig(), None)
+    assert _relative_score_residual(win, p) <= MMConfig().tol
+    assert p[0] / p[1] == pytest.approx(tiny / (1 - tiny), rel=1e-9)
+    assert p[1] == pytest.approx(p[2], rel=1e-12) and info.iterations <= 10
+
+
 @pytest.mark.parametrize("seed", [3, 8])
 def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
     ds, _ = generate(SimConfig(n=7, m=9, seed=seed))
@@ -375,19 +407,20 @@ def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
 
 
 def test_mm_ascent_check_fires(monkeypatch):
-    # the third iterate's likelihood is reported 1.0 too low
+    # every likelihood after the start's is reported 10.0 too low, so no
+    # step length ascends within the halving budget
     true_loglik = baselines._pair_log_likelihood
     calls = []
 
     def dropping(*args):
         calls.append(args)
-        return true_loglik(*args) - (1.0 if len(calls) == 3 else 0.0)
+        return true_loglik(*args) - (10.0 if len(calls) > 1 else 0.0)
 
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
-    message = r"MM iteration decreased the log-likelihood \(.+ -> .+\)"
+    message = r"every Newton step length decreased the log-likelihood \(.+ -> .+\)"
     with pytest.raises(RuntimeError, match=message):
         _mm_solve(_seeded_win(5, 1), MMConfig(), None)
-    assert len(calls) == 3
+    assert len(calls) == 1 + baselines._HALVINGS + 1
 
 
 def test_mm_zero_win_collapses():

@@ -787,21 +787,28 @@ def number_token(x):
     return st.sampled_from(forms)
 
 
+# The bad tokens of each column, one for each way a field can be bad.
+BAD_TOKENS = {
+    "time": ["nan", "-inf", "1e400", "x", "", "1__0", "0.1\x1c"],
+    "outcome": ["2", "0.5", "", "x", "nan", "1_0"],
+    "season": ["0", "-1", "1.0", "x", ""],
+    "day": ["0", "-3", "2.5", "x", ""],
+}
 TIME = mostly(
     st.floats(-1e6, 1e6, allow_nan=False).flatmap(number_token),
-    st.sampled_from(["nan", "-inf", "1e400", "x", "", "1__0", "0.1\x1c"]),
+    st.sampled_from(BAD_TOKENS["time"]),
 )
 OUTCOME = mostly(
     st.sampled_from(["0", "1", "1.0", "0e0", " 1", "1 ", "-0", '"1"', "0_0", "1.000"]),
-    st.sampled_from(["2", "0.5", "", "x", "nan", "1_0"]),
+    st.sampled_from(BAD_TOKENS["outcome"]),
 )
 SEASON = mostly(
     st.integers(1, 3).flatmap(lambda k: st.sampled_from([str(k), f" {k}", f"+{k}", f"0{k}"])),
-    st.sampled_from(["0", "-1", "1.0", "x", ""]),
+    st.sampled_from(BAD_TOKENS["season"]),
 )
 DAY = mostly(
     st.integers(1, 12).flatmap(lambda k: st.sampled_from([str(k), f"{k} ", f"+{k}", f"1_{k}"])),
-    st.sampled_from(["0", "-3", "2.5", "x", ""]),
+    st.sampled_from(BAD_TOKENS["day"]),
 )
 FILLER = st.sampled_from(["", "", "", "   ", ",,,", " , ,", "\t", ",,,,", '""'])
 
@@ -877,6 +884,33 @@ def test_ingest_matches_row_reference(case):
             if direct is not None:
                 want = reference_ingest_csv(path, **{**kwargs, "normalize_times": False})
                 assert dataset_state(direct) == dataset_state(want)
+
+
+# Each file holds exactly one bad field, so the check of that field's kind
+# is the only one that can reject it.
+GOOD_ROWS = {
+    _UNIT_HEADER: [["0.1", "a", "b", "1"], ["0.2", "b", "c", "0"], ["0.3", "c", "a", "1"]],
+    _SEASON_HEADER: [["1", "1", "a", "b", "1"], ["1", "2", "b", "c", "0"],
+                     ["2", "1", "c", "a", "1"]],
+}
+ONE_BAD_FIELD = [
+    pytest.param(header, column, token, id=f"{header[0]}-{column}-{token!r}")
+    for header in GOOD_ROWS
+    for column in header
+    for token in BAD_TOKENS.get(column, BAD_LABELS + ["too long"])
+]
+
+
+@pytest.mark.parametrize("header, column, token", ONE_BAD_FIELD)
+def test_ingest_of_one_bad_field_matches_row_reference(tmp_path, header, column, token):
+    if token == "too long":  # past the csv field limit, in lines within it
+        token = '"' + "\n".join(["z" * (csv.field_size_limit() // 4 + 1)] * 4) + '"'
+    rows = [list(row) for row in GOOD_ROWS[header]]
+    rows[1][header.index(column)] = token
+    text = "".join(",".join(row) + "\n" for row in [header] + rows)
+    result = assert_same_as_reference(write_exact(tmp_path / "one.csv", text))
+    # a day is only ranked among its season's days, so one below 1 reads
+    assert result[0] == ("dataset" if column == "day" and token in ("0", "-3") else "error")
 
 
 # -- exact row numbers deep in a large file ----------------------------------

@@ -280,74 +280,18 @@ def test_elo_backtest_matches_per_game_loop():
     assert n_skipped > 0 and report.n_games > 0
 
 
-# -- warm-started wmle days ------------------------------------------------
-
-# each wmle day is one MM solve, called as solve(win, config, init)
-_SOLVER = {"wmle": "_mm_solve"}
-
-
 def _report_fields(report):
     seasons = [(r.season, r.n_games, r.n_correct) for r in report.per_season]
     return seasons, report.n_ties, report.n_skipped, report.n_failed_fits
 
 
-@pytest.mark.parametrize("method", ["wmle"])
-@pytest.mark.parametrize("seed", [13, 14])
-def test_backtest_warm_start_matches_cold(monkeypatch, method, seed):
-    ds, _ = generate_season_dataset(
-        n=8, n_seasons=4, days_per_season=6, games_per_day=4, seed=seed, drift=0.4
-    )
-    solve = getattr(experiments, _SOLVER[method])
-    days = []
-
-    def warm(win, config, init):
-        scores, info = solve(win, config, init)
-        days.append((win, config, init, scores))
-        return scores, info
-
-    def cold(win, config, init):
-        return solve(win, config, None)
-
-    monkeypatch.setattr(experiments, _SOLVER[method], warm)
-    warm_report = backtest(ds, base_seasons=2, method=method, h=1.0)
-    monkeypatch.setattr(experiments, _SOLVER[method], cold)
-    cold_report = backtest(ds, base_seasons=2, method=method, h=1.0)
-    assert _report_fields(warm_report) == _report_fields(cold_report)
-    assert warm_report.n_failed_fits == 0 and len(days) == 12
-    # the first day starts cold, every later one from the day before
-    assert days[0][2] is None
-    for (_, _, init, _), (_, _, _, before) in zip(days[1:], days):
-        assert init is before
-    for win, config, _, scores in days:
-        cold_scores, _ = solve(win, config, None)
-        assert np.max(np.abs(scores - cold_scores)) <= 1e-8
-
-
-@pytest.mark.parametrize("method", ["wmle"])
-def test_backtest_day_after_failed_fit_starts_cold(monkeypatch, method):
-    ds, _ = season_fixture()
-    solve = getattr(experiments, _SOLVER[method])
-    inits = []
-
-    def failing_fourth(win, config, init):
-        inits.append(init)
-        if len(inits) == 4:
-            raise ConvergenceError("forced failure")
-        return solve(win, config, init)
-
-    monkeypatch.setattr(experiments, _SOLVER[method], failing_fourth)
-    report = backtest(ds, base_seasons=2, method=method, h=1.0)
-    assert report.n_failed_fits == 1
-    assert len(inits) == 12
-    assert inits[0] is None and inits[4] is None
-    assert all(init is not None for k, init in enumerate(inits) if k not in (0, 4))
-
-
 @pytest.mark.parametrize("method", ["mle", "wmle"])
-def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
+def test_backtest_new_pair_is_not_held_at_zero(method):
     # Items 0 and 1 play throughout.  Items 2 and 3 first meet on season 2,
-    # day 1, and then only each other, so the day-1 fit scores them zero; a
-    # day-2 start from those zeros would keep the winner, item 3, at zero.
+    # day 1, and then only each other, so from day 2 on item 3 has won but
+    # never met items 0 and 1: the win graph of the items with wins is not
+    # strongly connected, and no score for item 3, zero or other, is the
+    # MLE.  Those days fail; none is scored with item 3 held at zero.
     rows = [(0, 1, s, day, int(day < 4)) for s in (1, 2) for day in range(1, 5)]
     rows += [(2, 3, 2, day, 1) for day in range(1, 5)]
     enc = TimeEncoding("season-day", (4, 4))
@@ -359,19 +303,15 @@ def test_backtest_new_pair_is_not_held_at_zero(monkeypatch, method):
         np.array([r[4] for r in rows]),
         encoding=enc,
     )
-    warm_report = backtest(ds, base_seasons=1, method=method, h=1.0)
-    if method == "mle":  # every mle day is solved cold: check it against a per-day loop
-        cold_fields, _ = reference_backtest(ds, 1, "mle", 1.0, GAUSSIAN, None)
-    else:
-        solve = getattr(experiments, _SOLVER[method])
-        monkeypatch.setattr(
-            experiments, _SOLVER[method],
-            lambda win, config, init: solve(win, config, None),
-        )
-        cold_fields = _report_fields(backtest(ds, base_seasons=1, method=method, h=1.0))
-    assert _report_fields(warm_report) == cold_fields
-    # no score ties: item 3, unbeaten by item 2, is picked on days 2-4
-    assert warm_report.n_ties == 0
+    report = backtest(ds, base_seasons=1, method=method, h=1.0)
+    fields, days = reference_backtest(ds, 1, method, 1.0, GAUSSIAN, None)
+    assert _report_fields(report) == fields
+    assert [d is None for d in days] == [False, True, True, True]
+    assert report.n_failed_fits == 3 and report.n_ties == 0
+    tt = ds.in_time_order()[0]
+    fits = _mm_fits(ds, np.unique(tt[tt >= 1]), 1.0, GAUSSIAN if method == "wmle" else None,
+                    MMConfig(), before=True)
+    assert [type(fit) for _, fit in fits][1:] == [ConnectivityError] * 3
 
 
 # -- krc and rc days as one causal batched pass -------------------------------
@@ -381,9 +321,8 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
                        warm=False):
     """The per-day krc/rc/mle/wmle loop that the causal pass replaced: report
     fields and each test day's scores (None for a failed fit).  ``fail_day``
-    forces that day's fit to fail.  With ``warm`` an mle day starts from the
-    last day's scores when they are all positive, as the loop once did; a
-    wmle day always does."""
+    forces that day's fit to fail.  With ``warm`` a day starts from the last
+    day's scores when they are all positive, as the loop once did."""
     tt, ii, jj, yy = ds.in_time_order()
     test_mask = tt >= float(base_seasons)
     season_tally = {}
@@ -417,7 +356,7 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
             days.append(None)
             continue
         days.append(scores)
-        start = scores if (warm or method == "wmle") and scores.min() > 0 else None
+        start = scores if warm and scores.min() > 0 else None
         for k in np.flatnonzero(day_mask):
             i, j = int(ii[k]), int(jj[k])
             if not (seen_by[i] < t_day and seen_by[j] < t_day):
@@ -517,7 +456,7 @@ def test_causal_pass_day_failure_stays_on_its_day(monkeypatch):
         out[4] = ConvergenceError("forced failure")
         return out
 
-    for method in ("krc", "rc", "mle"):
+    for method in ("krc", "rc", "mle", "wmle"):
         fields, _ = reference_backtest(ds, 2, method, 1.0, GAUSSIAN, None, fail_day=4)
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_stationary_stack", fail_fifth)
@@ -557,7 +496,7 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
 @pytest.mark.parametrize("method", ["krc", "mle", "wmle"])
 def test_causal_pass_leakage_check_trips(monkeypatch, method):
     ds, _ = season_fixture()
-    name = {"krc": "causal_fits", "mle": "_mm_fits", "wmle": "_wmle_fits"}[method]
+    name = "causal_fits" if method == "krc" else "_mm_fits"
     real = getattr(experiments, name)
 
     def leaky(*args, **kwargs):
@@ -605,9 +544,10 @@ def test_mle_days_match_per_day_loop(label, make, base):
 # -- wmle days from the causal pass -------------------------------------------
 
 
-@pytest.mark.parametrize("seed,n_failed", [(10, 1), (5, 3)])
-def test_wmle_days_match_per_day_loop(seed, n_failed):
-    # a day after a failed fit starts cold in both paths
+@pytest.mark.parametrize("seed", [10, 5])
+def test_wmle_days_match_per_day_loop(seed):
+    # Every day's win graph here is strongly connected, so every day has an
+    # MLE and none may fail (the step-size-stopped MM failed 1 and 3).
     ds, _ = generate_season_dataset(
         n=8, n_seasons=4, days_per_season=6, games_per_day=4, seed=seed,
         drift=1.2, spread=0.4,
@@ -615,16 +555,23 @@ def test_wmle_days_match_per_day_loop(seed, n_failed):
     fields, ref_days = reference_backtest(ds, 2, "wmle", 0.8, GAUSSIAN, None)
     report = backtest(ds, base_seasons=2, method="wmle", h=0.8)
     assert _report_fields(report) == fields
-    assert report.n_failed_fits == n_failed
+    assert report.n_failed_fits == 0
     tt = ds.in_time_order()[0]
     eval_times = np.unique(tt[tt >= 2])
-    fits = list(experiments._wmle_fits(ds, eval_times, 0.8, GAUSSIAN, MMConfig()))
+    fits = list(_mm_fits(ds, eval_times, 0.8, GAUSSIAN, MMConfig(), before=True))
     assert len(fits) == len(ref_days) == eval_times.size
-    assert ref_days[-1] is not None  # the last failure is followed by a day
     for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
-        if ref is None:
-            assert isinstance(fit, ConvergenceError)
-        else:
-            assert fit.t == t_day
-            assert np.max(np.abs(fit.scores - ref)) <= 1e-12
+        assert fit.t == t_day
+        assert np.max(np.abs(fit.scores - ref)) <= 1e-12
+
+
+def test_wmle_backtest_prices_every_krc_game_on_criterion_12_data():
+    ds, _ = generate_season_dataset(
+        n=12, n_seasons=10, days_per_season=12, games_per_day=5, seed=0,
+        drift=1.2, spread=0.4,
+    )
+    weighted = backtest(ds, base_seasons=3, method="wmle", h=0.8)
+    smoothed = backtest(ds, base_seasons=3, method="krc", h=0.8)
+    assert weighted.n_failed_fits == 0
+    assert weighted.n_games == smoothed.n_games

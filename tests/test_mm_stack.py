@@ -1,4 +1,4 @@
-"""The stacked MM solve: every row of a win-matrix stack is solved as
+"""The stacked MLE solve: every row of a win-matrix stack is solved as
 ``_mm_solve`` solves it alone, whatever the other rows do."""
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from krc import baselines
 from krc.baselines import MMConfig, _mm_solve, _mm_stack, _win_matrix
-from krc.errors import ConvergenceError
+from krc.errors import ConnectivityError, ConvergenceError
 from krc.estimator import pair_fractions
 from krc.kernels import GAUSSIAN
 from krc.simulate import SimConfig, generate
@@ -21,7 +21,7 @@ def _counts(rng, n):
 def _stack(seed, n=6):
     """Rows 0, 1, 3 and 5 are random counts, each with a pair never
     compared; item 2 never wins in row 5.  Row 2 holds fractional wmle
-    shares, and row 4 is all zero, so it collapses on its first sweep."""
+    shares, and row 4 is all zero, so it collapses."""
     rng = np.random.default_rng(seed)
     counts = [_counts(rng, n) for _ in range(4)]
     for win in counts:
@@ -40,7 +40,7 @@ def _expected(win, config):
     for w in win:
         try:
             out.append(_mm_solve(w, config, None))
-        except (ConvergenceError, RuntimeError) as err:
+        except (ConnectivityError, ConvergenceError, RuntimeError) as err:
             out.append(err)
     return out
 
@@ -90,27 +90,72 @@ def test_stack_rows_that_run_out_of_iterations_fail_alone():
 
 
 def test_stack_ascent_check_fails_its_row_alone(monkeypatch):
-    # The third sweep's likelihood of the first row still iterating is
-    # reported 1.0 too low; row 0 needs more than three sweeps.
+    # Every likelihood of row 0 after its start is reported 10.0 too low, so
+    # none of its step lengths ascends within the halving budget; the row is
+    # told apart from the others by its win masses.
     win = _stack(5)
     expected = _expected(win, MMConfig())
-    assert expected[0][1].iterations > 3
+    assert expected[0][1].iterations > 1
     true_loglik = baselines._pair_log_likelihood
+    row_0 = win[0].sum(axis=1)
     calls = []
 
-    def dropping(*args):
-        calls.append(args)
-        ll = true_loglik(*args)
-        if len(calls) == 3:
-            ll[0] -= 1.0
+    def dropping(W, *args):
+        ll = true_loglik(W, *args)
+        calls.append(W)
+        if len(calls) > 1:
+            ll[(W == row_0).all(axis=1)] -= 10.0
         return ll
 
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
     with pytest.raises(RuntimeError, match="decreased the log-likelihood") as err:
         _mm_solve(win[0], MMConfig(), None)
+    assert len(calls) == 1 + baselines._HALVINGS + 1
     expected[0] = err.value
     calls.clear()
     _assert_rows_match(_mm_stack(win, MMConfig()), expected)
+
+
+def test_stack_row_without_interior_mle_fails_before_any_step(monkeypatch):
+    # Items 3-5 never beat items 0-2, so the win graph over the items with
+    # wins is not strongly connected: no maximizer keeps them all positive.
+    rng = np.random.default_rng(6)
+    split = _counts(rng, 6) + 1.0
+    np.fill_diagonal(split, 0.0)
+    split[3:, :3] = 0.0
+    win = _stack(6)
+    with_split = np.concatenate((win[:2], split[None], win[2:]))
+    seen = []
+    true_loglik = baselines._pair_log_likelihood
+
+    def spy(W, *args):
+        seen.append(W.copy())
+        return true_loglik(W, *args)
+
+    monkeypatch.setattr(baselines, "_pair_log_likelihood", spy)
+    got = _mm_stack(with_split, MMConfig())
+    assert isinstance(got[2], ConnectivityError)
+    assert "not strongly connected" in str(got[2])
+    # its likelihood was never taken: it left before the start's
+    assert not any((W == split.sum(axis=1)).all(axis=1).any() for W in seen)
+    monkeypatch.undo()
+    with pytest.raises(ConnectivityError):
+        _mm_solve(split, MMConfig(), None)
+    _assert_rows_match(got[:2] + got[3:], _expected(win, MMConfig()))
+
+
+def test_stack_row_with_a_singular_newton_system_fails_alone():
+    # Item 0 wins the smallest float's share of its games, so its Newton
+    # weights underflow to 0 and its row's linear system is singular.
+    tiny = 5e-324
+    singular = np.zeros((6, 6))
+    singular[:3, :3] = [[0.0, tiny, tiny], [1 - tiny, 0.0, 0.3], [1 - tiny, 0.7, 0.0]]
+    with pytest.raises(ConvergenceError, match="singular"):
+        _mm_solve(singular, MMConfig(), None)
+    win = _stack(7)
+    got = _mm_stack(np.concatenate((win[:1], singular[None], win[1:])), MMConfig())
+    assert isinstance(got[1], ConvergenceError) and "singular" in str(got[1])
+    _assert_rows_match(got[:1] + got[2:], _expected(win, MMConfig()))
 
 
 def test_stack_of_nothing_but_empty_rows():
