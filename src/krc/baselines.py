@@ -16,10 +16,11 @@ replaced, stays in the tests as the reference.
 
 The solver takes a stack of win matrices: the rows still iterating share
 each batched linear solve, and a row leaves when it converges or fails, with
-the result it would have alone.  A single solve is its one-row case.  Many
-times' fits (a weighted-MLE curve, or the walk-forward pooled and weighted
-MLE on the records strictly before each day) come from one pass of per-pair
-sums and are solved as such stacks, each started cold.
+the result it would have alone.  A single solve is its one-row case.  Every
+fit reads one pass of per-pair sums, solved as such stacks, each row started
+cold: a weighted-MLE curve, the walk-forward pooled and weighted MLE on the
+records strictly before each day, and, as one-point cases, ``bt_mle_mm``
+(pooled, at t=+inf) and ``wmle``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
-from .data import ComparisonDataset
+from .data import ComparisonDataset, _strong_components
 from .errors import ConnectivityError, ConvergenceError
 from .estimator import ScoreVector, _fits, _no_mass, _pair_sums
 from .kernels import Kernel
@@ -144,20 +144,6 @@ def _pair_log_likelihood(W, p, pinned, N, absent) -> np.ndarray:
     return items - 0.5 * pairs.sum(axis=-1).sum(axis=-1)
 
 
-def _winners_connected(win: np.ndarray, wins: np.ndarray) -> np.ndarray:
-    """Per matrix of the (k, n, n) stack ``win``: whether its items with wins
-    (``wins``, k x n) are in one strongly connected component of its win
-    graph; an item without wins has no out-edge, so no path runs through it.
-    The stack goes to csgraph as one block-diagonal graph."""
-    k, n = wins.shape
-    slot, a, b = np.nonzero(win > 0.0)
-    graph = csr_matrix((np.ones(slot.size), (slot * n + a, slot * n + b)), (k * n, k * n))
-    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    labels = labels.reshape(k, n)
-    lo = np.where(wins, labels, k * n).min(axis=1)
-    return lo == np.where(wins, labels, -1).max(axis=1)
-
-
 def _newton_steps(H: np.ndarray, score: np.ndarray) -> np.ndarray:
     """Solve the stack of systems H x = score in one call or, if one is
     singular in floating point, one at a time, a singular one's x NaN."""
@@ -169,48 +155,36 @@ def _newton_steps(H: np.ndarray, score: np.ndarray) -> np.ndarray:
         return np.concatenate([_newton_steps(H[a:a + 1], score[a:a + 1]) for a in range(len(H))])
 
 
-def _mm_solve(
-    win: np.ndarray, config: MMConfig, init: np.ndarray | None
-) -> tuple[np.ndarray, MMInfo]:
+def _mm_solve(win: np.ndarray, config: MMConfig) -> tuple[np.ndarray, MMInfo]:
     """Maximize the preference likelihood of one win matrix on the simplex.
 
     ``win[a, b]`` is the (possibly fractional) win mass of a over b.  This is
-    the one-row case of :func:`_mm_stack`, started from ``init`` when given.
+    the one-row case of :func:`_mm_stack`.
     """
-    n = win.shape[0]
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (n,) or np.min(init) < 0 or init.sum() <= 0:
-            raise ValueError("init must be a nonnegative vector with positive sum")
-        init = init[None]
-    (fit,) = _mm_stack(win[None], config, init)
+    (fit,) = _mm_stack(win[None], config)
     if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def _mm_stack(
-    win: np.ndarray, config: MMConfig, init=None, trace: bool = True
-) -> list:
+def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
     """Safeguarded Newton on theta = log p for each win matrix of the (k, n,
     n) stack ``win``: per row, (scores, MMInfo) or the error its solve
-    raises.  With ``trace`` off, the MMInfo keeps no likelihood trace (the
-    check still runs).
+    raises.  The MMInfo keeps the likelihood trace, from the start.
 
     Per row, items without wins are pinned at 0.  Before any step, a row
     without wins collapses (once ``max_iter`` > 0), and a row whose items
     with wins are not strongly connected is a ConnectivityError.  The others
-    start from their row of ``init`` (an item at 0 there takes the row's
-    smallest positive start) or, when it is None, from their win rates W_a /
-    sum_b N_ab; the one with most wins is held fixed.  Each iteration solves
-    the rows' Newton systems, the Laplacians of c_ab = N_ab p_a p_b / (p_a +
-    p_b)^2 with the fixed items' rows and columns made unit, in one
-    ``np.linalg.solve``; a row whose system is singular fails alone.  A row
-    halves its step until the likelihood passes the ascent check, and fails
-    after ``_HALVINGS`` halvings.  It stops once max_a |W_a - sum_b N_ab p_a
-    / (p_a + p_b)| / W_a <= ``tol`` over its items with wins, or fails after
-    ``max_iter`` steps.  Every reduction runs along a row's own axes, so no
-    row's result depends on the others.
+    start from their win rates W_a / sum_b N_ab; the item with most wins is
+    held fixed.  Each iteration solves the rows' Newton systems, the
+    Laplacians of c_ab = N_ab p_a p_b / (p_a + p_b)^2 with the fixed items'
+    rows and columns made unit, in one ``np.linalg.solve``; a row whose
+    system is singular fails alone.  A row halves its step until the
+    likelihood passes the ascent check, and fails after ``_HALVINGS``
+    halvings.  It stops once max_a |W_a - sum_b N_ab p_a / (p_a + p_b)| / W_a
+    <= ``tol`` over its items with wins, or fails after ``max_iter`` steps.
+    Every reduction runs along a row's own axes, so no row's result depends
+    on the others.
     """
     k, n = win.shape[:2]
     W = win.sum(axis=2)
@@ -220,7 +194,11 @@ def _mm_stack(
     if config.max_iter > 0:  # a row without wins collapses at its first step
         for d in np.flatnonzero(empty).tolist():
             out[d] = ConvergenceError("no wins: the scores collapsed to the zero vector")
-    supported = _winners_connected(win, wins)
+    # The items with wins must share one strong component of the win graph;
+    # an item without wins has no out-edge, so no path runs through it.
+    labels = _strong_components(win > 0.0)
+    supported = (np.where(wins, labels, labels.size).min(axis=1)
+                 == np.where(wins, labels, -1).max(axis=1))
     for d in np.flatnonzero(~supported & ~empty).tolist():
         out[d] = ConnectivityError("the items with wins are not strongly connected; "
                                    "the MLE does not exist")
@@ -228,9 +206,7 @@ def _mm_stack(
     W, wins = W[rows], wins[rows]
     N = win[rows] + np.swapaxes(win[rows], 1, 2)
     rates = W / (N.sum(axis=-1) + ~wins)  # 0, not 0/0, for an item without wins
-    p = np.where(wins, rates if init is None else init[rows], 0.0)
-    low = np.where(p > 0, p, np.inf).min(axis=1, keepdims=True)
-    p = np.where(wins & ~(p > 0), np.where(low < np.inf, low, 1.0), p)
+    p = np.where(wins, rates, 0.0)
     p /= p.sum(axis=1, keepdims=True)
     del win  # the iterations read W and N alone
     absent = (N == 0).astype(float)
@@ -243,10 +219,10 @@ def _mm_stack(
     steps = np.zeros(rows.size, dtype=np.int64)
     failed = np.zeros(rows.size, dtype=bool)
     last = np.full(k, np.inf)  # each row's residual when it runs out of steps
-    ll = _pair_log_likelihood(W, p, pinned, N, absent)
-    traces = {d: [x] for d, x in zip(rows.tolist(), ll.tolist())} if trace else {}
     diag = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ll = _pair_log_likelihood(W, p, pinned, N, absent)  # -inf if a win rate underflows
+        traces = {d: [x] for d, x in zip(rows.tolist(), ll.tolist())}
         for it in range(config.max_iter + 1):
             if not rows.size:
                 break
@@ -256,7 +232,7 @@ def _mm_stack(
             resid = np.max(abs(g) / (W + pinned), axis=1)
             done = (resid <= config.tol) & ~failed
             for a in np.flatnonzero(done).tolist():
-                info = MMInfo(int(steps[a]), float(resid[a]), traces.get(rows[a], []))
+                info = MMInfo(int(steps[a]), float(resid[a]), traces[rows[a]])
                 out[rows[a]] = (p[a].copy(), info)
             keep = ~done & ~failed
             if it == config.max_iter:
@@ -291,9 +267,8 @@ def _mm_stack(
                 took = todo[ok]
                 p[took], ll[took] = q[ok], llq[ok]
                 steps[took] += 1
-                if trace:
-                    for a, x in zip(took.tolist(), llq[ok].tolist()):
-                        traces[rows[a]].append(x)
+                for a, x in zip(took.tolist(), llq[ok].tolist()):
+                    traces[rows[a]].append(x)
                 todo, llq = todo[~ok], llq[~ok]
                 if not todo.size:
                     break
@@ -313,37 +288,17 @@ def _mm_stack(
     return out
 
 
-def _win_stacks(
-    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
-    before: bool = False,
-):
-    """Yield (times, kept, mass, win) per grid chunk of ``_pair_sums``, in
-    order: ``win`` stacks the chunk's win matrices, one solver stack within
-    the tile budget, and ``mass`` marks each time's pairs with mass.  With a
-    kernel each such pair splits unit mass into win shares; ``kernel=None``
-    (only with ``before``) gives pooled counts.  ``kept`` and ``before`` are
-    those of ``_pair_sums``."""
-    n = dataset.n
-    _, seg_i, seg_j = dataset.pair_segments()
-    for chunk, den, won, kept in _pair_sums(dataset, times, h, kernel, before):
-        mass = den > 0.0
-        if kernel is None:  # pooled counts
-            lost = den - won
-        else:  # each pair with mass splits unit mass into win shares
-            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-                won = np.where(mass, won / den, 0.0)
-            lost = np.where(mass, 1.0 - won, 0.0)
-        yield chunk.tolist(), kept, mass, _win_matrix(n, seg_i, seg_j, won, lost)
-
-
-def _one_fit(win, t, config, strict, init, return_info, graph: str):
-    """The ScoreVector (with its MMInfo if ``return_info``) of one win
-    matrix, tagged t.  With ``strict`` an item without wins is an error, not
-    pinned at zero; the items with wins must be strongly connected anyway."""
-    if strict and not win.sum(axis=1).all():
+def _one_point(fit, t, strict: bool, return_info: bool, graph: str):
+    """The ScoreVector, tagged t (with its MMInfo if ``return_info``), of one
+    point of :func:`_mm_fits`, raising the error it yielded.  An item is at
+    exactly 0 only if it never won (an item with wins at 0 has residual 1),
+    which ``strict`` makes an error."""
+    if isinstance(fit, Exception):
+        raise fit
+    sv, info = fit
+    if strict and not sv.scores.all():
         raise ConnectivityError(f"an item never won in the {graph}; the MLE does not exist")
-    p, info = _mm_solve(win, config, init)
-    sv = ScoreVector(p, t=t)
+    sv = ScoreVector(sv.scores, t=t)
     return (sv, info) if return_info else sv
 
 
@@ -352,18 +307,17 @@ def bt_mle_mm(
     config: MMConfig = MMConfig(),
     *,
     strict: bool = True,
-    init: np.ndarray | None = None,
     return_info: bool = False,
 ):
     """Pooled maximum-likelihood scores (all comparisons weighted equally).
 
-    The counts are the walk-forward pass's at t=+inf.  ``strict`` requires
-    the win matrix solved to be strongly connected, the condition for the
-    maximizer to exist in the simplex interior; with ``strict=False`` items
-    without wins are pinned at zero, and the others' graph must be.
+    This is the untagged pooled fit at t=+inf of :func:`_mm_fits`.  Items
+    without wins are pinned at zero, and the others' win graph must be
+    strongly connected; ``strict`` also requires every item to have won,
+    the condition for the maximizer to exist in the simplex interior.
     """
-    ((_, _, _, win),) = _win_stacks(dataset, [np.inf], 0.0, None, before=True)
-    return _one_fit(win[0], None, config, strict, init, return_info, "pooled win graph")
+    ((_, fit),) = _mm_fits(dataset, [np.inf], 0.0, None, config, before=True)
+    return _one_point(fit, None, strict, return_info, "pooled win graph")
 
 
 def wmle(
@@ -374,7 +328,6 @@ def wmle(
     config: MMConfig = MMConfig(),
     *,
     strict: bool = True,
-    init: np.ndarray | None = None,
     return_info: bool = False,
 ):
     """Kernel-weighted maximum-likelihood scores at evaluation time t.
@@ -382,14 +335,13 @@ def wmle(
     Each pair observed at (t, h) contributes unit mass split into weighted
     win shares S_ij = sum_k y_ij(t_k) K_h(t, t_k) / sum_k K_h(t, t_k).
     Maximizing sum S_ij log(p_j / (p_i + p_j)) is then a weighted version
-    of the pooled likelihood.  ``strict`` is :func:`bt_mle_mm`'s, on the
-    matrix of these shares, the one solved.
+    of the pooled likelihood.  This is the one-point case of
+    :func:`_mm_fits`; ``strict`` is :func:`bt_mle_mm`'s, on the matrix of
+    these shares, the one solved.
     """
-    ((_, _, mass, win),) = _win_stacks(dataset, [t], h, kernel)
-    if not (strict or mass.any()):  # a strict fit without mass has no wins
-        raise _no_mass(t, h, before=False)
-    return _one_fit(win[0], t, config, strict, init, return_info,
-                    f"kernel-weighted win graph at t={t}, h={h}")
+    ((_, fit),) = _mm_fits(dataset, [t], h, kernel, config)
+    return _one_point(fit, t, strict, return_info,
+                      f"kernel-weighted win graph at t={t}, h={h}")
 
 
 def _mm_fits(
@@ -398,23 +350,30 @@ def _mm_fits(
 ):
     """Yield (kept, fit) for each time, in order, every fit started cold.
 
-    With a kernel, ``fit`` is a ScoreVector, tagged t, with the scores of
-    ``wmle(dataset, t, h, kernel, config, strict=False)``; with
-    ``kernel=None`` and ``before`` (``h`` unused) its scores are those of
-    ``bt_mle_mm(dataset.with_max_time(t), config, strict=False)``, from the
-    pooled counts of the records strictly before t.  A fit that would raise
-    yields its error instead, and the other times are unaffected.
-    ``kept`` and ``before`` are those of ``_pair_sums``; each stack of
-    :func:`_win_stacks` goes to :func:`_mm_stack` as one.
+    ``fit`` is (ScoreVector tagged t, MMInfo), or the error that fit raises,
+    the other times being unaffected.  With a kernel, each pair with mass at
+    t splits unit mass into win shares, and a time without mass yields
+    EstimationError; ``kernel=None`` (only with ``before``, ``h`` unused)
+    gives the pooled counts of the records strictly before t.  ``kept`` and
+    ``before`` are those of :func:`_pair_sums`; each grid chunk's win
+    matrices go to :func:`_mm_stack` as one stack, within the tile budget.
     """
-    for ts, kept, mass, win in _win_stacks(dataset, times, h, kernel, before):
-        fits = _mm_stack(win, config, trace=False)
-        for d, t in enumerate(ts):
-            fit = fits[d]
+    n = dataset.n
+    _, seg_i, seg_j = dataset.pair_segments()
+    for chunk, den, won, kept in _pair_sums(dataset, times, h, kernel, before):
+        mass = den > 0.0
+        if kernel is None:  # pooled counts
+            lost = den - won
+        else:  # each pair with mass splits unit mass into win shares
+            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+                won = np.where(mass, won / den, 0.0)
+            lost = np.where(mass, 1.0 - won, 0.0)
+        fits = _mm_stack(_win_matrix(n, seg_i, seg_j, won, lost), config)
+        for d, (t, fit) in enumerate(zip(chunk.tolist(), fits)):
             if kernel is not None and not mass[d].any():
                 fit = _no_mass(t, h, before)
             elif not isinstance(fit, Exception):
-                fit = ScoreVector(fit[0], t=t)
+                fit = ScoreVector(fit[0], t=t), fit[1]
             yield None if kept is None else int(kept[d]), fit
 
 
@@ -425,7 +384,6 @@ def static_rank_centrality(
     dataset: ComparisonDataset,
     sigma_n: float | None = None,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> ScoreVector:
     """Stationary scores of the pooled comparison chain (no smoothing).
 
@@ -434,7 +392,7 @@ def static_rank_centrality(
     the whole observation window.  It is the untagged pooled fit at t=+inf
     of :func:`~krc.estimator.causal_fits`, raising what that fit yields.
     """
-    ((_, fit),) = _fits(dataset, [np.inf], 0.0, None, sigma_n, tol, max_iter, True)
+    ((_, fit),) = _fits(dataset, [np.inf], 0.0, None, sigma_n, tol, True)
     if not isinstance(fit, ScoreVector):
         raise fit
     return ScoreVector(fit.scores, t=None)

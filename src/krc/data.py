@@ -625,19 +625,25 @@ def _dataset(
 # -- connectivity ----------------------------------------------------------
 
 
+def _strong_components(adj: np.ndarray) -> np.ndarray:
+    """Strong-component labels (k, n) of each graph of the (k, n, n) stack
+    ``adj`` (truthy: an edge), from one csgraph call on the block-diagonal
+    graph of them all, so no two graphs share a label."""
+    k, n = adj.shape[:2]
+    slot, a, b = np.nonzero(adj)
+    graph = csr_matrix((np.ones(slot.size), (slot * n + a, slot * n + b)), (k * n, k * n))
+    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    return labels.reshape(k, n)
+
+
 def _component_report(adj: np.ndarray) -> ConnectivityReport:
-    n = adj.shape[0]
-    n_comp, labels = csgraph.connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
-    groups: dict[int, list[int]] = {}
-    for node, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(node)
-    components = tuple(
-        tuple(sorted(g)) for g in sorted(groups.values(), key=min)
+    labels = _strong_components(adj[None])[0]
+    _, first = np.unique(labels, return_index=True)
+    components = tuple(  # each sorted, in the order of their smallest items
+        tuple(np.flatnonzero(labels == labels[k]).tolist()) for k in np.sort(first)
     )
     return ConnectivityReport(
-        strongly_connected=(n_comp == 1 and n >= 1),
+        strongly_connected=len(components) == 1,
         components=components,
         edge_count=int(adj.sum()),
     )

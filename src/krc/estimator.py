@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ComparisonDataset, _component_report
+from .data import ComparisonDataset, _strong_components
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .kernels import Kernel
 
@@ -127,7 +127,7 @@ def _no_mass(t: float, h: float, before: bool) -> EstimationError:
     return EstimationError(f"zero kernel mass for every observed pair at t={t}, h={h}")
 
 
-# Residual bound and sweep limit of a stationary solve unless a caller sets them.
+# Residual bound of a stationary solve unless a caller sets it, and sweep limit.
 _TOL = 1e-10
 _MAX_ITER = 100_000
 
@@ -379,7 +379,7 @@ def _direct_stationary(M: np.ndarray) -> np.ndarray:
 
 def _fits(
     dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
-    sigma_n: float | None, tol: float, max_iter: int, before: bool = False,
+    sigma_n: float | None, tol: float, before: bool = False,
 ):
     """Yield (kept, fit) for each time, in order.
 
@@ -407,19 +407,20 @@ def _fits(
         if sigma == 0.0:
             # The stationary vector is unique only if the chain solved is
             # strongly connected; a share that rounds to 0 drops an edge.
-            for d, t in enumerate(ts):
-                report = _component_report(P[d] > 0.0)
-                if d not in fits and not report.strongly_connected:
+            labels = np.sort(_strong_components(P > 0.0), axis=1)
+            parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
+            for d in np.flatnonzero(parts > 1).tolist():
+                if d not in fits:
                     fits[d] = ConnectivityError(
-                        f"sigma_n=0 chain {'before' if before else 'at'} t={t} is "
-                        f"not strongly connected ({report.n_components} components)"
+                        f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
+                        f"not strongly connected ({parts[d]} components)"
                     )
         else:
             _teleport(P, sigma)
         solve = [d for d in range(len(ts)) if d not in fits]
         if len(solve) < len(ts):
             P = P[solve]
-        for d, pi in zip(solve, _stationary_stack(P, tol, max_iter)):
+        for d, pi in zip(solve, _stationary_stack(P, tol, _MAX_ITER)):
             fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
                 pi, t=ts[d]
             )
@@ -434,7 +435,6 @@ def fit_scores(
     kernel: Kernel,
     sigma_n: float | None = None,
     tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
 ) -> ScoreVector:
     """Build, regularize, and solve in one step; the everyday entry point.
 
@@ -443,7 +443,7 @@ def fit_scores(
     raises ConnectivityError.  This is the one-point case of
     :func:`estimate_curve`.
     """
-    (fit,) = estimate_curve(dataset, [t], h, kernel, sigma_n, tol, max_iter)
+    (fit,) = estimate_curve(dataset, [t], h, kernel, sigma_n, tol)
     return fit
 
 
@@ -454,7 +454,6 @@ def estimate_curve(
     kernel: Kernel,
     sigma_n: float | None = None,
     tol: float = _TOL,
-    max_iter: int = _MAX_ITER,
 ) -> list[ScoreVector]:
     """Score vectors along a time grid, one per point in the given order.
 
@@ -464,7 +463,7 @@ def estimate_curve(
     fit fails raises its error.
     """
     curve = []
-    for _, fit in _fits(dataset, time_grid, h, kernel, sigma_n, tol, max_iter):
+    for _, fit in _fits(dataset, time_grid, h, kernel, sigma_n, tol):
         if not isinstance(fit, ScoreVector):
             raise fit
         curve.append(fit)
@@ -488,4 +487,4 @@ def causal_fits(
     ``sigma_n=0`` only) or ConvergenceError instead, and the other times are
     unaffected.  ``kept`` counts the records the strictly-before mask let in.
     """
-    return _fits(dataset, times, h, kernel, sigma_n, _TOL, _MAX_ITER, before=True)
+    return _fits(dataset, times, h, kernel, sigma_n, _TOL, before=True)

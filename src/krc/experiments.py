@@ -139,9 +139,9 @@ def _wmle_curve(dataset, grid, h, kernel, mm_config) -> list[ScoreVector]:
     the first point (in grid order) whose fit fails raises its error."""
     curve = []
     for _, fit in _mm_fits(dataset, grid, h, kernel, mm_config):
-        if not isinstance(fit, ScoreVector):
+        if isinstance(fit, Exception):
             raise fit
-        curve.append(fit)
+        curve.append(fit[0])
     return curve
 
 
@@ -264,7 +264,7 @@ def timing_bench(
 
         def wmle_stage():
             win = _win_matrix(n, idx_i, idx_j, frac, 1.0 - frac)
-            return _mm_solve(win, mm_config, None)
+            return _mm_solve(win, mm_config)
 
         krc_stage()  # warmup
         wmle_stage()
@@ -429,8 +429,8 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_confi
             yield None
         elif isinstance(fit, Exception):
             raise fit
-        else:
-            yield fit.scores
+        else:  # an MLE day's fit is (ScoreVector, MMInfo)
+            yield fit.scores if isinstance(fit, ScoreVector) else fit[0].scores
 
 
 def backtest(

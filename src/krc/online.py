@@ -217,11 +217,10 @@ class OnlineState:
         sigma_n: float | None = None,
         refresh_every: int = 500,
         tol: float = 1e-10,
-        max_iter: int = 100_000,
     ):
-        self._start(n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, None)
+        self._start(n, t, h, kernel, sigma_n, refresh_every, tol, None)
 
-    def _start(self, n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, win_mass):
+    def _start(self, n, t, h, kernel, sigma_n, refresh_every, tol, win_mass):
         """Check the settings, set every field, and refresh from ``win_mass``
         (None: no mass yet)."""
         if n < 2:
@@ -237,7 +236,6 @@ class OnlineState:
         self.sigma_n = default_teleport(n) if sigma_n is None else float(sigma_n)
         self.refresh_every = int(refresh_every)
         self.tol = float(tol)
-        self.max_iter = int(max_iter)
         self.win_mass = np.zeros((n, n)) if win_mass is None else win_mass
         self.updates_since_refresh = 0
         self.P: TransitionMatrix
@@ -255,7 +253,6 @@ class OnlineState:
         sigma_n: float | None = None,
         refresh_every: int = 500,
         tol: float = 1e-10,
-        max_iter: int = 100_000,
     ) -> "OnlineState":
         """Running state seeded with the kernel-weighted masses of every
         record in ``dataset``; the same checks as the constructor."""
@@ -266,7 +263,7 @@ class OnlineState:
         wm[seg_j, seg_i] = np.add.reduceat(np.where(won_j, w, 0.0), starts)
         wm[seg_i, seg_j] = np.add.reduceat(np.where(won_j, 0.0, w), starts)
         state = cls.__new__(cls)
-        state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, max_iter, wm)
+        state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, wm)
         return state
 
 
@@ -281,7 +278,7 @@ def refresh(state: OnlineState) -> OnlineState:
     seen = den > 0.0  # pairs without mass keep zero off-diagonal entries
     raw = transition_from_fractions(state.n, i[seen], j[seen], W[j, i][seen] / den[seen])
     P = regularize(raw, state.sigma_n)
-    sv = stationary(P, tol=state.tol, max_iter=state.max_iter)
+    sv = stationary(P, tol=state.tol)
     pi = ScoreVector(sv.scores, t=state.t)
     Ainv = group_inverse(P, pi)
     state.P, state.pi, state.Ainv = P, pi, Ainv

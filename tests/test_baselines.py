@@ -1,5 +1,8 @@
 """Elo, pooled and weighted maximum likelihood, static spectral ranking."""
 
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from krc.baselines import (
     EloConfig,
     MMConfig,
     MMInfo,
+    _mm_fits,
     _mm_solve,
     _win_matrix,
     bt_mle_mm,
@@ -18,7 +22,7 @@ from krc.baselines import (
     wmle,
 )
 from krc.data import ComparisonDataset
-from krc.errors import ConnectivityError, ConvergenceError
+from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import (
     TransitionMatrix,
     _fill_diagonal,
@@ -27,6 +31,7 @@ from krc.estimator import (
     regularize,
     stationary,
 )
+from krc.experiments import _wmle_curve
 from krc.kernels import BOXCAR, GAUSSIAN
 from krc.simulate import SimConfig, generate
 
@@ -120,14 +125,6 @@ def test_mle_convergence_error_on_tiny_budget():
         bt_mle_mm(ds, MMConfig(tol=1e-14, max_iter=2))
 
 
-def test_mle_init_validation():
-    ds = dataset_from_rows(2, [(0, 1, 0.1, 1), (0, 1, 0.2, 0)])
-    with pytest.raises(ValueError):
-        bt_mle_mm(ds, init=np.array([-1.0, 2.0]))
-    sv = bt_mle_mm(ds, init=np.array([0.9, 0.1]))
-    assert np.max(np.abs(sv.scores - 0.5)) < 1e-9
-
-
 # -- weighted MLE ----------------------------------------------------------
 
 
@@ -176,6 +173,57 @@ def test_wmle_bandwidth_validation():
     ds = dataset_from_rows(2, [(0, 1, 0.1, 1), (0, 1, 0.2, 0)])
     with pytest.raises(ValueError):
         wmle(ds, 0.5, 0.0, GAUSSIAN)
+
+
+def test_strict_raises_exactly_when_an_item_never_won():
+    # One record per pair of 5 items: at some seeds an item never wins, and
+    # at seed 1 the items with wins are not strongly connected.
+    seen = set()
+    for seed in range(8):
+        ds, _ = generate(SimConfig(n=5, m=1, seed=seed))
+        fits = [(partial(bt_mle_mm, ds), _loop_pooled_win(ds))]
+        for t in (0.2, 0.7):
+            idx_i, idx_j, frac = pair_fractions(ds, t, 0.1, GAUSSIAN)
+            fits.append((partial(wmle, ds, t, 0.1, GAUSSIAN),
+                         _win_matrix(5, idx_i, idx_j, frac, 1.0 - frac)))
+        for fit, win in fits:
+            try:
+                loose, loose_info = fit(strict=False, return_info=True)
+            except ConnectivityError as err:
+                seen.add("no MLE")
+                with pytest.raises(ConnectivityError, match=re.escape(str(err))):
+                    fit(strict=True)
+                continue
+            if win.sum(axis=1).all():
+                seen.add("all won")
+                sv, info = fit(strict=True, return_info=True)
+                assert sv.t == loose.t and np.array_equal(sv.scores, loose.scores)
+                assert info == loose_info
+            else:
+                seen.add("one never won")
+                with pytest.raises(ConnectivityError, match="an item never won"):
+                    fit(strict=True)
+    assert seen == {"no MLE", "all won", "one never won"}
+
+
+def test_wmle_points_are_the_curve_points():
+    ds, _ = generate(SimConfig(n=6, m=4, seed=3))
+    grid = np.linspace(0.05, 0.95, 13)
+    curve = _wmle_curve(ds, grid, 0.2, GAUSSIAN, MMConfig())
+    fits = [fit for _, fit in _mm_fits(ds, grid, 0.2, GAUSSIAN, MMConfig())]
+    for t, sv, (fit, info) in zip(grid.tolist(), curve, fits):
+        one, one_info = wmle(ds, t, 0.2, GAUSSIAN, strict=False, return_info=True)
+        assert one.t == sv.t == fit.t == t
+        assert np.array_equal(one.scores, sv.scores)
+        assert np.array_equal(one.scores, fit.scores)
+        assert one_info == info and len(info.loglik) == info.iterations + 1
+
+
+def test_strict_wmle_without_mass_raises_estimation_error():
+    ds = dataset_from_rows(2, [(0, 1, 0.1, 1), (0, 1, 0.2, 0)])
+    for strict in (True, False):
+        with pytest.raises(EstimationError, match="zero kernel mass"):
+            wmle(ds, 0.9, 0.05, BOXCAR, strict=strict)
 
 
 # -- static spectral ranking -----------------------------------------------
@@ -333,7 +381,7 @@ def _mm_cases():
 
 @pytest.mark.parametrize("label, win, init", _mm_cases())
 def test_pair_list_mm_matches_dense_reference(label, win, init):
-    p, info = _mm_solve(win, MMConfig(), init)
+    p, info = _mm_solve(win, MMConfig())
     p_ref, info_ref = _dense_mm_solve(win, MMConfig(), init)
     assert np.max(np.abs(p - p_ref)) <= 1e-9
     lls = np.asarray(info.loglik)
@@ -359,7 +407,7 @@ def _relative_score_residual(win, p):
 
 @pytest.mark.parametrize("label, win, init", _mm_cases())
 def test_mle_meets_the_score_bound_at_the_mm_fixed_point(label, win, init):
-    p, info = _mm_solve(win, MMConfig(), init)
+    p, info = _mm_solve(win, MMConfig())
     assert info.final_change <= MMConfig().tol
     assert _relative_score_residual(win, p) <= MMConfig().tol
     p_ref, _ = _dense_mm_solve(win, MMConfig(tol=1e-14, max_iter=100_000), init)
@@ -372,7 +420,7 @@ def test_mle_resolves_a_tiny_win_share(tiny):
     # Item 0 wins a share ``tiny`` of its unit games with items 1 and 2, who
     # split theirs: p_0 / p_1 = tiny / (1 - tiny), far below rounding of 1.
     win = np.array([[0.0, tiny, tiny], [1 - tiny, 0.0, 0.5], [1 - tiny, 0.5, 0.0]])
-    p, info = _mm_solve(win, MMConfig(), None)
+    p, info = _mm_solve(win, MMConfig())
     assert _relative_score_residual(win, p) <= MMConfig().tol
     assert p[0] / p[1] == pytest.approx(tiny / (1 - tiny), rel=1e-9)
     assert p[1] == pytest.approx(p[2], rel=1e-12) and info.iterations <= 10
@@ -383,16 +431,16 @@ def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
     ds, _ = generate(SimConfig(n=7, m=9, seed=seed))
     seen = {}
 
-    def spy_solve(win, config, init):
-        seen["win"] = win
-        return _mm_solve(win, config, init)
+    def spy_stack(win, config):
+        seen["win"] = win[0]
+        return mm_stack(win, config)
 
     def spy_teleport(P, sigma):  # the raw pooled chain, before the teleport
         (seen["P"],) = P.copy()
         return teleport(P, sigma)
 
-    teleport = estimator._teleport
-    monkeypatch.setattr(baselines, "_mm_solve", spy_solve)
+    teleport, mm_stack = estimator._teleport, baselines._mm_stack
+    monkeypatch.setattr(baselines, "_mm_stack", spy_stack)
     monkeypatch.setattr(estimator, "_teleport", spy_teleport)
     ml = bt_mle_mm(ds)
     rc = static_rank_centrality(ds)
@@ -419,10 +467,10 @@ def test_mm_ascent_check_fires(monkeypatch):
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
     message = r"every Newton step length decreased the log-likelihood \(.+ -> .+\)"
     with pytest.raises(RuntimeError, match=message):
-        _mm_solve(_seeded_win(5, 1), MMConfig(), None)
+        _mm_solve(_seeded_win(5, 1), MMConfig())
     assert len(calls) == 1 + baselines._HALVINGS + 1
 
 
 def test_mm_zero_win_collapses():
     with pytest.raises(ConvergenceError, match="collapsed to the zero vector"):
-        _mm_solve(np.zeros((3, 3)), MMConfig(), None)
+        _mm_solve(np.zeros((3, 3)), MMConfig())

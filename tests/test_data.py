@@ -908,9 +908,13 @@ def test_ingest_of_one_bad_field_matches_row_reference(tmp_path, header, column,
     rows = [list(row) for row in GOOD_ROWS[header]]
     rows[1][header.index(column)] = token
     text = "".join(",".join(row) + "\n" for row in [header] + rows)
-    result = assert_same_as_reference(write_exact(tmp_path / "one.csv", text))
+    path = write_exact(tmp_path / "one.csv", text)
+    result = assert_same_as_reference(path)
     # a day is only ranked among its season's days, so one below 1 reads
     assert result[0] == ("dataset" if column == "day" and token in ("0", "-3") else "error")
+    if header == _SEASON_HEADER:  # declared counts put every bad day out of range
+        declared = TimeEncoding("season-day", (2, 1))
+        assert assert_same_as_reference(path, encoding=declared)[0] == "error"
 
 
 # -- exact row numbers deep in a large file ----------------------------------

@@ -104,9 +104,7 @@ def test_raw_chain_with_rounded_share_raises():
         fit_scores(ds, 0.5, 0.01, GAUSSIAN, sigma_n=0.0)
     with pytest.raises(ConnectivityError, match="t=0.5 "):
         estimate_curve(ds, [0.5, 0.55], 0.01, GAUSSIAN, sigma_n=0.0)
-    fits = [fit for _, fit in estimator._fits(
-        ds, [0.5, 0.55], 0.01, GAUSSIAN, 0.0, 1e-10, 100_000
-    )]
+    fits = [fit for _, fit in estimator._fits(ds, [0.5, 0.55], 0.01, GAUSSIAN, 0.0, 1e-10)]
     assert isinstance(fits[0], ConnectivityError)
     assert fits[1].t == 0.55 and np.min(fits[1].scores) > 0.0
     teleported = fit_scores(ds, 0.5, 0.01, GAUSSIAN)

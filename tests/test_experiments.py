@@ -317,12 +317,10 @@ def test_backtest_new_pair_is_not_held_at_zero(method):
 # -- krc and rc days as one causal batched pass -------------------------------
 
 
-def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None,
-                       warm=False):
+def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=None):
     """The per-day krc/rc/mle/wmle loop that the causal pass replaced: report
     fields and each test day's scores (None for a failed fit).  ``fail_day``
-    forces that day's fit to fail.  With ``warm`` a day starts from the last
-    day's scores when they are all positive, as the loop once did."""
+    forces that day's fit to fail."""
     tt, ii, jj, yy = ds.in_time_order()
     test_mask = tt >= float(base_seasons)
     season_tally = {}
@@ -331,7 +329,6 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
     seen_by = np.full(ds.n, np.inf)
     np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
     days = []
-    start = None
     for d, t_day in enumerate(eval_times):
         past = ds.with_max_time(float(t_day))
         if past.n_records and not past.time_span()[1] < t_day:
@@ -345,18 +342,15 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
             elif method == "rc":
                 scores = static_rank_centrality(past, sigma_n).scores
             elif method == "wmle":
-                scores = wmle(past, float(t_day), h, kernel, strict=False,
-                              init=start).scores
+                scores = wmle(past, float(t_day), h, kernel, strict=False).scores
             else:
-                scores = bt_mle_mm(past, strict=False, init=start).scores
+                scores = bt_mle_mm(past, strict=False).scores
         except (EstimationError, ConnectivityError, ConvergenceError):
-            start = None
             n_failed_fits += 1
             n_skipped += int(np.count_nonzero(day_mask))
             days.append(None)
             continue
         days.append(scores)
-        start = scores if warm and scores.min() > 0 else None
         for k in np.flatnonzero(day_mask):
             i, j = int(ii[k]), int(jj[k])
             if not (seen_by[i] < t_day and seen_by[j] < t_day):
@@ -526,19 +520,15 @@ MLE_CASES = [
 def test_mle_days_match_per_day_loop(label, make, base):
     ds = make()
     cold_fields, cold_days = reference_backtest(ds, base, "mle", 1.0, GAUSSIAN, None)
-    warm_fields, warm_days = reference_backtest(
-        ds, base, "mle", 1.0, GAUSSIAN, None, warm=True
-    )
     report = backtest(ds, base_seasons=base, method="mle", h=1.0)
-    assert _report_fields(report) == cold_fields == warm_fields
+    assert _report_fields(report) == cold_fields
     tt = ds.in_time_order()[0]
     eval_times = np.unique(tt[tt >= base])
     fits = list(_mm_fits(ds, eval_times, 1.0, None, MMConfig(), before=True))
     assert len(fits) == len(cold_days) == eval_times.size
-    for (kept, fit), t_day, cold, warm in zip(fits, eval_times, cold_days, warm_days):
+    for (kept, (fit, _)), t_day, cold in zip(fits, eval_times, cold_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
         assert np.array_equal(fit.scores, cold)
-        assert np.max(np.abs(fit.scores - warm)) <= 1e-8
 
 
 # -- wmle days from the causal pass -------------------------------------------
@@ -560,7 +550,7 @@ def test_wmle_days_match_per_day_loop(seed):
     eval_times = np.unique(tt[tt >= 2])
     fits = list(_mm_fits(ds, eval_times, 0.8, GAUSSIAN, MMConfig(), before=True))
     assert len(fits) == len(ref_days) == eval_times.size
-    for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
+    for (kept, (fit, _)), t_day, ref in zip(fits, eval_times, ref_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
         assert fit.t == t_day
         assert np.max(np.abs(fit.scores - ref)) <= 1e-12

@@ -39,7 +39,7 @@ def _expected(win, config):
     out = []
     for w in win:
         try:
-            out.append(_mm_solve(w, config, None))
+            out.append(_mm_solve(w, config))
         except (ConnectivityError, ConvergenceError, RuntimeError) as err:
             out.append(err)
     return out
@@ -67,13 +67,6 @@ def test_stack_rows_match_one_row_solves(seed):
     assert "collapsed" in str(expected[4])
     assert expected[5][0][2] == 0.0  # pinned
     assert sum(isinstance(e, Exception) for e in expected) == 1
-    # without the likelihood trace: the same rows, an empty trace
-    for fit, ref in zip(_mm_stack(win, MMConfig(), trace=False), expected):
-        if isinstance(ref, Exception):
-            assert str(fit) == str(ref)
-        else:
-            assert np.array_equal(fit[0], ref[0]) and fit[1].loglik == []
-            assert fit[1].iterations == ref[1].iterations
 
 
 def test_stack_rows_that_run_out_of_iterations_fail_alone():
@@ -109,7 +102,7 @@ def test_stack_ascent_check_fails_its_row_alone(monkeypatch):
 
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
     with pytest.raises(RuntimeError, match="decreased the log-likelihood") as err:
-        _mm_solve(win[0], MMConfig(), None)
+        _mm_solve(win[0], MMConfig())
     assert len(calls) == 1 + baselines._HALVINGS + 1
     expected[0] = err.value
     calls.clear()
@@ -140,7 +133,7 @@ def test_stack_row_without_interior_mle_fails_before_any_step(monkeypatch):
     assert not any((W == split.sum(axis=1)).all(axis=1).any() for W in seen)
     monkeypatch.undo()
     with pytest.raises(ConnectivityError):
-        _mm_solve(split, MMConfig(), None)
+        _mm_solve(split, MMConfig())
     _assert_rows_match(got[:2] + got[3:], _expected(win, MMConfig()))
 
 
@@ -151,7 +144,7 @@ def test_stack_row_with_a_singular_newton_system_fails_alone():
     singular = np.zeros((6, 6))
     singular[:3, :3] = [[0.0, tiny, tiny], [1 - tiny, 0.0, 0.3], [1 - tiny, 0.7, 0.0]]
     with pytest.raises(ConvergenceError, match="singular"):
-        _mm_solve(singular, MMConfig(), None)
+        _mm_solve(singular, MMConfig())
     win = _stack(7)
     got = _mm_stack(np.concatenate((win[:1], singular[None], win[1:])), MMConfig())
     assert isinstance(got[1], ConvergenceError) and "singular" in str(got[1])
