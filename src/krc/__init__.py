@@ -4,18 +4,17 @@ Scores are the stationary distribution of a comparison chain whose
 off-diagonal entries are kernel-smoothed win fractions, evaluated at any
 time of interest.  The package also provides exact online updating of the
 scores via group-inverse rank-one formulas, asymptotic confidence
-intervals, classical baselines (static rank centrality, Elo, maximum
-likelihood), a simulator with known ground truth, and experiment drivers
-behind a CLI.
+intervals, classical baselines (static rank centrality and pooled and
+kernel-weighted maximum likelihood, with Elo as a walk-forward method of
+the season backtest), a simulator with known ground truth, and experiment
+drivers behind a CLI.
 """
 
 from .baselines import (
     EloConfig,
-    EloTable,
     MMConfig,
     bt_mle_mm,
     elo_expected,
-    elo_fit,
     static_rank_centrality,
     wmle,
 )
@@ -24,7 +23,6 @@ from .data import (
     ComparisonRecord,
     ConnectivityReport,
     TimeEncoding,
-    aggregate_connectivity,
     check_strong_connectivity,
     ingest_csv,
     season_of_time,

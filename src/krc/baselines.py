@@ -58,30 +58,6 @@ class MMInfo:
     loglik: list[float] = field(default_factory=list)  # at the start, then each step
 
 
-@dataclass
-class EloTable:
-    """Rating trajectory: one row per (game, participant) after the game."""
-
-    times: np.ndarray
-    items: np.ndarray
-    ratings: np.ndarray
-    final: np.ndarray
-    item_labels: tuple[str, ...]
-    config: EloConfig
-
-    def export_csv(self, path: str) -> None:
-        from .util import float_token, write_csv
-
-        write_csv(
-            path,
-            ("time", "item", "rating"),
-            (
-                (float_token(t), self.item_labels[i], float_token(r))
-                for t, i, r in zip(self.times, self.items, self.ratings)
-            ),
-        )
-
-
 def elo_expected(r_a: float, r_b: float, scale: float = 400.0) -> float:
     """Expected score of the first player against the second."""
     return 1.0 / (1.0 + 10.0 ** ((r_b - r_a) / scale))
@@ -92,33 +68,6 @@ def elo_update(ratings: np.ndarray, i: int, j: int, y: int, config: EloConfig) -
     e_j = elo_expected(ratings[j], ratings[i], config.logistic_scale)
     ratings[j] += config.k_factor * (y - e_j)
     ratings[i] += config.k_factor * ((1 - y) - (1.0 - e_j))
-
-
-def elo_fit(dataset: ComparisonDataset, config: EloConfig = EloConfig()) -> EloTable:
-    """Sequential Elo over the records in time order.
-
-    Ties in time are processed in canonical (item_i, item_j) order, so the
-    trajectory is deterministic for a given dataset.
-    """
-    tt, ii, jj, yy = dataset.in_time_order()
-    ratings = np.full(dataset.n, config.initial_rating)
-    hist_t = np.empty(2 * tt.size)
-    hist_item = np.empty(2 * tt.size, dtype=np.int64)
-    hist_r = np.empty(2 * tt.size)
-    for k in range(tt.size):
-        i, j = int(ii[k]), int(jj[k])
-        elo_update(ratings, i, j, int(yy[k]), config)
-        hist_t[2 * k] = hist_t[2 * k + 1] = tt[k]
-        hist_item[2 * k], hist_item[2 * k + 1] = i, j
-        hist_r[2 * k], hist_r[2 * k + 1] = ratings[i], ratings[j]
-    return EloTable(
-        times=hist_t,
-        items=hist_item,
-        ratings=hist_r,
-        final=ratings,
-        item_labels=dataset.item_labels,
-        config=config,
-    )
 
 
 # -- MLE core --------------------------------------------------------------
@@ -182,7 +131,8 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
     system is singular fails alone.  A row halves its step until the
     likelihood passes the ascent check, and fails after ``_HALVINGS``
     halvings.  It stops once max_a |W_a - sum_b N_ab p_a / (p_a + p_b)| / W_a
-    <= ``tol`` over its items with wins, or fails after ``max_iter`` steps.
+    <= ``tol`` over its items with wins, or fails after ``max_iter`` steps or
+    at once when a step leaves its scores bitwise unchanged.
     Every reduction runs along a row's own axes, so no row's result depends
     on the others.
     """
@@ -239,9 +189,9 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
                 last[rows] = resid
                 break
             if not keep.all():
-                rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g = (
+                rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g, resid = (
                     x[keep] for x in
-                    (rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g)
+                    (rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g, resid)
                 )
                 failed = failed[keep]
                 if not rows.size:
@@ -264,8 +214,17 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
                 q /= q.sum(axis=1, keepdims=True)
                 llq = _pair_log_likelihood(W[at], q, pinned[at], N[at], absent[at])
                 ok = llq >= ll[at] - _ASCENT_SLACK * (1.0 + np.abs(llq))
-                took = todo[ok]
-                p[took], ll[took] = q[ok], llq[ok]
+                took, q = todo[ok], q[ok]
+                # A step that leaves every score bitwise equal would repeat
+                # itself: the row is at a fixed point short of tol.
+                for a in took[(q == p[took]).all(axis=1)].tolist():
+                    failed[a] = True
+                    out[rows[a]] = ConvergenceError(
+                        f"MLE stalled: a Newton step left the scores unchanged "
+                        f"(residual {resid[a]:.3e})",
+                        residual=float(resid[a]),
+                    )
+                p[took], ll[took] = q, llq[ok]
                 steps[took] += 1
                 for a, x in zip(took.tolist(), llq[ok].tolist()):
                     traces[rows[a]].append(x)
@@ -325,7 +284,6 @@ def wmle(
     t: float,
     h: float,
     kernel: Kernel,
-    config: MMConfig = MMConfig(),
     *,
     strict: bool = True,
     return_info: bool = False,
@@ -339,7 +297,7 @@ def wmle(
     :func:`_mm_fits`; ``strict`` is :func:`bt_mle_mm`'s, on the matrix of
     these shares, the one solved.
     """
-    ((_, fit),) = _mm_fits(dataset, [t], h, kernel, config)
+    ((_, fit),) = _mm_fits(dataset, [t], h, kernel, MMConfig())
     return _one_point(fit, t, strict, return_info,
                       f"kernel-weighted win graph at t={t}, h={h}")
 

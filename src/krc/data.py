@@ -5,11 +5,11 @@ compared and the outcome was 1 exactly when ``j`` was preferred over ``i``.
 Records are stored in canonical form (``i < j``); the mirrored record
 ``(j, i, t, 1 - y)`` denotes the same event.
 
-Two time encodings are supported.  "unit-interval" stores times as given
-(optionally rescaled to [0, 1]).  "season-day" maps game day ``k`` of
-season ``l`` to ``l - 1 + k / (N_l + 1)`` where ``N_l`` is the number of
-distinct game days in season ``l``, so seasons occupy consecutive unit
-intervals and days are strictly ordered within a season.
+Two time encodings are supported.  "unit-interval" stores times as given.
+"season-day" maps game day ``k`` of season ``l`` to ``l - 1 + k / (N_l +
+1)`` where ``N_l`` is the number of distinct game days in season ``l``, so
+seasons occupy consecutive unit intervals and days are strictly ordered
+within a season.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class ConnectivityReport:
     strongly_connected: bool
     components: tuple[tuple[int, ...], ...]
     edge_count: int
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
 
 
 def _read_only(col: np.ndarray) -> np.ndarray:
@@ -227,14 +223,11 @@ class ComparisonDataset:
         except ValueError:
             raise RosterError(f"unknown item label {label!r}") from None
 
-    def _segments(self) -> Iterator[tuple[tuple[int, int], int, int]]:
-        bounds = np.concatenate((self._seg_starts, [self.n_records])).tolist()
-        pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
-        return zip(pairs, bounds, bounds[1:])
-
     def pairs(self) -> Iterator[tuple[tuple[int, int], np.ndarray, np.ndarray]]:
         """Yield ((i, j), times, outcomes) for each observed canonical pair."""
-        for key, s, e in self._segments():
+        bounds = np.concatenate((self._seg_starts, [self.n_records])).tolist()
+        pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
+        for key, s, e in zip(pairs, bounds, bounds[1:]):
             yield key, self._tt[s:e], self._yy[s:e]
 
     def pair_times_outcomes(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -246,21 +239,6 @@ class ComparisonDataset:
         yy = self._yy[rows]
         return self._tt[rows], (1 - yy) if flip else yy
 
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        return {key: e - s for key, s, e in self._segments()}
-
-    def min_pair_count(self) -> int:
-        """min |T_ij| over all unordered pairs; 0 when any pair is unobserved."""
-        if self._seg_starts.size < self.n * (self.n - 1) // 2:
-            return 0
-        return int(np.diff(self._seg_starts, append=self.n_records).min())
-
-    def records(self) -> list[ComparisonRecord]:
-        return [
-            ComparisonRecord(int(i), int(j), float(t), int(y))
-            for i, j, t, y in zip(self._ii, self._jj, self._tt, self._yy)
-        ]
-
     def in_time_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(time, item_i, item_j, outcome) stably sorted by time.
 
@@ -269,11 +247,6 @@ class ComparisonDataset:
         """
         order = np.argsort(self._tt, kind="stable")
         return self._tt[order], self._ii[order], self._jj[order], self._yy[order]
-
-    def time_span(self) -> tuple[float, float]:
-        if self.n_records == 0:
-            raise ValueError("empty dataset has no time span")
-        return float(self._tt.min()), float(self._tt.max())
 
     # -- derived datasets --------------------------------------------------
 
@@ -285,18 +258,6 @@ class ComparisonDataset:
             self.n, self._ii[mask], self._jj[mask], self._tt[mask], self._yy[mask],
             item_labels=self.item_labels, encoding=self.encoding,
             season=season, day=day, _presorted=True,
-        )
-
-    def normalized_to_unit(self) -> "ComparisonDataset":
-        """Linearly rescale times onto [0, 1]."""
-        lo, hi = self.time_span()
-        span = hi - lo
-        tt = np.zeros_like(self._tt) if span == 0 else (self._tt - lo) / span
-        return ComparisonDataset(
-            self.n, self._ii, self._jj, tt, self._yy,
-            item_labels=self.item_labels,
-            encoding=TimeEncoding("unit-interval"),
-            _presorted=True,
         )
 
     # -- export ------------------------------------------------------------
@@ -337,7 +298,6 @@ def ingest_csv(
     *,
     encoding: TimeEncoding | None = None,
     roster: Sequence[str] | None = None,
-    normalize_times: bool = False,
 ) -> ComparisonDataset:
     """Read a comparison CSV into a canonical dataset.
 
@@ -362,8 +322,6 @@ def ingest_csv(
     dataset = None if read is None else _dataset(*read, encoding, roster)
     if dataset is None:
         dataset = _dataset(*_read_rows(path, encoding), encoding, roster)
-    if normalize_times and dataset.encoding.scheme == "unit-interval":
-        return dataset.normalized_to_unit()  # season-day times are left as encoded
     return dataset
 
 
@@ -659,31 +617,20 @@ def check_strong_connectivity(
     edge when j's share of the pair's mass rounds to 0, so fits check the
     chain they solve, not this graph.  An empty edge set is disconnected.
     """
-    weighted = None
-    if dataset.n_records:
-        # Kernel weights are finite and non-negative, so a pair's weighted win
-        # mass is positive exactly when one of its records has positive weight.
-        weighted = kernel.weight(t, dataset.times, h) > 0.0
+    # Kernel weights are finite and non-negative, so a pair's weighted win
+    # mass is positive exactly when one of its records has positive weight.
+    weighted = kernel.weight(t, dataset.times, h) > 0.0
     return _component_report(_win_graph(dataset, weighted))
 
 
-def aggregate_connectivity(dataset: ComparisonDataset) -> ConnectivityReport:
-    """Connectivity of the pooled (unweighted) win graph over all times."""
-    return _component_report(_win_graph(dataset, None))
-
-
-def _win_graph(dataset: ComparisonDataset, weighted: np.ndarray | None) -> np.ndarray:
-    """Adjacency with i -> j when j beat i in a record marked by ``weighted``
-    (every record when None), from one logical-or reduction per pair."""
+def _win_graph(dataset: ComparisonDataset, weighted: np.ndarray) -> np.ndarray:
+    """Adjacency with i -> j when j beat i in a record marked by ``weighted``,
+    from one logical-or reduction per pair."""
     n = dataset.n
     adj = np.zeros((n, n), dtype=bool)
     starts, seg_i, seg_j = dataset.pair_segments()
     if starts.size:
         won = dataset.outcomes == 1
-        lost = ~won
-        if weighted is not None:
-            won &= weighted
-            lost &= weighted
-        adj[seg_i, seg_j] = np.logical_or.reduceat(won, starts)
-        adj[seg_j, seg_i] = np.logical_or.reduceat(lost, starts)
+        adj[seg_i, seg_j] = np.logical_or.reduceat(won & weighted, starts)
+        adj[seg_j, seg_i] = np.logical_or.reduceat(~won & weighted, starts)
     return adj

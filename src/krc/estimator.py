@@ -41,11 +41,9 @@ _DIAG_SLACK = 1e-12
 
 @dataclass
 class TransitionMatrix:
-    """Row-stochastic comparison chain; ``regularization`` is the applied
-    teleportation weight (0 when none)."""
+    """Row-stochastic comparison chain."""
 
     entries: np.ndarray
-    regularization: float = 0.0
 
     @property
     def n(self) -> int:
@@ -249,13 +247,10 @@ def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
     """Blend with the uniform chain: (1 - sigma) P + sigma/n.
 
     Guarantees irreducibility (every entry >= sigma/n) at a perturbation of
-    the stationary vector that vanishes with sigma.  sigma_n = 0 returns the
-    matrix unchanged.
+    the stationary vector that vanishes with sigma.  sigma_n = 0 returns a
+    copy of the matrix.
     """
-    if sigma_n == 0.0:
-        return TransitionMatrix(P.entries.copy(), P.regularization)
-    combined = 1.0 - (1.0 - P.regularization) * (1.0 - sigma_n)
-    return TransitionMatrix(_teleport(P.entries.copy(), sigma_n), combined)
+    return TransitionMatrix(_teleport(P.entries.copy(), sigma_n))
 
 
 def stationary(

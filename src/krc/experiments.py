@@ -6,9 +6,8 @@ k = 1..M-1, the averaged relative error is
     rmse_avg = (1/(M-1)) sum_k ||pi_hat(t_k) - pi(t_k)||_2 / ||pi(t_k)||_2
 
 and linf_max is the corresponding max over the grid of relative
-infinity-norm errors.  The truth is compared on the simplex scale by
-default (the estimator is normalized by construction); raw-scale
-comparison is available behind a flag.
+infinity-norm errors.  The truth is compared on the simplex scale, as the
+estimator is normalized by construction.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ def evaluate_metrics(
     estimates: list[ScoreVector],
     truth: GroundTruth,
     m: int,
-    *,
-    normalized: bool = True,
 ) -> MetricReport:
     """Relative-error summary of an estimated curve against the truth.
 
@@ -88,7 +85,7 @@ def evaluate_metrics(
     for sv, t in zip(estimates, grid):
         if sv.t is None or abs(sv.t - t) > 1e-9:
             raise ValueError(f"estimate at t={sv.t} does not match grid point {t}")
-        true = truth.normalized_skill(t) if normalized else truth.skill(t)
+        true = truth.normalized_skill(t)
         diff = sv.scores - true
         l2 = float(np.linalg.norm(diff) / np.linalg.norm(true))
         linf = float(np.max(np.abs(diff)) / np.max(np.abs(true)))
@@ -134,11 +131,11 @@ def _static_curve(sv: ScoreVector, grid: np.ndarray) -> list[ScoreVector]:
     return [ScoreVector(sv.scores, t=float(t)) for t in grid]
 
 
-def _wmle_curve(dataset, grid, h, kernel, mm_config) -> list[ScoreVector]:
+def _wmle_curve(dataset, grid, h, kernel) -> list[ScoreVector]:
     """Cold-started wmle scores at every grid point, from one kernel pass;
     the first point (in grid order) whose fit fails raises its error."""
     curve = []
-    for _, fit in _mm_fits(dataset, grid, h, kernel, mm_config):
+    for _, fit in _mm_fits(dataset, grid, h, kernel, MMConfig()):
         if isinstance(fit, Exception):
             raise fit
         curve.append(fit[0])
@@ -152,7 +149,6 @@ def bandwidth_sweep(
     kernel: Kernel = GAUSSIAN,
     replications: int = 1,
     sigma_n: float | None = None,
-    mm_config: MMConfig = MMConfig(),
 ) -> SweepTable:
     """Mean curve error per (method, bandwidth) over fresh replications.
 
@@ -191,7 +187,7 @@ def bandwidth_sweep(
                     if method == "krc":
                         curve = estimate_curve(dataset, grid, h, kernel, sigma_n)
                     else:
-                        curve = _wmle_curve(dataset, grid, h, kernel, mm_config)
+                        curve = _wmle_curve(dataset, grid, h, kernel)
                     rpt = evaluate_metrics(curve, truth, config.m)
                     results[(method, h)].append((rpt.rmse_avg, rpt.linf_max))
                 except _FIT_ERRORS:
@@ -238,25 +234,22 @@ def timing_bench(
     h: float = 0.1,
     kernel: Kernel = GAUSSIAN,
     repetitions: int = 5,
-    t: float = 0.5,
     seed: int = 0,
-    sigma_n: float | None = None,
-    mm_config: MMConfig = MMConfig(),
 ) -> list[BenchRow]:
-    """Median wall time of the estimation stage at time t, per method and n.
+    """Median wall time of the estimation stage at t=0.5, per method and n.
 
     Both methods consume the same kernel-weighted pair aggregate, so that
     shared smoothing pass runs once outside the clock.  What is timed is
     each method's own work downstream of it: assembling the comparison
     chain and solving for its stationary vector, versus assembling the
     win-share matrix and solving it as ``wmle`` does, the existence check
-    included.
+    included, with the default teleport 1/n and solver settings.
     """
     rows: list[BenchRow] = []
     for n in [int(v) for v in n_grid]:
         dataset, _ = generate(SimConfig(n=n, m=m, seed=seed + n))
-        idx_i, idx_j, frac = pair_fractions(dataset, t, h, kernel)
-        sigma = default_teleport(n) if sigma_n is None else sigma_n
+        idx_i, idx_j, frac = pair_fractions(dataset, 0.5, h, kernel)
+        sigma = default_teleport(n)
 
         def krc_stage():
             P = regularize(transition_from_fractions(n, idx_i, idx_j, frac), sigma)
@@ -264,7 +257,7 @@ def timing_bench(
 
         def wmle_stage():
             win = _win_matrix(n, idx_i, idx_j, frac, 1.0 - frac)
-            return _mm_solve(win, mm_config)
+            return _mm_solve(win, MMConfig())
 
         krc_stage()  # warmup
         wmle_stage()
@@ -352,9 +345,7 @@ def coverage_experiment(
             sv = fit_scores(dataset, t, h, kernel, default_teleport(n))
             n_disconnected += 1
         source_vec = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
-        params = plug_in_alpha(
-            source_vec, dataset, t, h, kernel, source=alpha_source
-        )
+        params = plug_in_alpha(source_vec, dataset, t, h, kernel)
         half = z / params.alpha
         err = sv.scores - pi_true
         covered += (np.abs(err) <= half).astype(float)
@@ -412,13 +403,13 @@ class BacktestReport:
 _BACKTEST_METHODS = ("krc", "rc", "wmle", "mle", "elo")
 
 
-def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config):
+def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n):
     """Each test day's krc, rc, mle or wmle scores from one causal batched
     pass, or None for a day whose fit failed.  The records each day's fit let
     in must number those strictly before it."""
     weights = kernel if method in ("krc", "wmle") else None  # None: pooled counts
     if method in ("mle", "wmle"):
-        fits = _mm_fits(dataset, eval_times, h, weights, mm_config, before=True)
+        fits = _mm_fits(dataset, eval_times, h, weights, MMConfig(), before=True)
     else:
         fits = causal_fits(dataset, eval_times, h, weights, sigma_n)
     n_before = np.searchsorted(tt, eval_times)  # tt is in time order
@@ -440,8 +431,6 @@ def backtest(
     h: float = 1.0,
     kernel: Kernel = GAUSSIAN,
     sigma_n: float | None = None,
-    mm_config: MMConfig = MMConfig(),
-    elo_config: EloConfig = EloConfig(),
 ) -> BacktestReport:
     """Walk-forward prediction accuracy on season-day data.
 
@@ -482,6 +471,7 @@ def backtest(
     first = int(np.searchsorted(tt, float(base_seasons)))  # test games: a suffix
     n_failed_fits = 0
     if method == "elo":
+        elo_config = EloConfig()
         ratings = np.full(dataset.n, elo_config.initial_rating)
         seen = np.zeros(dataset.n, dtype=bool)
         games, pre = [], []  # each scored game and its pre-game ratings
@@ -502,7 +492,7 @@ def backtest(
         seen_by = np.full(dataset.n, np.inf)
         np.minimum.at(seen_by, np.concatenate((ii, jj)), np.concatenate((tt, tt)))
         day_scores = list(_causal_scores(
-            dataset, tt, eval_times, method, h, kernel, sigma_n, mm_config
+            dataset, tt, eval_times, method, h, kernel, sigma_n
         ))
         fitted = np.array([s is not None for s in day_scores], dtype=bool)
         n_failed_fits = int(np.count_nonzero(~fitted))

@@ -14,8 +14,8 @@ with y*_ij = pi_j / (pi_i + pi_j), and the smoothing bias is
              d2/dt2 y*_kl(t)  int v^2 K.
 
 In practice the plug-in alpha uses the estimated scores and raw pair
-counts, and the bias term is ignored by under-smoothing (small h); beta is
-available for simulations where the truth is known.
+counts, and the bias term is ignored by under-smoothing (small h);
+:func:`oracle_beta` computes beta for simulations where the truth is known.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import InferenceError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
+    _pair_sums,
     build_ideal_transition,
     stationary,
 )
@@ -53,12 +54,10 @@ def normal_quantile(p: float) -> float:
 
 @dataclass
 class AsymptoticParams:
-    """Per-item precision (alpha) and optional smoothing bias (beta)."""
+    """Per-item precision (alpha) at bandwidth h and evaluation time t."""
 
     alpha: np.ndarray
-    beta: np.ndarray | None
     h: float
-    plug_in_source: str
     t: float | None = None
 
 
@@ -68,9 +67,6 @@ class IntervalEstimate:
     lower: float
     upper: float
     level: float
-
-    def describe(self) -> str:
-        return f"{self.point:.2f} ({self.lower:.2f}, {self.upper:.2f})"
 
     @property
     def width(self) -> float:
@@ -114,7 +110,6 @@ def plug_in_alpha(
     h: float,
     kernel: Kernel,
     *,
-    source: str = "estimated",
     effective_counts: bool = False,
 ) -> AsymptoticParams:
     """Per-item precision with scores plugged in for the truth.
@@ -133,8 +128,9 @@ def plug_in_alpha(
     if np.min(scores) <= 0:
         raise ValueError("scores must be strictly positive")
     starts, seg_i, seg_j = dataset.pair_segments()
-    if effective_counts:
-        mass = np.add.reduceat(kernel.weight(t, dataset.times, h), starts)
+    if effective_counts:  # the per-pair kernel mass that the fits read
+        _, den, _, _ = next(_pair_sums(dataset, [t], h, kernel))
+        mass = den[0]
     else:
         mass = np.diff(starts, append=dataset.n_records) * h
     weight_inv = np.zeros((n, n))
@@ -156,9 +152,7 @@ def plug_in_alpha(
     alpha = S1 / np.sqrt(D)
     if not np.all(np.isfinite(alpha)) or np.min(alpha) <= 0:
         raise InferenceError("non-finite or non-positive precision computed")
-    return AsymptoticParams(
-        alpha=alpha, beta=None, h=h, plug_in_source=source, t=t
-    )
+    return AsymptoticParams(alpha=alpha, h=h, t=t)
 
 
 def oracle_beta(
@@ -166,22 +160,16 @@ def oracle_beta(
     t: float,
     h: float,
     kernel: Kernel,
-    P_star: TransitionMatrix | None = None,
-    Ainv_star: GroupInverse | None = None,
     fd_step: float = 1e-3,
-    domain: tuple[float, float] = (0.0, 1.0),
 ) -> np.ndarray:
     """Smoothing-bias vector from a known (simplex-normalized) truth curve.
 
     The second time derivative of each pairwise win probability is taken by
     central differences with step ``fd_step``, so t must sit at least one
-    step inside ``domain``.  A constant truth gives exactly zero bias.
+    step inside [0, 1].  A constant truth gives exactly zero bias.
     """
-    lo, hi = domain
-    if t - fd_step < lo or t + fd_step > hi:
-        raise ValueError(
-            f"t={t} within {fd_step} of the domain boundary {domain}"
-        )
+    if t - fd_step < 0.0 or t + fd_step > 1.0:
+        raise ValueError(f"t={t} within {fd_step} of the domain boundary (0.0, 1.0)")
 
     def scores_at(s: float) -> np.ndarray:
         sv = truth_curve(s)
@@ -189,10 +177,8 @@ def oracle_beta(
 
     pi_t = scores_at(t)
     n = pi_t.shape[0]
-    if P_star is None:
-        P_star = build_ideal_transition(pi_t)
-    if Ainv_star is None:
-        Ainv_star = group_inverse(P_star, ScoreVector(pi_t, t=t))
+    P_star = build_ideal_transition(pi_t)
+    Ainv_star = group_inverse(P_star, ScoreVector(pi_t, t=t))
     Y_mid = _win_prob_matrix(pi_t)
     Y_hi = _win_prob_matrix(scores_at(t + fd_step))
     Y_lo = _win_prob_matrix(scores_at(t - fd_step))
@@ -286,7 +272,6 @@ def expansion_diagnostic(
     Ainv_star: GroupInverse,
     pi_hat: ScoreVector | None = None,
     pi_star: ScoreVector | None = None,
-    tol: float = 1e-12,
 ) -> ExpansionReport:
     """Check the perturbation expansion of the stationary vector.
 
@@ -300,9 +285,9 @@ def expansion_diagnostic(
     EA = E @ Ainv_star.entries
     ea_norm = float(np.linalg.norm(EA, 2))
     if pi_star is None:
-        pi_star = stationary(P_star, tol=tol)
+        pi_star = stationary(P_star, tol=1e-12)
     if pi_hat is None:
-        pi_hat = stationary(P_hat, tol=tol)
+        pi_hat = stationary(P_hat, tol=1e-12)
     p = pi_star.scores
     q = pi_hat.scores
     first_order = p @ EA

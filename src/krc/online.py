@@ -63,9 +63,6 @@ class GroupInverse:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.entries[:, i]
-
 
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
     """Group inverse of I - P for an irreducible chain with stationary pi."""

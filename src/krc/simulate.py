@@ -150,16 +150,15 @@ def export_truth_csv(
     grid,
     path: str,
     labels=None,
-    normalized: bool = True,
 ) -> None:
-    """Write the truth curve on a grid: ``t,item_0,...`` one row per point."""
+    """Write the simplex-normalized truth curve on a grid: ``t,item_0,...``
+    one row per point."""
     grid = np.asarray(grid, dtype=float).ravel()
     n = truth.alpha.shape[0]
     header = ["t"] + list(labels or (f"item_{k}" for k in range(n)))
     rows = []
     for t in grid:
-        s = truth.normalized_skill(t) if normalized else truth.skill(t)
-        rows.append([float_token(t)] + format_float_array(s))
+        rows.append([float_token(t)] + format_float_array(truth.normalized_skill(t)))
     write_csv(path, header, rows)
 
 

@@ -17,7 +17,7 @@ from krc.baselines import (
     _win_matrix,
     bt_mle_mm,
     elo_expected,
-    elo_fit,
+    elo_update,
     static_rank_centrality,
     wmle,
 )
@@ -58,28 +58,20 @@ def test_elo_expected_frozen():
 
 
 def test_elo_single_game_update():
-    ds = dataset_from_rows(2, [(0, 1, 0.5, 1)])
-    table = elo_fit(ds, EloConfig(k_factor=20.0))
+    ratings = np.full(2, 1500.0)
+    elo_update(ratings, 0, 1, 1, EloConfig(k_factor=20.0))
     # winner takes +K/2 from an even matchup
-    assert table.final[1] == pytest.approx(1510.0, abs=1e-12)
-    assert table.final[0] == pytest.approx(1490.0, abs=1e-12)
+    assert ratings[1] == pytest.approx(1510.0, abs=1e-12)
+    assert ratings[0] == pytest.approx(1490.0, abs=1e-12)
 
 
 def test_elo_rating_conservation():
     ds, _ = generate(SimConfig(n=6, m=8, seed=4))
-    table = elo_fit(ds)
-    assert table.final.sum() == pytest.approx(6 * 1500.0, abs=1e-8)
-    assert table.times.size == 2 * ds.n_records
-
-
-def test_elo_export(tmp_path):
-    ds = dataset_from_rows(2, [(0, 1, 0.5, 1)])
-    table = elo_fit(ds)
-    path = tmp_path / "elo.csv"
-    table.export_csv(str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "time,item,rating"
-    assert len(lines) == 3
+    ratings = np.full(ds.n, EloConfig().initial_rating)
+    _, ii, jj, yy = ds.in_time_order()
+    for i, j, y in zip(ii.tolist(), jj.tolist(), yy.tolist()):
+        elo_update(ratings, i, j, y, EloConfig())
+    assert ratings.sum() == pytest.approx(6 * 1500.0, abs=1e-8)
 
 
 # -- pooled MLE ------------------------------------------------------------
@@ -209,7 +201,7 @@ def test_strict_raises_exactly_when_an_item_never_won():
 def test_wmle_points_are_the_curve_points():
     ds, _ = generate(SimConfig(n=6, m=4, seed=3))
     grid = np.linspace(0.05, 0.95, 13)
-    curve = _wmle_curve(ds, grid, 0.2, GAUSSIAN, MMConfig())
+    curve = _wmle_curve(ds, grid, 0.2, GAUSSIAN)
     fits = [fit for _, fit in _mm_fits(ds, grid, 0.2, GAUSSIAN, MMConfig())]
     for t, sv, (fit, info) in zip(grid.tolist(), curve, fits):
         one, one_info = wmle(ds, t, 0.2, GAUSSIAN, strict=False, return_info=True)
@@ -469,6 +461,15 @@ def test_mm_ascent_check_fires(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         _mm_solve(_seeded_win(5, 1), MMConfig())
     assert len(calls) == 1 + baselines._HALVINGS + 1
+
+
+def test_mm_fails_a_stalled_row_at_once():
+    # Item 0 wins with the smallest subnormal mass, so its score underflows
+    # and every accepted step leaves the scores bitwise unchanged.
+    win = np.array([[0.0, 5e-324, 5e-324], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
+    with pytest.raises(ConvergenceError, match="stalled") as info:
+        _mm_solve(win, MMConfig())
+    assert info.value.residual == 1.0
 
 
 def test_mm_zero_win_collapses():

@@ -17,7 +17,6 @@ from krc.data import (
     ComparisonDataset,
     ComparisonRecord,
     TimeEncoding,
-    aggregate_connectivity,
     check_strong_connectivity,
     ingest_csv,
     season_of_time,
@@ -209,16 +208,8 @@ def test_pair_views_sorted_by_time():
     times, outs = ds.pair_times_outcomes(0, 1)
     assert np.array_equal(times, [0.1, 0.4])
     assert np.array_equal(outs, [0, 1])
-    assert ds.pair_counts() == {(0, 1): 2, (0, 2): 1, (1, 2): 1}
-    assert ds.min_pair_count() == 1
-    assert ds.time_span() == (0.1, 0.5)
-
-
-def test_min_pair_count_zero_when_pair_missing():
-    ds = ComparisonDataset(
-        3, np.array([0]), np.array([1]), np.array([0.5]), np.array([1])
-    )
-    assert ds.min_pair_count() == 0
+    counts = {key: times.size for key, times, _ in ds.pairs()}
+    assert counts == {(0, 1): 2, (0, 2): 1, (1, 2): 1}
 
 
 def test_with_max_time_is_strict():
@@ -239,22 +230,6 @@ def test_in_time_order_is_stable():
     # equal times keep canonical (i, j) order
     assert np.array_equal(oi, [0, 0, 1])
     assert np.array_equal(oj, [1, 2, 2])
-
-
-def test_records_roundtrip():
-    ds = build_small()
-    recs = ds.records()
-    assert len(recs) == 4
-    assert all(r.item_i < r.item_j for r in recs)
-
-
-def test_normalized_to_unit():
-    ii = np.array([0, 0])
-    jj = np.array([1, 1])
-    tt = np.array([10.0, 30.0])
-    yy = np.array([1, 0])
-    ds = ComparisonDataset(2, ii, jj, tt, yy).normalized_to_unit()
-    assert np.array_equal(ds.times, [0.0, 1.0])
 
 
 def test_dataset_rejects_inconsistent_input():
@@ -329,8 +304,7 @@ def test_presorted_columns_are_taken_as_given():
     # The presorted callers build the dataset the copying path builds.
     sim, _ = generate(SimConfig(n=5, m=7, seed=3))
     season, _ = generate_season_dataset(4, 3, 3, 2, seed=1)
-    for got in (sim, sim.with_max_time(0.5), sim.normalized_to_unit(),
-                season.with_max_time(1.5)):
+    for got in (sim, sim.with_max_time(0.5), season.with_max_time(1.5)):
         ii, jj, tt, yy, ss, dd = (
             None if c is None else c.copy() for c in _columns(got)
         )
@@ -341,7 +315,6 @@ def test_presorted_columns_are_taken_as_given():
     # deriving a dataset leaves its source as it was
     source = [c.copy() for c in _columns(sim)[:4]]
     sim.with_max_time(0.5)
-    sim.normalized_to_unit()
     for col, old in zip(_columns(sim), source):
         assert np.array_equal(col, old)
 
@@ -354,7 +327,7 @@ def test_stored_columns_are_read_only():
     sim, _ = generate(SimConfig(n=4, m=3, seed=5))
     for ds in (ComparisonDataset(3, ii, jj, tt, yy, _presorted=True),
                ComparisonDataset(3, jj, ii, tt, yy), sim,
-               sim.with_max_time(0.5), sim.normalized_to_unit()):
+               sim.with_max_time(0.5)):
         for col in (ds.times, ds.outcomes, *ds.pair_segments()):
             with pytest.raises(ValueError, match="read-only"):
                 col[0] = col[0]
@@ -409,7 +382,7 @@ def test_connectivity_matches_warshall_oracle():
         got = frozenset(frozenset(c) for c in report.components)
         assert got == expected
         assert report.strongly_connected == (len(expected) == 1)
-        assert report.n_components == len(expected)
+        assert len(report.components) == len(expected)
 
 
 def test_connectivity_cycle_is_strong():
@@ -420,7 +393,7 @@ def test_connectivity_cycle_is_strong():
     yy = np.array([1, 1, 0])
     ds = ComparisonDataset(3, ii, jj, tt, yy)
     assert check_strong_connectivity(ds, 0.5, 1.0, GAUSSIAN).strongly_connected
-    assert aggregate_connectivity(ds).strongly_connected
+    assert check_strong_connectivity(ds, 0.5, 10.0, BOXCAR).strongly_connected
 
 
 def test_connectivity_one_way_is_weak():
@@ -430,9 +403,9 @@ def test_connectivity_one_way_is_weak():
     tt = np.array([0.4, 0.6])
     yy = np.array([0, 0])
     ds = ComparisonDataset(3, ii, jj, tt, yy)
-    report = aggregate_connectivity(ds)
+    report = check_strong_connectivity(ds, 0.5, 10.0, BOXCAR)
     assert not report.strongly_connected
-    assert report.n_components == 3
+    assert len(report.components) == 3
 
 
 def test_connectivity_respects_kernel_support():
@@ -481,7 +454,6 @@ def reference_ingest_csv(
     *,
     encoding: TimeEncoding | None = None,
     roster: Sequence[str] | None = None,
-    normalize_times: bool = False,
 ) -> ComparisonDataset:
     """The row-by-row ingest that preceded the columnar read, kept verbatim."""
     with open(path, newline="") as fh:
@@ -552,12 +524,11 @@ def reference_ingest_csv(
         n = len(labels)
         if n < 2:
             raise DataFormatError(f"{path}: fewer than two items")
-        ds = ComparisonDataset(
+        return ComparisonDataset(
             n, np.array(ii), np.array(jj), np.array(tt), np.array(yy),
             item_labels=[lab for lab, _ in sorted(labels.items(), key=lambda kv: kv[1])],
             encoding=TimeEncoding("unit-interval"),
         )
-        return ds.normalized_to_unit() if normalize_times else ds
 
     # season-day
     seasons: list[int] = []
@@ -864,7 +835,6 @@ def csv_case(draw):
     ), 20))
     if encoding is not None:
         kwargs["encoding"] = encoding
-    kwargs["normalize_times"] = draw(st.booleans())
     return text, kwargs
 
 
@@ -882,7 +852,7 @@ def test_ingest_matches_row_reference(case):
         if read is not None:
             direct = data._dataset(*read, kwargs.get("encoding"), kwargs.get("roster"))
             if direct is not None:
-                want = reference_ingest_csv(path, **{**kwargs, "normalize_times": False})
+                want = reference_ingest_csv(path, **kwargs)
                 assert dataset_state(direct) == dataset_state(want)
 
 
@@ -1169,7 +1139,7 @@ def test_connectivity_matches_per_pair_loop(kernel, h):
         want = data._component_report(win_graph_oracle(ds, t, h, kernel))
         assert check_strong_connectivity(ds, t, h, kernel) == want
         pooled = data._component_report(pooled_win_graph_oracle(ds))
-        assert aggregate_connectivity(ds) == pooled
+        assert check_strong_connectivity(ds, 0.5, 10.0, BOXCAR) == pooled
         weights.append(kernel.weight(t, ds.times, h))
     if h < 0.01:  # narrow: most weights are exactly 0
         assert np.mean(np.concatenate(weights) == 0.0) > 0.8

@@ -331,7 +331,7 @@ def reference_backtest(ds, base_seasons, method, h, kernel, sigma_n, fail_day=No
     days = []
     for d, t_day in enumerate(eval_times):
         past = ds.with_max_time(float(t_day))
-        if past.n_records and not past.time_span()[1] < t_day:
+        if past.n_records and not past.times.max() < t_day:
             raise RuntimeError("leakage: a fitted record is not earlier than t")
         day_mask = test_mask & (tt == t_day)
         try:

@@ -9,7 +9,6 @@ from krc.errors import ConvergenceError, RosterError, UpdateBreakdownError
 from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
 from krc.kernels import BOXCAR, GAUSSIAN
 from krc.online import (
-    GroupInverse,
     OnlineState,
     _fold_pair,
     apply_observation,
@@ -24,7 +23,7 @@ from krc.simulate import SimConfig, generate, truth_probability
 def random_chain(rng, n, sigma=0.15):
     M = rng.uniform(0.0, 1.0, size=(n, n))
     M /= M.sum(axis=1, keepdims=True)
-    return TransitionMatrix((1 - sigma) * M + sigma / n, regularization=sigma)
+    return TransitionMatrix((1 - sigma) * M + sigma / n)
 
 
 def solve_state(P, tol=1e-13):
@@ -169,13 +168,14 @@ def test_stream_matches_batch_rebuild():
         extra.append((int(a), int(b), tk, y))
         apply_observation(state, extra[-1])
 
-    recs = ds.records() + [ComparisonRecord(*r) for r in extra]
+    tt, ii, jj, yy = ds.in_time_order()
+    added = np.array(extra, dtype=float).reshape(-1, 4)
     full = ComparisonDataset(
         n,
-        np.array([r.item_i for r in recs]),
-        np.array([r.item_j for r in recs]),
-        np.array([r.time for r in recs]),
-        np.array([r.outcome for r in recs]),
+        np.concatenate([ii, added[:, 0].astype(np.int64)]),
+        np.concatenate([jj, added[:, 1].astype(np.int64)]),
+        np.concatenate([tt, added[:, 2]]),
+        np.concatenate([yy, added[:, 3].astype(np.int64)]),
     )
     sv = fit_scores(full, 0.5, 0.3, GAUSSIAN, tol=1e-13)
     assert np.max(np.abs(state.pi.scores - sv.scores)) < 1e-9
@@ -314,14 +314,6 @@ def test_both_constructors_reject_refresh_every_below_one(monkeypatch):
     monkeypatch.setattr(krc.online, "refresh", lambda s: refreshes.append(s) or real(s))
     state = OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, refresh_every=2)
     assert refreshes == [state] and state.refresh_every == 2
-
-
-def test_group_inverse_column_accessor():
-    rng = np.random.default_rng(2)
-    P = random_chain(rng, 4)
-    pi, G = solve_state(P)
-    assert np.array_equal(G.column(2), G.entries[:, 2])
-    assert isinstance(G, GroupInverse)
 
 
 def loop_win_mass(ds, t, h, kernel):

@@ -48,7 +48,6 @@ def test_generate_design_shape():
     n, m = 6, 7
     ds, truth = generate(SimConfig(n=n, m=m, seed=3))
     assert ds.n_records == m * n * (n - 1) // 2
-    assert ds.min_pair_count() == m
     for (i, j), times, _ in ds.pairs():
         assert times.size == m
         assert np.all(np.diff(times) >= 0)
