@@ -421,6 +421,17 @@ def test_connectivity_respects_kernel_support():
     assert wide.edge_count > near.edge_count
 
 
+def test_connectivity_without_records():
+    empty = np.array([], dtype=int)
+    ds = ComparisonDataset(3, empty, empty, np.array([]), empty)
+    report = check_strong_connectivity(ds, 0.5, 0.2, GAUSSIAN)
+    assert not report.strongly_connected
+    assert report.components == ((0,), (1,), (2,)) and report.edge_count == 0
+    # the bandwidth is checked even when no record is weighed
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        check_strong_connectivity(ds, 0.5, 0.0, GAUSSIAN)
+
+
 # -- columnar ingest against the row-by-row reference ------------------------
 
 _UNIT_HEADER = ("time", "item_i", "item_j", "outcome")

@@ -6,7 +6,7 @@ import scipy.stats
 import sympy as sp
 
 from krc.data import ComparisonDataset
-from krc.errors import InferenceError
+from krc.errors import EstimationError, InferenceError
 from krc.estimator import ScoreVector, build_ideal_transition, fit_scores
 from krc.inference import (
     IntervalEstimate,
@@ -106,6 +106,17 @@ def test_alpha_missing_opponents_raises():
     pi_hat = ScoreVector(np.array([1 / 3, 1 / 3, 1 / 3]), t=0.5)
     with pytest.raises(InferenceError, match="cid"):
         plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN)
+
+
+def test_alpha_on_no_records_raises():
+    # Raw counts find no opponents; effective counts fail in the kernel pass.
+    empty = np.array([], dtype=int)
+    ds = ComparisonDataset(2, empty, empty, np.array([]), empty)
+    pi_hat = ScoreVector(np.array([0.5, 0.5]), t=0.5)
+    with pytest.raises(InferenceError, match="no observed opponents"):
+        plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN)
+    with pytest.raises(EstimationError, match="no comparison records"):
+        plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN, effective_counts=True)
 
 
 def test_alpha_rejects_bad_scores():

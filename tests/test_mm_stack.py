@@ -157,3 +157,32 @@ def test_stack_of_nothing_but_empty_rows():
         assert isinstance(fit, ConvergenceError) and "collapsed" in str(fit)
     for fit in _mm_stack(win, MMConfig(max_iter=0)):
         assert isinstance(fit, ConvergenceError) and "in 0 iterations" in str(fit)
+
+
+def _stalled(n=3):
+    """Item 0 wins the smallest subnormal mass, so its score underflows and
+    every accepted Newton step leaves the scores bitwise unchanged."""
+    win = np.zeros((n, n))
+    win[:3, :3] = [[0.0, 5e-324, 5e-324], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]]
+    return win
+
+
+def test_stack_stalled_row_fails_alone():
+    with pytest.raises(ConvergenceError, match="stalled"):
+        _mm_solve(_stalled(6), MMConfig())
+    win = _stack(8)
+    got = _mm_stack(np.concatenate((win[:1], _stalled(6)[None], win[1:])), MMConfig())
+    assert isinstance(got[1], ConvergenceError) and "stalled" in str(got[1])
+    _assert_rows_match(got[:1] + got[2:], _expected(win, MMConfig()))
+
+
+def test_stalled_row_reports_its_own_residual_after_a_row_leaves():
+    # The even row starts at its MLE and leaves before any step, so the
+    # stalled row moves to the front of the per-row arrays.
+    even = 1.0 - np.eye(3)
+    with pytest.raises(ConvergenceError) as alone:
+        _mm_solve(_stalled(), MMConfig())
+    got = _mm_stack(np.stack((even, _stalled())), MMConfig())
+    assert got[0][1].iterations == 0 and got[0][1].final_change == 0.0
+    assert isinstance(got[1], ConvergenceError) and str(got[1]) == str(alone.value)
+    assert got[1].residual == alone.value.residual == 1.0
