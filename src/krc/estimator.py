@@ -25,7 +25,6 @@ one-chain case.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +157,7 @@ def _pair_sums(
     if grid.size and dataset.n_records == 0:
         raise EstimationError("no comparison records to aggregate")
     starts = dataset.pair_segments()[0]
-    bounds = starts.tolist() + [dataset.n_records]
+    bounds = np.append(starts, dataset.n_records)
     won = dataset.outcomes.astype(float)
     rows = _stack_rows(dataset.n)
     for g in range(0, grid.size, rows):
@@ -169,7 +168,7 @@ def _pair_sums(
         s = 0
         while s < starts.size:
             a = bounds[s]
-            e = max(bisect.bisect_right(bounds, a + block) - 1, s + 1)
+            e = max(int(bounds.searchsorted(a + block, "right")) - 1, s + 1)
             offsets = starts[s:e] - a
             times = dataset.times[a:bounds[e]]
             if before:

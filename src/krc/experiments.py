@@ -29,7 +29,7 @@ from .baselines import (
     static_rank_centrality,
 )
 from .data import ComparisonDataset
-from .errors import ConnectivityError, ConvergenceError, EstimationError
+from .errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
 from .estimator import (
     ScoreVector,
     causal_fits,
@@ -55,7 +55,6 @@ _FIT_ERRORS = (EstimationError, ConnectivityError, ConvergenceError)
 class MetricReport:
     rmse_avg: float
     linf_max: float
-    grid: np.ndarray
     per_point_errors: list[tuple[float, float]]
 
 
@@ -94,7 +93,6 @@ def evaluate_metrics(
     return MetricReport(
         rmse_avg=float(arr[:, 0].mean()),
         linf_max=float(arr[:, 1].max()),
-        grid=grid,
         per_point_errors=per_point,
     )
 
@@ -295,6 +293,7 @@ class CoverageReport:
     level: float
     alpha_source: str
     n_disconnected: int
+    n_unpriced: int
 
 
 def _ad_normal_critical_1pct(n_samples: int) -> float:
@@ -320,9 +319,11 @@ def coverage_experiment(
     Uses under-smoothing (small h) so the bias term is negligible and the
     intervals are centered.  With sigma_n = 0 the raw chain is used; the
     rare replication whose sigma_n=0 chain is not strongly connected is
-    fitted again with the default teleport and counted.  Marginal normality
-    of the standardized errors is checked with an Anderson-Darling test at
-    the 1% point, pooled over the first ten items.
+    fitted again with the default teleport and counted.  A replication with
+    an undefined plug-in precision is counted as unpriced and left out of
+    every statistic.  Marginal normality of the standardized errors is
+    checked with an Anderson-Darling test at the 1% point, pooled over the
+    first ten items.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -334,7 +335,7 @@ def coverage_experiment(
     pi_hats = np.empty((replications, n))
     zscores = np.empty((replications, n))
     halfwidths = np.zeros(n)
-    n_disconnected = 0
+    n_disconnected = n_unpriced = 0
     for rep in range(replications):
         cfg = dataclasses.replace(config, seed=config.seed + rep)
         dataset, truth = generate(cfg)
@@ -345,17 +346,22 @@ def coverage_experiment(
             sv = fit_scores(dataset, t, h, kernel, default_teleport(n))
             n_disconnected += 1
         source_vec = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
-        params = plug_in_alpha(source_vec, dataset, t, h, kernel)
+        try:
+            params = plug_in_alpha(source_vec, dataset, t, h, kernel)
+        except InferenceError:
+            n_unpriced += 1
+            continue
         half = z / params.alpha
         err = sv.scores - pi_true
         covered += (np.abs(err) <= half).astype(float)
         halfwidths += half
-        pi_hats[rep] = sv.scores
-        zscores[rep] = params.alpha * err
-    coverage = covered / replications
-    corr = np.corrcoef(pi_hats.T)
+        pi_hats[rep - n_unpriced] = sv.scores
+        zscores[rep - n_unpriced] = params.alpha * err
+    priced = replications - n_unpriced
+    coverage = covered / priced
+    corr = np.corrcoef(pi_hats[:priced].T)
     off = corr[~np.eye(n, dtype=bool)]
-    pooled = zscores[:, : min(10, n)].ravel()
+    pooled = zscores[:priced, : min(10, n)].ravel()
     ad_stat = float(
         _scipy_stats.anderson(pooled, dist="norm", method="interpolate").statistic
     )
@@ -363,7 +369,7 @@ def coverage_experiment(
     return CoverageReport(
         per_item_coverage=coverage,
         mean_abs_correlation=float(np.nanmean(np.abs(off))),
-        mean_ci_halfwidth=float(halfwidths.mean() / replications),
+        mean_ci_halfwidth=float(halfwidths.mean() / priced),
         ad_statistic=ad_stat,
         ad_critical_1pct=ad_crit,
         ad_normal_pass=ad_stat < ad_crit,
@@ -371,6 +377,7 @@ def coverage_experiment(
         level=level,
         alpha_source=alpha_source,
         n_disconnected=n_disconnected,
+        n_unpriced=n_unpriced,
     )
 
 

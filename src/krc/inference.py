@@ -54,11 +54,9 @@ def normal_quantile(p: float) -> float:
 
 @dataclass
 class AsymptoticParams:
-    """Per-item precision (alpha) at bandwidth h and evaluation time t."""
+    """Per-item precision (alpha)."""
 
     alpha: np.ndarray
-    h: float
-    t: float | None = None
 
 
 @dataclass(frozen=True)
@@ -118,8 +116,9 @@ def plug_in_alpha(
     default M_ij h uses the raw per-pair observation count; with
     ``effective_counts`` the realized kernel mass sum_k K_h(t, t_k)
     replaces it, which is the same quantity up to the local density of
-    observation times.  Items with no observed opponents have undefined
-    precision and trigger an InferenceError naming them.
+    observation times.  Items with no observed opponents, or whose variance
+    sum is 0 (each opponent's win probability rounds to 0 or 1), have
+    undefined precision and trigger an InferenceError naming them.
     """
     scores = pi_hat.scores
     n = dataset.n
@@ -149,10 +148,12 @@ def plug_in_alpha(
     # weight_inv is 0 on unobserved pairs, so their terms vanish.
     terms = weight_inv * pair_sum**2 * Y * (1.0 - Y) * kernel.squared_integral
     D = terms.sum(axis=1)
-    alpha = S1 / np.sqrt(D)
-    if not np.all(np.isfinite(alpha)) or np.min(alpha) <= 0:
-        raise InferenceError("non-finite or non-positive precision computed")
-    return AsymptoticParams(alpha=alpha, h=h, t=t)
+    alpha = np.divide(S1, np.sqrt(D), out=np.zeros(n), where=D > 0)
+    undefined = np.flatnonzero(~(np.isfinite(alpha) & (alpha > 0)))
+    if undefined.size:
+        names = ", ".join(dataset.item_labels[k] for k in undefined)
+        raise InferenceError(f"undefined precision for item(s): {names}")
+    return AsymptoticParams(alpha)
 
 
 def oracle_beta(

@@ -24,7 +24,9 @@ breakdown checks run before anything is written.  One read pass forms
 [phi1; phi2]' A#, and one in-place write pass adds the combined rank-3
 correction.  That is O(n^2) with two passes over A#, against a fresh O(n^3)
 solve.  The running state refreshes itself from scratch periodically to cap
-floating point drift.
+floating point drift.  The state keeps the batch fit's per-pair kernel sums
+and builds its chain as :func:`~krc.estimator.fit_scores` does, so a state
+seeded from a dataset has that fit's scores to the last bit.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from .errors import RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
+    _chains,
+    _pair_sums,
+    _teleport,
     default_teleport,
-    regularize,
     stationary,
-    transition_from_fractions,
 )
 from .kernels import Kernel
 
@@ -197,12 +200,13 @@ def _fold_pair(
 class OnlineState:
     """Running estimate at a fixed evaluation time t.
 
-    Holds the per-pair kernel-weighted win masses, the regularized chain,
-    its stationary vector, and the group inverse.  ``apply_observation``
-    folds one record in with one fused, in-place pair update; every
-    ``refresh_every`` updates (or on numerical breakdown) everything is
-    recomputed from the running masses.  Single-writer: mutate from one
-    thread only.
+    Holds the per-pair kernel sums, the regularized chain, its stationary
+    vector, and the group inverse.  In the n x n ``pair_sums``, for i < j,
+    ``[i, j]`` is the pair's kernel mass and ``[j, i]`` the mass on records
+    item_j won.  ``apply_observation`` folds one record in with one fused,
+    in-place pair update; every ``refresh_every`` updates (or on numerical
+    breakdown) everything is recomputed from the running sums.
+    Single-writer: mutate from one thread only.
     """
 
     def __init__(
@@ -217,8 +221,8 @@ class OnlineState:
     ):
         self._start(n, t, h, kernel, sigma_n, refresh_every, tol, None)
 
-    def _start(self, n, t, h, kernel, sigma_n, refresh_every, tol, win_mass):
-        """Check the settings, set every field, and refresh from ``win_mass``
+    def _start(self, n, t, h, kernel, sigma_n, refresh_every, tol, pair_sums):
+        """Check the settings, set every field, and refresh from ``pair_sums``
         (None: no mass yet)."""
         if n < 2:
             raise ValueError("need at least two items")
@@ -233,7 +237,7 @@ class OnlineState:
         self.sigma_n = default_teleport(n) if sigma_n is None else float(sigma_n)
         self.refresh_every = int(refresh_every)
         self.tol = float(tol)
-        self.win_mass = np.zeros((n, n)) if win_mass is None else win_mass
+        self.pair_sums = np.zeros((n, n)) if pair_sums is None else pair_sums
         self.updates_since_refresh = 0
         self.P: TransitionMatrix
         self.pi: ScoreVector
@@ -251,16 +255,16 @@ class OnlineState:
         refresh_every: int = 500,
         tol: float = 1e-10,
     ) -> "OnlineState":
-        """Running state seeded with the kernel-weighted masses of every
-        record in ``dataset``; the same checks as the constructor."""
-        wm = np.zeros((dataset.n, dataset.n))
-        w = kernel.weight(t, dataset.times, h)
-        starts, seg_i, seg_j = dataset.pair_segments()
-        won_j = dataset.outcomes == 1
-        wm[seg_j, seg_i] = np.add.reduceat(np.where(won_j, w, 0.0), starts)
-        wm[seg_i, seg_j] = np.add.reduceat(np.where(won_j, 0.0, w), starts)
+        """Running state seeded with the per-pair kernel sums of every record
+        in ``dataset``, from the kernel pass of the batch fit; the same
+        checks as the constructor."""
+        sums = np.zeros((dataset.n, dataset.n))
+        if dataset.n_records:
+            _, seg_i, seg_j = dataset.pair_segments()
+            _, den, num, _ = next(_pair_sums(dataset, [t], h, kernel))
+            sums[seg_i, seg_j], sums[seg_j, seg_i] = den[0], num[0]
         state = cls.__new__(cls)
-        state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, wm)
+        state._start(dataset.n, t, h, kernel, sigma_n, refresh_every, tol, sums)
         return state
 
 
@@ -269,16 +273,13 @@ def refresh(state: OnlineState) -> OnlineState:
 
     The state changes only once all three are computed, so a raised error
     leaves it as it was."""
-    W = state.win_mass
     i, j = np.triu_indices(state.n, 1)
-    den = W[i, j] + W[j, i]
-    seen = den > 0.0  # pairs without mass keep zero off-diagonal entries
-    raw = transition_from_fractions(state.n, i[seen], j[seen], W[j, i][seen] / den[seen])
-    P = regularize(raw, state.sigma_n)
-    sv = stationary(P, tol=state.tol)
-    pi = ScoreVector(sv.scores, t=state.t)
-    Ainv = group_inverse(P, pi)
-    state.P, state.pi, state.Ainv = P, pi, Ainv
+    den, num = state.pair_sums[i, j], state.pair_sums[j, i]
+    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+        chain = _chains(state.n, i, j, num / den, den > 0.0)
+    P = TransitionMatrix(_teleport(chain, state.sigma_n))
+    pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
+    state.P, state.pi, state.Ainv = P, pi, group_inverse(P, pi)
     state.updates_since_refresh = 0
     return state
 
@@ -309,10 +310,10 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
         return state
 
     n, sigma = state.n, state.sigma_n
-    wm = state.win_mass
-    old_ij, old_ji = wm[i, j], wm[j, i]
-    won_ij, won_ji = (old_ij, old_ji + w) if y == 1 else (old_ij + w, old_ji)
-    frac = won_ji / (won_ij + won_ji)
+    sums = state.pair_sums
+    old_den, old_num = sums[i, j], sums[j, i]
+    den, num = old_den + w, old_num + w * y
+    frac = num / den
     p_new_ij = (1.0 - sigma) * (frac / n) + sigma / n
     p_new_ji = (1.0 - sigma) * ((1.0 - frac) / n) + sigma / n
     P = state.P.entries
@@ -321,42 +322,30 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
 
     # With prior mass the pair's off-diagonal sum is pinned, so row j's
     # entry must move exactly opposite to row i's.
-    if old_ij + old_ji > 0.0 and abs(d_ji + d_ij) > _MIRROR_SLACK:
+    if old_den > 0.0 and abs(d_ji + d_ij) > _MIRROR_SLACK:
         raise RuntimeError(
             f"pair complement drift: {d_ji + d_ij:.3e} beyond slack"
         )
-    wm[i, j], wm[j, i] = won_ij, won_ji
+    sums[i, j], sums[j, i] = den, num
 
     try:
         _fold_pair(state.pi.scores, state.Ainv.entries, i, j, d_ij, d_ji)
     except UpdateBreakdownError:
-        # Nothing was written yet.  The masses already include the new
+        # Nothing was written yet.  The sums already include the new
         # record, so rebuilding from them is exact; if that fails too, take
         # the record back out.
         try:
             return refresh(state)
         except BaseException:
-            wm[i, j], wm[j, i] = old_ij, old_ji
+            sums[i, j], sums[j, i] = old_den, old_num
             raise
 
-    _apply_entries(P, i, j, p_new_ij, p_new_ji, d_ij, d_ji)
+    P[i, j] = p_new_ij
+    P[i, i] += d_ij
+    P[j, i] = p_new_ji
+    P[j, j] += d_ji
     state.updates_since_refresh += 1
     pi = state.pi.scores
     if state.updates_since_refresh >= state.refresh_every or np.min(pi) <= 0:
         refresh(state)
     return state
-
-
-def _apply_entries(
-    P: np.ndarray,
-    i: int,
-    j: int,
-    p_new_ij: float,
-    p_new_ji: float,
-    d_ij: float,
-    d_ji: float,
-) -> None:
-    P[i, j] = p_new_ij
-    P[i, i] += d_ij
-    P[j, i] = p_new_ji
-    P[j, j] += d_ji

@@ -257,6 +257,7 @@ def test_criterion_09_interval_coverage():
     ok = (
         frac_inside >= 0.90
         and report.mean_abs_correlation < 0.1
+        and report.n_unpriced == 0
         and elapsed < 1800.0
     )
     _verdict(
@@ -264,7 +265,8 @@ def test_criterion_09_interval_coverage():
         ok,
         "95% CI coverage in [0.90, 0.99] for >=90% of items, low correlation",
         f"{100 * frac_inside:.0f}% of items inside, "
-        f"mean |corr| {report.mean_abs_correlation:.3f}, {elapsed:.0f}s",
+        f"mean |corr| {report.mean_abs_correlation:.3f}, "
+        f"{report.n_unpriced} unpriced, {elapsed:.0f}s",
     )
 
 

@@ -1,5 +1,7 @@
 """Metric grids, sweeps, timing, coverage, and walk-forward backtests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from krc.baselines import (
     wmle,
 )
 from krc.data import ComparisonDataset, TimeEncoding, season_of_time
-from krc.errors import ConnectivityError, ConvergenceError, EstimationError
+from krc.errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
 from krc.estimator import ScoreVector, causal_fits, estimate_curve, fit_scores
 from krc.experiments import (
     _ad_normal_critical_1pct,
@@ -25,6 +27,7 @@ from krc.experiments import (
     metric_grid,
     timing_bench,
 )
+from krc.inference import normal_quantile, plug_in_alpha
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.simulate import (
     GroundTruth,
@@ -170,6 +173,59 @@ def test_coverage_refits_a_reducible_chain_with_the_teleport(monkeypatch):
     report = coverage_experiment(config, t=0.5, h=0.01, replications=100)
     assert report.n_disconnected == 1
     assert np.array_equal(fitted[2].scores, fit_scores(bad, 0.5, 0.01, GAUSSIAN).scores)
+
+
+def loop_coverage(config, t, h, replications, oracle):
+    """Reference for coverage_experiment at level 0.95 with the Gaussian
+    kernel and sigma_n=0, one replication at a time: per-item coverage and
+    mean half-width over the priced replications, and the unpriced count."""
+    z = normal_quantile(0.975)
+    covered, half_sum, priced = np.zeros(config.n), 0.0, 0
+    for rep in range(replications):
+        ds, truth = generate(dataclasses.replace(config, seed=config.seed + rep))
+        pi_true = truth.normalized_skill(t)
+        try:
+            sv = fit_scores(ds, t, h, GAUSSIAN, 0.0)
+        except ConnectivityError:
+            sv = fit_scores(ds, t, h, GAUSSIAN)
+        source = ScoreVector(pi_true) if oracle else sv
+        try:
+            alpha = plug_in_alpha(source, ds, t, h, GAUSSIAN).alpha
+        except InferenceError:
+            continue
+        priced += 1
+        covered += np.abs(sv.scores - pi_true) <= z / alpha
+        half_sum += np.mean(z / alpha)
+    return covered / priced, half_sum / priced, replications - priced
+
+
+def test_coverage_with_oracle_alpha_matches_truth_plug_in_loop():
+    config = SimConfig(n=4, m=60, seed=100)
+    report = coverage_experiment(
+        config, t=0.5, h=0.05, replications=100, alpha_source="oracle-truth"
+    )
+    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.05, 100, oracle=True)
+    assert report.alpha_source == "oracle-truth"
+    assert report.n_unpriced == unpriced == 0
+    assert np.array_equal(report.per_item_coverage, coverage)
+    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+    # the truth's precision is not the estimate's, so the source shows
+    _, estimated_halfwidth, _ = loop_coverage(config, 0.5, 0.05, 100, oracle=False)
+    assert report.mean_ci_halfwidth != pytest.approx(estimated_halfwidth, rel=1e-6)
+
+
+def test_coverage_leaves_out_replications_without_a_precision():
+    # Replication 64's sigma_n=0 fit puts item 2's share so far below its
+    # opponents' that its variance sum is 0, so it is counted, not priced.
+    config = SimConfig(n=7, m=8, seed=0)
+    report = coverage_experiment(config, replications=100)
+    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.01, 100, oracle=False)
+    assert report.n_unpriced == unpriced == 1
+    assert report.n_replications == 100
+    assert np.array_equal(report.per_item_coverage, coverage)
+    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+    assert np.isfinite(report.ad_statistic)
+    assert 0.0 <= report.mean_abs_correlation <= 1.0
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,18 @@ def test_alpha_missing_opponents_raises():
         plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN)
 
 
+def test_alpha_undefined_precision_names_the_items():
+    # ann's share is so small that both of her win probabilities round to
+    # exactly 1, so her variance sum is 0 and her precision is undefined.
+    ds = ComparisonDataset(
+        3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([0.5, 0.5, 0.5]),
+        np.array([1, 1, 0]), item_labels=("ann", "bob", "cid"),
+    )
+    pi_hat = ScoreVector(np.array([1e-20, 0.5, 0.5]), t=0.5)
+    with pytest.raises(InferenceError, match=r"undefined precision for item\(s\): ann$"):
+        plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN)
+
+
 def test_alpha_on_no_records_raises():
     # Raw counts find no opponents; effective counts fail in the kernel pass.
     empty = np.array([], dtype=int)
@@ -223,7 +235,7 @@ def test_score_ci_frozen():
         pi_hat, balanced_pair_dataset(10), 0.5, 0.2, GAUSSIAN
     )
     # overwrite with a round precision to pin the arithmetic
-    params = type(params)(alpha=np.array([100.0, 100.0]), h=0.2, t=0.5)
+    params = type(params)(alpha=np.array([100.0, 100.0]))
     ci = score_ci(pi_hat, params, 0, level=0.95)
     assert ci.point == 0.1
     assert ci.lower == pytest.approx(0.1 - 1.959963984540054 / 100, abs=1e-12)

@@ -1,5 +1,7 @@
 """Group inverse, rank-one updates, and the streaming estimator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import krc.online
 from krc.data import ComparisonDataset, ComparisonRecord
 from krc.errors import ConvergenceError, RosterError, UpdateBreakdownError
 from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
-from krc.kernels import BOXCAR, GAUSSIAN
+from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
     OnlineState,
     _fold_pair,
@@ -220,11 +222,11 @@ def test_zero_weight_record_is_noop():
     state = OnlineState.from_dataset(ds, 0.5, 0.05, BOXCAR)
     before_pi = state.pi.scores.copy()
     before_P = state.P.entries.copy()
-    before_wm = state.win_mass.copy()
+    before_sums = state.pair_sums.copy()
     apply_observation(state, (0, 1, 0.99, 1))
     assert np.array_equal(state.pi.scores, before_pi)
     assert np.array_equal(state.P.entries, before_P)
-    assert np.array_equal(state.win_mass, before_wm)
+    assert np.array_equal(state.pair_sums, before_sums)
     assert state.updates_since_refresh == 0
 
 
@@ -284,7 +286,7 @@ def test_non_canonical_record_equivalence():
     apply_observation(s1, (2, 0, 0.5, 1))
     apply_observation(s2, ComparisonRecord(0, 2, 0.5, 0))
     assert np.array_equal(s1.pi.scores, s2.pi.scores)
-    assert np.array_equal(s1.win_mass, s2.win_mass)
+    assert np.array_equal(s1.pair_sums, s2.pair_sums)
 
 
 def test_record_outside_roster_rejected():
@@ -316,33 +318,54 @@ def test_both_constructors_reject_refresh_every_below_one(monkeypatch):
     assert refreshes == [state] and state.refresh_every == 2
 
 
-def loop_win_mass(ds, t, h, kernel):
-    """Reference: one kernel call and two masked sums per observed pair."""
-    wm = np.zeros((ds.n, ds.n))
+def loop_pair_sums(ds, t, h, kernel):
+    """Reference: one kernel call and two sums per observed pair, the
+    pair's mass above the diagonal and item_j's wins below it."""
+    sums = np.zeros((ds.n, ds.n))
     for (i, j), times, outs in ds.pairs():
         w = kernel.weight(t, times, h)
-        wm[j, i] += float(w[outs == 1].sum())
-        wm[i, j] += float(w[outs == 0].sum())
-    return wm
+        sums[i, j] = float(w.sum())
+        sums[j, i] = float(w[outs == 1].sum())
+    return sums
 
 
 def test_from_dataset_masses_match_pair_loop():
     ds, _ = generate(SimConfig(n=7, m=9, seed=12))
     for t, h in ((0.5, 0.3), (0.1, 0.05), (0.95, 0.2)):
         state = OnlineState.from_dataset(ds, t, h, GAUSSIAN)
-        ref = loop_win_mass(ds, t, h, GAUSSIAN)
-        assert np.all(np.abs(state.win_mass - ref) <= 1e-14 * ref)
-        assert np.array_equal(state.win_mass > 0, ref > 0)
+        ref = loop_pair_sums(ds, t, h, GAUSSIAN)
+        assert np.all(np.abs(state.pair_sums - ref) <= 1e-14 * ref)
+        assert np.array_equal(state.pair_sums > 0, ref > 0)
     empty = ComparisonDataset(4, [], [], [], [])
     state = OnlineState.from_dataset(empty, 0.5, 0.3, GAUSSIAN)
-    assert not np.any(state.win_mass)
+    assert not np.any(state.pair_sums)
     assert np.max(np.abs(state.pi.scores - 0.25)) < 1e-12
 
 
+def test_from_dataset_scores_bitwise_match_fit_scores():
+    # The state reads the batch fit's kernel sums and builds, teleports and
+    # solves its chain the same way, so the scores agree to the last bit.
+    unequal = []
+    datasets = [generate(SimConfig(n=6, m=4, seed=seed))[0] for seed in range(10)]
+    for ds, kernel, (t, h), sigma, tol in itertools.product(
+        datasets,
+        (GAUSSIAN, BOXCAR, EPANECHNIKOV),
+        ((0.5, 0.3), (0.2, 0.1), (0.9, 0.05)),
+        (None, 0.05),
+        (1e-10, 1e-12),
+    ):
+        state = OnlineState.from_dataset(ds, t, h, kernel, sigma_n=sigma, tol=tol)
+        batch = fit_scores(ds, t, h, kernel, sigma, tol)
+        if not np.array_equal(state.pi.scores, batch.scores):
+            unequal.append((kernel.family, t, h, sigma, tol))
+    assert unequal == []
+
+
 def test_transition_from_mass_checks_diagonal_deficit():
-    # a negative mass pushes row 0's off-diagonal entry to 1.5
+    # a kernel mass of 0.5 with 1.5 of it won by item 1 pushes row 0's
+    # off-diagonal entry to 1.5
     state = OnlineState(2, 0.5, 0.3, GAUSSIAN)
-    state.win_mass[:] = [[0.0, -1.0], [1.5, 0.0]]
+    state.pair_sums[:] = [[0.0, 0.5], [1.5, 0.0]]
     with pytest.raises(RuntimeError, match="diagonal deficit"):
         refresh(state)
 
@@ -363,7 +386,7 @@ def test_refresh_rebuilds_the_streamed_off_diagonal_entries():
 
 def snapshot(state):
     return (
-        state.win_mass.copy(),
+        state.pair_sums.copy(),
         state.P.entries.copy(),
         state.pi.scores.copy(),
         state.Ainv.entries.copy(),
@@ -372,8 +395,8 @@ def snapshot(state):
 
 
 def assert_same_state(state, snap):
-    wm, P, pi, G, count = snap
-    assert np.array_equal(state.win_mass, wm)
+    sums, P, pi, G, count = snap
+    assert np.array_equal(state.pair_sums, sums)
     assert np.array_equal(state.P.entries, P)
     assert np.array_equal(state.pi.scores, pi)
     assert np.array_equal(state.Ainv.entries, G)
