@@ -12,8 +12,9 @@ entries (1/n) * pi_j / (pi_i + pi_j) the chain is reversible and stationary
 at pi itself, which is what makes the estimator consistent.
 
 Every fit runs one pipeline: a blocked kernel pass gives each time's
-per-pair sums, one grid chunk at a time; each chunk's chains, one stack
-within the tile budget, are teleported in place and solved together.  The
+per-pair sums, one grid chunk at a time, writing the chunk's weight tiles in
+place into one buffer; each chunk's chains, one stack within the tile
+budget, are teleported in place and solved together.  The
 solver runs power iteration from the uniform start, one batched matmul per
 sweep over the chains still iterating, each chain leaving once it
 converges, and a direct solve for a chain that stalls.
@@ -145,9 +146,10 @@ def _pair_sums(
     (:func:`_stack_rows`), whose sums fit the budget as there are fewer pairs
     than n^2; records go in blocks that end on pair boundaries, so each sum is
     one ``np.add.reduceat`` over a pair's whole segment of a (chunk x block)
-    weight tile.  With ``before`` a record weighs 0 at every point it is not
-    strictly earlier than, and ``kept`` counts, per point, the records that
-    weigh in (None otherwise).  A pair's records are time-sorted, so the
+    weight tile, written in place into the chunk's one buffer of at most
+    TILE_ELEMENTS.  With ``before`` a record weighs 0 at every point it is
+    not strictly earlier than, and ``kept`` counts, per point, the records
+    that weigh in (None otherwise).  A pair's records are time-sorted, so the
     masked ones are the tail of its segment.  ``kernel=None`` (only with
     ``before``) gives every record unit weight: pooled counts.
     """
@@ -162,6 +164,7 @@ def _pair_sums(
     rows = _stack_rows(dataset.n)
     for g in range(0, grid.size, rows):
         chunk = grid[g:g + rows]
+        buf = np.empty(min(TILE_ELEMENTS, chunk.size * dataset.n_records))
         block = TILE_ELEMENTS // chunk.size  # a longer pair is a block alone
         den, num = np.empty((2, chunk.size, starts.size))
         kept = np.zeros(chunk.size, dtype=np.int64) if before else None
@@ -177,14 +180,16 @@ def _pair_sums(
             if kernel is None:
                 w = past.astype(float)
             else:
-                w = kernel.weight(chunk[:, None], times, h)
+                size = chunk.size * times.size  # a longer pair gets its own array
+                out = buf[:size].reshape(chunk.size, -1) if size <= buf.size else None
+                w = kernel.weight(chunk[:, None], times, h, out=out)
                 if before:
                     w *= past  # weights are finite, so a masked record adds 0
             np.add.reduceat(w, offsets, axis=1, out=den[:, s:e])
             w *= won[a:bounds[e]]  # zero the records item_j lost
             np.add.reduceat(w, offsets, axis=1, out=num[:, s:e])
             s = e
-        w = past = None  # free the last tile while the caller works
+        w = past = buf = None  # free the tiles while the caller works
         yield chunk, den, num, kept
 
 
@@ -309,7 +314,7 @@ def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
     check_every = 1000
     limit = np.asarray(tol)  # a 0-d array compares faster than a float
     with np.errstate(divide="ignore", invalid="ignore"):  # NaNs are caught
-        for it in range(max_iter):
+        for it in range(max_iter if k else 0):  # an empty stack would only spin
             nxt = pi @ Ma
             s = np.add.reduce(nxt, axis=-1, keepdims=True)
             nxt /= s

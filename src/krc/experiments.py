@@ -319,11 +319,12 @@ def coverage_experiment(
     Uses under-smoothing (small h) so the bias term is negligible and the
     intervals are centered.  With sigma_n = 0 the raw chain is used; the
     rare replication whose sigma_n=0 chain is not strongly connected is
-    fitted again with the default teleport and counted.  A replication with
-    an undefined plug-in precision is counted as unpriced and left out of
-    every statistic.  Marginal normality of the standardized errors is
-    checked with an Anderson-Darling test at the 1% point, pooled over the
-    first ten items.
+    fitted again with the default teleport and counted.  A replication
+    without kernel mass at t or with an undefined plug-in precision is
+    counted as unpriced and left out of every statistic, and InferenceError
+    is raised when none is priced.  Marginal normality of the standardized
+    errors is checked with an Anderson-Darling test at the 1% point, pooled
+    over the first ten items.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -345,6 +346,9 @@ def coverage_experiment(
         except ConnectivityError:  # raised for a sigma_n=0 chain alone
             sv = fit_scores(dataset, t, h, kernel, default_teleport(n))
             n_disconnected += 1
+        except EstimationError:  # no record with kernel mass at t
+            n_unpriced += 1
+            continue
         source_vec = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
         try:
             params = plug_in_alpha(source_vec, dataset, t, h, kernel)
@@ -358,6 +362,8 @@ def coverage_experiment(
         pi_hats[rep - n_unpriced] = sv.scores
         zscores[rep - n_unpriced] = params.alpha * err
     priced = replications - n_unpriced
+    if not priced:
+        raise InferenceError(f"none of the {replications} replications was priced")
     coverage = covered / priced
     corr = np.corrcoef(pi_hats[:priced].T)
     off = corr[~np.eye(n, dtype=bool)]

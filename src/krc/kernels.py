@@ -5,11 +5,16 @@ time ``t_k`` enter an estimate at time ``t`` with weight ``K((t - t_k) / h)``
 for a bandwidth ``h > 0``.  The exact moments ``int v^2 K(v) dv`` and
 ``int K(v)^2 dv`` are stored on the kernel because the asymptotic bias and
 variance formulas need them.
+
+Weights are computed in place, in a caller's buffer if given; the Gaussian's
+normalizer sits in its exponent, and its floor pass is skipped where the
+times' ranges show no weight can fall below WEIGHT_FLOOR.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,31 +23,10 @@ import numpy as np
 # and are clamped so that far-away observations drop out exactly.
 WEIGHT_FLOOR = 1e-300
 
-
-def _gaussian_profile(u: np.ndarray) -> np.ndarray:
-    # exp(-0.5 * u * u) / sqrt(2 pi), in place for arrays; scaling the rounded
-    # u * u by -0.5 is exact wherever exp could show it, so weights are equal.
-    u *= u
-    u *= -0.5
-    u = np.exp(u, out=u) if isinstance(u, np.ndarray) else np.exp(u)
-    u /= math.sqrt(2.0 * math.pi)
-    return u
-
-
-def _epanechnikov_profile(u: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
-
-
-def _boxcar_profile(u: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
-
-
-# Each profile maps a float array it may overwrite, or a float scalar, to K(u).
-_PROFILES = {
-    "gaussian": _gaussian_profile,
-    "epanechnikov": _epanechnikov_profile,
-    "boxcar": _boxcar_profile,
-}
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# The Gaussian's floor point, where its weight is WEIGHT_FLOOR, less a margin
+# far wider than the rounding of exp's argument.
+_FLOOR_U = math.sqrt(-2.0 * (math.log(WEIGHT_FLOOR) + _LOG_SQRT_2PI)) - 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,23 +45,49 @@ class Kernel:
 
     def evaluate(self, u):
         """K(u), vectorized; scalar in, scalar out."""
-        return self._clamped(np.array(u, dtype=float)[()])  # a 0-d array -> scalar
+        return self.weight(u, 0.0, 1.0)
 
-    def weight(self, t: float, t_k, h: float):
-        """K((t - t_k) / h) for one or many observation times ``t_k``."""
+    def weight(self, t, t_k, h: float, out: np.ndarray | None = None):
+        """K((t - t_k) / h) for one or many observation times ``t_k``: a float
+        for one pair, else an array of the broadcast shape, written into the
+        float64 array ``out`` when it is given.  The Gaussian takes four passes
+        and a shift, exp(d * d * -1/(2 h^2) - log sqrt(2 pi)) of d = t - t_k,
+        and clears its weights below WEIGHT_FLOOR in one more pass, skipped
+        when the ranges of t and t_k put every |d| / h below the floor point
+        sqrt(-2 log(WEIGHT_FLOOR sqrt(2 pi))), about 37.14."""
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
-        u = t - np.asarray(t_k, dtype=float)  # a new array, or a scalar
-        u /= h
-        return self._clamped(u)
-
-    def _clamped(self, u: np.ndarray):
-        """K(u), weights below WEIGHT_FLOOR set to 0; may overwrite u."""
-        values = _PROFILES[self.family](u)
-        low = values < WEIGHT_FLOOR
-        if low.any():
-            values = np.where(low, 0.0, values)
-        return float(values) if values.ndim == 0 else values
+        scale = max(-0.5 / (h * h), -sys.float_info.max)  # K(0) is not 0 * inf
+        if isinstance(t, float) and isinstance(t_k, float):  # no array at all
+            d = t - t_k
+            if self.family == "gaussian":
+                w = float(np.exp(d * d * scale - _LOG_SQRT_2PI))
+                return w if w >= WEIGHT_FLOOR else 0.0
+            u = abs(d / h)
+            w = 0.75 * (1.0 - u * u) if self.family == "epanechnikov" else 0.5
+            return w if u <= 1.0 else 0.0
+        d = np.subtract(t, t_k, out=out, dtype=float)
+        if not isinstance(d, np.ndarray):  # a pair of other scalar types
+            return self.weight(float(d), 0.0, h)
+        if self.family != "gaussian":  # weights 0 or above 0.75 * 2^-53: no floor
+            d /= h
+            inside = np.abs(d) <= 1.0
+            if self.family == "boxcar":
+                d.fill(0.5)
+            else:
+                d *= d
+                np.subtract(1.0, d, out=d)
+                d *= 0.75
+            np.copyto(d, 0.0, where=~inside)
+            return d
+        d *= d
+        d *= scale
+        d -= _LOG_SQRT_2PI
+        w = np.exp(d, out=d)
+        reach = max(np.max(t) - np.min(t_k), np.max(t_k) - np.min(t)) if w.size else 0.0
+        if not reach < _FLOOR_U * h:  # else every weight is above WEIGHT_FLOOR
+            np.copyto(w, 0.0, where=w < WEIGHT_FLOOR)
+        return w
 
 
 GAUSSIAN = Kernel("gaussian", 1.0, 1.0 / (2.0 * math.sqrt(math.pi)))

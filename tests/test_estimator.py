@@ -1,5 +1,7 @@
 """Transition construction, stationary solves, score curves."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,14 @@ def fallback_spy(monkeypatch):
     return seen
 
 
+def test_empty_stack_takes_no_sweep():
+    # A grid chunk whose fits all fail before the solve leaves an empty stack;
+    # sweeping it until max_iter ran a million sweeps of nothing.
+    start = time.perf_counter()
+    assert estimator._stationary_stack(np.empty((0, 3, 3)), 1e-10, 10**6) == []
+    assert time.perf_counter() - start < 1.0
+
+
 def test_stack_falls_back_only_for_the_chains_that_stall(monkeypatch):
     rng = np.random.default_rng(5)
     regular = [teleported_chain(rng, 3) for _ in range(3)]
@@ -390,15 +400,22 @@ REFERENCE_PROFILES = {
 }
 
 
-def reference_fractions(ds, t, h, kernel):
-    """One point's fractions as computed before blocking: a kernel pass over
-    the whole flat time column, written from the kernel formulas, then
-    segment sums."""
+def reference_sums(ds, t, h, kernel, before=False):
+    """One point's per-pair (den, num) as computed before blocking: a kernel
+    pass over the whole flat time column, written from the kernel formulas,
+    then segment sums; with ``before`` only records strictly before t."""
     w = REFERENCE_PROFILES[kernel.family]((t - ds.times) / h)
-    w = np.where(w < WEIGHT_FLOOR, 0.0, w)
-    starts, seg_i, seg_j = ds.pair_segments()
+    w = np.where((w < WEIGHT_FLOOR) | (before & (ds.times >= t)), 0.0, w)
+    starts = ds.pair_segments()[0]
     den = np.add.reduceat(w, starts)
     num = np.add.reduceat(np.where(ds.outcomes == 1, w, 0.0), starts)
+    return den, num
+
+
+def reference_fractions(ds, t, h, kernel):
+    """One point's fractions from :func:`reference_sums`."""
+    den, num = reference_sums(ds, t, h, kernel)
+    _, seg_i, seg_j = ds.pair_segments()
     mass = den > 0.0
     return seg_i[mass], seg_j[mass], num[mass] / den[mass]
 
@@ -429,12 +446,19 @@ def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
     assert [sv.t for sv in curve] == grid.tolist()
     sigma = default_teleport(ds.n)
     for sv, t in zip(curve, grid):
+        # The mass pattern is the reference's bitwise; the fractions are
+        # within the Gaussian's rounding bound (the compact kernels' bitwise).
         ref = reference_fractions(ds, t, h, kernel)
         got = pair_fractions(ds, t, h, kernel)
-        for a, b in zip(got, ref):
+        for a, b in zip(got[:2], ref[:2]):
             assert np.array_equal(a, b)
-        P = regularize(transition_from_fractions(ds.n, *ref), sigma)
+        assert np.allclose(got[2], ref[2], rtol=1e-12, atol=0.0)
+        if kernel is not GAUSSIAN:
+            assert np.array_equal(got[2], ref[2])
+        P = regularize(transition_from_fractions(ds.n, *got), sigma)
         assert np.array_equal(sv.scores, stationary(P).scores)
+        P = regularize(transition_from_fractions(ds.n, *ref), sigma)
+        assert np.max(np.abs(sv.scores - stationary(P).scores)) <= 1e-12
         assert np.array_equal(sv.scores, fit_scores(ds, t, h, kernel).scores)
 
 
@@ -443,12 +467,13 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
     # chunk is one stack of 6-item chains, two of them at that budget, so its
     # tiles hold 36 of the 45 records: two blocks per two-point chunk.
     monkeypatch.setattr(estimator, "TILE_ELEMENTS", 72)
-    tiles = []
+    tiles, buffers = [], set()
     real = Kernel.weight
 
-    def spy(self, t, t_k, h):
+    def spy(self, t, t_k, h, out=None):
         tiles.append((np.shape(t)[0], np.size(t_k)))
-        return real(self, t, t_k, h)
+        buffers.add((t[0, 0], id(out.base)))  # every tile fits its chunk's buffer
+        return real(self, t, t_k, h, out=out)
 
     monkeypatch.setattr(Kernel, "weight", spy)
     ds = ragged_dataset()
@@ -457,6 +482,49 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
     assert max(rows) > 1 and min(rows) < max(rows)  # several multi-point chunks
     assert len(tiles) > -(-7 // max(rows))  # records are split into blocks
     assert sum(r * c for r, c in tiles) == 7 * ds.n_records  # each weight once
+    assert len(buffers) == len({t for t, _ in buffers})  # one buffer per chunk
+
+
+@pytest.mark.parametrize("budget", [None, 1, 24, 72])
+@pytest.mark.parametrize("before", [False, True])
+@pytest.mark.parametrize("h", [0.002, 0.01, 0.2, 10.0])
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV, BOXCAR])
+def test_pair_sums_match_the_reference_pass(monkeypatch, kernel, h, before, budget):
+    # The blocked in-place pass against the flat one written from the
+    # formulas: the mass pattern bitwise, the sums to rounding.  The grid
+    # reaches outside the records' [0, 1], so narrow bandwidths leave pairs
+    # and whole points without mass.
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    grid = np.array([-0.3, 0.0, 0.1, 0.45, 0.5, 0.77, 1.0, 1.4])
+    for seed in (3, 4):
+        ds = ragged_dataset(seed)
+        row = 0
+        for chunk, den, num, _ in estimator._pair_sums(ds, grid, h, kernel, before):
+            for d, t in enumerate(chunk):
+                ref_den, ref_num = reference_sums(ds, t, h, kernel, before)
+                assert np.array_equal(den[d] > 0.0, ref_den > 0.0)
+                assert np.all(np.abs(den[d] - ref_den) <= 1e-12 * ref_den)
+                assert np.all(np.abs(num[d] - ref_num) <= 1e-12 * ref_num)
+            row += chunk.size
+        assert row == grid.size
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_pair_sums_at_the_gaussian_floor_point(monkeypatch, budget):
+    # Records 37.0h and 37.3h from t, either side of the floor point |u| of
+    # about 37.14.  A budget of 1 puts each pair in a block of its own, so
+    # the 37.0h block's range puts every |u| below the floor point and its
+    # floor pass is skipped; the default budget puts both in one block,
+    # which takes the pass.  Either way each mass is the lone record's weight.
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    t, h = 0.5, 0.01
+    ds = ComparisonDataset(3, [0, 0], [1, 2], [t + 37.0 * h, t + 37.3 * h], [1, 0])
+    (_, den, num, _), = estimator._pair_sums(ds, [t], h, GAUSSIAN)
+    near, far = (GAUSSIAN.weight(t, float(tk), h) for tk in ds.times)
+    assert near >= WEIGHT_FLOOR and far == 0.0
+    assert den[0].tolist() == [near, far] and num[0].tolist() == [near, 0.0]
 
 
 def test_estimate_curve_raises_at_first_zero_mass_point():

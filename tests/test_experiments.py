@@ -184,6 +184,8 @@ def loop_coverage(config, t, h, replications, oracle):
     for rep in range(replications):
         ds, truth = generate(dataclasses.replace(config, seed=config.seed + rep))
         pi_true = truth.normalized_skill(t)
+        if not np.any(GAUSSIAN.weight(t, ds.times, h)):
+            continue  # no kernel mass at t
         try:
             sv = fit_scores(ds, t, h, GAUSSIAN, 0.0)
         except ConnectivityError:
@@ -226,6 +228,27 @@ def test_coverage_leaves_out_replications_without_a_precision():
     assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
     assert np.isfinite(report.ad_statistic)
     assert 0.0 <= report.mean_abs_correlation <= 1.0
+
+
+def test_coverage_leaves_out_replications_without_kernel_mass():
+    # One record per replication: at h=0.01 a record more than about 0.37
+    # from t=0.5 weighs 0, so that replication has no fit and is not priced.
+    config = SimConfig(n=2, m=1, seed=0)
+    report = coverage_experiment(config, h=0.01, replications=100)
+    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.01, 100, oracle=False)
+    assert 0 < report.n_unpriced == unpriced < 100
+    assert np.array_equal(report.per_item_coverage, coverage)
+    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+
+
+def test_coverage_without_a_priced_replication_raises(monkeypatch):
+    empty = ComparisonDataset(3, [], [], [], [])
+    real_generate = experiments.generate
+    monkeypatch.setattr(
+        experiments, "generate", lambda cfg: (empty, real_generate(cfg)[1])
+    )
+    with pytest.raises(InferenceError, match="none of the 100 replications"):
+        coverage_experiment(SimConfig(n=3, m=4, seed=0), replications=100)
 
 
 @pytest.mark.parametrize(

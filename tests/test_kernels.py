@@ -80,6 +80,26 @@ def test_weight_vectorized_matches_scalar():
     assert isinstance(EPANECHNIKOV.weight(0.5, 0.4, 0.3), float)
 
 
+@pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
+def test_one_pair_weight_is_the_tile_weight_bitwise(kernel):
+    # One pair of floats takes the tile's operations on Python floats; other
+    # scalar types take that path too.  Times sit exactly on the support
+    # edges (h is a power of two) and either side of the Gaussian's floor
+    # point, |u| of about 37.14.
+    h = 0.25
+    edges = 0.5 + h * np.array([-37.3, -37.15, -37.13, -37.0, -1.0, 0.0, 1.0, 1 - 1e-15])
+    times = np.concatenate([np.random.default_rng(5).uniform(-10.0, 11.0, 200), edges])
+    out = np.full((1, times.size), np.nan)
+    tile = kernel.weight(np.array([[0.5]]), times, h, out=out)
+    assert tile is out
+    ones = [kernel.weight(0.5, float(tk), h) for tk in times]
+    assert all(type(w) is float for w in ones)
+    assert np.array_equal(tile[0], ones)
+    lone = kernel.weight(np.array(0.5), np.array(times[-4]), h)
+    assert type(lone) is float and lone == ones[-4]
+    assert kernel.evaluate(0) == kernel.evaluate(0.0) == kernel.weight(0.5, 0.5, h)
+
+
 def test_far_tail_clamps_to_exact_zero():
     # exp(-0.5 * 60^2) underflows past 1e-300 and must come back as 0.0
     assert GAUSSIAN.evaluate(60.0) == 0.0
