@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ComparisonDataset, _strong_components
+from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError
-from .estimator import ScoreVector, _fits, _no_mass, _pair_sums
+from .estimator import ScoreVector, _fits, _no_mass, _pair_sums, _strong_components
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8

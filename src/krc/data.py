@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import DataFormatError, KrcError, RosterError
 from .kernels import Kernel
@@ -583,18 +582,9 @@ def _dataset(
 # -- connectivity ----------------------------------------------------------
 
 
-def _strong_components(adj: np.ndarray) -> np.ndarray:
-    """Strong-component labels (k, n) of each graph of the (k, n, n) stack
-    ``adj`` (truthy: an edge), from one csgraph call on the block-diagonal
-    graph of them all, so no two graphs share a label."""
-    k, n = adj.shape[:2]
-    slot, a, b = np.nonzero(adj)
-    graph = csr_matrix((np.ones(slot.size), (slot * n + a, slot * n + b)), (k * n, k * n))
-    _, labels = csgraph.connected_components(graph, directed=True, connection="strong")
-    return labels.reshape(k, n)
-
-
 def _component_report(adj: np.ndarray) -> ConnectivityReport:
+    from .estimator import _strong_components  # estimator imports this module
+
     labels = _strong_components(adj[None])[0]
     _, first = np.unique(labels, return_index=True)
     components = tuple(  # each sorted, in the order of their smallest items

@@ -21,7 +21,9 @@ converges, and a direct solve for a chain that stalls.
 :func:`estimate_curve` is the pipeline over a grid, :func:`fit_scores` its
 one-point case, and :func:`causal_fits` its case masked to the records
 strictly before each walk-forward day; :func:`stationary` is the solver's
-one-chain case.
+one-chain case.  Everything after the per-pair sums, from the chains to the
+solve, is :func:`_solve_sums`, which the coverage experiment also runs on
+the sums of many simulated datasets stacked together.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
-from .data import ComparisonDataset, _strong_components
+from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError
 from .kernels import Kernel
 
@@ -191,6 +194,40 @@ def _pair_sums(
             s = e
         w = past = buf = None  # free the tiles while the caller works
         yield chunk, den, num, kept
+
+
+def _strong_components(adj: np.ndarray) -> np.ndarray:
+    """Strong-component labels (k, n) of each graph of the (k, n, n) boolean
+    stack ``adj``, offset so that no two graphs share a label.
+
+    Graphs go in sub-stacks of at most TILE_ELEMENTS edges (a denser graph
+    is a sub-stack alone), each one csgraph call on the block-diagonal graph
+    of its graphs, whose CSR arrays come in int32 from the per-node edge
+    counts; the float64 edge weights csgraph reads are then the largest
+    temporary, one tile.
+    """
+    k, n = adj.shape[:2]
+    degree = np.count_nonzero(adj, axis=2)  # (k, n) out-edges per node
+    ends = np.cumsum(degree.sum(axis=1))  # edges up to and including each graph
+    labels = np.empty((k, n), dtype=np.int32)
+    a = offset = 0
+    while a < k:
+        done = int(ends[a - 1]) if a else 0
+        b = max(int(ends.searchsorted(done + TILE_ELEMENTS, "right")), a + 1)
+        sub = adj[a:b]
+        nodes = (b - a) * n
+        indptr = np.zeros(nodes + 1, dtype=np.int32)
+        np.cumsum(degree[a:b], out=indptr[1:], dtype=np.int32)
+        heads = np.arange(nodes, dtype=np.int32).reshape(b - a, 1, n)
+        heads = np.broadcast_to(heads, sub.shape)[sub]  # row-major, as CSR stores them
+        graph = csr_matrix((np.ones(heads.size), heads, indptr), shape=(nodes, nodes))
+        count, found = csgraph.connected_components(
+            graph, directed=True, connection="strong"
+        )
+        labels[a:b] = found.reshape(b - a, n) + offset
+        offset += count
+        a = b
+    return labels
 
 
 def _chains(n: int, idx_i, idx_j, frac: np.ndarray, mass=None) -> np.ndarray:
@@ -382,49 +419,68 @@ def _fits(
 ):
     """Yield (kept, fit) for each time, in order.
 
-    ``fit`` is the ScoreVector, tagged t, of the chain that the per-pair sums
-    at t give, teleported by ``sigma_n`` (None: the default 1/n), or the
-    error that fit raises, the other times being unaffected: EstimationError
-    without mass, ConnectivityError for a ``sigma_n=0`` chain that is not
-    strongly connected, or ConvergenceError.  ``kept`` and ``before`` are
-    those of :func:`_pair_sums`.  Each grid chunk's chains are one stack
-    within TILE_ELEMENTS, teleported in place and solved as one, so the
-    memory does not grow with the number of times.
+    ``fit`` is what :func:`_solve_sums` gives for the per-pair sums at t.
+    ``kept`` and ``before`` are those of :func:`_pair_sums`.  Each grid
+    chunk's chains are one stack within TILE_ELEMENTS, so the memory does
+    not grow with the number of times.
     """
-    n = dataset.n
-    sigma = default_teleport(n) if sigma_n is None else sigma_n
     _, seg_i, seg_j = dataset.pair_segments()
     for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
-        ts = chunk.tolist()
-        mass = den > 0.0
-        with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-            P = _chains(n, seg_i, seg_j, num / den, mass)
-        fits = {
-            d: _no_mass(ts[d], h, before)
-            for d in np.flatnonzero(~mass.any(axis=1)).tolist()
-        }
-        if sigma == 0.0:
-            # The stationary vector is unique only if the chain solved is
-            # strongly connected; a share that rounds to 0 drops an edge.
-            labels = np.sort(_strong_components(P > 0.0), axis=1)
-            parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
-            for d in np.flatnonzero(parts > 1).tolist():
-                if d not in fits:
-                    fits[d] = ConnectivityError(
-                        f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
-                        f"not strongly connected ({parts[d]} components)"
-                    )
+        fits, _ = _solve_sums(
+            dataset.n, seg_i, seg_j, chunk.tolist(), den, num, h, sigma_n, tol, before
+        )
+        for d, fit in enumerate(fits):
+            yield None if kept is None else int(kept[d]), fit
+
+
+def _solve_sums(
+    n: int, idx_i, idx_j, ts: list, den: np.ndarray, num: np.ndarray, h: float,
+    sigma_n: float | None, tol: float, before: bool = False,
+    rescue: float | None = None,
+) -> tuple[list, list]:
+    """Fits from per-pair sums: (fits, disconnected), a fit per row of the
+    (len(ts) x pairs) ``den`` and ``num`` over the pairs (idx_i, idx_j).
+
+    A row's fit is the ScoreVector, tagged with its time in ``ts``, of the
+    chain its sums give, teleported by ``sigma_n`` (None: the default 1/n),
+    or the error that fit raises, the other rows being unaffected:
+    EstimationError without mass, ConnectivityError for a ``sigma_n=0`` chain
+    that is not strongly connected, or ConvergenceError.  With ``rescue``
+    such a chain is teleported by ``rescue`` instead and solved with the
+    others, and ``disconnected`` lists its row.  The rows' chains are built
+    as one stack, teleported in place and solved as one; callers keep the
+    stack within TILE_ELEMENTS (see :func:`_stack_rows`).
+    """
+    sigma = default_teleport(n) if sigma_n is None else sigma_n
+    mass = den > 0.0
+    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+        P = _chains(n, idx_i, idx_j, num / den, mass)
+    fits = {
+        d: _no_mass(ts[d], h, before) for d in np.flatnonzero(~mass.any(axis=1)).tolist()
+    }
+    disconnected = []
+    if sigma == 0.0:
+        # The stationary vector is unique only if the chain solved is
+        # strongly connected; a share that rounds to 0 drops an edge.
+        labels = np.sort(_strong_components(P > 0.0), axis=1)
+        parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
+        disconnected = [d for d in np.flatnonzero(parts > 1).tolist() if d not in fits]
+        if rescue is not None:
+            P[disconnected] = _teleport(P[disconnected], rescue)
         else:
-            _teleport(P, sigma)
-        solve = [d for d in range(len(ts)) if d not in fits]
-        if len(solve) < len(ts):
-            P = P[solve]
-        for d, pi in zip(solve, _stationary_stack(P, tol, _MAX_ITER)):
-            fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(
-                pi, t=ts[d]
-            )
-        for d in range(len(ts)):
-            yield None if kept is None else int(kept[d]), fits[d]
+            for d in disconnected:
+                fits[d] = ConnectivityError(
+                    f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
+                    f"not strongly connected ({parts[d]} components)"
+                )
+    else:
+        _teleport(P, sigma)
+    solve = [d for d in range(len(ts)) if d not in fits]
+    if len(solve) < len(ts):
+        P = P[solve]
+    for d, pi in zip(solve, _stationary_stack(P, tol, _MAX_ITER)):
+        fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(pi, t=ts[d])
+    return [fits[d] for d in range(len(ts))], disconnected
 
 
 def fit_scores(

@@ -31,17 +31,20 @@ from .baselines import (
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
 from .estimator import (
+    _TOL,
     ScoreVector,
+    _pair_sums,
+    _solve_sums,
+    _stack_rows,
     causal_fits,
     default_teleport,
     estimate_curve,
-    fit_scores,
     pair_fractions,
     regularize,
     stationary,
     transition_from_fractions,
 )
-from .inference import normal_quantile, plug_in_alpha
+from .inference import _alpha_stack, normal_quantile
 from .kernels import GAUSSIAN, Kernel
 from .simulate import GroundTruth, SimConfig, generate
 
@@ -319,12 +322,19 @@ def coverage_experiment(
     Uses under-smoothing (small h) so the bias term is negligible and the
     intervals are centered.  With sigma_n = 0 the raw chain is used; the
     rare replication whose sigma_n=0 chain is not strongly connected is
-    fitted again with the default teleport and counted.  A replication
-    without kernel mass at t or with an undefined plug-in precision is
-    counted as unpriced and left out of every statistic, and InferenceError
-    is raised when none is priced.  Marginal normality of the standardized
-    errors is checked with an Anderson-Darling test at the 1% point, pooled
-    over the first ten items.
+    fitted again, from the same per-pair sums, with the default teleport
+    and counted.  A replication without kernel mass at t or with an
+    undefined plug-in precision is counted as unpriced and left out of every
+    statistic, and InferenceError is raised when none is priced.  Marginal
+    normality of the standardized errors is checked with an Anderson-Darling
+    test at the 1% point, pooled over the first ten items.
+
+    Replications go in groups of one solver stack (see ``_stack_rows``).
+    Each replication's dataset gives its per-pair sums at t and its per-pair
+    record counts, laid out over every pair of items, and is then dropped;
+    each group's chains are built, checked, solved and priced as one stack.
+    Every replication's scores and precision are those that ``fit_scores``
+    and ``plug_in_alpha`` give it alone.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -332,36 +342,62 @@ def coverage_experiment(
         raise ValueError(f"unknown alpha source {alpha_source!r}")
     n = config.n
     z = normal_quantile(0.5 * (1.0 + level))
+    iu, ju = np.triu_indices(n, 1)
     covered = np.zeros(n)
     pi_hats = np.empty((replications, n))
     zscores = np.empty((replications, n))
     halfwidths = np.zeros(n)
-    n_disconnected = n_unpriced = 0
-    for rep in range(replications):
-        cfg = dataclasses.replace(config, seed=config.seed + rep)
-        dataset, truth = generate(cfg)
-        pi_true = truth.normalized_skill(t)
-        try:
-            sv = fit_scores(dataset, t, h, kernel, sigma_n)
-        except ConnectivityError:  # raised for a sigma_n=0 chain alone
-            sv = fit_scores(dataset, t, h, kernel, default_teleport(n))
-            n_disconnected += 1
-        except EstimationError:  # no record with kernel mass at t
-            n_unpriced += 1
-            continue
-        source_vec = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
-        try:
-            params = plug_in_alpha(source_vec, dataset, t, h, kernel)
-        except InferenceError:
-            n_unpriced += 1
-            continue
-        half = z / params.alpha
-        err = sv.scores - pi_true
-        covered += (np.abs(err) <= half).astype(float)
-        halfwidths += half
-        pi_hats[rep - n_unpriced] = sv.scores
-        zscores[rep - n_unpriced] = params.alpha * err
-    priced = replications - n_unpriced
+    n_disconnected = n_unpriced = priced = 0
+    group = _stack_rows(n)
+    for g in range(0, replications, group):
+        k = min(group, replications - g)
+        den, num = np.zeros((2, k, iu.size))
+        counts = np.zeros((k, iu.size))
+        truths = np.empty((k, n))
+        for d in range(k):
+            dataset, truth = generate(dataclasses.replace(config, seed=config.seed + g + d))
+            truths[d] = truth.normalized_skill(t)
+            starts, seg_i, seg_j = dataset.pair_segments()
+            slot = seg_i * (2 * n - seg_i - 1) // 2 + seg_j - seg_i - 1  # (i, j)'s in iu, ju
+            counts[d, slot] = np.diff(starts, append=dataset.n_records)
+            try:
+                _, den_t, num_t, _ = next(_pair_sums(dataset, [t], h, kernel))
+            except EstimationError:  # no records: the row has no mass
+                continue
+            den[d, slot], num[d, slot] = den_t[0], num_t[0]
+        labels = dataset.item_labels
+        del dataset
+        fits, disconnected = _solve_sums(
+            n, iu, ju, [t] * k, den, num, h, sigma_n, _TOL, rescue=default_teleport(n)
+        )
+        n_disconnected += len(disconnected)
+        del den, num  # the precision reads the counts
+        fitted = [d for d, fit in enumerate(fits) if isinstance(fit, ScoreVector)]
+        scores = np.array([fits[d].scores for d in fitted]).reshape(-1, n)
+        alpha, errors = _alpha_stack(
+            scores if alpha_source == "estimated" else truths[fitted],
+            counts[fitted] * h, iu, ju, kernel, labels,
+        )
+        priced_rows = iter(zip(scores, alpha, errors))
+        for d, fit in enumerate(fits):
+            if isinstance(fit, EstimationError):  # no record with kernel mass at t
+                n_unpriced += 1
+                continue
+            if not isinstance(fit, ScoreVector):
+                raise fit
+            pi_hat, a, failed = next(priced_rows)
+            if isinstance(failed, InferenceError):
+                n_unpriced += 1
+                continue
+            if failed is not None:
+                raise failed
+            half = z / a
+            err = pi_hat - truths[d]
+            covered += (np.abs(err) <= half).astype(float)
+            halfwidths += half
+            pi_hats[priced] = pi_hat
+            zscores[priced] = a * err
+            priced += 1
     if not priced:
         raise InferenceError(f"none of the {replications} replications was priced")
     coverage = covered / priced

@@ -95,9 +95,11 @@ class ExpansionReport:
 
 
 def _win_prob_matrix(scores: np.ndarray) -> np.ndarray:
-    """Y[i, j] = probability j is preferred over i; zero diagonal."""
-    Y = scores[None, :] / (scores[:, None] + scores[None, :])
-    np.fill_diagonal(Y, 0.0)
+    """Y[..., i, j] = probability j is preferred over i, for each score
+    vector of ``scores`` (..., n); zero diagonal."""
+    Y = scores[..., None, :] / (scores[..., :, None] + scores[..., None, :])
+    idx = np.arange(scores.shape[-1])
+    Y[..., idx, idx] = 0.0
     return Y
 
 
@@ -118,42 +120,69 @@ def plug_in_alpha(
     replaces it, which is the same quantity up to the local density of
     observation times.  Items with no observed opponents, or whose variance
     sum is 0 (each opponent's win probability rounds to 0 or 1), have
-    undefined precision and trigger an InferenceError naming them.
+    undefined precision and trigger an InferenceError naming them.  This is
+    the one-row case of :func:`_alpha_stack`.
     """
     scores = pi_hat.scores
     n = dataset.n
     if scores.shape != (n,):
         raise ValueError("score vector length does not match dataset")
-    if np.min(scores) <= 0:
-        raise ValueError("scores must be strictly positive")
     starts, seg_i, seg_j = dataset.pair_segments()
     if effective_counts:  # the per-pair kernel mass that the fits read
-        _, den, _, _ = next(_pair_sums(dataset, [t], h, kernel))
-        mass = den[0]
+        _, mass, _, _ = next(_pair_sums(dataset, [t], h, kernel))
     else:
-        mass = np.diff(starts, append=dataset.n_records) * h
-    weight_inv = np.zeros((n, n))
-    weight_inv[seg_i, seg_j] = weight_inv[seg_j, seg_i] = np.divide(
+        mass = np.diff(starts, append=dataset.n_records)[None] * h
+    alpha, (err,) = _alpha_stack(
+        scores[None], mass, seg_i, seg_j, kernel, dataset.item_labels
+    )
+    if err is not None:
+        raise err
+    return AsymptoticParams(alpha[0])
+
+
+def _alpha_stack(
+    scores: np.ndarray, mass: np.ndarray, idx_i, idx_j, kernel: Kernel, labels
+) -> tuple[np.ndarray, list]:
+    """Plug-in precision of each row of the (k, n) ``scores`` from its row of
+    the (k, pairs) kernel ``mass`` over the pairs (idx_i, idx_j): (alpha,
+    errors), alpha (k, n) and, per row, None or its error: ValueError for a
+    score that is not positive, else the InferenceError that names, by
+    ``labels``, the items without an observed opponent or else those with an
+    undefined precision.  A pair without mass is not observed.  Every
+    reduction runs along a row's own axes, so no row's result depends on the
+    others.
+    """
+    k, n = scores.shape
+    weight_inv = np.zeros((k, n, n))
+    weight_inv[:, idx_i, idx_j] = weight_inv[:, idx_j, idx_i] = np.divide(
         1.0, mass, out=np.zeros_like(mass), where=mass > 0
     )
     observed = weight_inv > 0
-    missing = np.flatnonzero(~observed.any(axis=1))
-    if missing.size:
-        names = ", ".join(dataset.item_labels[k] for k in missing)
-        raise InferenceError(f"no observed opponents for item(s): {names}")
-
+    positive = scores.min(axis=1) > 0
+    scores = np.where(positive[:, None], scores, 1.0)  # a failing row's stand-in
     Y = _win_prob_matrix(scores)
-    S1 = np.where(observed, Y, 0.0).sum(axis=1)
-    pair_sum = scores[:, None] + scores[None, :]
-    # weight_inv is 0 on unobserved pairs, so their terms vanish.
-    terms = weight_inv * pair_sum**2 * Y * (1.0 - Y) * kernel.squared_integral
-    D = terms.sum(axis=1)
-    alpha = np.divide(S1, np.sqrt(D), out=np.zeros(n), where=D > 0)
-    undefined = np.flatnonzero(~(np.isfinite(alpha) & (alpha > 0)))
-    if undefined.size:
-        names = ", ".join(dataset.item_labels[k] for k in undefined)
-        raise InferenceError(f"undefined precision for item(s): {names}")
-    return AsymptoticParams(alpha)
+    S1 = np.where(observed, Y, 0.0).sum(axis=-1)
+    # terms = weight_inv * (pi_i + pi_j)^2 * Y * (1 - Y) * int K^2, left to
+    # right, in place; weight_inv is 0 on unobserved pairs, so their terms vanish.
+    pair_sum = scores[:, :, None] + scores[:, None, :]
+    terms = weight_inv
+    terms *= np.square(pair_sum, out=pair_sum)
+    terms *= Y
+    terms *= np.subtract(1.0, Y, out=Y)
+    terms *= kernel.squared_integral
+    D = terms.sum(axis=-1)
+    alpha = np.divide(S1, np.sqrt(D), out=np.zeros((k, n)), where=D > 0)
+    errors = []
+    for ok, seen, a in zip(positive, observed.any(axis=-1), alpha):
+        if not ok:
+            errors.append(ValueError("scores must be strictly positive"))
+            continue
+        bad, what = (~seen, "no observed opponents") if not seen.all() else (
+            ~(np.isfinite(a) & (a > 0)), "undefined precision"
+        )
+        names = ", ".join(labels[i] for i in np.flatnonzero(bad))
+        errors.append(InferenceError(f"{what} for item(s): {names}") if names else None)
+    return alpha, errors
 
 
 def oracle_beta(

@@ -7,7 +7,7 @@ for a bandwidth ``h > 0``.  The exact moments ``int v^2 K(v) dv`` and
 variance formulas need them.
 
 Weights are computed in place, in a caller's buffer if given; the Gaussian's
-normalizer sits in its exponent, and its floor pass is skipped where the
+normalizer sits in its exponent, and its floor passes are skipped where the
 times' ranges show no weight can fall below WEIGHT_FLOOR.
 """
 
@@ -27,6 +27,9 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # The Gaussian's floor point, where its weight is WEIGHT_FLOOR, less a margin
 # far wider than the rounding of exp's argument.
 _FLOOR_U = math.sqrt(-2.0 * (math.log(WEIGHT_FLOOR) + _LOG_SQRT_2PI)) - 1e-6
+# An exponent between log(WEIGHT_FLOOR), about -690.8, and the log of the
+# smallest normal double, about -708.4: exp of it is floored, and not subnormal.
+_EXP_CLAMP = -700.0
 
 
 @dataclass(frozen=True)
@@ -51,9 +54,10 @@ class Kernel:
         """K((t - t_k) / h) for one or many observation times ``t_k``: a float
         for one pair, else an array of the broadcast shape, written into the
         float64 array ``out`` when it is given.  The Gaussian takes four passes
-        and a shift, exp(d * d * -1/(2 h^2) - log sqrt(2 pi)) of d = t - t_k,
-        and clears its weights below WEIGHT_FLOOR in one more pass, skipped
-        when the ranges of t and t_k put every |d| / h below the floor point
+        and a shift, exp(d * d * -1/(2 h^2) - log sqrt(2 pi)) of d = t - t_k.
+        Two more passes clamp the exponent above the subnormal range and clear
+        the weights below WEIGHT_FLOOR; they are skipped when the ranges of t
+        and t_k put every |d| / h below the floor point
         sqrt(-2 log(WEIGHT_FLOOR sqrt(2 pi))), about 37.14."""
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
@@ -83,10 +87,14 @@ class Kernel:
         d *= d
         d *= scale
         d -= _LOG_SQRT_2PI
+        reach = max(np.max(t) - np.min(t_k), np.max(t_k) - np.min(t)) if d.size else 0.0
+        if reach < _FLOOR_U * h:  # every weight is above WEIGHT_FLOOR
+            return np.exp(d, out=d)
+        # exp is slow on arguments whose result is subnormal; any argument
+        # below _EXP_CLAMP gives a weight below WEIGHT_FLOOR, cleared anyway.
+        np.maximum(d, _EXP_CLAMP, out=d)
         w = np.exp(d, out=d)
-        reach = max(np.max(t) - np.min(t_k), np.max(t_k) - np.min(t)) if w.size else 0.0
-        if not reach < _FLOOR_U * h:  # else every weight is above WEIGHT_FLOOR
-            np.copyto(w, 0.0, where=w < WEIGHT_FLOOR)
+        np.copyto(w, 0.0, where=w < WEIGHT_FLOOR)
         return w
 
 

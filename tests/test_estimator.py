@@ -597,3 +597,57 @@ def test_score_vector_residual():
     P = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     sv = ScoreVector(np.array([2 / 3, 1 / 3]))
     assert sv.residual(P) < 1e-15
+
+
+def component_graphs():
+    """Seven-node graphs: random ones, the empty graph (seven singletons), the
+    complete graph, a one-way path (singletons joined by edges) and two
+    three-cycles beside a node with only in-edges."""
+    rng = np.random.default_rng(8)
+    graphs = [rng.random((7, 7)) < p for p in (0.1, 0.2, 0.3, 0.45) for _ in range(3)]
+    path = np.eye(7, k=1, dtype=bool)
+    cycles = np.zeros((7, 7), dtype=bool)
+    for a, b in ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 6), (3, 6)):
+        cycles[a, b] = True
+    graphs[2:2] = [np.zeros((7, 7), dtype=bool), np.ones((7, 7), dtype=bool), path, cycles]
+    return np.array(graphs)
+
+
+@pytest.mark.parametrize("budget", [None, 1, 40, 100])
+def test_strong_components_partition_as_one_call_per_graph(monkeypatch, budget):
+    # Small edge budgets split the stack into sub-stacks: at 1 edge each
+    # graph is a sub-stack alone; at 40 or 100 sub-stacks hold several graphs
+    # and end inside the run of sparse ones.
+    from scipy.sparse import csgraph
+
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    calls = []
+    real = csgraph.connected_components
+
+    def spy(graph, **kwargs):
+        calls.append(graph.shape[0] // 7)
+        return real(graph, **kwargs)
+
+    adj = component_graphs()
+    monkeypatch.setattr(estimator.csgraph, "connected_components", spy)
+    labels = estimator._strong_components(adj)
+    monkeypatch.undo()
+    assert labels.shape == (adj.shape[0], 7)
+    assert sum(calls) == adj.shape[0]
+    if budget == 1:
+        assert calls == [1] * adj.shape[0]
+    elif budget is not None:
+        assert 1 < len(calls) < adj.shape[0]
+    else:
+        assert calls == [adj.shape[0]]
+    for graph, got in zip(adj, labels):
+        _, want = csgraph.connected_components(graph, directed=True, connection="strong")
+        assert np.array_equal(got[:, None] == got, want[:, None] == want)
+    # no two graphs share a label
+    assert all(
+        not set(a.tolist()) & set(b.tolist())
+        for k, a in enumerate(labels) for b in labels[k + 1:]
+    )
+    assert len(set(labels[2].tolist())) == 7 and len(set(labels[3].tolist())) == 1
+    assert len(set(labels[4].tolist())) == 7 and len(set(labels[5].tolist())) == 3

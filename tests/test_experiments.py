@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from krc import baselines, estimator, experiments
 from krc.baselines import (
@@ -17,7 +18,13 @@ from krc.baselines import (
 )
 from krc.data import ComparisonDataset, TimeEncoding, season_of_time
 from krc.errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
-from krc.estimator import ScoreVector, causal_fits, estimate_curve, fit_scores
+from krc.estimator import (
+    ScoreVector,
+    causal_fits,
+    default_teleport,
+    estimate_curve,
+    fit_scores,
+)
 from krc.experiments import (
     _ad_normal_critical_1pct,
     backtest,
@@ -153,52 +160,151 @@ def test_coverage_refits_a_reducible_chain_with_the_teleport(monkeypatch):
     # One replication's data is swapped for two items whose record graph at
     # t=0.5 is strongly connected while item 0's share rounds to 0 (h=0.01),
     # so its sigma_n=0 chain is reducible; the other replications' chains
-    # are strongly connected.
+    # are strongly connected.  All 100 replications are one stack.
     bad = ComparisonDataset(2, [0, 0, 0], [1, 1, 1], [0.5, 0.5, 0.59], [1, 1, 0])
     config = SimConfig(n=2, m=200, seed=40)
     real_generate = experiments.generate
-    real_alpha = experiments.plug_in_alpha
-    fitted = []
+    real_solve = experiments._solve_sums
+    stacks = []
 
     def swap_third(cfg):
         dataset, truth = real_generate(cfg)
         return (bad if cfg.seed == config.seed + 2 else dataset), truth
 
-    def spy_alpha(pi_hat, *args, **kwargs):
-        fitted.append(pi_hat)
-        return real_alpha(pi_hat, *args, **kwargs)
+    def spy_solve(*args, **kwargs):
+        stacks.append(real_solve(*args, **kwargs))
+        return stacks[-1]
 
     monkeypatch.setattr(experiments, "generate", swap_third)
-    monkeypatch.setattr(experiments, "plug_in_alpha", spy_alpha)
+    monkeypatch.setattr(experiments, "_solve_sums", spy_solve)
     report = coverage_experiment(config, t=0.5, h=0.01, replications=100)
     assert report.n_disconnected == 1
-    assert np.array_equal(fitted[2].scores, fit_scores(bad, 0.5, 0.01, GAUSSIAN).scores)
+    ((fits, disconnected),) = stacks
+    assert disconnected == [2]
+    assert np.array_equal(fits[2].scores, fit_scores(bad, 0.5, 0.01, GAUSSIAN).scores)
 
 
-def loop_coverage(config, t, h, replications, oracle):
-    """Reference for coverage_experiment at level 0.95 with the Gaussian
-    kernel and sigma_n=0, one replication at a time: per-item coverage and
-    mean half-width over the priced replications, and the unpriced count."""
-    z = normal_quantile(0.975)
-    covered, half_sum, priced = np.zeros(config.n), 0.0, 0
+def loop_coverage(
+    config, t=0.5, h=0.01, level=0.95, replications=100, sigma_n=0.0,
+    alpha_source="estimated",
+):
+    """Reference for coverage_experiment with the Gaussian kernel, one
+    replication at a time: a lone ``fit_scores`` (and, for a disconnected
+    sigma_n=0 chain, a second one with the default teleport) and a lone
+    ``plug_in_alpha`` call each, on the datasets of ``experiments.generate``."""
+    n = config.n
+    z = normal_quantile(0.5 * (1.0 + level))
+    covered = np.zeros(n)
+    pi_hats = np.empty((replications, n))
+    zscores = np.empty((replications, n))
+    halfwidths = np.zeros(n)
+    n_disconnected = n_unpriced = 0
     for rep in range(replications):
-        ds, truth = generate(dataclasses.replace(config, seed=config.seed + rep))
+        cfg = dataclasses.replace(config, seed=config.seed + rep)
+        dataset, truth = experiments.generate(cfg)
         pi_true = truth.normalized_skill(t)
-        if not np.any(GAUSSIAN.weight(t, ds.times, h)):
-            continue  # no kernel mass at t
         try:
-            sv = fit_scores(ds, t, h, GAUSSIAN, 0.0)
+            sv = fit_scores(dataset, t, h, GAUSSIAN, sigma_n)
         except ConnectivityError:
-            sv = fit_scores(ds, t, h, GAUSSIAN)
-        source = ScoreVector(pi_true) if oracle else sv
-        try:
-            alpha = plug_in_alpha(source, ds, t, h, GAUSSIAN).alpha
-        except InferenceError:
+            sv = fit_scores(dataset, t, h, GAUSSIAN, default_teleport(n))
+            n_disconnected += 1
+        except EstimationError:
+            n_unpriced += 1
             continue
-        priced += 1
-        covered += np.abs(sv.scores - pi_true) <= z / alpha
-        half_sum += np.mean(z / alpha)
-    return covered / priced, half_sum / priced, replications - priced
+        source = sv if alpha_source == "estimated" else ScoreVector(pi_true, t=t)
+        try:
+            alpha = plug_in_alpha(source, dataset, t, h, GAUSSIAN).alpha
+        except InferenceError:
+            n_unpriced += 1
+            continue
+        half = z / alpha
+        err = sv.scores - pi_true
+        covered += (np.abs(err) <= half).astype(float)
+        halfwidths += half
+        pi_hats[rep - n_unpriced] = sv.scores
+        zscores[rep - n_unpriced] = alpha * err
+    priced = replications - n_unpriced
+    corr = np.corrcoef(pi_hats[:priced].T)
+    pooled = zscores[:priced, : min(10, n)].ravel()
+    ad_stat = float(scipy.stats.anderson(pooled, dist="norm", method="interpolate").statistic)
+    ad_crit = _ad_normal_critical_1pct(pooled.size)
+    return experiments.CoverageReport(
+        per_item_coverage=covered / priced,
+        mean_abs_correlation=float(np.nanmean(np.abs(corr[~np.eye(n, dtype=bool)]))),
+        mean_ci_halfwidth=float(halfwidths.mean() / priced),
+        ad_statistic=ad_stat,
+        ad_critical_1pct=ad_crit,
+        ad_normal_pass=ad_stat < ad_crit,
+        n_replications=replications,
+        level=level,
+        alpha_source=alpha_source,
+        n_disconnected=n_disconnected,
+        n_unpriced=n_unpriced,
+    )
+
+
+def assert_same_report(report, reference):
+    for field in dataclasses.fields(report):
+        got, want = getattr(report, field.name), getattr(reference, field.name)
+        assert np.array_equal(got, want, equal_nan=not isinstance(got, str)), field.name
+
+
+def drop_pairs(real_generate):
+    """``generate`` with some pairs' records left out, a different set of
+    pairs for each seed."""
+
+    def partial(cfg):
+        dataset, truth = real_generate(cfg)
+        tt, ii, jj, yy = dataset.in_time_order()
+        keep = (ii * 7 + jj * 3 + cfg.seed) % 4 != 0
+        return ComparisonDataset(dataset.n, ii[keep], jj[keep], tt[keep], yy[keep]), truth
+
+    return partial
+
+
+@pytest.mark.parametrize(
+    "config, kwargs, budget, partial",
+    [
+        # disconnected sigma_n=0 replications, refitted with the teleport,
+        # and unpriced ones, in stacks of six
+        (SimConfig(n=6, m=3, seed=11), dict(h=0.02), 6 * 36, False),
+        (SimConfig(n=10, m=20, seed=5), dict(t=0.3, h=0.05, sigma_n=0.1), None, False),
+        # pair sets that differ between replications, in stacks of nine
+        (SimConfig(n=8, m=4, seed=3), dict(h=0.02), 8 * 8 * 9, True),
+    ],
+    ids=["disconnected-stacks", "teleported", "partial-pairs-stacks"],
+)
+def test_coverage_equals_the_per_replication_loop(monkeypatch, config, kwargs, budget, partial):
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    if partial:
+        monkeypatch.setattr(experiments, "generate", drop_pairs(experiments.generate))
+    report = coverage_experiment(config, replications=100, **kwargs)
+    assert_same_report(report, loop_coverage(config, replications=100, **kwargs))
+    if kwargs.get("sigma_n", 0.0) == 0.0:
+        assert report.n_disconnected > 0 and report.n_unpriced > 0
+
+
+def test_coverage_makes_one_pass_per_replication_and_one_solve_per_stack(monkeypatch):
+    # Stacks of six: 100 replications make 17 stacks, the last of four.
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 6 * 36)
+    passes, stacks = [], []
+    real_pass, real_stack = experiments._pair_sums, estimator._stationary_stack
+
+    def spy_pass(dataset, grid, *args):
+        passes.append(len(grid))
+        return real_pass(dataset, grid, *args)
+
+    def spy_stack(M, *args):
+        stacks.append(M.shape[0])
+        return real_stack(M, *args)
+
+    monkeypatch.setattr(experiments, "_pair_sums", spy_pass)
+    monkeypatch.setattr(estimator, "_stationary_stack", spy_stack)
+    report = coverage_experiment(SimConfig(n=6, m=3, seed=11), h=0.02, replications=100)
+    assert report.n_disconnected > 0
+    assert passes == [1] * 100
+    assert len(stacks) == 17 and max(stacks) <= 6
 
 
 def test_coverage_with_oracle_alpha_matches_truth_plug_in_loop():
@@ -206,14 +312,13 @@ def test_coverage_with_oracle_alpha_matches_truth_plug_in_loop():
     report = coverage_experiment(
         config, t=0.5, h=0.05, replications=100, alpha_source="oracle-truth"
     )
-    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.05, 100, oracle=True)
+    reference = loop_coverage(config, h=0.05, alpha_source="oracle-truth")
+    assert_same_report(report, reference)
     assert report.alpha_source == "oracle-truth"
-    assert report.n_unpriced == unpriced == 0
-    assert np.array_equal(report.per_item_coverage, coverage)
-    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+    assert report.n_unpriced == 0
     # the truth's precision is not the estimate's, so the source shows
-    _, estimated_halfwidth, _ = loop_coverage(config, 0.5, 0.05, 100, oracle=False)
-    assert report.mean_ci_halfwidth != pytest.approx(estimated_halfwidth, rel=1e-6)
+    estimated = loop_coverage(config, h=0.05)
+    assert report.mean_ci_halfwidth != pytest.approx(estimated.mean_ci_halfwidth, rel=1e-6)
 
 
 def test_coverage_leaves_out_replications_without_a_precision():
@@ -221,24 +326,22 @@ def test_coverage_leaves_out_replications_without_a_precision():
     # opponents' that its variance sum is 0, so it is counted, not priced.
     config = SimConfig(n=7, m=8, seed=0)
     report = coverage_experiment(config, replications=100)
-    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.01, 100, oracle=False)
-    assert report.n_unpriced == unpriced == 1
+    assert_same_report(report, loop_coverage(config))
+    assert report.n_unpriced == 1
     assert report.n_replications == 100
-    assert np.array_equal(report.per_item_coverage, coverage)
-    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
     assert np.isfinite(report.ad_statistic)
     assert 0.0 <= report.mean_abs_correlation <= 1.0
 
 
 def test_coverage_leaves_out_replications_without_kernel_mass():
     # One record per replication: at h=0.01 a record more than about 0.37
-    # from t=0.5 weighs 0, so that replication has no fit and is not priced.
+    # from t=0.5 weighs 0, so that replication has no fit and is not priced;
+    # a lone record's sigma_n=0 chain is disconnected, and refitted.
     config = SimConfig(n=2, m=1, seed=0)
     report = coverage_experiment(config, h=0.01, replications=100)
-    coverage, halfwidth, unpriced = loop_coverage(config, 0.5, 0.01, 100, oracle=False)
-    assert 0 < report.n_unpriced == unpriced < 100
-    assert np.array_equal(report.per_item_coverage, coverage)
-    assert report.mean_ci_halfwidth == pytest.approx(halfwidth, rel=1e-12)
+    assert_same_report(report, loop_coverage(config))
+    assert 0 < report.n_unpriced < 100
+    assert report.n_disconnected == 100 - report.n_unpriced
 
 
 def test_coverage_without_a_priced_replication_raises(monkeypatch):

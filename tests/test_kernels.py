@@ -1,6 +1,7 @@
 """Kernel profiles, stored moments, and weight evaluation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -130,3 +131,29 @@ def test_kernel_is_frozen():
 def test_custom_kernel_instance():
     k = Kernel("boxcar", 1.0 / 3.0, 0.5)
     assert k.evaluate(0.2) == 0.5
+
+
+def test_gaussian_tile_clamps_its_exponent_above_the_subnormal_range(monkeypatch):
+    # Records up to 60h from t: past the floor point, |u| of about 37.14,
+    # and past |u| of about 37.65, where the exponent falls below -708.4,
+    # the log of the smallest normal double, and exp turns slow.  The
+    # weights are those of the formula floored at WEIGHT_FLOOR, bitwise.
+    h = 0.01
+    t = np.array([[0.5], [0.53]])
+    times = 0.5 + h * np.linspace(-60.0, 60.0, 2401)
+    arguments = []
+    real_exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        arguments.append(float(np.min(x)))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = GAUSSIAN.weight(t, times, h)
+    monkeypatch.undo()
+    assert arguments and min(arguments) >= math.log(sys.float_info.min)
+    d = t - times
+    want = np.exp(d * d * (-0.5 / (h * h)) - 0.5 * math.log(2.0 * math.pi))
+    want[want < WEIGHT_FLOOR] = 0.0
+    assert np.array_equal(got, want)
+    assert 0 < np.count_nonzero(got) < got.size
