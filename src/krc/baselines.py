@@ -16,11 +16,11 @@ replaced, stays in the tests as the reference.
 
 The solver takes a stack of win matrices: the rows still iterating share
 each batched linear solve, and a row leaves when it converges or fails, with
-the result it would have alone.  A single solve is its one-row case.  Every
-fit reads one pass of per-pair sums, solved as such stacks, each row started
-cold: a weighted-MLE curve, the walk-forward pooled and weighted MLE on the
-records strictly before each day, and, as one-point cases, ``bt_mle_mm``
-(pooled, at t=+inf) and ``wmle``.
+the result it would have alone.  A single solve is its one-row case.
+:func:`_mm_sums` is the MLE's stack solver in ``estimator._fits``, the one
+pass every fit runs, each row started cold: a weighted-MLE curve, the
+walk-forward pooled and weighted MLE on the records strictly before each
+day, and, as one-point cases, ``bt_mle_mm`` (pooled, at t=+inf) and ``wmle``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError
-from .estimator import ScoreVector, _fits, _no_mass, _pair_sums, _strong_components
+from .estimator import ScoreVector, _fitted, _no_mass, _solve_sums, _strong_components
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
@@ -247,13 +247,39 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
     return out
 
 
+def _mm_sums(
+    n: int, idx_i, idx_j, ts: list, den: np.ndarray, won: np.ndarray, h: float,
+    config: MMConfig, pooled: bool, before: bool = False,
+) -> list:
+    """A fit per row of the (len(ts) x pairs) per-pair sums ``den`` and
+    ``won`` over the pairs (idx_i, idx_j), every row started cold: (ScoreVector
+    tagged with its time in ``ts``, MMInfo), or the error that fit raises.
+
+    ``pooled`` sums are counts; otherwise each pair with mass splits unit
+    mass into win shares, and a row without mass is EstimationError.  The
+    rows' win matrices go to :func:`_mm_stack` as one stack.
+    """
+    mass = den > 0.0
+    if pooled:
+        lost = den - won
+    else:  # each pair with mass splits unit mass into win shares
+        with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+            won = np.where(mass, won / den, 0.0)
+        lost = np.where(mass, 1.0 - won, 0.0)
+    fits = _mm_stack(_win_matrix(n, idx_i, idx_j, won, lost), config)
+    for d, (t, fit) in enumerate(zip(ts, fits)):
+        if not pooled and not mass[d].any():
+            fits[d] = _no_mass(t, h, before)
+        elif not isinstance(fit, Exception):
+            fits[d] = ScoreVector(fit[0], t=t), fit[1]
+    return fits
+
+
 def _one_point(fit, t, strict: bool, return_info: bool, graph: str):
     """The ScoreVector, tagged t (with its MMInfo if ``return_info``), of one
-    point of :func:`_mm_fits`, raising the error it yielded.  An item is at
-    exactly 0 only if it never won (an item with wins at 0 has residual 1),
-    which ``strict`` makes an error."""
-    if isinstance(fit, Exception):
-        raise fit
+    fitted point of :func:`_mm_sums`.  An item is at exactly 0 only if it
+    never won (an item with wins at 0 has residual 1), which ``strict``
+    makes an error."""
     sv, info = fit
     if strict and not sv.scores.all():
         raise ConnectivityError(f"an item never won in the {graph}; the MLE does not exist")
@@ -270,12 +296,12 @@ def bt_mle_mm(
 ):
     """Pooled maximum-likelihood scores (all comparisons weighted equally).
 
-    This is the untagged pooled fit at t=+inf of :func:`_mm_fits`.  Items
-    without wins are pinned at zero, and the others' win graph must be
-    strongly connected; ``strict`` also requires every item to have won,
-    the condition for the maximizer to exist in the simplex interior.
+    This is the untagged pooled fit at t=+inf of :func:`_mm_sums`, raising
+    its error.  Items without wins are pinned at zero, and the others' win
+    graph must be strongly connected; ``strict`` also requires every item to
+    have won, the condition for the maximizer to exist in the simplex interior.
     """
-    ((_, fit),) = _mm_fits(dataset, [np.inf], 0.0, None, config, before=True)
+    (fit,) = _fitted(dataset, [np.inf], 0.0, None, _mm_sums, config, True, before=True)
     return _one_point(fit, None, strict, return_info, "pooled win graph")
 
 
@@ -293,46 +319,13 @@ def wmle(
     Each pair observed at (t, h) contributes unit mass split into weighted
     win shares S_ij = sum_k y_ij(t_k) K_h(t, t_k) / sum_k K_h(t, t_k).
     Maximizing sum S_ij log(p_j / (p_i + p_j)) is then a weighted version
-    of the pooled likelihood.  This is the one-point case of
-    :func:`_mm_fits`; ``strict`` is :func:`bt_mle_mm`'s, on the matrix of
+    of the pooled likelihood.  This is the one-point case of :func:`_mm_sums`,
+    raising its error; ``strict`` is :func:`bt_mle_mm`'s, on the matrix of
     these shares, the one solved.
     """
-    ((_, fit),) = _mm_fits(dataset, [t], h, kernel, MMConfig())
+    (fit,) = _fitted(dataset, [t], h, kernel, _mm_sums, MMConfig(), False)
     return _one_point(fit, t, strict, return_info,
                       f"kernel-weighted win graph at t={t}, h={h}")
-
-
-def _mm_fits(
-    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
-    config: MMConfig, before: bool = False,
-):
-    """Yield (kept, fit) for each time, in order, every fit started cold.
-
-    ``fit`` is (ScoreVector tagged t, MMInfo), or the error that fit raises,
-    the other times being unaffected.  With a kernel, each pair with mass at
-    t splits unit mass into win shares, and a time without mass yields
-    EstimationError; ``kernel=None`` (only with ``before``, ``h`` unused)
-    gives the pooled counts of the records strictly before t.  ``kept`` and
-    ``before`` are those of :func:`_pair_sums`; each grid chunk's win
-    matrices go to :func:`_mm_stack` as one stack, within the tile budget.
-    """
-    n = dataset.n
-    _, seg_i, seg_j = dataset.pair_segments()
-    for chunk, den, won, kept in _pair_sums(dataset, times, h, kernel, before):
-        mass = den > 0.0
-        if kernel is None:  # pooled counts
-            lost = den - won
-        else:  # each pair with mass splits unit mass into win shares
-            with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-                won = np.where(mass, won / den, 0.0)
-            lost = np.where(mass, 1.0 - won, 0.0)
-        fits = _mm_stack(_win_matrix(n, seg_i, seg_j, won, lost), config)
-        for d, (t, fit) in enumerate(zip(chunk.tolist(), fits)):
-            if kernel is not None and not mass[d].any():
-                fit = _no_mass(t, h, before)
-            elif not isinstance(fit, Exception):
-                fit = ScoreVector(fit[0], t=t), fit[1]
-            yield None if kept is None else int(kept[d]), fit
 
 
 # -- static rank centrality ------------------------------------------------
@@ -348,9 +341,7 @@ def static_rank_centrality(
     Off-diagonal entries are (1/n) times the pooled win fraction, exactly
     the kernel estimator's limit under a flat kernel wide enough to cover
     the whole observation window.  It is the untagged pooled fit at t=+inf
-    of :func:`~krc.estimator.causal_fits`, raising what that fit yields.
+    of :func:`~krc.estimator._solve_sums`, raising its error.
     """
-    ((_, fit),) = _fits(dataset, [np.inf], 0.0, None, sigma_n, tol, True)
-    if not isinstance(fit, ScoreVector):
-        raise fit
+    (fit,) = _fitted(dataset, [np.inf], 0.0, None, _solve_sums, sigma_n, tol, before=True)
     return ScoreVector(fit.scores, t=None)

@@ -11,19 +11,20 @@ it"; its stationary distribution is the score vector.  With the idealized
 entries (1/n) * pi_j / (pi_i + pi_j) the chain is reversible and stationary
 at pi itself, which is what makes the estimator consistent.
 
-Every fit runs one pipeline: a blocked kernel pass gives each time's
-per-pair sums, one grid chunk at a time, writing the chunk's weight tiles in
-place into one buffer; each chunk's chains, one stack within the tile
-budget, are teleported in place and solved together.  The
+Every fit, the MLE baselines' included, runs one pass, :func:`_fits`: a
+blocked kernel pass gives each time's per-pair sums, one grid chunk at a
+time, writing the chunk's weight tiles in place into one buffer, and a
+stack solver turns each chunk's sums into fits as one stack within the tile
+budget.  The chains' stack solver is :func:`_solve_sums`: it builds the
+chains, teleports them in place and solves them together.  The
 solver runs power iteration from the uniform start, one batched matmul per
 sweep over the chains still iterating, each chain leaving once it
 converges, and a direct solve for a chain that stalls.
-:func:`estimate_curve` is the pipeline over a grid, :func:`fit_scores` its
-one-point case, and :func:`causal_fits` its case masked to the records
-strictly before each walk-forward day; :func:`stationary` is the solver's
-one-chain case.  Everything after the per-pair sums, from the chains to the
-solve, is :func:`_solve_sums`, which the coverage experiment also runs on
-the sums of many simulated datasets stacked together.
+:func:`estimate_curve` is the pass over a grid, :func:`fit_scores` its
+one-point case, and the walk-forward backtest its case masked to the
+records strictly before each day; :func:`stationary` is the solver's
+one-chain case.  The coverage experiment runs :func:`_solve_sums` on the
+sums of many simulated datasets stacked together.
 """
 
 from __future__ import annotations
@@ -414,42 +415,67 @@ def _direct_stationary(M: np.ndarray) -> np.ndarray:
 
 
 def _fits(
-    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None,
-    sigma_n: float | None, tol: float, before: bool = False,
+    dataset: ComparisonDataset, times, h: float, kernel: Kernel | None, solve,
+    *args, before: bool = False,
 ):
-    """Yield (kept, fit) for each time, in order.
+    """Yield (kept, fit) for each time, in order: the one pass of every fit.
 
-    ``fit`` is what :func:`_solve_sums` gives for the per-pair sums at t.
-    ``kept`` and ``before`` are those of :func:`_pair_sums`.  Each grid
-    chunk's chains are one stack within TILE_ELEMENTS, so the memory does
-    not grow with the number of times.
+    ``fit`` is what the stack solver ``solve`` (:func:`_solve_sums` or
+    ``baselines._mm_sums``) gives, on ``args``, for the per-pair sums at t.
+    ``kept``, ``before`` and ``kernel=None`` are those of :func:`_pair_sums`.
+    Each grid chunk's rows are one stack within TILE_ELEMENTS, so the memory
+    does not grow with the number of times.
     """
     _, seg_i, seg_j = dataset.pair_segments()
     for chunk, den, num, kept in _pair_sums(dataset, times, h, kernel, before):
-        fits, _ = _solve_sums(
-            dataset.n, seg_i, seg_j, chunk.tolist(), den, num, h, sigma_n, tol, before
-        )
+        fits = solve(dataset.n, seg_i, seg_j, chunk.tolist(), den, num, h, *args, before=before)
         for d, fit in enumerate(fits):
             yield None if kept is None else int(kept[d]), fit
+
+
+def _fitted(*args, **kwargs) -> list:
+    """The fits of :func:`_fits` on these arguments, in order; the first
+    (in grid order) that failed raises its error."""
+    fits = []
+    for _, fit in _fits(*args, **kwargs):
+        if isinstance(fit, Exception):
+            raise fit
+        fits.append(fit)
+    return fits
+
+
+def _disconnected(P: np.ndarray, ts: list, before: bool) -> dict:
+    """The ``sigma_n=0`` gate: by row, the ConnectivityError of each chain of
+    the (k, n, n) stack ``P`` that is not strongly connected, as only then is
+    the stationary vector unique (a share that rounds to 0 drops an edge)."""
+    labels = np.sort(_strong_components(P > 0.0), axis=1)
+    parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
+    return {
+        d: ConnectivityError(
+            f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
+            f"not strongly connected ({parts[d]} components)"
+        )
+        for d in np.flatnonzero(parts > 1).tolist()
+    }
 
 
 def _solve_sums(
     n: int, idx_i, idx_j, ts: list, den: np.ndarray, num: np.ndarray, h: float,
     sigma_n: float | None, tol: float, before: bool = False,
-    rescue: float | None = None,
-) -> tuple[list, list]:
-    """Fits from per-pair sums: (fits, disconnected), a fit per row of the
-    (len(ts) x pairs) ``den`` and ``num`` over the pairs (idx_i, idx_j).
+    rescued: list | None = None,
+) -> list:
+    """A fit per row of the (len(ts) x pairs) per-pair sums ``den`` and
+    ``num`` over the pairs (idx_i, idx_j).
 
     A row's fit is the ScoreVector, tagged with its time in ``ts``, of the
     chain its sums give, teleported by ``sigma_n`` (None: the default 1/n),
     or the error that fit raises, the other rows being unaffected:
     EstimationError without mass, ConnectivityError for a ``sigma_n=0`` chain
-    that is not strongly connected, or ConvergenceError.  With ``rescue``
-    such a chain is teleported by ``rescue`` instead and solved with the
-    others, and ``disconnected`` lists its row.  The rows' chains are built
-    as one stack, teleported in place and solved as one; callers keep the
-    stack within TILE_ELEMENTS (see :func:`_stack_rows`).
+    that is not strongly connected, or ConvergenceError.  Given a
+    ``rescued`` list, such a chain is teleported by the default 1/n instead
+    and solved with the others, and its row is appended to the list.  The
+    rows' chains are built as one stack, teleported in place and solved as
+    one; callers keep the stack within TILE_ELEMENTS (see :func:`_stack_rows`).
     """
     sigma = default_teleport(n) if sigma_n is None else sigma_n
     mass = den > 0.0
@@ -458,21 +484,13 @@ def _solve_sums(
     fits = {
         d: _no_mass(ts[d], h, before) for d in np.flatnonzero(~mass.any(axis=1)).tolist()
     }
-    disconnected = []
     if sigma == 0.0:
-        # The stationary vector is unique only if the chain solved is
-        # strongly connected; a share that rounds to 0 drops an edge.
-        labels = np.sort(_strong_components(P > 0.0), axis=1)
-        parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
-        disconnected = [d for d in np.flatnonzero(parts > 1).tolist() if d not in fits]
-        if rescue is not None:
-            P[disconnected] = _teleport(P[disconnected], rescue)
+        gated = {d: e for d, e in _disconnected(P, ts, before).items() if d not in fits}
+        if rescued is None:
+            fits.update(gated)
         else:
-            for d in disconnected:
-                fits[d] = ConnectivityError(
-                    f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
-                    f"not strongly connected ({parts[d]} components)"
-                )
+            P[list(gated)] = _teleport(P[list(gated)], default_teleport(n))
+            rescued.extend(gated)
     else:
         _teleport(P, sigma)
     solve = [d for d in range(len(ts)) if d not in fits]
@@ -480,7 +498,7 @@ def _solve_sums(
         P = P[solve]
     for d, pi in zip(solve, _stationary_stack(P, tol, _MAX_ITER)):
         fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(pi, t=ts[d])
-    return [fits[d] for d in range(len(ts))], disconnected
+    return [fits[d] for d in range(len(ts))]
 
 
 def fit_scores(
@@ -517,29 +535,4 @@ def estimate_curve(
     :func:`fit_scores` gives there.  The first point (in grid order) whose
     fit fails raises its error.
     """
-    curve = []
-    for _, fit in _fits(dataset, time_grid, h, kernel, sigma_n, tol):
-        if not isinstance(fit, ScoreVector):
-            raise fit
-        curve.append(fit)
-    return curve
-
-
-def causal_fits(
-    dataset: ComparisonDataset,
-    times,
-    h: float,
-    kernel: Kernel | None,
-    sigma_n: float | None = None,
-):
-    """Walk-forward fits: yield (kept, fit) for each time t, in order, from
-    the records strictly before t alone.
-
-    ``fit`` is the ScoreVector, tagged t, that :func:`fit_scores` gives on
-    ``dataset.with_max_time(t)``; with ``kernel=None`` (``h`` unused) it is
-    the pooled chain's, as ``static_rank_centrality`` gives it there.  A fit
-    that would raise yields its EstimationError, ConnectivityError (with
-    ``sigma_n=0`` only) or ConvergenceError instead, and the other times are
-    unaffected.  ``kept`` counts the records the strictly-before mask let in.
-    """
-    return _fits(dataset, times, h, kernel, sigma_n, _TOL, before=True)
+    return _fitted(dataset, time_grid, h, kernel, _solve_sums, sigma_n, tol)

@@ -22,8 +22,8 @@ from scipy import stats as _scipy_stats
 from .baselines import (
     EloConfig,
     MMConfig,
-    _mm_fits,
     _mm_solve,
+    _mm_sums,
     _win_matrix,
     elo_update,
     static_rank_centrality,
@@ -33,10 +33,11 @@ from .errors import ConnectivityError, ConvergenceError, EstimationError, Infere
 from .estimator import (
     _TOL,
     ScoreVector,
+    _fits,
+    _fitted,
     _pair_sums,
     _solve_sums,
     _stack_rows,
-    causal_fits,
     default_teleport,
     estimate_curve,
     pair_fractions,
@@ -128,21 +129,6 @@ class SweepTable:
         raise KeyError(f"no sweep cell for ({method}, {h})")
 
 
-def _static_curve(sv: ScoreVector, grid: np.ndarray) -> list[ScoreVector]:
-    return [ScoreVector(sv.scores, t=float(t)) for t in grid]
-
-
-def _wmle_curve(dataset, grid, h, kernel) -> list[ScoreVector]:
-    """Cold-started wmle scores at every grid point, from one kernel pass;
-    the first point (in grid order) whose fit fails raises its error."""
-    curve = []
-    for _, fit in _mm_fits(dataset, grid, h, kernel, MMConfig()):
-        if isinstance(fit, Exception):
-            raise fit
-        curve.append(fit[0])
-    return curve
-
-
 def bandwidth_sweep(
     config: SimConfig,
     h_grid,
@@ -163,36 +149,27 @@ def bandwidth_sweep(
             raise ValueError(f"unknown sweep method {m_name!r}")
     h_grid = [float(h) for h in np.asarray(h_grid, dtype=float).ravel()]
     grid = metric_grid(config.m)
-    results: dict[tuple[str, float | None], list[tuple[float, float]]] = {}
-    failures: dict[tuple[str, float | None], int] = {}
-    for method in methods:
-        keys = [(method, None)] if method == "rc" else [(method, h) for h in h_grid]
-        for key in keys:
-            results[key] = []
-            failures[key] = 0
+    keys = [(m, h) for m in methods for h in ([None] if m == "rc" else h_grid)]
+    results = {key: [] for key in keys}
+    failures = dict.fromkeys(keys, 0)
 
     for rep in range(replications):
         cfg = dataclasses.replace(config, seed=config.seed + rep)
         dataset, truth = generate(cfg)
-        for method in methods:
-            if method == "rc":
-                try:
+        for method, h in keys:
+            try:
+                if method == "rc":
                     sv = static_rank_centrality(dataset, sigma_n)
-                    rpt = evaluate_metrics(_static_curve(sv, grid), truth, config.m)
-                    results[(method, None)].append((rpt.rmse_avg, rpt.linf_max))
-                except _FIT_ERRORS:
-                    failures[(method, None)] += 1
-                continue
-            for h in h_grid:
-                try:
-                    if method == "krc":
-                        curve = estimate_curve(dataset, grid, h, kernel, sigma_n)
-                    else:
-                        curve = _wmle_curve(dataset, grid, h, kernel)
-                    rpt = evaluate_metrics(curve, truth, config.m)
-                    results[(method, h)].append((rpt.rmse_avg, rpt.linf_max))
-                except _FIT_ERRORS:
-                    failures[(method, h)] += 1
+                    curve = [ScoreVector(sv.scores, t=float(t)) for t in grid]
+                elif method == "krc":
+                    curve = estimate_curve(dataset, grid, h, kernel, sigma_n)
+                else:
+                    fits = _fitted(dataset, grid, h, kernel, _mm_sums, MMConfig(), False)
+                    curve = [sv for sv, _ in fits]
+                rpt = evaluate_metrics(curve, truth, config.m)
+                results[(method, h)].append((rpt.rmse_avg, rpt.linf_max))
+            except _FIT_ERRORS:
+                failures[(method, h)] += 1
 
     cells: list[SweepCell] = []
     best: dict[str, tuple[float | None, float]] = {}
@@ -367,10 +344,9 @@ def coverage_experiment(
             den[d, slot], num[d, slot] = den_t[0], num_t[0]
         labels = dataset.item_labels
         del dataset
-        fits, disconnected = _solve_sums(
-            n, iu, ju, [t] * k, den, num, h, sigma_n, _TOL, rescue=default_teleport(n)
-        )
-        n_disconnected += len(disconnected)
+        rescued = []
+        fits = _solve_sums(n, iu, ju, [t] * k, den, num, h, sigma_n, _TOL, rescued=rescued)
+        n_disconnected += len(rescued)
         del den, num  # the precision reads the counts
         fitted = [d for d, fit in enumerate(fits) if isinstance(fit, ScoreVector)]
         scores = np.array([fits[d].scores for d in fitted]).reshape(-1, n)
@@ -458,9 +434,10 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n):
     in must number those strictly before it."""
     weights = kernel if method in ("krc", "wmle") else None  # None: pooled counts
     if method in ("mle", "wmle"):
-        fits = _mm_fits(dataset, eval_times, h, weights, MMConfig(), before=True)
+        solver = _mm_sums, MMConfig(), weights is None
     else:
-        fits = causal_fits(dataset, eval_times, h, weights, sigma_n)
+        solver = _solve_sums, sigma_n, _TOL
+    fits = _fits(dataset, eval_times, h, weights, *solver, before=True)
     n_before = np.searchsorted(tt, eval_times)  # tt is in time order
     for (kept, fit), expected in zip(fits, n_before.tolist()):
         if kept != expected:
@@ -492,10 +469,11 @@ def backtest(
     krc, rc, mle and wmle fit every test day in one causal pass: one
     blocked pass gives each day's per-pair sums over the records strictly
     before it, and the days are solved as stacks (chains for krc and rc, win
-    counts for mle and win shares for wmle, each MLE day started cold).  A day whose win graph gives no interior MLE over the
-    items with wins fails with ConnectivityError, and is counted in
-    ``n_failed_fits`` with its games skipped.  The records each day's fit
-    let in must number those strictly before the day.
+    counts for mle and win shares for wmle, each MLE day started cold).  A
+    day whose win graph gives no interior MLE over the items with wins fails
+    with ConnectivityError, and is counted in ``n_failed_fits`` with its
+    games skipped.  The records each day's fit let in must number those
+    strictly before the day.
     """
     if dataset.encoding.scheme != "season-day":
         raise ValueError("backtest requires a season-day encoded dataset")

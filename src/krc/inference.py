@@ -123,6 +123,8 @@ def plug_in_alpha(
     undefined precision and trigger an InferenceError naming them.  This is
     the one-row case of :func:`_alpha_stack`.
     """
+    if not h > 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
     scores = pi_hat.scores
     n = dataset.n
     if scores.shape != (n,):

@@ -42,6 +42,7 @@ from .estimator import (
     ScoreVector,
     TransitionMatrix,
     _chains,
+    _disconnected,
     _pair_sums,
     _teleport,
     default_teleport,
@@ -271,12 +272,16 @@ class OnlineState:
 def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.
 
+    A ``sigma_n=0`` chain passes the batch fit's connectivity gate first.
     The state changes only once all three are computed, so a raised error
     leaves it as it was."""
     i, j = np.triu_indices(state.n, 1)
     den, num = state.pair_sums[i, j], state.pair_sums[j, i]
     with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
         chain = _chains(state.n, i, j, num / den, den > 0.0)
+    if state.sigma_n == 0.0:
+        for err in _disconnected(chain[None], [state.t], before=False).values():
+            raise err
     P = TransitionMatrix(_teleport(chain, state.sigma_n))
     pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
     state.P, state.pi, state.Ainv = P, pi, group_inverse(P, pi)

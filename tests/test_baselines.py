@@ -12,8 +12,8 @@ from krc.baselines import (
     EloConfig,
     MMConfig,
     MMInfo,
-    _mm_fits,
     _mm_solve,
+    _mm_sums,
     _win_matrix,
     bt_mle_mm,
     elo_expected,
@@ -26,12 +26,13 @@ from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import (
     TransitionMatrix,
     _fill_diagonal,
+    _fits,
+    _fitted,
     default_teleport,
     pair_fractions,
     regularize,
     stationary,
 )
-from krc.experiments import _wmle_curve
 from krc.kernels import BOXCAR, GAUSSIAN
 from krc.simulate import SimConfig, generate
 
@@ -201,8 +202,8 @@ def test_strict_raises_exactly_when_an_item_never_won():
 def test_wmle_points_are_the_curve_points():
     ds, _ = generate(SimConfig(n=6, m=4, seed=3))
     grid = np.linspace(0.05, 0.95, 13)
-    curve = _wmle_curve(ds, grid, 0.2, GAUSSIAN)
-    fits = [fit for _, fit in _mm_fits(ds, grid, 0.2, GAUSSIAN, MMConfig())]
+    curve = [sv for sv, _ in _fitted(ds, grid, 0.2, GAUSSIAN, _mm_sums, MMConfig(), False)]
+    fits = [fit for _, fit in _fits(ds, grid, 0.2, GAUSSIAN, _mm_sums, MMConfig(), False)]
     for t, sv, (fit, info) in zip(grid.tolist(), curve, fits):
         one, one_info = wmle(ds, t, 0.2, GAUSSIAN, strict=False, return_info=True)
         assert one.t == sv.t == fit.t == t

@@ -10,7 +10,7 @@ from krc import baselines, estimator, experiments
 from krc.baselines import (
     EloConfig,
     MMConfig,
-    _mm_fits,
+    _mm_sums,
     bt_mle_mm,
     elo_update,
     static_rank_centrality,
@@ -20,7 +20,8 @@ from krc.data import ComparisonDataset, TimeEncoding, season_of_time
 from krc.errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
 from krc.estimator import (
     ScoreVector,
-    causal_fits,
+    _fits,
+    _solve_sums,
     default_teleport,
     estimate_curve,
     fit_scores,
@@ -172,8 +173,8 @@ def test_coverage_refits_a_reducible_chain_with_the_teleport(monkeypatch):
         return (bad if cfg.seed == config.seed + 2 else dataset), truth
 
     def spy_solve(*args, **kwargs):
-        stacks.append(real_solve(*args, **kwargs))
-        return stacks[-1]
+        stacks.append((real_solve(*args, **kwargs), kwargs["rescued"]))
+        return stacks[-1][0]
 
     monkeypatch.setattr(experiments, "generate", swap_third)
     monkeypatch.setattr(experiments, "_solve_sums", spy_solve)
@@ -412,6 +413,43 @@ def test_backtest_methods_run():
     assert np.mean(list(accs.values())) > 0.5
 
 
+def test_every_fit_makes_one_kernel_pass(monkeypatch):
+    # Each call below reads one pass of per-pair sums over its whole grid,
+    # the walk-forward days and a curve that spans several solver stacks
+    # included.
+    grids = []
+    real = estimator._pair_sums
+
+    def spy(dataset, time_grid, *args, **kwargs):
+        grids.append(np.size(time_grid))
+        return real(dataset, time_grid, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_pair_sums", spy)
+    ds, _ = generate(SimConfig(n=5, m=8, seed=4))
+    season, _ = season_fixture()
+    days = np.unique(season.times[season.times >= 2]).size
+    grid = np.linspace(0.05, 0.95, 40)
+    runs = [
+        (1, lambda: fit_scores(ds, 0.5, 0.2, GAUSSIAN)),
+        (40, lambda: estimate_curve(ds, grid, 0.2, GAUSSIAN)),
+        (1, lambda: static_rank_centrality(ds)),
+        (1, lambda: bt_mle_mm(ds, strict=False)),
+        (1, lambda: wmle(ds, 0.5, 0.2, GAUSSIAN, strict=False)),
+    ] + [
+        (days, lambda m=method: backtest(season, base_seasons=2, method=m, h=1.0))
+        for method in ("krc", "rc", "mle", "wmle")
+    ]
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 10 * 5 * 5)  # stacks of 10 chains
+    for points, run in runs:
+        grids.clear()
+        run()
+        assert grids == [points]
+    grids.clear()
+    bandwidth_sweep(SimConfig(n=4, m=12, seed=3), h_grid=[0.1, 0.5],
+                    methods=("krc", "wmle"), replications=2)
+    assert grids == [11] * 8  # one per (replication, method, h)
+
+
 def test_backtest_validation():
     ds, _ = season_fixture()
     with pytest.raises(ValueError, match="method"):
@@ -491,8 +529,8 @@ def test_backtest_new_pair_is_not_held_at_zero(method):
     assert [d is None for d in days] == [False, True, True, True]
     assert report.n_failed_fits == 3 and report.n_ties == 0
     tt = ds.in_time_order()[0]
-    fits = _mm_fits(ds, np.unique(tt[tt >= 1]), 1.0, GAUSSIAN if method == "wmle" else None,
-                    MMConfig(), before=True)
+    fits = _fits(ds, np.unique(tt[tt >= 1]), 1.0, GAUSSIAN if method == "wmle" else None,
+                 _mm_sums, MMConfig(), method == "mle", before=True)
     assert [type(fit) for _, fit in fits][1:] == [ConnectivityError] * 3
 
 
@@ -604,8 +642,8 @@ def test_causal_pass_matches_per_day_loop(
     assert report.n_failed_fits == n_failed
     tt = ds.in_time_order()[0]
     eval_times = np.unique(tt[tt >= base])
-    fits = list(causal_fits(ds, eval_times, h, kernel if method == "krc" else None,
-                            sigma_n))
+    fits = list(_fits(ds, eval_times, h, kernel if method == "krc" else None,
+                      _solve_sums, sigma_n, 1e-10, before=True))
     assert len(fits) == len(ref_days)
     for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
@@ -649,7 +687,8 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
     ds, _ = season_fixture()
     eval_times = np.unique(ds.times[ds.times >= 2])
     for kernel in (GAUSSIAN, None):
-        whole = list(causal_fits(ds, eval_times, 1.0, kernel))
+        whole = list(_fits(ds, eval_times, 1.0, kernel, _solve_sums, None, 1e-10,
+                           before=True))
         stacks = []
         real = estimator._chains
 
@@ -661,7 +700,8 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
         with monkeypatch.context() as patch:
             patch.setattr(estimator, "_chains", spy)
             patch.setattr(estimator, "TILE_ELEMENTS", budget)
-            split = list(causal_fits(ds, eval_times, 1.0, kernel))
+            split = list(_fits(ds, eval_times, 1.0, kernel, _solve_sums, None, 1e-10,
+                               before=True))
         assert max(stacks) == max(1, budget // 64) and len(stacks) > 1
         assert sum(stacks) == eval_times.size
         assert [k for k, _ in split] == [k for k, _ in whole]
@@ -672,14 +712,13 @@ def test_causal_pass_keeps_chain_stacks_within_budget(monkeypatch, budget):
 @pytest.mark.parametrize("method", ["krc", "mle", "wmle"])
 def test_causal_pass_leakage_check_trips(monkeypatch, method):
     ds, _ = season_fixture()
-    name = "causal_fits" if method == "krc" else "_mm_fits"
-    real = getattr(experiments, name)
+    real = experiments._fits
 
     def leaky(*args, **kwargs):
         for kept, fit in real(*args, **kwargs):
             yield kept + 1, fit
 
-    monkeypatch.setattr(experiments, name, leaky)
+    monkeypatch.setattr(experiments, "_fits", leaky)
     with pytest.raises(RuntimeError, match="leakage"):
         backtest(ds, base_seasons=2, method=method, h=1.0)
 
@@ -706,7 +745,7 @@ def test_mle_days_match_per_day_loop(label, make, base):
     assert _report_fields(report) == cold_fields
     tt = ds.in_time_order()[0]
     eval_times = np.unique(tt[tt >= base])
-    fits = list(_mm_fits(ds, eval_times, 1.0, None, MMConfig(), before=True))
+    fits = list(_fits(ds, eval_times, 1.0, None, _mm_sums, MMConfig(), True, before=True))
     assert len(fits) == len(cold_days) == eval_times.size
     for (kept, (fit, _)), t_day, cold in zip(fits, eval_times, cold_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
@@ -730,7 +769,8 @@ def test_wmle_days_match_per_day_loop(seed):
     assert report.n_failed_fits == 0
     tt = ds.in_time_order()[0]
     eval_times = np.unique(tt[tt >= 2])
-    fits = list(_mm_fits(ds, eval_times, 0.8, GAUSSIAN, MMConfig(), before=True))
+    fits = list(_fits(ds, eval_times, 0.8, GAUSSIAN, _mm_sums, MMConfig(), False,
+                      before=True))
     assert len(fits) == len(ref_days) == eval_times.size
     for (kept, (fit, _)), t_day, ref in zip(fits, eval_times, ref_days):
         assert kept == ds.with_max_time(float(t_day)).n_records

@@ -131,6 +131,15 @@ def test_alpha_on_no_records_raises():
         plug_in_alpha(pi_hat, ds, 0.5, 0.2, GAUSSIAN, effective_counts=True)
 
 
+def test_alpha_rejects_a_bandwidth_that_is_not_positive():
+    ds = balanced_pair_dataset(10)
+    pi_hat = ScoreVector(np.array([0.5, 0.5]), t=0.5)
+    for h in (0.0, -0.1):
+        for effective in (False, True):
+            with pytest.raises(ValueError, match=f"bandwidth must be positive, got {h}"):
+                plug_in_alpha(pi_hat, ds, 0.5, h, GAUSSIAN, effective_counts=effective)
+
+
 def test_alpha_rejects_bad_scores():
     ds = balanced_pair_dataset(10)
     with pytest.raises(ValueError):

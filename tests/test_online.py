@@ -7,7 +7,7 @@ import pytest
 
 import krc.online
 from krc.data import ComparisonDataset, ComparisonRecord
-from krc.errors import ConvergenceError, RosterError, UpdateBreakdownError
+from krc.errors import ConnectivityError, ConvergenceError, RosterError, UpdateBreakdownError
 from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
@@ -359,6 +359,24 @@ def test_from_dataset_scores_bitwise_match_fit_scores():
         if not np.array_equal(state.pi.scores, batch.scores):
             unequal.append((kernel.family, t, h, sigma, tol))
     assert unequal == []
+
+
+def test_raw_chain_gate_is_the_batch_fits():
+    # Two disjoint pairs: the sigma_n=0 chain has two strong components, so
+    # the state refuses it with the batch fit's error, as it does a raw
+    # chain without mass; a strongly connected raw chain is the batch fit's.
+    ds = ComparisonDataset(4, [0, 0, 2, 2], [1, 1, 3, 3], [0.5] * 4, [1, 0, 1, 0])
+    with pytest.raises(ConnectivityError) as batch:
+        fit_scores(ds, 0.5, 0.1, GAUSSIAN, sigma_n=0.0)
+    with pytest.raises(ConnectivityError) as online:
+        OnlineState.from_dataset(ds, 0.5, 0.1, GAUSSIAN, sigma_n=0.0)
+    assert str(online.value) == str(batch.value)
+    assert "(2 components)" in str(batch.value)
+    with pytest.raises(ConnectivityError, match=r"not strongly connected \(4 components\)"):
+        OnlineState(4, 0.5, 0.1, GAUSSIAN, sigma_n=0.0)
+    ds, _ = generate(SimConfig(n=6, m=4, seed=0))
+    state = OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, sigma_n=0.0)
+    assert np.array_equal(state.pi.scores, fit_scores(ds, 0.5, 0.3, GAUSSIAN, 0.0).scores)
 
 
 def test_transition_from_mass_checks_diagonal_deficit():
