@@ -9,20 +9,22 @@ for an irreducible chain it can be computed as
 
 because (A + e pi') A# = I - e pi'.
 
-When one row i of P changes to ``row - delta'`` with ``delta' e = 0`` the
-new stationary vector and group inverse follow in closed form:
+When the chain changes to P - v w' with w' e = 0, so that its rows stay
+stochastic, Meyer's (1980) identity A#_new = (I - e pi_new') A# (I + v w' A#)^-1
+gives the new stationary vector and group inverse in closed form:
 
-    eps  = 1 + delta' A#[:, i]
-    phi' = (pi_i / eps) * delta' A#
-    pi_new = pi - phi
-    A#_new = A# + e phi' (A# - (phi' A#[:, i] / pi_i) I) - A#[:, i] phi' / pi_i
+    eps  = 1 + w' A# v
+    phi' = (pi' v / eps) w' A#,    pi_new = pi - phi
+    u'   = phi' A# - (phi' A# v / eps) w' A#
+    A#_new = A# + e u' - (A# v)(w' A#) / eps
 
-Each new comparison touches two rows of P (the pair's), whose deltas have
-two nonzeros each, so ``apply_observation`` folds both changes in at once.
-Both delta' A# rows come from rows i and j of the old A# in O(n), and both
-breakdown checks run before anything is written.  One read pass forms
-[phi1; phi2]' A#, and one in-place write pass adds the combined rank-3
-correction.  That is O(n^2) with two passes over A#, against a fresh O(n^3)
+The paper's change of row i to ``row - delta'`` is v = e_i, w = delta
+(``rank_one_update``).  A comparison of items i and j moves d_ij from (i, j)
+to row i's diagonal and d_ji from (j, i) to row j's: v = d_ij e_i - d_ji e_j,
+w = e_j - e_i, so ``apply_observation`` folds it as one rank-one change.  As v
+is nonzero only on the rows it changes, A# v and w' A# take O(n), and eps is
+checked before anything is written.  One read pass forms phi' A# and one
+in-place write pass adds the rank-2 correction: O(n^2), against a fresh O(n^3)
 solve.  The running state refreshes itself from scratch periodically to cap
 floating point drift.  The state keeps the batch fit's per-pair kernel sums
 and builds its chain as :func:`~krc.estimator.fit_scores` does, so a state
@@ -54,8 +56,8 @@ from .kernels import Kernel
 # the caller falls back to a full refresh.
 _BREAKDOWN_EPS = 1e-12
 
-# delta vectors built from a pair update cancel exactly; anything beyond
-# rounding noise indicates corrupted state.
+# A pair update's two moves cancel exactly; anything beyond rounding noise
+# indicates corrupted state.
 _MIRROR_SLACK = 1e-12
 
 
@@ -101,22 +103,6 @@ def group_inverse_residuals(
     }
 
 
-def _pivot(dG: np.ndarray, pi_k: float, k: int) -> np.ndarray:
-    """Stationary shift phi for a change of row ``k`` whose delta'A# is
-    ``dG``; raises UpdateBreakdownError when 1 + dG[k] is numerically zero."""
-    eps = 1.0 + dG[k]
-    if abs(eps) <= _BREAKDOWN_EPS:
-        raise UpdateBreakdownError(
-            f"update denominator 1 + delta'A#[:,{k}] = {eps:.3e} too close to zero"
-        )
-    return (pi_k / eps) * dG
-
-
-def _shift_row(phi: np.ndarray, phiG: np.ndarray, pi_k: float, k: int) -> np.ndarray:
-    """u in A#_new = A# + e u' - A#[:, k] phi' / pi_k, from phiG = phi' A#."""
-    return phiG - (phiG[k] / pi_k) * phi
-
-
 def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
     """G += sum_k outer(X[k], Y[k]) in place, as one BLAS pass over G."""
     if not (G.dtype == np.float64 and G.flags.c_contiguous):
@@ -125,11 +111,30 @@ def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
     dgemm(1.0, Y, X, beta=1.0, c=G.T, trans_a=1, overwrite_c=1)
 
 
+def _fold(pi: np.ndarray, G: np.ndarray, rows, v: np.ndarray, wG: np.ndarray) -> None:
+    """Overwrite ``pi`` and ``G`` with their values for the chain P - v w',
+    where v is ``v`` on ``rows`` and zero elsewhere, and ``wG`` is w' A#.
+    Raises UpdateBreakdownError, with both untouched, when 1 + w' A# v is
+    numerically zero."""
+    eps = 1.0 + wG[rows] @ v
+    if abs(eps) <= _BREAKDOWN_EPS:
+        raise UpdateBreakdownError(
+            f"update denominator 1 + w'A#v = {eps:.3e} too close to zero"
+        )
+    phi = ((pi[rows] @ v) / eps) * wG
+    phiG = phi @ G
+    u = phiG - ((phiG[rows] @ v) / eps) * wG
+    _add_outer_products(
+        G, np.stack([np.ones(pi.shape[0]), G[:, rows] @ v]), np.stack([u, wG / -eps])
+    )
+    pi -= phi
+
+
 def rank_one_update(
     pi_old, Ainv_old, delta: np.ndarray, i: int
 ) -> tuple[ScoreVector, GroupInverse]:
     """Closed-form stationary vector and group inverse after replacing row
-    ``i`` of the chain by ``row - delta'``.
+    ``i`` of the chain by ``row - delta'`` (P - v w' with v = e_i, w = delta).
 
     ``delta`` must sum to zero (row stochasticity is preserved) and the
     caller is responsible for the updated row staying a probability row.
@@ -151,51 +156,10 @@ def rank_one_update(
     if pii <= 0:
         raise ValueError(f"stationary entry pi[{i}] = {pii} must be positive")
 
-    phi = _pivot(delta @ G, pii, i)
-    u = _shift_row(phi, phi @ G, pii, i)
+    pi_new = np.array(pi, dtype=float)
     G_new = np.array(G, dtype=np.float64, order="C")
-    _add_outer_products(
-        G_new, np.stack([np.ones(n), G[:, i]]), np.stack([u, -phi / pii])
-    )
-    return ScoreVector(pi - phi, t=getattr(pi_old, "t", None)), GroupInverse(G_new)
-
-
-def _fold_pair(
-    pi: np.ndarray, G: np.ndarray, i: int, j: int, d_ij: float, d_ji: float
-) -> None:
-    """Overwrite ``pi`` and ``G`` with their values after row i of the chain
-    moves ``d_ij`` from entry (i, j) to its diagonal and then row j moves
-    ``d_ji`` from (j, i) to its diagonal.
-
-    Equal to ``rank_one_update`` on row i followed by row j, without either
-    intermediate matrix.  Raises UpdateBreakdownError, with ``pi`` and ``G``
-    untouched, when either denominator is numerically zero or pi_j after the
-    first step is not positive.
-    """
-    pi_i = pi[i]
-    diff = G[j] - G[i]
-    phi1 = _pivot(d_ij * diff, pi_i, i)
-    pi1_j = pi[j] - phi1[j]
-    if pi1_j <= 0.0:
-        raise UpdateBreakdownError(f"intermediate pi[{j}] = {pi1_j:.3e} not positive")
-    # Rows i and j of G1 = G + e u1' - G[:, i] phi1' / pi_i, differenced: the
-    # e u1' term cancels, so G1 itself is never formed.
-    phi2 = _pivot(-d_ji * (diff + ((G[i, i] - G[j, i]) / pi_i) * phi1), pi1_j, j)
-
-    phiG = np.stack([phi1, phi2]) @ G
-    u1 = _shift_row(phi1, phiG[0], pi_i, i)
-    col_i = G[:, i].copy()
-    # phi2' G1 through G1's definition; phi2' e is zero up to rounding.
-    phi2G1 = phiG[1] + phi2.sum() * u1 - ((phi2 @ col_i) / pi_i) * phi1
-    u2 = _shift_row(phi2, phi2G1, pi1_j, j)
-    col1_j = G[:, j] + u1[j] - (phi1[j] / pi_i) * col_i
-    _add_outer_products(
-        G,
-        np.stack([np.ones(pi.shape[0]), col_i, col1_j]),
-        np.stack([u1 + u2, -phi1 / pi_i, -phi2 / pi1_j]),
-    )
-    pi -= phi1
-    pi -= phi2
+    _fold(pi_new, G_new, [i], np.ones(1), delta @ G)
+    return ScoreVector(pi_new, t=getattr(pi_old, "t", None)), GroupInverse(G_new)
 
 
 class OnlineState:
@@ -229,6 +193,8 @@ class OnlineState:
             raise ValueError("need at least two items")
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
+        if not np.isfinite(t):
+            raise ValueError(f"evaluation time must be finite, got {t}")
         if refresh_every < 1:
             raise ValueError("refresh_every must be >= 1")
         self.n = int(n)
@@ -293,14 +259,14 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     """Fold one comparison record into the running state.
 
     Records whose kernel weight at the state's evaluation time is zero
-    leave the state untouched.  Otherwise rows i and j of P change in
-    their diagonal and (i, j) / (j, i) entries and the stationary vector
-    and group inverse are updated in closed form, in place.  For a pair
-    that already carries mass the two off-diagonal moves are equal and
-    opposite; the first in-window record of a pair also lifts the pair sum
-    from its teleport floor, so both deltas are computed directly.  If the
-    record cannot be folded in, the state is left as it was and the error
-    is raised.
+    leave the state untouched.  Otherwise rows i and j of P move mass
+    between their diagonal and their (i, j) / (j, i) entry: the change
+    P - v w' with v = d_ij e_i - d_ji e_j and w = e_j - e_i, which is folded
+    into the stationary vector and group inverse in closed form, in place.
+    For a pair that already carries mass d_ji = -d_ij; the first in-window
+    record of a pair also lifts the pair sum from its teleport floor, so
+    both moves are computed directly.  If the record cannot be folded in,
+    the state is left as it was and the error is raised.
     """
     if isinstance(record, tuple):
         record = ComparisonRecord(*record)
@@ -333,8 +299,9 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
         )
     sums[i, j], sums[j, i] = den, num
 
+    G = state.Ainv.entries
     try:
-        _fold_pair(state.pi.scores, state.Ainv.entries, i, j, d_ij, d_ji)
+        _fold(state.pi.scores, G, [i, j], np.array([d_ij, -d_ji]), G[j] - G[i])
     except UpdateBreakdownError:
         # Nothing was written yet.  The sums already include the new
         # record, so rebuilding from them is exact; if that fails too, take

@@ -240,6 +240,14 @@ def test_update_stream_unknown_label(sim_csv, tmp_path):
     assert "mystery" in proc.stderr
 
 
+def test_update_stream_rejects_a_time_that_is_not_finite(sim_csv, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["update-stream", "--data", sim_csv, "--t", "nan", "--h", 0.2, "--out", out]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: evaluation time must be finite, got nan\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("row, message", [
     ("nan,item_0,item_1,1", "non-finite time 'nan'"),
     ("0.5,item_0, item_0 ,1", "self-comparison 'item_0'"),

@@ -12,7 +12,7 @@ from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
     OnlineState,
-    _fold_pair,
+    _fold,
     apply_observation,
     group_inverse,
     group_inverse_residuals,
@@ -130,13 +130,13 @@ def test_rank_one_update_validation():
 
 
 def test_pair_update_breakdown_writes_nothing():
-    # Row 0 of the uniform 2-state chain becomes [1.3, -0.3]: not a
-    # probability row, and the first step leaves pi_1 = -1.5.
+    # The uniform 2-state chain with d_01 = d_10 = 0.5 becomes the identity,
+    # which is reducible: 1 + w'A#v = 0.
     P = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     pi, G = solve_state(P)
     pi_f, G_f = pi.scores.copy(), G.entries.copy()
-    with pytest.raises(UpdateBreakdownError, match="intermediate"):
-        _fold_pair(pi_f, G_f, 0, 1, 0.8, 0.0)
+    with pytest.raises(UpdateBreakdownError, match="denominator"):
+        _fold(pi_f, G_f, [0, 1], np.array([0.5, -0.5]), G_f[1] - G_f[0])
     assert np.array_equal(pi_f, pi.scores)
     assert np.array_equal(G_f, G.entries)
 
@@ -316,6 +316,16 @@ def test_both_constructors_reject_refresh_every_below_one(monkeypatch):
     monkeypatch.setattr(krc.online, "refresh", lambda s: refreshes.append(s) or real(s))
     state = OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, refresh_every=2)
     assert refreshes == [state] and state.refresh_every == 2
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_both_constructors_reject_a_time_that_is_not_finite(t):
+    # Every record would weigh 0 at such a t, and the scores stay uniform.
+    ds, _ = generate(SimConfig(n=4, m=3, seed=2))
+    with pytest.raises(ValueError, match="evaluation time must be finite"):
+        OnlineState(4, t, 0.3, GAUSSIAN)
+    with pytest.raises(ValueError, match="evaluation time must be finite"):
+        OnlineState.from_dataset(ds, t, 0.3, GAUSSIAN)
 
 
 def loop_pair_sums(ds, t, h, kernel):

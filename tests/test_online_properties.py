@@ -1,5 +1,6 @@
-"""Property tests of the streaming engine: the fused pair update against two
-sequential rank-one updates, and random streams against a batch refit."""
+"""Property tests of the streaming engine: the pair update against two
+sequential rank-one updates and a direct recompute, and random streams
+against a batch refit."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,10 +10,12 @@ from krc.data import ComparisonDataset
 from krc.estimator import TransitionMatrix, fit_scores, stationary
 from krc.kernels import GAUSSIAN
 from krc.online import (
+    GroupInverse,
     OnlineState,
-    _fold_pair,
+    _fold,
     apply_observation,
     group_inverse,
+    group_inverse_residuals,
     rank_one_update,
 )
 
@@ -53,9 +56,20 @@ def test_pair_update_equals_two_rank_one_updates(case):
     pi_2, G_2 = rank_one_update(pi_1, G_1, delta_j, j)
 
     pi_f, G_f = pi.scores.copy(), G.entries.copy()
-    _fold_pair(pi_f, G_f, i, j, d_ij, d_ji)
+    _fold(pi_f, G_f, [i, j], np.array([d_ij, -d_ji]), G_f[j] - G_f[i])
     assert np.max(np.abs(pi_f - pi_2.scores)) <= 1e-12 * np.max(np.abs(pi_2.scores))
     assert np.max(np.abs(G_f - G_2.entries)) <= 1e-12 * np.max(np.abs(G_2.entries))
+
+    # rank_one_update folds through the same code, so recompute directly too.
+    M = P.entries.copy()
+    M[i, j], M[i, i] = M[i, j] - d_ij, M[i, i] + d_ij
+    M[j, i], M[j, j] = M[j, i] - d_ji, M[j, j] + d_ji
+    P_new = TransitionMatrix(M)
+    pi_d = stationary(P_new, tol=1e-14)
+    G_d = group_inverse(P_new, pi_d).entries
+    assert np.max(np.abs(pi_f - pi_d.scores)) <= 1e-10
+    assert np.max(np.abs(G_f - G_d)) <= 1e-10 * np.max(np.abs(G_d))
+    assert max(group_inverse_residuals(P_new, pi_f, GroupInverse(G_f)).values()) < 1e-10
 
 
 def records(n, min_size, max_size):
