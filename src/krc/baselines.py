@@ -18,7 +18,8 @@ The solver takes a stack of win matrices: the rows still iterating share
 each batched linear solve, and a row leaves when it converges or fails, with
 the result it would have alone.  A single solve is its one-row case.
 :func:`_mm_sums` is the MLE's stack solver in ``estimator._fits``, the one
-pass every fit runs, each row started cold: a weighted-MLE curve, the
+pass every fit runs, each row started cold and each fit a ScoreVector
+whose ``info`` is the solve's MMInfo: a weighted-MLE curve, the
 walk-forward pooled and weighted MLE on the records strictly before each
 day, and, as one-point cases, ``bt_mle_mm`` (pooled, at t=+inf) and ``wmle``.
 """
@@ -252,8 +253,9 @@ def _mm_sums(
     config: MMConfig, pooled: bool, before: bool = False,
 ) -> list:
     """A fit per row of the (len(ts) x pairs) per-pair sums ``den`` and
-    ``won`` over the pairs (idx_i, idx_j), every row started cold: (ScoreVector
-    tagged with its time in ``ts``, MMInfo), or the error that fit raises.
+    ``won`` over the pairs (idx_i, idx_j), every row started cold: the
+    ScoreVector tagged with its time in ``ts`` and holding the solve's
+    MMInfo as its ``info``, or the error that fit raises.
 
     ``pooled`` sums are counts; otherwise each pair with mass splits unit
     mass into win shares, and a row without mass is EstimationError.  The
@@ -271,20 +273,17 @@ def _mm_sums(
         if not pooled and not mass[d].any():
             fits[d] = _no_mass(t, h, before)
         elif not isinstance(fit, Exception):
-            fits[d] = ScoreVector(fit[0], t=t), fit[1]
+            fits[d] = ScoreVector(fit[0], t=t, info=fit[1])
     return fits
 
 
-def _one_point(fit, t, strict: bool, return_info: bool, graph: str):
-    """The ScoreVector, tagged t (with its MMInfo if ``return_info``), of one
-    fitted point of :func:`_mm_sums`.  An item is at exactly 0 only if it
-    never won (an item with wins at 0 has residual 1), which ``strict``
-    makes an error."""
-    sv, info = fit
-    if strict and not sv.scores.all():
+def _one_point(fit: ScoreVector, t, strict: bool, graph: str) -> ScoreVector:
+    """One fitted point of :func:`_mm_sums`, tagged t, with its MMInfo.  An
+    item is at exactly 0 only if it never won (an item with wins at 0 has
+    residual 1), which ``strict`` makes an error."""
+    if strict and not fit.scores.all():
         raise ConnectivityError(f"an item never won in the {graph}; the MLE does not exist")
-    sv = ScoreVector(sv.scores, t=t)
-    return (sv, info) if return_info else sv
+    return ScoreVector(fit.scores, t=t, info=fit.info)
 
 
 def bt_mle_mm(
@@ -292,17 +291,17 @@ def bt_mle_mm(
     config: MMConfig = MMConfig(),
     *,
     strict: bool = True,
-    return_info: bool = False,
-):
+) -> ScoreVector:
     """Pooled maximum-likelihood scores (all comparisons weighted equally).
 
     This is the untagged pooled fit at t=+inf of :func:`_mm_sums`, raising
-    its error.  Items without wins are pinned at zero, and the others' win
-    graph must be strongly connected; ``strict`` also requires every item to
-    have won, the condition for the maximizer to exist in the simplex interior.
+    its error; its ``info`` is the solve's MMInfo.  Items without wins are
+    pinned at zero, and the others' win graph must be strongly connected;
+    ``strict`` also requires every item to have won, the condition for the
+    maximizer to exist in the simplex interior.
     """
     (fit,) = _fitted(dataset, [np.inf], 0.0, None, _mm_sums, config, True, before=True)
-    return _one_point(fit, None, strict, return_info, "pooled win graph")
+    return _one_point(fit, None, strict, "pooled win graph")
 
 
 def wmle(
@@ -312,20 +311,18 @@ def wmle(
     kernel: Kernel,
     *,
     strict: bool = True,
-    return_info: bool = False,
-):
+) -> ScoreVector:
     """Kernel-weighted maximum-likelihood scores at evaluation time t.
 
     Each pair observed at (t, h) contributes unit mass split into weighted
     win shares S_ij = sum_k y_ij(t_k) K_h(t, t_k) / sum_k K_h(t, t_k).
     Maximizing sum S_ij log(p_j / (p_i + p_j)) is then a weighted version
     of the pooled likelihood.  This is the one-point case of :func:`_mm_sums`,
-    raising its error; ``strict`` is :func:`bt_mle_mm`'s, on the matrix of
-    these shares, the one solved.
+    raising its error, with the solve's MMInfo as its ``info``; ``strict`` is
+    :func:`bt_mle_mm`'s, on the matrix of these shares, the one solved.
     """
     (fit,) = _fitted(dataset, [t], h, kernel, _mm_sums, MMConfig(), False)
-    return _one_point(fit, t, strict, return_info,
-                      f"kernel-weighted win graph at t={t}, h={h}")
+    return _one_point(fit, t, strict, f"kernel-weighted win graph at t={t}, h={h}")
 
 
 # -- static rank centrality ------------------------------------------------

@@ -173,7 +173,9 @@ def _cmd_curve(args) -> int:
     kernel = kernel_by_name(args.kernel)
     if (args.grid is None) == (args.m is None):
         raise KrcError("curve needs exactly one of --grid or --m")
-    grid = _float_list(args.grid) if args.grid else metric_grid(args.m)
+    grid = metric_grid(args.m) if args.grid is None else _float_list(args.grid)
+    if not len(grid):
+        raise KrcError(f"--grid {args.grid!r} holds no time")
     curve = estimate_curve(dataset, grid, args.h, kernel, args.sigma, tol=args.tol)
     _write_curve(args.out, curve, dataset.item_labels)
     return 0

@@ -16,10 +16,11 @@ blocked kernel pass gives each time's per-pair sums, one grid chunk at a
 time, writing the chunk's weight tiles in place into one buffer, and a
 stack solver turns each chunk's sums into fits as one stack within the tile
 budget.  The chains' stack solver is :func:`_solve_sums`: it builds the
-chains, teleports them in place and solves them together.  The
-solver runs power iteration from the uniform start, one batched matmul per
-sweep over the chains still iterating, each chain leaving once it
-converges, and a direct solve for a chain that stalls.
+teleported chains with :func:`_chain_stack`, as the online state's refresh
+does, and solves them together.  The solver runs power iteration from the
+uniform start, one batched matmul per sweep over the chains still
+iterating, each chain leaving once it converges, and a direct solve for a
+chain that stalls.
 :func:`estimate_curve` is the pass over a grid, :func:`fit_scores` its
 one-point case, and the walk-forward backtest its case masked to the
 records strictly before each day; :func:`stationary` is the solver's
@@ -72,10 +73,13 @@ class TransitionMatrix:
 @dataclass
 class ScoreVector:
     """Simplex-normalized item scores, optionally tagged with the
-    evaluation time they belong to (None for static estimates)."""
+    evaluation time they belong to (None for static estimates), and the
+    fit record of the solve that gave them: an MLE fit's ``MMInfo``, None
+    for a chain's stationary vector."""
 
     scores: np.ndarray
     t: float | None = None
+    info: object = None
 
     @property
     def n(self) -> int:
@@ -155,11 +159,14 @@ def _pair_sums(
     not strictly earlier than, and ``kept`` counts, per point, the records
     that weigh in (None otherwise).  A pair's records are time-sorted, so the
     masked ones are the tail of its segment.  ``kernel=None`` (only with
-    ``before``) gives every record unit weight: pooled counts.
+    ``before``) gives every record unit weight: pooled counts, at any time;
+    with a kernel, a time that is not finite is a ValueError.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
     if grid.size and kernel is not None and not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
+    if kernel is not None and not np.isfinite(grid).all():
+        raise ValueError(f"evaluation time must be finite, got {grid[~np.isfinite(grid)][0]}")
     if grid.size and dataset.n_records == 0:
         raise EstimationError("no comparison records to aggregate")
     starts = dataset.pair_segments()[0]
@@ -320,35 +327,22 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     Every chain iterates pi' <- pi' P from the uniform start until the
     infinity-norm residual drops below ``tol``; the chains still iterating
     take one batched matmul per sweep, and a chain leaves them when it
-    converges.  A chain whose iteration stalls (a sum that is not positive,
-    or no halving of the residual over a 1,000-sweep window) or reaches
-    ``max_iter`` is solved directly as the rank-deficient linear system with
-    a normalization row; a final residual above ``tol`` is its
-    ConvergenceError.  No chain's result depends on the others.  Callers
-    keep a stack within the tile budget (see :func:`_stack_rows`).
+    converges.  A stack of one chain iterates the vector itself, as
+    (n,) @ (n, n) costs less per sweep than a stack of one.  A chain whose
+    iteration stalls (a sum that is not positive, or no halving of the
+    residual over a 1,000-sweep window) or reaches ``max_iter`` is solved
+    directly as the rank-deficient linear system with a normalization row;
+    a final residual above ``tol`` is its ConvergenceError.  No chain's
+    result depends on the others.  Callers keep a stack within the tile
+    budget (see :func:`_stack_rows`).
     """
-    return [
-        pi if isinstance(pi, np.ndarray) else _fallback(m, tol, pi)
-        for m, pi in zip(M, _power_iterate(M, tol, max_iter))
-    ]
-
-
-def _stack_rows(n: int) -> int:
-    """Chains of n items per stack: as many as fit TILE_ELEMENTS, at least one."""
-    return max(1, TILE_ELEMENTS // (n * n))
-
-
-def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
-    """Power iteration on every chain of the stack at once.  Per chain: its
-    converged vector, or True if it stalled and False if it ran out of
-    iterations."""
     k, n = M.shape[:2]
-    lone = k == 1  # (n,) @ (n, n) costs less per sweep than a stack of one
+    lone = k == 1
     Ma = M[0] if lone else M
     pi = np.full(n if lone else (k, 1, n), 1.0 / n)
     last = np.full(pi.shape[:-1] + (1,), np.inf)
     active = np.arange(k)
-    out = [False] * k
+    out: list = [False] * k  # a chain's vector, or whether its iteration stalled
     check_every = 1000
     limit = np.asarray(tol)  # a 0-d array compares faster than a float
     with np.errstate(divide="ignore", invalid="ignore"):  # NaNs are caught
@@ -377,24 +371,27 @@ def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
                 if not active.size:
                     break
                 pi, Ma, last = pi[go], Ma[go], last[go]
+    for c, stalled in enumerate(out):
+        if isinstance(stalled, np.ndarray):
+            continue
+        try:
+            pi = out[c] = _direct_stationary(M[c])
+        except ConvergenceError as err:
+            out[c] = err
+            continue
+        res = float(np.max(np.abs(pi @ M[c] - pi)))
+        if res > tol:
+            out[c] = ConvergenceError(
+                f"stationary solve residual {res:.3e} above tol {tol:.3e}"
+                + (" (after stall fallback)" if stalled else ""),
+                residual=res,
+            )
     return out
 
 
-def _fallback(M: np.ndarray, tol: float, stalled: bool):
-    """Direct solve of a chain that power iteration did not settle, or the
-    ConvergenceError it raises."""
-    try:
-        pi = _direct_stationary(M)
-    except ConvergenceError as err:
-        return err
-    res = float(np.max(np.abs(pi @ M - pi)))
-    if res > tol:
-        return ConvergenceError(
-            f"stationary solve residual {res:.3e} above tol {tol:.3e}"
-            + (" (after stall fallback)" if stalled else ""),
-            residual=res,
-        )
-    return pi
+def _stack_rows(n: int) -> int:
+    """Chains of n items per stack: as many as fit TILE_ELEMENTS, at least one."""
+    return max(1, TILE_ELEMENTS // (n * n))
 
 
 def _direct_stationary(M: np.ndarray) -> np.ndarray:
@@ -444,13 +441,25 @@ def _fitted(*args, **kwargs) -> list:
     return fits
 
 
-def _disconnected(P: np.ndarray, ts: list, before: bool) -> dict:
-    """The ``sigma_n=0`` gate: by row, the ConnectivityError of each chain of
-    the (k, n, n) stack ``P`` that is not strongly connected, as only then is
-    the stationary vector unique (a share that rounds to 0 drops an edge)."""
+def _chain_stack(
+    n: int, idx_i, idx_j, ts: list, den: np.ndarray, num: np.ndarray,
+    sigma_n: float | None, before: bool = False,
+) -> tuple[np.ndarray, dict]:
+    """The (len(ts), n, n) stack of comparison chains of the per-pair sums
+    ``den`` and ``num`` over the pairs (idx_i, idx_j), teleported in place by
+    ``sigma_n`` (None: the default 1/n), and the ``sigma_n=0`` gate: by row,
+    the ConnectivityError of each chain that is not strongly connected, as
+    only then is the stationary vector unique (a share that rounds to 0
+    drops an edge).  A pair without mass adds no edge.
+    """
+    sigma = default_teleport(n) if sigma_n is None else sigma_n
+    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
+        P = _chains(n, idx_i, idx_j, num / den, den > 0.0)
+    if sigma != 0.0:
+        return _teleport(P, sigma), {}
     labels = np.sort(_strong_components(P > 0.0), axis=1)
     parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
-    return {
+    return P, {
         d: ConnectivityError(
             f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
             f"not strongly connected ({parts[d]} components)"
@@ -467,32 +476,25 @@ def _solve_sums(
     """A fit per row of the (len(ts) x pairs) per-pair sums ``den`` and
     ``num`` over the pairs (idx_i, idx_j).
 
-    A row's fit is the ScoreVector, tagged with its time in ``ts``, of the
-    chain its sums give, teleported by ``sigma_n`` (None: the default 1/n),
-    or the error that fit raises, the other rows being unaffected:
-    EstimationError without mass, ConnectivityError for a ``sigma_n=0`` chain
-    that is not strongly connected, or ConvergenceError.  Given a
-    ``rescued`` list, such a chain is teleported by the default 1/n instead
+    A row's fit is the ScoreVector, tagged with its time in ``ts``, of its
+    chain from :func:`_chain_stack`, or the error that fit raises, the other
+    rows being unaffected: EstimationError without mass, the gate's
+    ConnectivityError for a ``sigma_n=0`` chain, or ConvergenceError.  Given
+    a ``rescued`` list, such a chain is teleported by the default 1/n instead
     and solved with the others, and its row is appended to the list.  The
-    rows' chains are built as one stack, teleported in place and solved as
-    one; callers keep the stack within TILE_ELEMENTS (see :func:`_stack_rows`).
+    rows' chains are solved as one stack; callers keep the stack within
+    TILE_ELEMENTS (see :func:`_stack_rows`).
     """
-    sigma = default_teleport(n) if sigma_n is None else sigma_n
-    mass = den > 0.0
-    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-        P = _chains(n, idx_i, idx_j, num / den, mass)
+    P, gated = _chain_stack(n, idx_i, idx_j, ts, den, num, sigma_n, before)
     fits = {
-        d: _no_mass(ts[d], h, before) for d in np.flatnonzero(~mass.any(axis=1)).tolist()
+        d: _no_mass(ts[d], h, before) for d in np.flatnonzero(~(den > 0.0).any(axis=1)).tolist()
     }
-    if sigma == 0.0:
-        gated = {d: e for d, e in _disconnected(P, ts, before).items() if d not in fits}
-        if rescued is None:
-            fits.update(gated)
-        else:
-            P[list(gated)] = _teleport(P[list(gated)], default_teleport(n))
-            rescued.extend(gated)
+    gated = {d: e for d, e in gated.items() if d not in fits}
+    if rescued is None:
+        fits.update(gated)
     else:
-        _teleport(P, sigma)
+        P[list(gated)] = _teleport(P[list(gated)], default_teleport(n))
+        rescued.extend(gated)
     solve = [d for d in range(len(ts)) if d not in fits]
     if len(solve) < len(ts):
         P = P[solve]

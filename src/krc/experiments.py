@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats as _scipy_stats
 
-from .baselines import (
-    EloConfig,
-    MMConfig,
-    _mm_solve,
-    _mm_sums,
-    _win_matrix,
-    elo_update,
-    static_rank_centrality,
-)
+from .baselines import EloConfig, MMConfig, _mm_sums, elo_update, static_rank_centrality
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError, InferenceError
 from .estimator import (
@@ -40,10 +32,6 @@ from .estimator import (
     _stack_rows,
     default_teleport,
     estimate_curve,
-    pair_fractions,
-    regularize,
-    stationary,
-    transition_from_fractions,
 )
 from .inference import _alpha_stack, normal_quantile
 from .kernels import GAUSSIAN, Kernel
@@ -164,8 +152,7 @@ def bandwidth_sweep(
                 elif method == "krc":
                     curve = estimate_curve(dataset, grid, h, kernel, sigma_n)
                 else:
-                    fits = _fitted(dataset, grid, h, kernel, _mm_sums, MMConfig(), False)
-                    curve = [sv for sv, _ in fits]
+                    curve = _fitted(dataset, grid, h, kernel, _mm_sums, MMConfig(), False)
                 rpt = evaluate_metrics(curve, truth, config.m)
                 results[(method, h)].append((rpt.rmse_avg, rpt.linf_max))
             except _FIT_ERRORS:
@@ -216,45 +203,34 @@ def timing_bench(
 ) -> list[BenchRow]:
     """Median wall time of the estimation stage at t=0.5, per method and n.
 
-    Both methods consume the same kernel-weighted pair aggregate, so that
-    shared smoothing pass runs once outside the clock.  What is timed is
-    each method's own work downstream of it: assembling the comparison
-    chain and solving for its stationary vector, versus assembling the
-    win-share matrix and solving it as ``wmle`` does, the existence check
-    included, with the default teleport 1/n and solver settings.
+    Both methods read the same per-pair kernel sums, so that shared kernel
+    pass runs once outside the clock.  What is timed is each method's own
+    work downstream of it, the stack solver that ``fit_scores`` and ``wmle``
+    run on those sums at one point: ``_solve_sums`` (build the chain,
+    teleport it by the default 1/n and solve it) for krc, and ``_mm_sums``
+    (build the win-share matrix and solve it, the existence check included)
+    for wmle.  A stage whose fit fails raises its error; ``repetitions``
+    below 1 is a ValueError.
     """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    stages = (("krc", _solve_sums, None, _TOL), ("wmle", _mm_sums, MMConfig(), False))
     rows: list[BenchRow] = []
     for n in [int(v) for v in n_grid]:
         dataset, _ = generate(SimConfig(n=n, m=m, seed=seed + n))
-        idx_i, idx_j, frac = pair_fractions(dataset, 0.5, h, kernel)
-        sigma = default_teleport(n)
-
-        def krc_stage():
-            P = regularize(transition_from_fractions(n, idx_i, idx_j, frac), sigma)
-            return stationary(P)
-
-        def wmle_stage():
-            win = _win_matrix(n, idx_i, idx_j, frac, 1.0 - frac)
-            return _mm_solve(win, MMConfig())
-
-        krc_stage()  # warmup
-        wmle_stage()
-        krc_times = []
-        wmle_times = []
-        for _ in range(repetitions):
-            t0 = _time.perf_counter()
-            krc_stage()
-            t1 = _time.perf_counter()
-            wmle_stage()
-            t2 = _time.perf_counter()
-            krc_times.append(t1 - t0)
-            wmle_times.append(t2 - t1)
-        rows.append(
-            BenchRow("krc", n, float(np.median(krc_times)), tuple(krc_times))
-        )
-        rows.append(
-            BenchRow("wmle", n, float(np.median(wmle_times)), tuple(wmle_times))
-        )
+        _, seg_i, seg_j = dataset.pair_segments()
+        _, den, num, _ = next(_pair_sums(dataset, [0.5], h, kernel))
+        times = {name: [] for name, *_ in stages}
+        for rep in range(repetitions + 1):  # round 0 warms up
+            for name, solve, *args in stages:
+                t0 = _time.perf_counter()
+                (fit,) = solve(n, seg_i, seg_j, [0.5], den, num, h, *args)
+                elapsed = _time.perf_counter() - t0
+                if isinstance(fit, Exception):
+                    raise fit
+                if rep:
+                    times[name].append(elapsed)
+        rows += [BenchRow(name, n, float(np.median(s)), tuple(s)) for name, s in times.items()]
     return rows
 
 
@@ -350,28 +326,23 @@ def coverage_experiment(
         del den, num  # the precision reads the counts
         fitted = [d for d, fit in enumerate(fits) if isinstance(fit, ScoreVector)]
         scores = np.array([fits[d].scores for d in fitted]).reshape(-1, n)
-        alpha, errors = _alpha_stack(
+        alphas = dict(zip(fitted, _alpha_stack(
             scores if alpha_source == "estimated" else truths[fitted],
             counts[fitted] * h, iu, ju, kernel, labels,
-        )
-        priced_rows = iter(zip(scores, alpha, errors))
+        )))
         for d, fit in enumerate(fits):
-            if isinstance(fit, EstimationError):  # no record with kernel mass at t
+            a = alphas.get(d, fit)  # a failed fit has no precision row
+            # no record with kernel mass at t, or an undefined precision
+            if isinstance(a, (EstimationError, InferenceError)):
                 n_unpriced += 1
                 continue
-            if not isinstance(fit, ScoreVector):
-                raise fit
-            pi_hat, a, failed = next(priced_rows)
-            if isinstance(failed, InferenceError):
-                n_unpriced += 1
-                continue
-            if failed is not None:
-                raise failed
+            if isinstance(a, Exception):
+                raise a
             half = z / a
-            err = pi_hat - truths[d]
+            err = fit.scores - truths[d]
             covered += (np.abs(err) <= half).astype(float)
             halfwidths += half
-            pi_hats[priced] = pi_hat
+            pi_hats[priced] = fit.scores
             zscores[priced] = a * err
             priced += 1
     if not priced:
@@ -446,8 +417,8 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n):
             yield None
         elif isinstance(fit, Exception):
             raise fit
-        else:  # an MLE day's fit is (ScoreVector, MMInfo)
-            yield fit.scores if isinstance(fit, ScoreVector) else fit[0].scores
+        else:
+            yield fit.scores
 
 
 def backtest(

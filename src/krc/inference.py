@@ -134,25 +134,22 @@ def plug_in_alpha(
         _, mass, _, _ = next(_pair_sums(dataset, [t], h, kernel))
     else:
         mass = np.diff(starts, append=dataset.n_records)[None] * h
-    alpha, (err,) = _alpha_stack(
-        scores[None], mass, seg_i, seg_j, kernel, dataset.item_labels
-    )
-    if err is not None:
-        raise err
-    return AsymptoticParams(alpha[0])
+    (alpha,) = _alpha_stack(scores[None], mass, seg_i, seg_j, kernel, dataset.item_labels)
+    if isinstance(alpha, Exception):
+        raise alpha
+    return AsymptoticParams(alpha)
 
 
 def _alpha_stack(
     scores: np.ndarray, mass: np.ndarray, idx_i, idx_j, kernel: Kernel, labels
-) -> tuple[np.ndarray, list]:
+) -> list:
     """Plug-in precision of each row of the (k, n) ``scores`` from its row of
-    the (k, pairs) kernel ``mass`` over the pairs (idx_i, idx_j): (alpha,
-    errors), alpha (k, n) and, per row, None or its error: ValueError for a
-    score that is not positive, else the InferenceError that names, by
-    ``labels``, the items without an observed opponent or else those with an
-    undefined precision.  A pair without mass is not observed.  Every
-    reduction runs along a row's own axes, so no row's result depends on the
-    others.
+    the (k, pairs) kernel ``mass`` over the pairs (idx_i, idx_j): per row,
+    its (n,) alpha or its error: ValueError for a score that is not
+    positive, else the InferenceError that names, by ``labels``, the items
+    without an observed opponent or else those with an undefined precision.
+    A pair without mass is not observed.  Every reduction runs along a row's
+    own axes, so no row's result depends on the others.
     """
     k, n = scores.shape
     weight_inv = np.zeros((k, n, n))
@@ -174,17 +171,17 @@ def _alpha_stack(
     terms *= kernel.squared_integral
     D = terms.sum(axis=-1)
     alpha = np.divide(S1, np.sqrt(D), out=np.zeros((k, n)), where=D > 0)
-    errors = []
+    rows = []
     for ok, seen, a in zip(positive, observed.any(axis=-1), alpha):
         if not ok:
-            errors.append(ValueError("scores must be strictly positive"))
+            rows.append(ValueError("scores must be strictly positive"))
             continue
         bad, what = (~seen, "no observed opponents") if not seen.all() else (
             ~(np.isfinite(a) & (a > 0)), "undefined precision"
         )
         names = ", ".join(labels[i] for i in np.flatnonzero(bad))
-        errors.append(InferenceError(f"{what} for item(s): {names}") if names else None)
-    return alpha, errors
+        rows.append(InferenceError(f"{what} for item(s): {names}") if names else a)
+    return rows
 
 
 def oracle_beta(

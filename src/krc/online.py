@@ -43,10 +43,8 @@ from .errors import RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
-    _chains,
-    _disconnected,
+    _chain_stack,
     _pair_sums,
-    _teleport,
     default_teleport,
     stationary,
 )
@@ -238,17 +236,18 @@ class OnlineState:
 def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.
 
-    A ``sigma_n=0`` chain passes the batch fit's connectivity gate first.
-    The state changes only once all three are computed, so a raised error
-    leaves it as it was."""
+    The chain is the batch fit's, built by ``estimator._chain_stack`` from
+    the running sums as a stack of one, and a ``sigma_n=0`` chain that fails
+    its connectivity gate raises the gate's error.  The state changes only
+    once all three are computed, so a raised error leaves it as it was."""
     i, j = np.triu_indices(state.n, 1)
-    den, num = state.pair_sums[i, j], state.pair_sums[j, i]
-    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-        chain = _chains(state.n, i, j, num / den, den > 0.0)
-    if state.sigma_n == 0.0:
-        for err in _disconnected(chain[None], [state.t], before=False).values():
-            raise err
-    P = TransitionMatrix(_teleport(chain, state.sigma_n))
+    sums = state.pair_sums
+    (chain,), gated = _chain_stack(
+        state.n, i, j, [state.t], sums[i, j][None], sums[j, i][None], state.sigma_n
+    )
+    for err in gated.values():
+        raise err
+    P = TransitionMatrix(chain)
     pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
     state.P, state.pi, state.Ainv = P, pi, group_inverse(P, pi)
     state.updates_since_refresh = 0

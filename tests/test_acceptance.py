@@ -346,7 +346,8 @@ def test_criterion_11_mm_matches_grid_oracle():
     for n in (2, 3, 4):
         dataset, _ = generate(SimConfig(n=n, m=30, seed=500 + n))
 
-        sv, info = bt_mle_mm(dataset, return_info=True)
+        sv = bt_mle_mm(dataset)
+        info = sv.info
         win = np.zeros((n, n))
         for (i, j), _, outs in dataset.pairs():
             win[j, i] += float(np.sum(outs == 1))
@@ -356,7 +357,8 @@ def test_criterion_11_mm_matches_grid_oracle():
         ll = np.asarray(info.loglik)
         monotone &= bool(np.all(np.diff(ll) >= -1e-8 * (1.0 + np.abs(ll[:-1]))))
 
-        sv_w, info_w = wmle(dataset, 0.5, 0.3, GAUSSIAN, return_info=True)
+        sv_w = wmle(dataset, 0.5, 0.3, GAUSSIAN)
+        info_w = sv_w.info
         idx_i, idx_j, frac = pair_fractions(dataset, 0.5, 0.3, GAUSSIAN)
         win_w = np.zeros((n, n))
         win_w[idx_j, idx_i] = frac

@@ -29,6 +29,7 @@ from krc.estimator import (
     _fits,
     _fitted,
     default_teleport,
+    fit_scores,
     pair_fractions,
     regularize,
     stationary,
@@ -90,11 +91,21 @@ def test_mle_two_item_closed_form():
 
 def test_mle_loglik_monotone():
     ds, _ = generate(SimConfig(n=5, m=6, seed=12))
-    sv, info = bt_mle_mm(ds, return_info=True)
+    sv = bt_mle_mm(ds)
+    info = sv.info
     lls = np.array(info.loglik)
     assert np.all(np.diff(lls) >= -1e-8 * (1 + np.abs(lls[:-1])))
     assert info.final_change <= 1e-10
     assert sv.scores.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mle_fits_carry_their_solve_record():
+    ds, _ = generate(SimConfig(n=5, m=6, seed=12))
+    for sv in (bt_mle_mm(ds), wmle(ds, 0.5, 0.3, GAUSSIAN)):
+        assert isinstance(sv.info, MMInfo)
+        assert len(sv.info.loglik) == sv.info.iterations + 1
+    assert static_rank_centrality(ds).info is None
+    assert fit_scores(ds, 0.5, 0.3, GAUSSIAN).info is None
 
 
 def test_mle_strict_requires_connectivity():
@@ -181,7 +192,8 @@ def test_strict_raises_exactly_when_an_item_never_won():
                          _win_matrix(5, idx_i, idx_j, frac, 1.0 - frac)))
         for fit, win in fits:
             try:
-                loose, loose_info = fit(strict=False, return_info=True)
+                loose = fit(strict=False)
+                loose_info = loose.info
             except ConnectivityError as err:
                 seen.add("no MLE")
                 with pytest.raises(ConnectivityError, match=re.escape(str(err))):
@@ -189,7 +201,8 @@ def test_strict_raises_exactly_when_an_item_never_won():
                 continue
             if win.sum(axis=1).all():
                 seen.add("all won")
-                sv, info = fit(strict=True, return_info=True)
+                sv = fit(strict=True)
+                info = sv.info
                 assert sv.t == loose.t and np.array_equal(sv.scores, loose.scores)
                 assert info == loose_info
             else:
@@ -202,10 +215,12 @@ def test_strict_raises_exactly_when_an_item_never_won():
 def test_wmle_points_are_the_curve_points():
     ds, _ = generate(SimConfig(n=6, m=4, seed=3))
     grid = np.linspace(0.05, 0.95, 13)
-    curve = [sv for sv, _ in _fitted(ds, grid, 0.2, GAUSSIAN, _mm_sums, MMConfig(), False)]
+    curve = _fitted(ds, grid, 0.2, GAUSSIAN, _mm_sums, MMConfig(), False)
     fits = [fit for _, fit in _fits(ds, grid, 0.2, GAUSSIAN, _mm_sums, MMConfig(), False)]
-    for t, sv, (fit, info) in zip(grid.tolist(), curve, fits):
-        one, one_info = wmle(ds, t, 0.2, GAUSSIAN, strict=False, return_info=True)
+    for t, sv, fit in zip(grid.tolist(), curve, fits):
+        info = fit.info
+        one = wmle(ds, t, 0.2, GAUSSIAN, strict=False)
+        one_info = one.info
         assert one.t == sv.t == fit.t == t
         assert np.array_equal(one.scores, sv.scores)
         assert np.array_equal(one.scores, fit.scores)

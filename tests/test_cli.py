@@ -86,6 +86,24 @@ def test_curve_explicit_grid(sim_csv, tmp_path):
     assert len(read_rows(out)) == 3
 
 
+@pytest.mark.parametrize("grid", ["", ","])
+def test_curve_rejects_a_grid_without_a_time(sim_csv, tmp_path, capsys, grid):
+    # An empty --grid fell through to metric_grid(None) and raised a
+    # TypeError; "," wrote a CSV of the header alone and exited 0.
+    out = tmp_path / "curve.csv"
+    code = run(["curve", "--data", sim_csv, "--h", 0.2, "--grid", grid, "--out", out])
+    assert code == 2
+    assert "holds no time" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_rejects_a_time_that_is_not_finite(sim_csv, tmp_path, capsys):
+    out = tmp_path / "scores.csv"
+    code = run(["fit", "--data", sim_csv, "--t", "nan", "--h", 0.2, "--out", out])
+    assert code == 2
+    assert "evaluation time must be finite, got nan" in capsys.readouterr().err
+
+
 def test_ci_command(sim_csv, tmp_path):
     out = tmp_path / "ci.csv"
     pairs_out = tmp_path / "pairs.csv"
@@ -135,6 +153,15 @@ def test_bench_command(tmp_path):
     assert code == 0
     rows = read_rows(out)
     assert {r[0] for r in rows[1:]} == {"krc", "wmle"}
+
+
+def test_bench_rejects_zero_repetitions(tmp_path, capsys):
+    # --reps 0 took the median of no times: nan rows, or a RuntimeWarning.
+    out = tmp_path / "bench.csv"
+    code = run(["bench", "--n-grid", "5", "--m", 8, "--reps", 0, "--out", out])
+    assert code == 2
+    assert "repetitions must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coverage_rejects_small_reps(tmp_path, capsys):

@@ -20,6 +20,8 @@ from krc.estimator import (
     stationary,
     transition_from_fractions,
 )
+from krc.baselines import wmle
+from krc.inference import plug_in_alpha
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN, WEIGHT_FLOOR, Kernel
 from krc.simulate import SimConfig, generate
 
@@ -548,13 +550,13 @@ def test_curve_solves_chain_stacks_equal_to_single_fits(monkeypatch):
     grid = np.linspace(0.05, 0.95, 20)
     monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 30 * 30)
     sizes = []
-    real = estimator._power_iterate
+    real = estimator._stationary_stack
 
     def spy(M, tol, max_iter):
         sizes.append(M.shape[0])
         return real(M, tol, max_iter)
 
-    monkeypatch.setattr(estimator, "_power_iterate", spy)
+    monkeypatch.setattr(estimator, "_stationary_stack", spy)
     curve = estimate_curve(ds, grid, 0.1, GAUSSIAN)
     assert len(sizes) >= 3 and min(sizes) > 1 and max(sizes) <= 4
     assert sum(sizes) == grid.size
@@ -580,6 +582,23 @@ def test_estimate_curve_empty_grid_and_bad_bandwidth():
     empty = ComparisonDataset(3, [], [], [], [])
     with pytest.raises(EstimationError, match="no comparison records"):
         estimate_curve(empty, [0.5], 0.25, GAUSSIAN)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_kernel_fits_reject_a_time_that_is_not_finite(t):
+    # Every record weighs 0 at such a t, which read as a fit without mass.
+    ds, _ = generate(SimConfig(n=4, m=5, seed=1))
+    sv = fit_scores(ds, 0.5, 0.25, GAUSSIAN)
+    message = f"evaluation time must be finite, got {t}"
+    fits = [
+        lambda: fit_scores(ds, t, 0.25, GAUSSIAN),
+        lambda: estimate_curve(ds, [0.5, t, 0.7, float("nan")], 0.25, GAUSSIAN),
+        lambda: wmle(ds, t, 0.25, GAUSSIAN),
+        lambda: plug_in_alpha(sv, ds, t, 0.25, GAUSSIAN, effective_counts=True),
+    ]
+    for fit in fits:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit()
 
 
 # -- diagnostics -----------------------------------------------------------

@@ -132,6 +132,25 @@ def test_timing_bench_rows():
         assert len(r.seconds) == 3
 
 
+def test_timing_bench_rejects_zero_repetitions(monkeypatch):
+    # The check comes before any work: no dataset is simulated.
+    monkeypatch.setattr(experiments, "generate", None)
+    for reps in (0, -1):
+        with pytest.raises(ValueError, match="repetitions must be >= 1"):
+            timing_bench([5], m=10, repetitions=reps)
+
+
+def test_timing_bench_raises_a_failed_stage(monkeypatch):
+    real = baselines._mm_stack
+
+    def fail(*args):
+        return [ConvergenceError("forced failure") for _ in real(*args)]
+
+    monkeypatch.setattr(baselines, "_mm_stack", fail)
+    with pytest.raises(ConvergenceError, match="forced failure"):
+        timing_bench([5], m=10, repetitions=2, seed=1)
+
+
 # -- coverage --------------------------------------------------------------
 
 
@@ -747,7 +766,7 @@ def test_mle_days_match_per_day_loop(label, make, base):
     eval_times = np.unique(tt[tt >= base])
     fits = list(_fits(ds, eval_times, 1.0, None, _mm_sums, MMConfig(), True, before=True))
     assert len(fits) == len(cold_days) == eval_times.size
-    for (kept, (fit, _)), t_day, cold in zip(fits, eval_times, cold_days):
+    for (kept, fit), t_day, cold in zip(fits, eval_times, cold_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
         assert np.array_equal(fit.scores, cold)
 
@@ -772,7 +791,7 @@ def test_wmle_days_match_per_day_loop(seed):
     fits = list(_fits(ds, eval_times, 0.8, GAUSSIAN, _mm_sums, MMConfig(), False,
                       before=True))
     assert len(fits) == len(ref_days) == eval_times.size
-    for (kept, (fit, _)), t_day, ref in zip(fits, eval_times, ref_days):
+    for (kept, fit), t_day, ref in zip(fits, eval_times, ref_days):
         assert kept == ds.with_max_time(float(t_day)).n_records
         assert fit.t == t_day
         assert np.max(np.abs(fit.scores - ref)) <= 1e-12
