@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError
-from .estimator import ScoreVector, _fitted, _no_mass, _solve_sums, _strong_components
+from .estimator import ScoreVector, _fitted, _no_mass, _solve_sums, _strong_components, _value
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
@@ -112,9 +112,7 @@ def _mm_solve(win: np.ndarray, config: MMConfig) -> tuple[np.ndarray, MMInfo]:
     the one-row case of :func:`_mm_stack`.
     """
     (fit,) = _mm_stack(win[None], config)
-    if isinstance(fit, Exception):
-        raise fit
-    return fit
+    return _value(fit)
 
 
 def _mm_stack(win: np.ndarray, config: MMConfig) -> list:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from dataclasses import asdict
 
 import numpy as np
 
-from .data import ComparisonRecord, _error, ingest_csv
+from .data import _NUMBERS, ComparisonRecord, _error, ingest_csv
 from .errors import KrcError
 from .estimator import ScoreVector, estimate_curve, fit_scores
 from .experiments import (
@@ -42,12 +43,19 @@ def _write_curve(path: str, curve: list[ScoreVector], labels) -> None:
     write_csv(path, header, rows)
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _items(text: str, flag: str, what: str, parse) -> list:
+    """The parsed items of a comma-separated flag value, blank ones skipped;
+    a value that holds no item is a KrcError."""
+    items = [parse(tok.strip()) for tok in text.split(",") if tok.strip()]
+    if not items:
+        raise KrcError(f"{flag} {text!r} holds no {what}")
+    return items
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _write_report(path: str, report) -> None:
+    with open(path, "w") as fh:
+        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
+        fh.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,9 +181,7 @@ def _cmd_curve(args) -> int:
     kernel = kernel_by_name(args.kernel)
     if (args.grid is None) == (args.m is None):
         raise KrcError("curve needs exactly one of --grid or --m")
-    grid = metric_grid(args.m) if args.grid is None else _float_list(args.grid)
-    if not len(grid):
-        raise KrcError(f"--grid {args.grid!r} holds no time")
+    grid = _items(args.grid, "--grid", "time", float) if args.m is None else metric_grid(args.m)
     curve = estimate_curve(dataset, grid, args.h, kernel, args.sigma, tol=args.tol)
     _write_curve(args.out, curve, dataset.item_labels)
     return 0
@@ -192,11 +198,10 @@ def _cmd_update_stream(args) -> int:
     n_seen = 0
     reader = csv.reader(sys.stdin)  # the dialect ingest_csv reads
     for row in reader:
-        fields = [f.strip() for f in row]
-        if not any(fields) or fields[0].lower() == "time":
+        if not any(f.strip() for f in row) or row[0].strip().lower() == "time":
             continue
         try:
-            record = _stream_record(fields, index)
+            record = _stream_record(row, index)
         except KrcError as exc:
             raise KrcError(f"stdin line {reader.line_num}: {exc}") from None
         apply_observation(state, record)
@@ -206,32 +211,34 @@ def _cmd_update_stream(args) -> int:
     return 0
 
 
-def _stream_record(fields: list[str], index: dict[str, int]) -> ComparisonRecord:
-    """The record in one stripped time,item_i,item_j,outcome row, or the
-    error that CSV ingest gives the first check the row fails."""
-    if len(fields) != 4:
-        raise _error("width", width=4, got=len(fields))
-    raw = dict(zip(("time", "item_i", "item_j", "outcome"), fields))
+def _stream_record(row: list[str], index: dict[str, int]) -> ComparisonRecord:
+    """The record in one row of raw time,item_i,item_j,outcome fields, or the
+    error that ingest gives the first check the row fails: numbers parse and
+    messages quote the raw fields as there, and only labels are stripped."""
+    if len(row) != 4:
+        raise _error("width", width=4, got=len(row))
+    raw = dict(zip(("time", "item_i", "item_j", "outcome"), row))
+    label_i, label_j = raw["item_i"].strip(), raw["item_j"].strip()
     try:
-        t = float(raw["time"])
+        t = _NUMBERS["time"][0](raw["time"])
     except ValueError:
         raise _error("time", **raw) from None
     if not np.isfinite(t):
         raise _error("finite", **raw)
-    for col in ("item_i", "item_j"):
-        if not raw[col]:
+    for col, label in (("item_i", label_i), ("item_j", label_j)):
+        if not label:
             raise _error(f"empty {col}")
-        if raw[col] not in index:
-            raise _error(f"unknown {col}", label_i=raw["item_i"], label_j=raw["item_j"])
-    if raw["item_i"] == raw["item_j"]:
+        if label not in index:
+            raise _error(f"unknown {col}", label_i=label_i, label_j=label_j)
+    if label_i == label_j:
         raise _error("self", **raw)
     try:
-        outcome = float(raw["outcome"])
+        outcome = _NUMBERS["outcome"][0](raw["outcome"])
     except ValueError:
         raise _error("outcome", **raw) from None
     if outcome not in (0.0, 1.0):
         raise _error("tie", **raw)
-    return ComparisonRecord(index[raw["item_i"]], index[raw["item_j"]], t, int(outcome))
+    return ComparisonRecord(index[label_i], index[label_j], t, int(outcome))
 
 
 def _cmd_ci(args) -> int:
@@ -251,19 +258,11 @@ def _cmd_ci(args) -> int:
         if args.pairs_out is None:
             raise KrcError("--pairs requires --pairs-out")
         if args.pairs.lower() == "all":
-            pair_list = [
-                (a, b)
-                for a in range(dataset.n)
-                for b in range(dataset.n)
-                if a != b
-            ]
+            pair_list = itertools.permutations(range(dataset.n), 2)
         else:
-            pair_list = []
-            for token in args.pairs.split(","):
-                left, _, right = token.partition(":")
-                pair_list.append(
-                    (dataset.index_of(left.strip()), dataset.index_of(right.strip()))
-                )
+            pair_list = _items(args.pairs, "--pairs", "pair", lambda token: tuple(
+                dataset.index_of(label.strip()) for label in token.partition(":")[::2]
+            ))
         prows = []
         for a, b in pair_list:
             ci = pairwise_win_ci(sv, params, a, b, args.level)
@@ -283,8 +282,8 @@ def _cmd_ci(args) -> int:
 def _cmd_sweep(args) -> int:
     table = bandwidth_sweep(
         SimConfig(n=args.n, m=args.m, seed=args.seed),
-        _float_list(args.h_grid),
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+        _items(args.h_grid, "--h-grid", "bandwidth", float),
+        methods=tuple(_items(args.methods, "--methods", "method", str)),
         kernel=kernel_by_name(args.kernel),
         replications=args.reps,
         sigma_n=args.sigma,
@@ -305,7 +304,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bench(args) -> int:
     rows = timing_bench(
-        _int_list(args.n_grid),
+        _items(args.n_grid, "--n-grid", "size", int),
         m=args.m,
         h=args.h,
         kernel=kernel_by_name(args.kernel),
@@ -330,9 +329,7 @@ def _cmd_coverage(args) -> int:
         kernel=kernel_by_name(args.kernel),
         sigma_n=args.sigma,
     )
-    with open(args.out, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
-        fh.write("\n")
+    _write_report(args.out, report)
     return 0
 
 
@@ -346,9 +343,7 @@ def _cmd_backtest(args) -> int:
         kernel=kernel_by_name(args.kernel),
         sigma_n=args.sigma,
     )
-    with open(args.out, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
-        fh.write("\n")
+    _write_report(args.out, report)
     return 0
 
 

@@ -312,12 +312,20 @@ def stationary(
     rate or max_iter reached) the rank-deficient linear system is solved
     directly with a normalization row.  A final residual above ``tol``
     raises ConvergenceError.  This is the one-chain case of
-    :func:`_stationary_stack`.
+    :func:`_stationary_stack`, whose row :func:`_value` unwraps.
     """
     (pi,) = _stationary_stack(P.entries[None], tol, max_iter)
-    if isinstance(pi, ConvergenceError):
-        raise pi
-    return ScoreVector(pi)
+    return ScoreVector(_value(pi))
+
+
+def _value(row, skip=()):
+    """A stack row's value, None for an error of a class in ``skip``; any
+    other error is raised.  The one place where a stack row is unwrapped."""
+    if isinstance(row, skip):
+        return None
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
@@ -431,41 +439,37 @@ def _fits(
 
 
 def _fitted(*args, **kwargs) -> list:
-    """The fits of :func:`_fits` on these arguments, in order; the first
-    (in grid order) that failed raises its error."""
-    fits = []
-    for _, fit in _fits(*args, **kwargs):
-        if isinstance(fit, Exception):
-            raise fit
-        fits.append(fit)
-    return fits
+    """The fits of :func:`_fits` on these arguments, in order, unwrapped by
+    :func:`_value`: the first (in grid order) that failed raises its error,
+    and no later grid chunk is computed."""
+    return [_value(fit) for _, fit in _fits(*args, **kwargs)]
 
 
 def _chain_stack(
     n: int, idx_i, idx_j, ts: list, den: np.ndarray, num: np.ndarray,
     sigma_n: float | None, before: bool = False,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, list]:
     """The (len(ts), n, n) stack of comparison chains of the per-pair sums
     ``den`` and ``num`` over the pairs (idx_i, idx_j), teleported in place by
-    ``sigma_n`` (None: the default 1/n), and the ``sigma_n=0`` gate: by row,
-    the ConnectivityError of each chain that is not strongly connected, as
-    only then is the stationary vector unique (a share that rounds to 0
-    drops an edge).  A pair without mass adds no edge.
+    ``sigma_n`` (None: the default 1/n), and the ``sigma_n=0`` gate's entry
+    for each row: the ConnectivityError of a chain that is not strongly
+    connected, as only then is the stationary vector unique (a share that
+    rounds to 0 drops an edge), else None.  A pair without mass adds no edge.
     """
     sigma = default_teleport(n) if sigma_n is None else sigma_n
     with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
         P = _chains(n, idx_i, idx_j, num / den, den > 0.0)
     if sigma != 0.0:
-        return _teleport(P, sigma), {}
+        return _teleport(P, sigma), [None] * len(ts)
     labels = np.sort(_strong_components(P > 0.0), axis=1)
     parts = 1 + np.count_nonzero(np.diff(labels, axis=1), axis=1)
-    return P, {
-        d: ConnectivityError(
-            f"sigma_n=0 chain {'before' if before else 'at'} t={ts[d]} is "
-            f"not strongly connected ({parts[d]} components)"
-        )
-        for d in np.flatnonzero(parts > 1).tolist()
-    }
+    return P, [
+        ConnectivityError(
+            f"sigma_n=0 chain {'before' if before else 'at'} t={t} is "
+            f"not strongly connected ({p} components)"
+        ) if p > 1 else None
+        for t, p in zip(ts, parts.tolist())
+    ]
 
 
 def _solve_sums(
@@ -478,29 +482,27 @@ def _solve_sums(
 
     A row's fit is the ScoreVector, tagged with its time in ``ts``, of its
     chain from :func:`_chain_stack`, or the error that fit raises, the other
-    rows being unaffected: EstimationError without mass, the gate's
-    ConnectivityError for a ``sigma_n=0`` chain, or ConvergenceError.  Given
-    a ``rescued`` list, such a chain is teleported by the default 1/n instead
-    and solved with the others, and its row is appended to the list.  The
-    rows' chains are solved as one stack; callers keep the stack within
-    TILE_ELEMENTS (see :func:`_stack_rows`).
+    rows being unaffected: EstimationError without mass, else the row's gate
+    entry, a ConnectivityError for a ``sigma_n=0`` chain, or else
+    ConvergenceError.  Given a ``rescued`` list, a gated chain is teleported
+    by the default 1/n instead and solved with the others, and its row is
+    appended to the list.  The rows' chains are solved as one stack; callers
+    keep the stack within TILE_ELEMENTS (see :func:`_stack_rows`).
     """
-    P, gated = _chain_stack(n, idx_i, idx_j, ts, den, num, sigma_n, before)
-    fits = {
-        d: _no_mass(ts[d], h, before) for d in np.flatnonzero(~(den > 0.0).any(axis=1)).tolist()
-    }
-    gated = {d: e for d, e in gated.items() if d not in fits}
-    if rescued is None:
-        fits.update(gated)
-    else:
-        P[list(gated)] = _teleport(P[list(gated)], default_teleport(n))
+    P, gates = _chain_stack(n, idx_i, idx_j, ts, den, num, sigma_n, before)
+    mass = (den > 0.0).any(axis=1).tolist()
+    if rescued is not None:  # the rescued rows pass the gate
+        gated = [d for d, gate in enumerate(gates) if gate is not None and mass[d]]
+        P[gated] = _teleport(P[gated], default_teleport(n))
         rescued.extend(gated)
-    solve = [d for d in range(len(ts)) if d not in fits]
+        gates = [None] * len(ts)
+    fits = [gate if m else _no_mass(t, h, before) for t, m, gate in zip(ts, mass, gates)]
+    solve = [d for d, fit in enumerate(fits) if fit is None]
     if len(solve) < len(ts):
         P = P[solve]
     for d, pi in zip(solve, _stationary_stack(P, tol, _MAX_ITER)):
         fits[d] = pi if isinstance(pi, ConvergenceError) else ScoreVector(pi, t=ts[d])
-    return [fits[d] for d in range(len(ts))]
+    return fits
 
 
 def fit_scores(

@@ -30,6 +30,7 @@ from .estimator import (
     _pair_sums,
     _solve_sums,
     _stack_rows,
+    _value,
     default_teleport,
     estimate_curve,
 )
@@ -130,8 +131,13 @@ def bandwidth_sweep(
     The static method ignores h and occupies a single cell (h=None).  A
     method failing at a degenerate bandwidth (disconnected weighted graph,
     zero mass, non-convergence) loses that replication; failure counts are
-    reported per cell and cells with no successes carry NaN means.
+    reported per cell and cells with no successes carry NaN means.  No
+    method, or ``replications`` below 1, is a ValueError.
     """
+    if replications < 1:
+        raise ValueError(f"replications must be >= 1, got {replications}")
+    if not methods:
+        raise ValueError("need at least one sweep method")
     for m_name in methods:
         if m_name not in ("krc", "wmle", "rc"):
             raise ValueError(f"unknown sweep method {m_name!r}")
@@ -226,8 +232,7 @@ def timing_bench(
                 t0 = _time.perf_counter()
                 (fit,) = solve(n, seg_i, seg_j, [0.5], den, num, h, *args)
                 elapsed = _time.perf_counter() - t0
-                if isinstance(fit, Exception):
-                    raise fit
+                _value(fit)
                 if rep:
                     times[name].append(elapsed)
         rows += [BenchRow(name, n, float(np.median(s)), tuple(s)) for name, s in times.items()]
@@ -287,7 +292,8 @@ def coverage_experiment(
     record counts, laid out over every pair of items, and is then dropped;
     each group's chains are built, checked, solved and priced as one stack.
     Every replication's scores and precision are those that ``fit_scores``
-    and ``plug_in_alpha`` give it alone.
+    and ``plug_in_alpha`` give it alone; the statistics are computed once
+    from the priced rows.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -296,11 +302,8 @@ def coverage_experiment(
     n = config.n
     z = normal_quantile(0.5 * (1.0 + level))
     iu, ju = np.triu_indices(n, 1)
-    covered = np.zeros(n)
-    pi_hats = np.empty((replications, n))
-    zscores = np.empty((replications, n))
-    halfwidths = np.zeros(n)
-    n_disconnected = n_unpriced = priced = 0
+    priced = []  # (scores, alpha, truth) of each priced replication, in order
+    n_disconnected = n_unpriced = 0
     group = _stack_rows(n)
     for g in range(0, replications, group):
         k = min(group, replications - g)
@@ -330,35 +333,28 @@ def coverage_experiment(
             scores if alpha_source == "estimated" else truths[fitted],
             counts[fitted] * h, iu, ju, kernel, labels,
         )))
-        for d, fit in enumerate(fits):
-            a = alphas.get(d, fit)  # a failed fit has no precision row
-            # no record with kernel mass at t, or an undefined precision
-            if isinstance(a, (EstimationError, InferenceError)):
+        for d, fit in enumerate(fits):  # a failed fit has no precision row
+            a = _value(alphas.get(d, fit), (EstimationError, InferenceError))
+            if a is None:  # no record with kernel mass at t, or no precision
                 n_unpriced += 1
-                continue
-            if isinstance(a, Exception):
-                raise a
-            half = z / a
-            err = fit.scores - truths[d]
-            covered += (np.abs(err) <= half).astype(float)
-            halfwidths += half
-            pi_hats[priced] = fit.scores
-            zscores[priced] = a * err
-            priced += 1
+            else:
+                priced.append((fit.scores, a, truths[d]))
     if not priced:
         raise InferenceError(f"none of the {replications} replications was priced")
-    coverage = covered / priced
-    corr = np.corrcoef(pi_hats[:priced].T)
+    pi_hats, precision, pi_true = (np.array(rows) for rows in zip(*priced))
+    half = z / precision
+    err = pi_hats - pi_true
+    corr = np.corrcoef(pi_hats.T)
     off = corr[~np.eye(n, dtype=bool)]
-    pooled = zscores[:priced, : min(10, n)].ravel()
+    pooled = (precision * err)[:, : min(10, n)].ravel()
     ad_stat = float(
         _scipy_stats.anderson(pooled, dist="norm", method="interpolate").statistic
     )
     ad_crit = _ad_normal_critical_1pct(pooled.size)
     return CoverageReport(
-        per_item_coverage=coverage,
+        per_item_coverage=(np.abs(err) <= half).sum(axis=0) / len(priced),
         mean_abs_correlation=float(np.nanmean(np.abs(off))),
-        mean_ci_halfwidth=float(halfwidths.mean() / priced),
+        mean_ci_halfwidth=float(half.sum(axis=0).mean() / len(priced)),
         ad_statistic=ad_stat,
         ad_critical_1pct=ad_crit,
         ad_normal_pass=ad_stat < ad_crit,
@@ -413,12 +409,8 @@ def _causal_scores(dataset, tt, eval_times, method, h, kernel, sigma_n):
     for (kept, fit), expected in zip(fits, n_before.tolist()):
         if kept != expected:
             raise RuntimeError("leakage: a fitted record is not earlier than t")
-        if isinstance(fit, _FIT_ERRORS):
-            yield None
-        elif isinstance(fit, Exception):
-            raise fit
-        else:
-            yield fit.scores
+        fit = _value(fit, _FIT_ERRORS)
+        yield None if fit is None else fit.scores
 
 
 def backtest(

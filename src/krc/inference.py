@@ -33,6 +33,7 @@ from .estimator import (
     ScoreVector,
     TransitionMatrix,
     _pair_sums,
+    _value,
     build_ideal_transition,
     stationary,
 )
@@ -120,11 +121,15 @@ def plug_in_alpha(
     replaces it, which is the same quantity up to the local density of
     observation times.  Items with no observed opponents, or whose variance
     sum is 0 (each opponent's win probability rounds to 0 or 1), have
-    undefined precision and trigger an InferenceError naming them.  This is
-    the one-row case of :func:`_alpha_stack`.
+    undefined precision and trigger an InferenceError naming them; a
+    bandwidth that is not positive or a time that is not finite is a
+    ValueError in either mode.  This is the one-row case of
+    :func:`_alpha_stack`, whose row ``estimator._value`` unwraps.
     """
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
+    if not np.isfinite(t):  # the raw counts do not read t
+        raise ValueError(f"evaluation time must be finite, got {t}")
     scores = pi_hat.scores
     n = dataset.n
     if scores.shape != (n,):
@@ -135,9 +140,7 @@ def plug_in_alpha(
     else:
         mass = np.diff(starts, append=dataset.n_records)[None] * h
     (alpha,) = _alpha_stack(scores[None], mass, seg_i, seg_j, kernel, dataset.item_labels)
-    if isinstance(alpha, Exception):
-        raise alpha
-    return AsymptoticParams(alpha)
+    return AsymptoticParams(_value(alpha))
 
 
 def _alpha_stack(

@@ -45,6 +45,7 @@ from .estimator import (
     TransitionMatrix,
     _chain_stack,
     _pair_sums,
+    _value,
     default_teleport,
     stationary,
 )
@@ -237,16 +238,15 @@ def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.
 
     The chain is the batch fit's, built by ``estimator._chain_stack`` from
-    the running sums as a stack of one, and a ``sigma_n=0`` chain that fails
-    its connectivity gate raises the gate's error.  The state changes only
-    once all three are computed, so a raised error leaves it as it was."""
+    the running sums as a stack of one; ``_value`` raises its gate entry, a
+    ``sigma_n=0`` chain's ConnectivityError.  The state changes only once
+    all three are computed, so a raised error leaves it as it was."""
     i, j = np.triu_indices(state.n, 1)
     sums = state.pair_sums
-    (chain,), gated = _chain_stack(
+    (chain,), (gate,) = _chain_stack(
         state.n, i, j, [state.t], sums[i, j][None], sums[j, i][None], state.sigma_n
     )
-    for err in gated.values():
-        raise err
+    _value(gate)
     P = TransitionMatrix(chain)
     pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
     state.P, state.pi, state.Ainv = P, pi, group_inverse(P, pi)

@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process and over pipes."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -295,6 +296,78 @@ def test_update_stream_names_the_line(sim_csv, tmp_path, row, message):
     assert proc.returncode == 2
     assert proc.stderr == f"error: stdin line 3: {message}\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+# One row per unit-interval row check of ingest, in its order.
+UNIT_ROW_CHECKS = [
+    "0.5,item_0,item_1",  # width
+    "x,item_0,item_1,1",  # time
+    "nan,item_0,item_1,1",  # finite
+    "0.5,,item_1,1",  # empty item_i
+    "0.5,mystery,item_1,1",  # unknown item_i
+    "0.5,item_0,,1",  # empty item_j
+    "0.5,item_0,mystery,1",  # unknown item_j
+    "0.5,item_0,item_0,1",  # self
+    "0.5,item_0,item_1,x",  # outcome
+    "0.5,item_0,item_1,0.5",  # tie
+]
+PADDED_ROWS = [",".join(f" {f} " for f in row.split(",")) for row in UNIT_ROW_CHECKS]
+
+
+@pytest.mark.parametrize("row", UNIT_ROW_CHECKS + PADDED_ROWS + ["\x1c0.25,item_0,item_1,1"])
+def test_update_stream_rejects_a_row_as_ingest_does(
+    sim_csv, tmp_path, monkeypatch, capsys, row
+):
+    # Stdin rows were stripped before parsing: a time padded with a C0
+    # separator was folded, and messages quoted the stripped fields.
+    text = f"time,item_i,item_j,outcome\n0.4,item_0,item_1,1\n{row}\n"
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(krc.KrcError) as ingest:
+        krc.ingest_csv(str(path), roster=krc.ingest_csv(str(sim_csv)).item_labels)
+    assert str(ingest.value).startswith("row 3: ")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    out = tmp_path / "s.csv"
+    assert run(["update-stream", "--data", sim_csv, "--t", 0.5, "--h", 0.2, "--out", out]) == 2
+    message = str(ingest.value).removeprefix("row 3: ")
+    assert capsys.readouterr().err == f"error: stdin line 3: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bench", "--n-grid", ","], "--n-grid ',' holds no size"),
+    (["sweep", "--n", 4, "--m", 10, "--h-grid", ",", "--methods", "krc"],
+     "--h-grid ',' holds no bandwidth"),
+    (["sweep", "--n", 4, "--m", 10, "--h-grid", "0.1", "--methods", " , "],
+     "--methods ' , ' holds no method"),
+    (["sweep", "--n", 4, "--m", 10, "--h-grid", "0.1", "--methods", "krc", "--reps", 0],
+     "replications must be >= 1, got 0"),
+])
+def test_experiments_reject_a_list_without_an_item(tmp_path, capsys, argv, message):
+    # Each wrote a CSV of the header alone (NaN cells for --reps 0) and exited 0.
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_ci_rejects_pairs_without_a_pair(sim_csv, tmp_path, capsys):
+    pairs_out = tmp_path / "pairs.csv"
+    code = run(["ci", "--data", sim_csv, "--t", 0.5, "--h", 0.3, "--out", tmp_path / "ci.csv",
+                "--pairs", ",", "--pairs-out", pairs_out])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --pairs ',' holds no pair\n"
+    assert not pairs_out.exists()
+
+
+def test_ci_pairs_all_lists_every_ordered_pair(sim_csv, tmp_path):
+    pairs_out = tmp_path / "pairs.csv"
+    code = run(["ci", "--data", sim_csv, "--t", 0.5, "--h", 0.3, "--out", tmp_path / "ci.csv",
+                "--pairs", "all", "--pairs-out", pairs_out])
+    assert code == 0
+    labels = krc.ingest_csv(str(sim_csv)).item_labels  # in index order
+    expected = [[a, b] for a in labels for b in labels if a != b]
+    assert [row[:2] for row in read_rows(pairs_out)[1:]] == expected
 
 
 def test_console_script_help():

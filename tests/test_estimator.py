@@ -11,6 +11,8 @@ from krc.errors import ConnectivityError, ConvergenceError, EstimationError
 from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
+    _chain_stack,
+    _value,
     build_ideal_transition,
     default_teleport,
     estimate_curve,
@@ -365,6 +367,32 @@ def test_non_convergent_chain_fails_alone(bad):
         stationary(chains[1])
     for k in (0, 2):
         assert np.array_equal(out[k], reference_stationary(chains[k]).scores)
+
+
+def test_value_unwraps_a_stack_row():
+    fit = ScoreVector(np.array([0.5, 0.5]))
+    assert _value(fit) is fit and _value(fit, (EstimationError,)) is fit
+    assert _value(None) is None  # a gate entry that passed
+    assert _value(EstimationError("no mass"), (EstimationError, ConnectivityError)) is None
+    err = ConvergenceError("stalled")
+    for skip in ((), (EstimationError, ConnectivityError)):
+        with pytest.raises(ConvergenceError) as raised:
+            _value(err, skip)
+        assert raised.value is err
+
+
+def test_chain_stack_gives_one_gate_entry_per_row():
+    # Item 1 wins half, all or none of the pair's mass: only the first chain
+    # has edges both ways.  A teleported stack passes every row.
+    sums = np.array([[2.0], [2.0], [2.0]]), np.array([[1.0], [2.0], [0.0]])
+    pair, ts = (np.array([0]), np.array([1])), [0.1, 0.2, 0.3]
+    P, gates = _chain_stack(2, *pair, ts, *sums, 0.0, before=True)
+    assert P.shape == (3, 2, 2) and len(gates) == 3
+    assert gates[0] is None
+    for gate, t in zip(gates[1:], ts[1:]):
+        assert isinstance(gate, ConnectivityError)
+        assert str(gate) == f"sigma_n=0 chain before t={t} is not strongly connected (2 components)"
+    assert _chain_stack(2, *pair, ts, *sums, None)[1] == [None] * 3
 
 
 # -- end-to-end fits -------------------------------------------------------

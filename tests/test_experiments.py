@@ -119,6 +119,15 @@ def test_bandwidth_sweep_unknown_method():
         )
 
 
+def test_bandwidth_sweep_rejects_no_replication_and_no_method():
+    # Both gave a table of NaN cells or of no cell.
+    config = SimConfig(n=4, m=6, seed=0)
+    with pytest.raises(ValueError, match="^replications must be >= 1, got 0$"):
+        bandwidth_sweep(config, [0.1], methods=("krc",), replications=0)
+    with pytest.raises(ValueError, match="^need at least one sweep method$"):
+        bandwidth_sweep(config, [0.1], methods=())
+
+
 # -- timing ----------------------------------------------------------------
 
 

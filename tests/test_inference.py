@@ -140,6 +140,16 @@ def test_alpha_rejects_a_bandwidth_that_is_not_positive():
                 plug_in_alpha(pi_hat, ds, 0.5, h, GAUSSIAN, effective_counts=effective)
 
 
+@pytest.mark.parametrize("effective", [False, True])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_alpha_rejects_a_time_that_is_not_finite(t, effective):
+    # The raw counts never read t, so such a time priced finite precisions.
+    ds, _ = generate(SimConfig(n=4, m=5, seed=1))
+    sv = fit_scores(ds, 0.5, 0.25, GAUSSIAN)
+    with pytest.raises(ValueError, match=f"^evaluation time must be finite, got {t}$"):
+        plug_in_alpha(sv, ds, t, 0.25, GAUSSIAN, effective_counts=effective)
+
+
 def test_alpha_rejects_bad_scores():
     ds = balanced_pair_dataset(10)
     with pytest.raises(ValueError):
