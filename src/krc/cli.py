@@ -52,6 +52,14 @@ def _items(text: str, flag: str, what: str, parse) -> list:
     return items
 
 
+def _pair(dataset, token: str) -> tuple[int, int]:
+    """The item indices of a ``--pairs`` token: two labels joined by one colon."""
+    labels = [label.strip() for label in token.split(":")]
+    if len(labels) != 2 or not all(labels):
+        raise KrcError(f"--pairs token {token!r} is not two labels A:B")
+    return dataset.index_of(labels[0]), dataset.index_of(labels[1])
+
+
 def _write_report(path: str, report) -> None:
     with open(path, "w") as fh:
         json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
@@ -260,9 +268,9 @@ def _cmd_ci(args) -> int:
         if args.pairs.lower() == "all":
             pair_list = itertools.permutations(range(dataset.n), 2)
         else:
-            pair_list = _items(args.pairs, "--pairs", "pair", lambda token: tuple(
-                dataset.index_of(label.strip()) for label in token.partition(":")[::2]
-            ))
+            pair_list = _items(
+                args.pairs, "--pairs", "pair", lambda token: _pair(dataset, token)
+            )
         prows = []
         for a, b in pair_list:
             ci = pairwise_win_ci(sv, params, a, b, args.level)

@@ -132,7 +132,8 @@ def bandwidth_sweep(
     method failing at a degenerate bandwidth (disconnected weighted graph,
     zero mass, non-convergence) loses that replication; failure counts are
     reported per cell and cells with no successes carry NaN means.  No
-    method, or ``replications`` below 1, is a ValueError.
+    method, ``replications`` below 1, or a kernel method (krc or wmle)
+    without a bandwidth is a ValueError.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
@@ -142,6 +143,8 @@ def bandwidth_sweep(
         if m_name not in ("krc", "wmle", "rc"):
             raise ValueError(f"unknown sweep method {m_name!r}")
     h_grid = [float(h) for h in np.asarray(h_grid, dtype=float).ravel()]
+    if not h_grid and set(methods) - {"rc"}:
+        raise ValueError("kernel methods need at least one bandwidth")
     grid = metric_grid(config.m)
     keys = [(m, h) for m in methods for h in ([None] if m == "rc" else h_grid)]
     results = {key: [] for key in keys}

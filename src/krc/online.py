@@ -11,24 +11,28 @@ because (A + e pi') A# = I - e pi'.
 
 When the chain changes to P - v w' with w' e = 0, so that its rows stay
 stochastic, Meyer's (1980) identity A#_new = (I - e pi_new') A# (I + v w' A#)^-1
-gives the new stationary vector and group inverse in closed form:
+gives the new stationary vector and group inverse in closed form.  It is
+applied to any H = A# + e x': as w' e = 0, w' H = w' A#, so
 
-    eps  = 1 + w' A# v
-    phi' = (pi' v / eps) w' A#,    pi_new = pi - phi
-    u'   = phi' A# - (phi' A# v / eps) w' A#
-    A#_new = A# + e u' - (A# v)(w' A#) / eps
+    eps = 1 + w' H v,   pi_new = pi - (pi' v / eps) w' H,
+    H_new = H - (H v)(w' H) / eps,
+
+and H_new = A#_new + e x_new'.  Meyer's term e u', which keeps pi' A# = 0
+and costs a read of all of A#, is left out; A# = (I - e pi') H on read.
 
 The paper's change of row i to ``row - delta'`` is v = e_i, w = delta
 (``rank_one_update``).  A comparison of items i and j moves d_ij from (i, j)
 to row i's diagonal and d_ji from (j, i) to row j's: v = d_ij e_i - d_ji e_j,
-w = e_j - e_i, so ``apply_observation`` folds it as one rank-one change.  As v
-is nonzero only on the rows it changes, A# v and w' A# take O(n), and eps is
-checked before anything is written.  One read pass forms phi' A# and one
-in-place write pass adds the rank-2 correction: O(n^2), against a fresh O(n^3)
-solve.  The running state refreshes itself from scratch periodically to cap
-floating point drift.  The state keeps the batch fit's per-pair kernel sums
-and builds its chain as :func:`~krc.estimator.fit_scores` does, so a state
-seeded from a dataset has that fit's scores to the last bit.
+w = e_j - e_i, so ``apply_observation`` folds it as one rank-one change.  It
+reads two rows and two columns of H, checks eps before anything is written,
+and queues its correction (H v, -w' H / eps); rows and columns are read
+through the queue, and one BLAS-3 pass writes it into H every ``_PENDING``
+records (delayed updates: McDaniel et al. 2017).  A record costs
+O(n _PENDING), against a fresh O(n^3) solve.  The running state refreshes
+itself from scratch periodically to cap floating point drift.  The state
+keeps the batch fit's per-pair kernel sums and builds its chain as
+:func:`~krc.estimator.fit_scores` does, so a state seeded from a dataset
+has that fit's scores to the last bit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.blas import dgemm
 
 from .data import ComparisonDataset, ComparisonRecord
@@ -59,14 +64,13 @@ _BREAKDOWN_EPS = 1e-12
 # indicates corrupted state.
 _MIRROR_SLACK = 1e-12
 
+# Rank-one corrections a running state queues before writing them into H.
+_PENDING = 16
+
 
 @dataclass
 class GroupInverse:
     entries: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
@@ -76,7 +80,7 @@ def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
     A = np.eye(n) - P.entries
     N = A + np.outer(np.ones(n), scores)
     try:
-        Ninv = np.linalg.inv(N)
+        Ninv = scipy.linalg.inv(N, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise UpdateBreakdownError(
             "A + e pi' is singular; pi is not the stationary vector of P"
@@ -110,23 +114,26 @@ def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
     dgemm(1.0, Y, X, beta=1.0, c=G.T, trans_a=1, overwrite_c=1)
 
 
-def _fold(pi: np.ndarray, G: np.ndarray, rows, v: np.ndarray, wG: np.ndarray) -> None:
-    """Overwrite ``pi`` and ``G`` with their values for the chain P - v w',
-    where v is ``v`` on ``rows`` and zero elsewhere, and ``wG`` is w' A#.
-    Raises UpdateBreakdownError, with both untouched, when 1 + w' A# v is
+def _fold(pi: np.ndarray, rows, v: np.ndarray, wH: np.ndarray, Hv: np.ndarray):
+    """Overwrite ``pi`` with its value for the chain P - v w', where v is
+    ``v`` on ``rows`` and zero elsewhere, ``wH`` is w' H and ``Hv`` is H v,
+    and return the correction (x, y) with H_new = H + x y'.  Raises
+    UpdateBreakdownError, with ``pi`` untouched, when 1 + w' H v is
     numerically zero."""
-    eps = 1.0 + wG[rows] @ v
+    eps = 1.0 + wH[rows] @ v
     if abs(eps) <= _BREAKDOWN_EPS:
         raise UpdateBreakdownError(
             f"update denominator 1 + w'A#v = {eps:.3e} too close to zero"
         )
-    phi = ((pi[rows] @ v) / eps) * wG
-    phiG = phi @ G
-    u = phiG - ((phiG[rows] @ v) / eps) * wG
-    _add_outer_products(
-        G, np.stack([np.ones(pi.shape[0]), G[:, rows] @ v]), np.stack([u, wG / -eps])
-    )
-    pi -= phi
+    pi -= ((pi[rows] @ v) / eps) * wH
+    return Hv, wH / -eps
+
+
+def _projected(H: np.ndarray, pi: np.ndarray, anchor=0.0) -> GroupInverse:
+    """A# = (I - e pi') H, written as H + e (anchor - pi' H)'.  An ``anchor``
+    of pi_old' A#_old (zero for an exact pair) makes a fold that changed
+    nothing change nothing."""
+    return GroupInverse(H + (anchor - pi @ H))
 
 
 def rank_one_update(
@@ -156,21 +163,23 @@ def rank_one_update(
         raise ValueError(f"stationary entry pi[{i}] = {pii} must be positive")
 
     pi_new = np.array(pi, dtype=float)
-    G_new = np.array(G, dtype=np.float64, order="C")
-    _fold(pi_new, G_new, [i], np.ones(1), delta @ G)
-    return ScoreVector(pi_new, t=getattr(pi_old, "t", None)), GroupInverse(G_new)
+    H = np.array(G, dtype=np.float64, order="C")
+    anchor = pi_new @ H
+    x, y = _fold(pi_new, [i], np.ones(1), delta @ H, H[:, i].copy())
+    _add_outer_products(H, x[None], y[None])
+    return ScoreVector(pi_new, t=getattr(pi_old, "t", None)), _projected(H, pi_new, anchor)
 
 
 class OnlineState:
     """Running estimate at a fixed evaluation time t.
 
     Holds the per-pair kernel sums, the regularized chain, its stationary
-    vector, and the group inverse.  In the n x n ``pair_sums``, for i < j,
-    ``[i, j]`` is the pair's kernel mass and ``[j, i]`` the mass on records
-    item_j won.  ``apply_observation`` folds one record in with one fused,
-    in-place pair update; every ``refresh_every`` updates (or on numerical
-    breakdown) everything is recomputed from the running sums.
-    Single-writer: mutate from one thread only.
+    vector, and the group inverse (``Ainv``, read-only).  In the n x n
+    ``pair_sums``, for i < j, ``[i, j]`` is the pair's kernel mass and
+    ``[j, i]`` the mass on records item_j won.  ``apply_observation`` folds
+    one record in with one fused pair update; every ``refresh_every``
+    updates (or on numerical breakdown) everything is recomputed from the
+    running sums.  Single-writer: mutate, and read ``Ainv``, from one thread.
     """
 
     def __init__(
@@ -205,10 +214,18 @@ class OnlineState:
         self.tol = float(tol)
         self.pair_sums = np.zeros((n, n)) if pair_sums is None else pair_sums
         self.updates_since_refresh = 0
+        # H = A# + e x' is _H plus _X[:_pending]' _Y[:_pending], the queue.
+        self._X, self._Y = np.zeros((2, _PENDING, self.n))
         self.P: TransitionMatrix
         self.pi: ScoreVector
-        self.Ainv: GroupInverse
         refresh(self)
+
+    @property
+    def Ainv(self) -> GroupInverse:
+        """The group inverse of I - P, (I - e pi') H, once the queue has
+        been written into H."""
+        _flush(self)
+        return _projected(self._H, self.pi.scores)
 
     @classmethod
     def from_dataset(
@@ -249,9 +266,16 @@ def refresh(state: OnlineState) -> OnlineState:
     _value(gate)
     P = TransitionMatrix(chain)
     pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
-    state.P, state.pi, state.Ainv = P, pi, group_inverse(P, pi)
-    state.updates_since_refresh = 0
+    state.P, state.pi, state._H = P, pi, group_inverse(P, pi).entries
+    state._pending = state.updates_since_refresh = 0
     return state
+
+
+def _flush(state: OnlineState) -> None:
+    """Write the queued corrections into H with one BLAS pass."""
+    if k := state._pending:
+        _add_outer_products(state._H, state._X[:k], state._Y[:k])
+        state._pending = 0
 
 
 def apply_observation(state: OnlineState, record) -> OnlineState:
@@ -260,8 +284,8 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     Records whose kernel weight at the state's evaluation time is zero
     leave the state untouched.  Otherwise rows i and j of P move mass
     between their diagonal and their (i, j) / (j, i) entry: the change
-    P - v w' with v = d_ij e_i - d_ji e_j and w = e_j - e_i, which is folded
-    into the stationary vector and group inverse in closed form, in place.
+    P - v w' with v = d_ij e_i - d_ji e_j and w = e_j - e_i, folded into the
+    stationary vector in place and into H through the queue (``_fold``).
     For a pair that already carries mass d_ji = -d_ij; the first in-window
     record of a pair also lifts the pair sum from its teleport floor, so
     both moves are computed directly.  If the record cannot be folded in,
@@ -298,9 +322,13 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
         )
     sums[i, j], sums[j, i] = den, num
 
-    G = state.Ainv.entries
+    # Rows i, j and columns i, j of H, read through the queue.
+    H, k, rows, v = state._H, state._pending, [i, j], np.array([d_ij, -d_ji])
+    X, Y = state._X[:k], state._Y[:k]
+    wH = H[j] - H[i] + (X[:, j] - X[:, i]) @ Y
+    Hv = H[:, rows] @ v + (Y[:, rows] @ v) @ X
     try:
-        _fold(state.pi.scores, G, [i, j], np.array([d_ij, -d_ji]), G[j] - G[i])
+        state._X[k], state._Y[k] = _fold(state.pi.scores, rows, v, wH, Hv)
     except UpdateBreakdownError:
         # Nothing was written yet.  The sums already include the new
         # record, so rebuilding from them is exact; if that fails too, take
@@ -315,6 +343,9 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     P[i, i] += d_ij
     P[j, i] = p_new_ji
     P[j, j] += d_ji
+    state._pending += 1
+    if state._pending == _PENDING:
+        _flush(state)
     state.updates_since_refresh += 1
     pi = state.pi.scores
     if state.updates_since_refresh >= state.refresh_every or np.min(pi) <= 0:

@@ -360,6 +360,18 @@ def test_ci_rejects_pairs_without_a_pair(sim_csv, tmp_path, capsys):
     assert not pairs_out.exists()
 
 
+@pytest.mark.parametrize("token", ["item_0", "item_0:", ":item_1", "item_0:item_1:item_2"])
+def test_ci_names_a_malformed_pair_token(sim_csv, tmp_path, capsys, token):
+    # Each was split at its first colon, so the message blamed a label
+    # ('' or 'item_1:item_2') instead of the token.
+    pairs_out = tmp_path / "pairs.csv"
+    code = run(["ci", "--data", sim_csv, "--t", 0.5, "--h", 0.3, "--out", tmp_path / "ci.csv",
+                "--pairs", f"item_1:item_2,{token}", "--pairs-out", pairs_out])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --pairs token {token!r} is not two labels A:B\n"
+    assert not pairs_out.exists()
+
+
 def test_ci_pairs_all_lists_every_ordered_pair(sim_csv, tmp_path):
     pairs_out = tmp_path / "pairs.csv"
     code = run(["ci", "--data", sim_csv, "--t", 0.5, "--h", 0.3, "--out", tmp_path / "ci.csv",

@@ -128,6 +128,15 @@ def test_bandwidth_sweep_rejects_no_replication_and_no_method():
         bandwidth_sweep(config, [0.1], methods=())
 
 
+def test_bandwidth_sweep_rejects_kernel_methods_without_a_bandwidth():
+    # An empty grid gave a table without a cell.
+    config = SimConfig(n=4, m=6, seed=0)
+    for methods in (("krc", "wmle"), ("krc",), ("wmle", "rc")):
+        with pytest.raises(ValueError, match="^kernel methods need at least one bandwidth$"):
+            bandwidth_sweep(config, [], methods=methods)
+    assert list(bandwidth_sweep(config, [], methods=("rc",)).best) == ["rc"]
+
+
 # -- timing ----------------------------------------------------------------
 
 

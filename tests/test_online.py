@@ -65,6 +65,13 @@ def test_group_inverse_null_spaces():
     assert np.max(np.abs(pi.scores @ G.entries)) < 1e-12
 
 
+def test_group_inverse_of_a_singular_system_breaks_down():
+    # pi = 0 is no stationary vector: A + e pi' = A, which is singular.
+    P = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(UpdateBreakdownError, match="singular"):
+        group_inverse(P, ScoreVector(np.zeros(2)))
+
+
 # -- rank-one updates ------------------------------------------------------
 
 
@@ -135,8 +142,9 @@ def test_pair_update_breakdown_writes_nothing():
     P = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
     pi, G = solve_state(P)
     pi_f, G_f = pi.scores.copy(), G.entries.copy()
+    v = np.array([0.5, -0.5])
     with pytest.raises(UpdateBreakdownError, match="denominator"):
-        _fold(pi_f, G_f, [0, 1], np.array([0.5, -0.5]), G_f[1] - G_f[0])
+        _fold(pi_f, [0, 1], v, G_f[1] - G_f[0], G_f[:, [0, 1]] @ v)
     assert np.array_equal(pi_f, pi.scores)
     assert np.array_equal(G_f, G.entries)
 
@@ -485,3 +493,73 @@ def test_breakdown_fallback_stream_matches_batch(monkeypatch):
     )
     sv = fit_scores(full, 0.5, 0.3, GAUSSIAN, tol=1e-13)
     assert np.max(np.abs(state.pi.scores - sv.scores)) < 1e-8
+
+
+# -- queued corrections ----------------------------------------------------
+
+
+def queue_case(n_records, n=8, seed=3):
+    """A state that never refreshes on its own, and records of nonzero
+    weight for it."""
+    ds, _ = generate(SimConfig(n=n, m=5, seed=seed))
+    state = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=10**9)
+    rng = np.random.default_rng(seed)
+    recs = []
+    for _ in range(n_records):
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        recs.append((int(i), int(j), float(rng.uniform()), int(rng.integers(2))))
+    return state, recs
+
+
+def test_queue_is_written_once_per_pending_records(monkeypatch):
+    writes = []
+    real = krc.online._add_outer_products
+    monkeypatch.setattr(
+        krc.online, "_add_outer_products", lambda G, X, Y: writes.append(len(X)) or real(G, X, Y)
+    )
+    state, recs = queue_case(40)
+    for rec in recs:
+        apply_observation(state, rec)
+    assert writes == [16, 16]
+    state.Ainv
+    assert writes == [16, 16, 8]
+    state.Ainv
+    assert writes == [16, 16, 8]
+
+
+def test_mid_queue_group_inverse_is_exact():
+    # 37 records: two full queues written into H and five still queued.
+    a, recs = queue_case(67)
+    b, _ = queue_case(0)
+    for rec in recs[:37]:
+        apply_observation(a, rec)
+        apply_observation(b, rec)
+    assert a._pending == 5
+    G = a.Ainv
+    assert max(group_inverse_residuals(a.P, a.pi, G).values()) <= 1e-10
+    fresh = group_inverse(a.P, a.pi).entries
+    assert np.max(np.abs(G.entries - fresh)) <= 1e-9 * np.max(np.abs(fresh))
+    # Reading A# writes the queue early; later scores move only by rounding.
+    for rec in recs[37:]:
+        apply_observation(a, rec)
+        apply_observation(b, rec)
+    assert np.max(np.abs(a.pi.scores - b.pi.scores)) <= 1e-13
+
+
+def test_mid_queue_failed_fallback_leaves_state_unchanged(monkeypatch):
+    a, recs = queue_case(21)
+    b, _ = queue_case(0)
+    for rec in recs[:20]:
+        apply_observation(a, rec)
+        apply_observation(b, rec)
+    assert a._pending == 4
+
+    def failing_stationary(*args, **kwargs):
+        raise ConvergenceError("injected")
+
+    monkeypatch.setattr(krc.online, "_BREAKDOWN_EPS", 10.0)
+    monkeypatch.setattr(krc.online, "stationary", failing_stationary)
+    with pytest.raises(ConvergenceError):
+        apply_observation(a, recs[20])
+    assert a._pending == 4
+    assert_same_state(a, snapshot(b))

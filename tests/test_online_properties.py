@@ -55,8 +55,12 @@ def test_pair_update_equals_two_rank_one_updates(case):
     pi_1, G_1 = rank_one_update(pi, G, delta_i, i)
     pi_2, G_2 = rank_one_update(pi_1, G_1, delta_j, j)
 
-    pi_f, G_f = pi.scores.copy(), G.entries.copy()
-    _fold(pi_f, G_f, [i, j], np.array([d_ij, -d_ji]), G_f[j] - G_f[i])
+    # The fold updates H = A# + e x'; A# is its projection (I - e pi') H.
+    pi_f, G_f = pi.scores.copy(), G.entries
+    v = np.array([d_ij, -d_ji])
+    x, y = _fold(pi_f, [i, j], v, G_f[j] - G_f[i], G_f[:, [i, j]] @ v)
+    H = G_f + np.outer(x, y)
+    G_f = H - np.outer(np.ones(n), pi_f @ H)
     assert np.max(np.abs(pi_f - pi_2.scores)) <= 1e-12 * np.max(np.abs(pi_2.scores))
     assert np.max(np.abs(G_f - G_2.entries)) <= 1e-12 * np.max(np.abs(G_2.entries))
 
@@ -91,9 +95,10 @@ def as_dataset(n, rows):
 def stream_case(draw):
     n = draw(st.integers(2, 7))
     base = draw(records(n, 0, 25))
-    stream = draw(records(n, 1, 40))
+    # A state that never refreshes gets at least two full queues of records.
+    refresh_every = draw(st.one_of(st.integers(1, 10), st.just(10**9)))
+    stream = draw(records(n, 40 if refresh_every == 10**9 else 1, 60))
     start = draw(st.sampled_from(["empty", "dataset"]))
-    refresh_every = draw(st.integers(1, 10))
     return n, base, stream, start, refresh_every
 
 
