@@ -25,7 +25,6 @@ from .data import (
     TimeEncoding,
     check_strong_connectivity,
     ingest_csv,
-    season_of_time,
 )
 from .errors import (
     ConnectivityError,
@@ -44,7 +43,6 @@ from .estimator import (
     default_teleport,
     estimate_curve,
     fit_scores,
-    regularize,
     stationary,
 )
 from .experiments import (

@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError
-from .estimator import ScoreVector, _fitted, _no_mass, _solve_sums, _strong_components, _value
+from .estimator import ScoreVector, _fitted, _no_mass, _solve_sums, _strong_components
 from .kernels import Kernel
 
 _ASCENT_SLACK = 1e-8
@@ -103,16 +103,6 @@ def _newton_steps(H: np.ndarray, score: np.ndarray) -> np.ndarray:
         if len(H) == 1:
             return np.full_like(score, np.nan)
         return np.concatenate([_newton_steps(H[a:a + 1], score[a:a + 1]) for a in range(len(H))])
-
-
-def _mm_solve(win: np.ndarray, config: MMConfig) -> tuple[np.ndarray, MMInfo]:
-    """Maximize the preference likelihood of one win matrix on the simplex.
-
-    ``win[a, b]`` is the (possibly fractional) win mass of a over b.  This is
-    the one-row case of :func:`_mm_stack`.
-    """
-    (fit,) = _mm_stack(win[None], config)
-    return _value(fit)
 
 
 def _mm_stack(win: np.ndarray, config: MMConfig) -> list:

@@ -99,11 +99,6 @@ def _read_only(col: np.ndarray) -> np.ndarray:
     return view
 
 
-def season_of_time(t: float) -> int:
-    """Season number containing an encoded season-day time."""
-    return int(math.floor(t)) + 1
-
-
 class ComparisonDataset:
     """Canonical, pair-grouped storage for comparison records.
 
@@ -228,15 +223,6 @@ class ComparisonDataset:
         pairs = zip(self._seg_i.tolist(), self._seg_j.tolist())
         for key, s, e in zip(pairs, bounds, bounds[1:]):
             yield key, self._tt[s:e], self._yy[s:e]
-
-    def pair_times_outcomes(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Time-sorted history for pair (i, j); empty arrays if unobserved."""
-        if i == j:
-            raise ValueError("a pair needs two distinct items")
-        (a, b), flip = ((i, j), False) if i < j else ((j, i), True)
-        rows = np.flatnonzero((self._ii == a) & (self._jj == b))
-        yy = self._yy[rows]
-        return self._tt[rows], (1 - yy) if flip else yy
 
     def in_time_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(time, item_i, item_j, outcome) stably sorted by time.

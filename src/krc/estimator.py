@@ -54,21 +54,6 @@ class TransitionMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def check(self, tol: float = 1e-12) -> None:
-        """Raise if the matrix is not a valid comparison chain."""
-        P = self.entries
-        n = self.n
-        if P.shape != (n, n):
-            raise ValueError("entries must be square")
-        if np.min(P) < -tol:
-            raise ValueError(f"negative entry {np.min(P)}")
-        rows = P.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > tol:
-            raise ValueError(f"row sums off by {np.max(np.abs(rows - 1.0))}")
-        off = P[~np.eye(n, dtype=bool)]
-        if off.size and np.max(off) > 1.0 / n + tol:
-            raise ValueError(f"off-diagonal entry above 1/n: {np.max(off)}")
-
 
 @dataclass
 class ScoreVector:
@@ -84,11 +69,6 @@ class ScoreVector:
     @property
     def n(self) -> int:
         return self.scores.shape[0]
-
-    def residual(self, P: TransitionMatrix) -> float:
-        """Stationarity residual ||pi' P - pi'||_inf."""
-        pi = self.scores
-        return float(np.max(np.abs(pi @ P.entries - pi)))
 
 
 def default_teleport(n: int) -> float:
@@ -292,16 +272,6 @@ def _teleport(entries: np.ndarray, sigma_n: float) -> np.ndarray:
     return entries
 
 
-def regularize(P: TransitionMatrix, sigma_n: float) -> TransitionMatrix:
-    """Blend with the uniform chain: (1 - sigma) P + sigma/n.
-
-    Guarantees irreducibility (every entry >= sigma/n) at a perturbation of
-    the stationary vector that vanishes with sigma.  sigma_n = 0 returns a
-    copy of the matrix.
-    """
-    return TransitionMatrix(_teleport(P.entries.copy(), sigma_n))
-
-
 def stationary(
     P: TransitionMatrix, tol: float = _TOL, max_iter: int = _MAX_ITER
 ) -> ScoreVector:
@@ -335,20 +305,17 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     Every chain iterates pi' <- pi' P from the uniform start until the
     infinity-norm residual drops below ``tol``; the chains still iterating
     take one batched matmul per sweep, and a chain leaves them when it
-    converges.  A stack of one chain iterates the vector itself, as
-    (n,) @ (n, n) costs less per sweep than a stack of one.  A chain whose
-    iteration stalls (a sum that is not positive, or no halving of the
-    residual over a 1,000-sweep window) or reaches ``max_iter`` is solved
-    directly as the rank-deficient linear system with a normalization row;
-    a final residual above ``tol`` is its ConvergenceError.  No chain's
-    result depends on the others.  Callers keep a stack within the tile
-    budget (see :func:`_stack_rows`).
+    converges.  A chain whose iteration stalls (a sum that is not positive,
+    or no halving of the residual over a 1,000-sweep window) or reaches
+    ``max_iter`` is solved directly as the rank-deficient linear system with
+    a normalization row; a final residual above ``tol`` is its
+    ConvergenceError.  No chain's result depends on the others.  Callers
+    keep a stack within the tile budget (see :func:`_stack_rows`).
     """
     k, n = M.shape[:2]
-    lone = k == 1
-    Ma = M[0] if lone else M
-    pi = np.full(n if lone else (k, 1, n), 1.0 / n)
-    last = np.full(pi.shape[:-1] + (1,), np.inf)
+    Ma = M
+    pi = np.full((k, 1, n), 1.0 / n)
+    last = np.full((k, 1, 1), np.inf)
     active = np.arange(k)
     out: list = [False] * k  # a chain's vector, or whether its iteration stalled
     check_every = 1000
@@ -374,7 +341,7 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
                 go = go.ravel()
                 for c in np.flatnonzero(~go):
                     converged = s.flat[c] > 0 and res.flat[c] <= tol
-                    out[active[c]] = nxt.reshape(-1, n)[c].copy() if converged else True
+                    out[active[c]] = nxt[c, 0].copy() if converged else True
                 active = active[go]
                 if not active.size:
                     break

@@ -378,10 +378,6 @@ class SeasonResult:
     n_games: int
     n_correct: int
 
-    @property
-    def accuracy(self) -> float:
-        return self.n_correct / self.n_games if self.n_games else float("nan")
-
 
 @dataclass
 class BacktestReport:
@@ -503,7 +499,7 @@ def backtest(
     pick_j = s_j > s_i
     n_ties = int(np.count_nonzero(~pick_j & ~(s_j < s_i)))
     correct = pick_j == (yy[games] == 1)
-    season = np.floor(tt[games]).astype(np.int64) + 1  # season_of_time, per game
+    season = np.floor(tt[games]).astype(np.int64) + 1  # season s spans times [s - 1, s)
     seasons, which = np.unique(season, return_inverse=True)
     per_season = [
         SeasonResult(season=s, n_games=g, n_correct=c)

@@ -256,6 +256,8 @@ def score_ci(
     pi_hat: ScoreVector, params: AsymptoticParams, item: int, level: float = 0.95
 ) -> IntervalEstimate:
     """Two-sided interval pi_hat_i +/- z / alpha_i (bias ignored)."""
+    if not 0 <= item < pi_hat.n:  # a negative index would read from the end
+        raise ValueError(f"item index {item} outside 0..{pi_hat.n - 1}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     point = float(pi_hat.scores[item])
@@ -278,6 +280,9 @@ def pairwise_win_ci(
     the weighted sum of squared gradient entries.  Bounds are clipped to
     [0, 1].
     """
+    for item in (i, j):  # a negative index would read from the end
+        if not 0 <= item < pi_hat.n:
+            raise ValueError(f"item index {item} outside 0..{pi_hat.n - 1}")
     if i == j:
         raise ValueError("pairwise interval needs two distinct items")
     if not 0.0 < level < 1.0:

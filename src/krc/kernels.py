@@ -46,10 +46,6 @@ class Kernel:
     second_moment: float
     squared_integral: float
 
-    def evaluate(self, u):
-        """K(u), vectorized; scalar in, scalar out."""
-        return self.weight(u, 0.0, 1.0)
-
     def weight(self, t, t_k, h: float, out: np.ndarray | None = None):
         """K((t - t_k) / h) for one or many observation times ``t_k``: a float
         for one pair, else an array of the broadcast shape, written into the

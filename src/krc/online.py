@@ -76,16 +76,17 @@ class GroupInverse:
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
     """Group inverse of I - P for an irreducible chain with stationary pi."""
     scores = pi.scores if isinstance(pi, ScoreVector) else np.asarray(pi, dtype=float)
-    n = P.n
-    A = np.eye(n) - P.entries
-    N = A + np.outer(np.ones(n), scores)
+    N = -P.entries
+    N.flat[::P.n + 1] += 1.0  # A = I - P
+    N += scores  # A + e pi'
     try:
         Ninv = scipy.linalg.inv(N, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         raise UpdateBreakdownError(
             "A + e pi' is singular; pi is not the stationary vector of P"
         ) from None
-    return GroupInverse(Ninv - np.outer(np.ones(n), scores))
+    Ninv -= scores
+    return GroupInverse(Ninv)
 
 
 def group_inverse_residuals(

@@ -12,7 +12,7 @@ from krc.baselines import (
     EloConfig,
     MMConfig,
     MMInfo,
-    _mm_solve,
+    _mm_stack,
     _mm_sums,
     _win_matrix,
     bt_mle_mm,
@@ -28,10 +28,11 @@ from krc.estimator import (
     _fill_diagonal,
     _fits,
     _fitted,
+    _teleport,
+    _value,
     default_teleport,
     fit_scores,
     pair_fractions,
-    regularize,
     stationary,
 )
 from krc.kernels import BOXCAR, GAUSSIAN
@@ -273,7 +274,7 @@ def test_static_rc_default_teleport_is_recorded():
 
 # -- references: the dense MM solver and the per-pair loops ---------------
 # The two functions below are Hunter's MM as a dense solver, kept verbatim
-# as the reference for the Newton `_mm_solve`; the loops after them are the
+# as the reference for the Newton `_mm_stack`; the loops after them are the
 # old pooled-count paths of bt_mle_mm and static_rank_centrality.
 
 
@@ -387,9 +388,14 @@ def _mm_cases():
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
+def _solve_one(win, config):
+    """One win matrix's (scores, MMInfo), solved as a stack of one."""
+    return _value(_mm_stack(win[None], config)[0])
+
+
 @pytest.mark.parametrize("label, win, init", _mm_cases())
 def test_pair_list_mm_matches_dense_reference(label, win, init):
-    p, info = _mm_solve(win, MMConfig())
+    p, info = _solve_one(win, MMConfig())
     p_ref, info_ref = _dense_mm_solve(win, MMConfig(), init)
     assert np.max(np.abs(p - p_ref)) <= 1e-9
     lls = np.asarray(info.loglik)
@@ -415,7 +421,7 @@ def _relative_score_residual(win, p):
 
 @pytest.mark.parametrize("label, win, init", _mm_cases())
 def test_mle_meets_the_score_bound_at_the_mm_fixed_point(label, win, init):
-    p, info = _mm_solve(win, MMConfig())
+    p, info = _solve_one(win, MMConfig())
     assert info.final_change <= MMConfig().tol
     assert _relative_score_residual(win, p) <= MMConfig().tol
     p_ref, _ = _dense_mm_solve(win, MMConfig(tol=1e-14, max_iter=100_000), init)
@@ -428,7 +434,7 @@ def test_mle_resolves_a_tiny_win_share(tiny):
     # Item 0 wins a share ``tiny`` of its unit games with items 1 and 2, who
     # split theirs: p_0 / p_1 = tiny / (1 - tiny), far below rounding of 1.
     win = np.array([[0.0, tiny, tiny], [1 - tiny, 0.0, 0.5], [1 - tiny, 0.5, 0.0]])
-    p, info = _mm_solve(win, MMConfig())
+    p, info = _solve_one(win, MMConfig())
     assert _relative_score_residual(win, p) <= MMConfig().tol
     assert p[0] / p[1] == pytest.approx(tiny / (1 - tiny), rel=1e-9)
     assert p[1] == pytest.approx(p[2], rel=1e-12) and info.iterations <= 10
@@ -456,7 +462,7 @@ def test_pooled_counts_bitwise_match_pair_loops(monkeypatch, seed):
     P_ref = _loop_static_chain(ds)
     assert np.array_equal(seen["P"], P_ref)
     monkeypatch.undo()
-    ref_rc = stationary(regularize(TransitionMatrix(P_ref), default_teleport(ds.n)))
+    ref_rc = stationary(TransitionMatrix(_teleport(P_ref.copy(), default_teleport(ds.n))))
     assert np.array_equal(rc.scores, ref_rc.scores)
     ref_ml, _ = _dense_mm_solve(_loop_pooled_win(ds), MMConfig(), None)
     assert np.max(np.abs(ml.scores - ref_ml)) <= 1e-9
@@ -475,7 +481,7 @@ def test_mm_ascent_check_fires(monkeypatch):
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
     message = r"every Newton step length decreased the log-likelihood \(.+ -> .+\)"
     with pytest.raises(RuntimeError, match=message):
-        _mm_solve(_seeded_win(5, 1), MMConfig())
+        _solve_one(_seeded_win(5, 1), MMConfig())
     assert len(calls) == 1 + baselines._HALVINGS + 1
 
 
@@ -484,10 +490,10 @@ def test_mm_fails_a_stalled_row_at_once():
     # and every accepted step leaves the scores bitwise unchanged.
     win = np.array([[0.0, 5e-324, 5e-324], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
     with pytest.raises(ConvergenceError, match="stalled") as info:
-        _mm_solve(win, MMConfig())
+        _solve_one(win, MMConfig())
     assert info.value.residual == 1.0
 
 
 def test_mm_zero_win_collapses():
     with pytest.raises(ConvergenceError, match="collapsed to the zero vector"):
-        _mm_solve(np.zeros((3, 3)), MMConfig())
+        _solve_one(np.zeros((3, 3)), MMConfig())

@@ -19,7 +19,6 @@ from krc.data import (
     TimeEncoding,
     check_strong_connectivity,
     ingest_csv,
-    season_of_time,
 )
 from krc.errors import DataFormatError, RosterError
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
@@ -71,12 +70,10 @@ def test_ingest_unit_interval(tmp_path):
     assert ds.item_labels[0] == "alpha"
     assert ds.index_of("gamma") == 2
     # row 2 (beta, gamma, 0) is canonical already; row 4 flips to (0, 2, 1)
-    times, outs = ds.pair_times_outcomes(0, 2)
+    history = {key: (times, outs) for key, times, outs in ds.pairs()}
+    times, outs = history[(0, 2)]
     assert np.array_equal(times, [0.3, 0.4])
     assert np.array_equal(outs, [1, 1])
-    # reversed query flips outcomes
-    _, outs_rev = ds.pair_times_outcomes(2, 0)
-    assert np.array_equal(outs_rev, [0, 0])
 
 
 def test_ingest_bad_header(tmp_path):
@@ -133,19 +130,16 @@ def test_ingest_season_day_derived(tmp_path):
     # season 1 has 3 distinct game days, season 2 has 1
     assert ds.encoding.season_day_counts == (3, 1)
     # calendar days 5, 9, 20 become ranks 1, 2, 3; time = l - 1 + k/(N+1)
-    times, _ = ds.pair_times_outcomes(0, 1)
-    assert times == pytest.approx([0.25, 0.5])
-    t2, _ = ds.pair_times_outcomes(0, 2)
-    assert t2 == pytest.approx([1.5])
-    assert season_of_time(0.25) == 1
-    assert season_of_time(1.5) == 2
+    history = {key: times for key, times, _ in ds.pairs()}
+    assert history[(0, 1)] == pytest.approx([0.25, 0.5])
+    assert history[(0, 2)] == pytest.approx([1.5])
 
 
 def test_ingest_season_day_declared_counts(tmp_path):
     text = "season,day,item_i,item_j,outcome\n1,1,a,b,1\n1,4,a,b,0\n"
     enc = TimeEncoding("season-day", (4,))
     ds = ingest_csv(write(tmp_path, "a.csv", text), encoding=enc)
-    times, _ = ds.pair_times_outcomes(0, 1)
+    ((_, times, _),) = ds.pairs()
     assert times == pytest.approx([0.2, 0.8])
     bad = TimeEncoding("season-day", (3,))
     with pytest.raises(DataFormatError, match="day 4 outside"):
@@ -205,7 +199,8 @@ def build_small():
 
 def test_pair_views_sorted_by_time():
     ds = build_small()
-    times, outs = ds.pair_times_outcomes(0, 1)
+    (key, times, outs), *_ = ds.pairs()
+    assert key == (0, 1)
     assert np.array_equal(times, [0.1, 0.4])
     assert np.array_equal(outs, [0, 1])
     counts = {key: times.size for key, times, _ in ds.pairs()}

@@ -12,13 +12,13 @@ from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
     _chain_stack,
+    _teleport,
     _value,
     build_ideal_transition,
     default_teleport,
     estimate_curve,
     fit_scores,
     pair_fractions,
-    regularize,
     stationary,
     transition_from_fractions,
 )
@@ -69,8 +69,11 @@ def test_pair_sum_identity():
         for j in range(i + 1, n):
             if P[i, j] > 0 or P[j, i] > 0:
                 assert P[i, j] + P[j, i] == pytest.approx(1.0 / n, abs=1e-15)
-    P2 = transition_from_fractions(ds.n, *pair_fractions(ds, 0.5, 0.2, GAUSSIAN))
-    P2.check(tol=1e-12)
+    # a valid comparison chain: no negative entry, rows summing to one, and
+    # no off-diagonal entry above 1/n
+    assert np.min(P) >= -1e-12
+    assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(P[~np.eye(n, dtype=bool)]) <= 1.0 / n + 1e-12
 
 
 def test_transition_rows_stochastic():
@@ -151,20 +154,19 @@ def test_ideal_chain_rejects_bad_scores():
 
 
 def test_regularize_entries_and_composition():
-    P = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    R = regularize(P, 0.1)
-    assert R.entries[0, 1] == pytest.approx(0.9 * 0.1 + 0.05, abs=1e-16)
+    # _teleport works in place, so each call gets a copy
+    P = np.array([[0.9, 0.1], [0.2, 0.8]])
+    R = _teleport(P.copy(), 0.1)
+    assert R[0, 1] == pytest.approx(0.9 * 0.1 + 0.05, abs=1e-16)
     # composing two teleports multiplies the survival factors
-    R2 = regularize(R, 0.2)
-    np.testing.assert_allclose(
-        R2.entries, regularize(P, 1 - 0.9 * 0.8).entries, rtol=0, atol=1e-15
-    )
-    same = regularize(P, 0.0)
-    assert np.array_equal(same.entries, P.entries)
+    R2 = _teleport(R.copy(), 0.2)
+    np.testing.assert_allclose(R2, _teleport(P.copy(), 1 - 0.9 * 0.8), rtol=0, atol=1e-15)
+    same = _teleport(P.copy(), 0.0)
+    assert np.array_equal(same, P)
     with pytest.raises(ValueError):
-        regularize(P, 1.0)
+        _teleport(P.copy(), 1.0)
     with pytest.raises(ValueError):
-        regularize(P, -0.1)
+        _teleport(P.copy(), -0.1)
 
 
 def test_default_teleport():
@@ -178,7 +180,7 @@ def test_stationary_two_state_frozen():
     P = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
     sv = stationary(P, tol=1e-13)
     assert np.max(np.abs(sv.scores - [2 / 3, 1 / 3])) < 1e-12
-    assert sv.residual(P) < 1e-13
+    assert np.max(np.abs(sv.scores @ P.entries - sv.scores)) < 1e-13
 
 
 def test_stationary_matches_eig_oracle():
@@ -203,6 +205,24 @@ def test_stationary_fallback_on_tiny_iteration_budget():
     sv = stationary(P, tol=1e-12, max_iter=1)
     oracle = eig_stationary(P.entries)
     assert np.max(np.abs(sv.scores - oracle)) < 1e-10
+
+
+def test_stationary_singular_system_uses_least_squares(monkeypatch):
+    # Two absorbing states make the normalized system singular, so the
+    # direct solve falls back to least squares: its minimum-norm solution
+    # splits the mass evenly between them.
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    P = TransitionMatrix(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    sv = stationary(P, max_iter=1)
+    assert len(calls) == 1
+    np.testing.assert_allclose(sv.scores, [0.5, 0.0, 0.5], rtol=0, atol=1e-15)
 
 
 # -- the stacked solver ----------------------------------------------------
@@ -238,7 +258,7 @@ def reference_stationary(
             last_res = res
     pi = estimator._direct_stationary(M)
     sv = ScoreVector(pi)
-    res = sv.residual(P)
+    res = float(np.max(np.abs(pi @ M - pi)))
     if res > tol:
         raise ConvergenceError(
             f"stationary solve residual {res:.3e} above tol {tol:.3e}"
@@ -486,9 +506,9 @@ def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
         assert np.allclose(got[2], ref[2], rtol=1e-12, atol=0.0)
         if kernel is not GAUSSIAN:
             assert np.array_equal(got[2], ref[2])
-        P = regularize(transition_from_fractions(ds.n, *got), sigma)
+        P = TransitionMatrix(_teleport(transition_from_fractions(ds.n, *got).entries, sigma))
         assert np.array_equal(sv.scores, stationary(P).scores)
-        P = regularize(transition_from_fractions(ds.n, *ref), sigma)
+        P = TransitionMatrix(_teleport(transition_from_fractions(ds.n, *ref).entries, sigma))
         assert np.max(np.abs(sv.scores - stationary(P).scores)) <= 1e-12
         assert np.array_equal(sv.scores, fit_scores(ds, t, h, kernel).scores)
 
@@ -630,21 +650,6 @@ def test_kernel_fits_reject_a_time_that_is_not_finite(t):
 
 
 # -- diagnostics -----------------------------------------------------------
-
-
-def test_transition_check_catches_violations():
-    bad = TransitionMatrix(np.array([[0.5, 0.5], [0.7, 0.3]]))
-    with pytest.raises(ValueError, match="above 1/n"):
-        bad.check()
-    bad2 = TransitionMatrix(np.array([[0.9, 0.2], [0.25, 0.8]]))
-    with pytest.raises(ValueError, match="row sums"):
-        bad2.check()
-
-
-def test_score_vector_residual():
-    P = TransitionMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]))
-    sv = ScoreVector(np.array([2 / 3, 1 / 3]))
-    assert sv.residual(P) < 1e-15
 
 
 def component_graphs():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module keeps an import that it never reads, and no
-module-level private helper is left that nothing reads."""
+"""Source hygiene: no module keeps an import that it never reads, no
+module-level private helper is left that nothing reads, and no public
+helper is left that only the tests read."""
 
 import ast
 from pathlib import Path
@@ -82,17 +83,24 @@ def orphaned_helpers(modules: dict[str, str], readers: dict[str, str]) -> list[s
     """The module-level private names defined in ``modules`` (path: source)
     that no line of ``modules`` or ``readers`` reads outside the name's own
     definition."""
-    trees = {path: ast.parse(source) for path, source in {**readers, **modules}.items()}
-    reads: dict[str, set] = {}
-    for path, tree in trees.items():
-        for name, line in name_reads(tree):
-            reads.setdefault(name, set()).add((path, line))
+    trees, reads = read_index(modules, readers)
     return [
         f"{path}: {name} (line {first})"
         for path in modules
         for name, first, last in private_definitions(trees[path])
         if all(p == path and first <= line <= last for p, line in reads.get(name, ()))
     ]
+
+
+def read_index(modules: dict[str, str], readers: dict[str, str]):
+    """The parsed trees of ``modules`` and ``readers`` (path: source), and
+    each name's reads across them, as a set of (path, line)."""
+    trees = {path: ast.parse(source) for path, source in {**readers, **modules}.items()}
+    reads: dict[str, set] = {}
+    for path, tree in trees.items():
+        for name, line in name_reads(tree):
+            reads.setdefault(name, set()).add((path, line))
+    return trees, reads
 
 
 def test_scan_finds_an_orphaned_helper():
@@ -108,8 +116,84 @@ def test_scan_finds_an_orphaned_helper():
     ]
 
 
-def test_no_private_helper_is_left_unread():
-    def sources(paths):
-        return {str(path): path.read_text(encoding="utf-8") for path in sorted(paths)}
+def sources(paths) -> dict[str, str]:
+    return {str(path): path.read_text(encoding="utf-8") for path in sorted(paths)}
 
+
+def test_no_private_helper_is_left_unread():
     assert orphaned_helpers(sources(SRC.glob("*.py")), sources(TESTS.rglob("*.py"))) == []
+
+
+def public_definitions(tree: ast.Module):
+    """(name, first line, last line) of each module-level public function or
+    class, and of each public method of a module-level class, named
+    ``Class.method``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*functions, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.lineno, node.end_lineno
+        for member in node.body if isinstance(node, ast.ClassDef) else ():
+            if isinstance(member, functions) and not member.name.startswith("_"):
+                yield f"{node.name}.{member.name}", member.lineno, member.end_lineno
+
+
+def unreached_helpers(modules: dict[str, str], readers: dict[str, str], kept=()) -> list[str]:
+    """The public definitions in ``modules`` (path: source), apart from those
+    named in ``kept``, that no line of ``modules`` or ``readers`` reads
+    outside the definition itself.
+
+    A read is matched by name alone, as in :func:`name_reads`: a method
+    counts as read when any attribute of its name is, so a helper whose name
+    collides with a read (``residual``, say) passes.
+    """
+    trees, reads = read_index(modules, readers)
+    return [
+        f"{path}: {name} (line {first})"
+        for path in modules
+        for name, first, last in public_definitions(trees[path])
+        if name not in kept
+        and all(
+            p == path and first <= line <= last
+            for p, line in reads.get(name.rsplit(".", 1)[-1], ())
+        )
+    ]
+
+
+# Public helpers that neither the package nor the benchmark reads, kept on
+# purpose.
+KEPT = {
+    # They state results of the paper or feed acceptance criteria.
+    "oracle_beta",
+    "expansion_diagnostic",
+    "diagonal_group_inverse_approx",
+    "diagonal_approx_error",
+    "group_inverse_residuals",
+    "generate_season_dataset",
+    "truth_probability",
+    # Acceptance criterion 6 reads a sweep table's cells through it.
+    "SweepTable.cell",
+}
+
+
+def test_scan_finds_a_test_only_helper():
+    module = (
+        "def used():\n    return 1\n\n"
+        "def only_tested():\n    return only_tested\n\n"
+        "def kept():\n    pass\n\n"
+        "class Box:\n    def size(self):\n        return used()\n\n"
+        "    def peek(self):\n        pass\n\n"
+        "    def _hidden(self):\n        pass\n"
+    )
+    readers = {"bench.py": "from m import Box\nBox().size()\n"}
+    assert unreached_helpers({"m.py": module}, readers, kept={"kept"}) == [
+        "m.py: only_tested (line 4)", "m.py: Box.peek (line 14)",
+    ]
+
+
+def test_no_public_helper_is_read_only_by_tests():
+    modules = sources(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+    readers = sources((TESTS.parent / "benchmarks").glob("*.py"))
+    assert readers
+    assert unreached_helpers(modules, readers, KEPT) == []

@@ -285,6 +285,27 @@ def test_pairwise_ci_symmetric_center():
         pairwise_win_ci(pi_hat, params, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [
+        lambda sv, params: score_ci(sv, params, -1),
+        lambda sv, params: score_ci(sv, params, 5),
+        lambda sv, params: pairwise_win_ci(sv, params, 0, -5),
+        lambda sv, params: pairwise_win_ci(sv, params, -1, 4),
+        lambda sv, params: pairwise_win_ci(sv, params, 5, 0),
+    ],
+    ids=["score-negative", "score-past-end", "pair-wraps-to-self", "pair-negative", "pair-past-end"],
+)
+def test_intervals_reject_an_item_index_outside_the_roster(interval):
+    # A negative index would read from the end of the scores: item -5 of
+    # five is item 0, so the pair (0, -5) would be item 0 against itself.
+    ds, _ = generate(SimConfig(n=5, m=20, seed=1))
+    sv = fit_scores(ds, 0.5, 0.2, GAUSSIAN)
+    params = plug_in_alpha(sv, ds, 0.5, 0.2, GAUSSIAN)
+    with pytest.raises(ValueError, match=r"item index -?\d+ outside 0\.\.4"):
+        interval(sv, params)
+
+
 def test_pairwise_ci_clips_to_unit_interval():
     pi_hat = ScoreVector(np.array([0.5, 0.5]), t=0.5)
     params = plug_in_alpha(

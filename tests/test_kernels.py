@@ -21,39 +21,39 @@ ALL_KERNELS = [GAUSSIAN, EPANECHNIKOV, BOXCAR]
 
 def test_gaussian_peak_value():
     # 1 / sqrt(2 pi)
-    assert GAUSSIAN.evaluate(0.0) == pytest.approx(0.3989422804014327, abs=1e-16)
+    assert GAUSSIAN.weight(0.0, 0.0, 1.0) == pytest.approx(0.3989422804014327, abs=1e-16)
 
 
 def test_epanechnikov_peak_and_support():
-    assert EPANECHNIKOV.evaluate(0.0) == 0.75
-    assert EPANECHNIKOV.evaluate(1.0) == 0.0
-    assert EPANECHNIKOV.evaluate(-1.0) == 0.0
-    assert EPANECHNIKOV.evaluate(1.0 + 1e-9) == 0.0
-    assert EPANECHNIKOV.evaluate(0.999999) > 0.0
+    assert EPANECHNIKOV.weight(0.0, 0.0, 1.0) == 0.75
+    assert EPANECHNIKOV.weight(1.0, 0.0, 1.0) == 0.0
+    assert EPANECHNIKOV.weight(-1.0, 0.0, 1.0) == 0.0
+    assert EPANECHNIKOV.weight(1.0 + 1e-9, 0.0, 1.0) == 0.0
+    assert EPANECHNIKOV.weight(0.999999, 0.0, 1.0) > 0.0
 
 
 def test_boxcar_height_and_support():
-    assert BOXCAR.evaluate(0.0) == 0.5
-    assert BOXCAR.evaluate(0.999999) == 0.5
-    assert BOXCAR.evaluate(-1.0) == 0.5
-    assert BOXCAR.evaluate(1.0000001) == 0.0
+    assert BOXCAR.weight(0.0, 0.0, 1.0) == 0.5
+    assert BOXCAR.weight(0.999999, 0.0, 1.0) == 0.5
+    assert BOXCAR.weight(-1.0, 0.0, 1.0) == 0.5
+    assert BOXCAR.weight(1.0000001, 0.0, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
 def test_profiles_are_symmetric_densities(kernel):
     us = np.linspace(-3.0, 3.0, 121)
-    vals = kernel.evaluate(us)
-    flipped = kernel.evaluate(-us)
+    vals = kernel.weight(us, 0.0, 1.0)
+    flipped = kernel.weight(-us, 0.0, 1.0)
     assert np.array_equal(vals, flipped)
     assert np.all(vals >= 0.0)
-    total, _ = quad(kernel.evaluate, -np.inf, np.inf)
+    total, _ = quad(lambda u: kernel.weight(u, 0.0, 1.0), -np.inf, np.inf)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
 def test_stored_moments_match_quadrature(kernel):
-    m2, _ = quad(lambda u: u * u * kernel.evaluate(u), -np.inf, np.inf)
-    sq, _ = quad(lambda u: kernel.evaluate(u) ** 2, -np.inf, np.inf)
+    m2, _ = quad(lambda u: u * u * kernel.weight(u, 0.0, 1.0), -np.inf, np.inf)
+    sq, _ = quad(lambda u: kernel.weight(u, 0.0, 1.0) ** 2, -np.inf, np.inf)
     assert kernel.second_moment == pytest.approx(m2, abs=1e-10)
     assert kernel.squared_integral == pytest.approx(sq, abs=1e-10)
 
@@ -70,7 +70,7 @@ def test_weight_is_scaled_kernel():
     got = GAUSSIAN.weight(0.5, 0.5, 0.2)
     assert got == pytest.approx(0.3989422804014327, abs=1e-16)
     got = GAUSSIAN.weight(0.5, 0.3, 0.2)
-    assert got == pytest.approx(GAUSSIAN.evaluate(1.0), abs=1e-16)
+    assert got == pytest.approx(GAUSSIAN.weight(1.0, 0.0, 1.0), abs=1e-16)
 
 
 def test_weight_vectorized_matches_scalar():
@@ -98,13 +98,13 @@ def test_one_pair_weight_is_the_tile_weight_bitwise(kernel):
     assert np.array_equal(tile[0], ones)
     lone = kernel.weight(np.array(0.5), np.array(times[-4]), h)
     assert type(lone) is float and lone == ones[-4]
-    assert kernel.evaluate(0) == kernel.evaluate(0.0) == kernel.weight(0.5, 0.5, h)
+    assert kernel.weight(0, 0.0, 1.0) == kernel.weight(0.0, 0.0, 1.0) == kernel.weight(0.5, 0.5, h)
 
 
 def test_far_tail_clamps_to_exact_zero():
     # exp(-0.5 * 60^2) underflows past 1e-300 and must come back as 0.0
-    assert GAUSSIAN.evaluate(60.0) == 0.0
-    near = GAUSSIAN.evaluate(37.0)
+    assert GAUSSIAN.weight(60.0, 0.0, 1.0) == 0.0
+    near = GAUSSIAN.weight(37.0, 0.0, 1.0)
     assert near == 0.0 or near >= WEIGHT_FLOOR
 
 
@@ -130,7 +130,7 @@ def test_kernel_is_frozen():
 
 def test_custom_kernel_instance():
     k = Kernel("boxcar", 1.0 / 3.0, 0.5)
-    assert k.evaluate(0.2) == 0.5
+    assert k.weight(0.2, 0.0, 1.0) == 0.5
 
 
 def test_gaussian_tile_clamps_its_exponent_above_the_subnormal_range(monkeypatch):

@@ -1,13 +1,13 @@
-"""The stacked MLE solve: every row of a win-matrix stack is solved as
-``_mm_solve`` solves it alone, whatever the other rows do."""
+"""The stacked MLE solve: every row of a win-matrix stack is solved as a
+stack of that row alone solves it, whatever the other rows do."""
 
 import numpy as np
 import pytest
 
 from krc import baselines
-from krc.baselines import MMConfig, _mm_solve, _mm_stack, _win_matrix
+from krc.baselines import MMConfig, _mm_stack, _win_matrix
 from krc.errors import ConnectivityError, ConvergenceError
-from krc.estimator import pair_fractions
+from krc.estimator import _value, pair_fractions
 from krc.kernels import GAUSSIAN
 from krc.simulate import SimConfig, generate
 
@@ -34,15 +34,14 @@ def _stack(seed, n=6):
     return np.stack(counts[:2] + [shares, counts[2], np.zeros((n, n)), counts[3]])
 
 
+def _solve_one(win, config):
+    """One win matrix's (scores, MMInfo), solved as a stack of one."""
+    return _value(_mm_stack(win[None], config)[0])
+
+
 def _expected(win, config):
-    """``_mm_solve``'s scores and info for each row, or the error it raises."""
-    out = []
-    for w in win:
-        try:
-            out.append(_mm_solve(w, config))
-        except (ConnectivityError, ConvergenceError, RuntimeError) as err:
-            out.append(err)
-    return out
+    """Each row's scores and info, or its error, solved as a stack of one."""
+    return [_mm_stack(w[None], config)[0] for w in win]
 
 
 def _assert_rows_match(got, expected):
@@ -102,7 +101,7 @@ def test_stack_ascent_check_fails_its_row_alone(monkeypatch):
 
     monkeypatch.setattr(baselines, "_pair_log_likelihood", dropping)
     with pytest.raises(RuntimeError, match="decreased the log-likelihood") as err:
-        _mm_solve(win[0], MMConfig())
+        _solve_one(win[0], MMConfig())
     assert len(calls) == 1 + baselines._HALVINGS + 1
     expected[0] = err.value
     calls.clear()
@@ -133,7 +132,7 @@ def test_stack_row_without_interior_mle_fails_before_any_step(monkeypatch):
     assert not any((W == split.sum(axis=1)).all(axis=1).any() for W in seen)
     monkeypatch.undo()
     with pytest.raises(ConnectivityError):
-        _mm_solve(split, MMConfig())
+        _solve_one(split, MMConfig())
     _assert_rows_match(got[:2] + got[3:], _expected(win, MMConfig()))
 
 
@@ -144,7 +143,7 @@ def test_stack_row_with_a_singular_newton_system_fails_alone():
     singular = np.zeros((6, 6))
     singular[:3, :3] = [[0.0, tiny, tiny], [1 - tiny, 0.0, 0.3], [1 - tiny, 0.7, 0.0]]
     with pytest.raises(ConvergenceError, match="singular"):
-        _mm_solve(singular, MMConfig())
+        _solve_one(singular, MMConfig())
     win = _stack(7)
     got = _mm_stack(np.concatenate((win[:1], singular[None], win[1:])), MMConfig())
     assert isinstance(got[1], ConvergenceError) and "singular" in str(got[1])
@@ -169,7 +168,7 @@ def _stalled(n=3):
 
 def test_stack_stalled_row_fails_alone():
     with pytest.raises(ConvergenceError, match="stalled"):
-        _mm_solve(_stalled(6), MMConfig())
+        _solve_one(_stalled(6), MMConfig())
     win = _stack(8)
     got = _mm_stack(np.concatenate((win[:1], _stalled(6)[None], win[1:])), MMConfig())
     assert isinstance(got[1], ConvergenceError) and "stalled" in str(got[1])
@@ -181,7 +180,7 @@ def test_stalled_row_reports_its_own_residual_after_a_row_leaves():
     # stalled row moves to the front of the per-row arrays.
     even = 1.0 - np.eye(3)
     with pytest.raises(ConvergenceError) as alone:
-        _mm_solve(_stalled(), MMConfig())
+        _solve_one(_stalled(), MMConfig())
     got = _mm_stack(np.stack((even, _stalled())), MMConfig())
     assert got[0][1].iterations == 0 and got[0][1].final_change == 0.0
     assert isinstance(got[1], ConvergenceError) and str(got[1]) == str(alone.value)

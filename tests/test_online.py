@@ -563,3 +563,26 @@ def test_mid_queue_failed_fallback_leaves_state_unchanged(monkeypatch):
         apply_observation(a, recs[20])
     assert a._pending == 4
     assert_same_state(a, snapshot(b))
+
+
+def test_folded_state_at_500_items_matches_batch():
+    # Two scheduled refreshes, then 234 records folded since the last one,
+    # 10 of them still queued: the state a check right after a refresh never
+    # sees.
+    ds, _ = generate(SimConfig(n=500, m=1, seed=1))
+    more, _ = generate(SimConfig(n=500, m=1, seed=2))
+    state = OnlineState.from_dataset(ds, 0.5, 0.1, GAUSSIAN, refresh_every=500)
+    tt, ii, jj, yy = (col[:1234] for col in more.in_time_order())
+    for rec in zip(ii.tolist(), jj.tolist(), tt.tolist(), yy.tolist()):
+        apply_observation(state, rec)
+    assert state.updates_since_refresh == 234 and state._pending == 10
+    base_tt, base_ii, base_jj, base_yy = ds.in_time_order()
+    union = ComparisonDataset(
+        500,
+        np.concatenate([base_ii, ii]),
+        np.concatenate([base_jj, jj]),
+        np.concatenate([base_tt, tt]),
+        np.concatenate([base_yy, yy]),
+    )
+    sv = fit_scores(union, 0.5, 0.1, GAUSSIAN, tol=1e-13)
+    assert np.max(np.abs(state.pi.scores - sv.scores)) <= 1e-8

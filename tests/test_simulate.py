@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from krc.data import season_of_time
 from krc.estimator import ScoreVector
 from krc.simulate import (
     GroundTruth,
@@ -93,9 +92,8 @@ def test_empirical_win_rate_matches_truth():
         SimConfig(n=2, m=m, seed=19, skill_family="custom", alpha=(1.5, 3.0))
     )
     # the custom family is dynamic; use a constant check through outcomes
-    _, outs = ds.pair_times_outcomes(0, 1)
+    ((_, times, outs),) = ds.pairs()
     rate = outs.mean()
-    times, _ = ds.pair_times_outcomes(0, 1)
     expected = np.mean(
         [truth_probability(truth, 0, 1, float(t)) for t in times]
     )
@@ -128,7 +126,7 @@ def test_season_dataset_shape():
     assert ds.n_records == 3 * 4 * 3
     assert ds.encoding.scheme == "season-day"
     assert ds.encoding.season_day_counts == (4, 4, 4)
-    seasons = np.array([season_of_time(float(t)) for t in ds.times])
+    seasons = np.array([int(np.floor(t)) + 1 for t in ds.times])
     assert set(seasons.tolist()) == {1, 2, 3}
     assert np.min(strengths) > 0.0
 
@@ -239,19 +237,20 @@ def test_pair_draws_do_not_depend_on_n():
     large, _ = generate(
         SimConfig(n=8, m=30, seed=8, skill_family="custom", alpha=alpha)
     )
-    for j in range(1, 5):
-        for i in range(j):
-            t_small, y_small = small.pair_times_outcomes(i, j)
-            t_large, y_large = large.pair_times_outcomes(i, j)
-            assert np.array_equal(t_small, t_large)
-            assert np.array_equal(y_small, y_large)
+    large_pairs = {key: (times, outs) for key, times, outs in large.pairs()}
+    small_pairs = list(small.pairs())
+    assert len(small_pairs) == 10  # every pair of the first five items
+    for key, t_small, y_small in small_pairs:
+        t_large, y_large = large_pairs[key]
+        assert np.array_equal(t_small, t_large)
+        assert np.array_equal(y_small, y_large)
     # the sine family draws alpha per n, but a pair's times still agree
     a, _ = generate(SimConfig(n=5, m=30, seed=8))
     b, _ = generate(SimConfig(n=8, m=30, seed=8))
-    for i, j in ((0, 1), (1, 3), (2, 4)):
-        assert np.array_equal(
-            a.pair_times_outcomes(i, j)[0], b.pair_times_outcomes(i, j)[0]
-        )
+    a_times = {key: times for key, times, _ in a.pairs()}
+    b_times = {key: times for key, times, _ in b.pairs()}
+    for key in ((0, 1), (1, 3), (2, 4)):
+        assert np.array_equal(a_times[key], b_times[key])
 
 
 def test_large_and_negative_seeds():
