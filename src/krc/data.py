@@ -31,6 +31,20 @@ _UNIT_HEADER = ("time", "item_i", "item_j", "outcome")
 _SEASON_HEADER = ("season", "day", "item_i", "item_j", "outcome")
 
 
+def _check_record(item_i, item_j, time, outcome) -> None:
+    """Raise DataFormatError for the first field of a comparison record that
+    no record can have: a self-comparison, a tie, or a time that is not
+    finite.  The roster is the caller's to check."""
+    if item_i == item_j:
+        raise DataFormatError(f"self-comparison for item {item_i}")
+    if outcome not in (0, 1):
+        raise DataFormatError(
+            f"outcome must be 0 or 1, got {outcome!r} (ties unsupported)"
+        )
+    if not math.isfinite(time):
+        raise DataFormatError(f"non-finite time {time!r}")
+
+
 @dataclass(frozen=True)
 class ComparisonRecord:
     """One timestamped comparison; outcome 1 means item_j was preferred."""
@@ -41,20 +55,7 @@ class ComparisonRecord:
     outcome: int
 
     def __post_init__(self):
-        if self.item_i == self.item_j:
-            raise DataFormatError(f"self-comparison for item {self.item_i}")
-        if self.outcome not in (0, 1):
-            raise DataFormatError(
-                f"outcome must be 0 or 1, got {self.outcome!r} (ties unsupported)"
-            )
-        if not math.isfinite(self.time):
-            raise DataFormatError(f"non-finite time {self.time!r}")
-
-    def canonical(self) -> "ComparisonRecord":
-        """Equivalent record with item_i < item_j."""
-        if self.item_i < self.item_j:
-            return self
-        return ComparisonRecord(self.item_j, self.item_i, self.time, 1 - self.outcome)
+        _check_record(self.item_i, self.item_j, self.time, self.outcome)
 
 
 @dataclass(frozen=True)

@@ -24,15 +24,29 @@ The paper's change of row i to ``row - delta'`` is v = e_i, w = delta
 (``rank_one_update``).  A comparison of items i and j moves d_ij from (i, j)
 to row i's diagonal and d_ji from (j, i) to row j's: v = d_ij e_i - d_ji e_j,
 w = e_j - e_i, so ``apply_observation`` folds it as one rank-one change.  It
-reads two rows and two columns of H, checks eps before anything is written,
+reads two rows and two columns of H, checks eps before any state is written,
 and queues its correction (H v, -w' H / eps); rows and columns are read
 through the queue, and one BLAS-3 pass writes it into H every ``_PENDING``
 records (delayed updates: McDaniel et al. 2017).  A record costs
-O(n _PENDING), against a fresh O(n^3) solve.  The running state refreshes
-itself from scratch periodically to cap floating point drift.  The state
-keeps the batch fit's per-pair kernel sums and builds its chain as
-:func:`~krc.estimator.fit_scores` does, so a state seeded from a dataset
-has that fit's scores to the last bit.
+O(n _PENDING), against a fresh O(n^3) solve; its scalar work is done on
+Python floats.
+
+The running state refreshes itself from scratch periodically to cap
+floating point drift, with one inverse.  Take any c with c' e != 0 and let
+N = A + e c'.  As N e = (c' e) e, N^-1 A = I - e c' / (c' e), so
+
+    pi' = c' N^-1   has   pi' A = 0   and   pi' e = 1:
+
+pi is the stationary vector whatever c is.  And (N^-1 - A#) maps e to
+e / (c' e) and A z to e (pi - c / (c' e))' z, so every column of N^-1 - A#
+is a multiple of e: N^-1 = A# + e x' is itself a valid H.  A refresh
+therefore takes c = the running pi, which sums to 1, and needs no
+stationary solve and no subtraction of e pi'; ``tol`` bounds the residual
+max|pi' P - pi'| it accepts.  The state keeps the batch fit's per-pair
+kernel sums and builds its chain as :func:`~krc.estimator.fit_scores`
+does.  Its seeding refresh, with no running pi yet, solves the chain as
+that fit does, by ``stationary`` and ``group_inverse``, so a state seeded
+from a dataset has the fit's scores to the last bit.
 """
 
 from __future__ import annotations
@@ -43,8 +57,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dgemm
 
-from .data import ComparisonDataset, ComparisonRecord
-from .errors import RosterError, UpdateBreakdownError
+from .data import ComparisonDataset, _check_record
+from .errors import ConvergenceError, RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
@@ -73,18 +87,24 @@ class GroupInverse:
     entries: np.ndarray
 
 
+def _inverse(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
+    """(A + e c')^-1 for A = I - P, built in place.  It exists exactly when
+    c' e != 0 and P has one stationary vector; else UpdateBreakdownError."""
+    N = -P.entries
+    N.flat[::P.n + 1] += 1.0  # A = I - P
+    N += c  # A + e c'
+    try:
+        return scipy.linalg.inv(N, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise UpdateBreakdownError(
+            "A + e c' is singular: c' e = 0, or P has no unique stationary vector"
+        ) from None
+
+
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
     """Group inverse of I - P for an irreducible chain with stationary pi."""
     scores = pi.scores if isinstance(pi, ScoreVector) else np.asarray(pi, dtype=float)
-    N = -P.entries
-    N.flat[::P.n + 1] += 1.0  # A = I - P
-    N += scores  # A + e pi'
-    try:
-        Ninv = scipy.linalg.inv(N, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise UpdateBreakdownError(
-            "A + e pi' is singular; pi is not the stationary vector of P"
-        ) from None
+    Ninv = _inverse(P, scores)
     Ninv -= scores
     return GroupInverse(Ninv)
 
@@ -115,19 +135,21 @@ def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
     dgemm(1.0, Y, X, beta=1.0, c=G.T, trans_a=1, overwrite_c=1)
 
 
-def _fold(pi: np.ndarray, rows, v: np.ndarray, wH: np.ndarray, Hv: np.ndarray):
-    """Overwrite ``pi`` with its value for the chain P - v w', where v is
-    ``v`` on ``rows`` and zero elsewhere, ``wH`` is w' H and ``Hv`` is H v,
-    and return the correction (x, y) with H_new = H + x y'.  Raises
-    UpdateBreakdownError, with ``pi`` untouched, when 1 + w' H v is
-    numerically zero."""
-    eps = 1.0 + wH[rows] @ v
+def _fold(pi: np.ndarray, rows, v, wH: np.ndarray, Hv: np.ndarray, out=None):
+    """Overwrite ``pi`` with its value for the chain P - v w', where
+    v = v[0] e_rows[0] + v[1] e_rows[1] (the rows may repeat), ``wH`` is
+    w' H and ``Hv`` is H v, and return the correction (x, y) with
+    H_new = H + x y', y written into ``out`` when it is given.  Raises
+    UpdateBreakdownError, with ``pi`` and ``out`` untouched, when
+    1 + w' H v is numerically zero."""
+    (r, s), (a, b) = rows, v
+    eps = 1.0 + (wH.item(r) * a + wH.item(s) * b)
     if abs(eps) <= _BREAKDOWN_EPS:
         raise UpdateBreakdownError(
             f"update denominator 1 + w'A#v = {eps:.3e} too close to zero"
         )
-    pi -= ((pi[rows] @ v) / eps) * wH
-    return Hv, wH / -eps
+    pi -= ((pi.item(r) * a + pi.item(s) * b) / eps) * wH
+    return Hv, np.divide(wH, -eps, out=out)
 
 
 def _projected(H: np.ndarray, pi: np.ndarray, anchor=0.0) -> GroupInverse:
@@ -166,7 +188,7 @@ def rank_one_update(
     pi_new = np.array(pi, dtype=float)
     H = np.array(G, dtype=np.float64, order="C")
     anchor = pi_new @ H
-    x, y = _fold(pi_new, [i], np.ones(1), delta @ H, H[:, i].copy())
+    x, y = _fold(pi_new, (i, i), (1.0, 0.0), delta @ H, H[:, i].copy())
     _add_outer_products(H, x[None], y[None])
     return ScoreVector(pi_new, t=getattr(pi_old, "t", None)), _projected(H, pi_new, anchor)
 
@@ -180,7 +202,9 @@ class OnlineState:
     ``[j, i]`` the mass on records item_j won.  ``apply_observation`` folds
     one record in with one fused pair update; every ``refresh_every``
     updates (or on numerical breakdown) everything is recomputed from the
-    running sums.  Single-writer: mutate, and read ``Ainv``, from one thread.
+    running sums.  ``tol`` is the seeding stationary solve's tolerance and
+    bounds the residual max|pi' P - pi'| of every later refresh.
+    Single-writer: mutate, and read ``Ainv``, from one thread.
     """
 
     def __init__(
@@ -257,8 +281,14 @@ def refresh(state: OnlineState) -> OnlineState:
 
     The chain is the batch fit's, built by ``estimator._chain_stack`` from
     the running sums as a stack of one; ``_value`` raises its gate entry, a
-    ``sigma_n=0`` chain's ConnectivityError.  The state changes only once
-    all three are computed, so a raised error leaves it as it was."""
+    ``sigma_n=0`` chain's ConnectivityError.  A seeding refresh solves it as
+    the batch fit does, by ``stationary`` and ``group_inverse``.  A running
+    state's refresh takes one inverse, H = (A + e pi_run')^-1 with pi_run
+    its running vector, and pi' = pi_run' H, which is stationary whatever
+    pi_run is (see the module docstring); a singular system raises
+    UpdateBreakdownError, and a residual max|pi'P - pi'| above ``state.tol``
+    ConvergenceError.  The state changes only once every step has
+    succeeded, so a raised error leaves it as it was."""
     i, j = np.triu_indices(state.n, 1)
     sums = state.pair_sums
     (chain,), (gate,) = _chain_stack(
@@ -266,8 +296,19 @@ def refresh(state: OnlineState) -> OnlineState:
     )
     _value(gate)
     P = TransitionMatrix(chain)
-    pi = ScoreVector(stationary(P, tol=state.tol).scores, t=state.t)
-    state.P, state.pi, state._H = P, pi, group_inverse(P, pi).entries
+    if not hasattr(state, "pi"):  # seeding: the batch fit's solve, to the bit
+        pi = stationary(P, tol=state.tol).scores
+        H = group_inverse(P, pi).entries
+    else:
+        c = state.pi.scores
+        H = _inverse(P, c)
+        pi = c @ H
+        res = float(np.max(np.abs(pi @ chain - pi)))
+        if not res <= state.tol:
+            raise ConvergenceError(
+                f"refresh residual {res:.3e} above tol {state.tol:.3e}", residual=res
+            )
+    state.P, state.pi, state._H = P, ScoreVector(pi, t=state.t), H
     state._pending = state.updates_since_refresh = 0
     return state
 
@@ -282,38 +323,45 @@ def _flush(state: OnlineState) -> None:
 def apply_observation(state: OnlineState, record) -> OnlineState:
     """Fold one comparison record into the running state.
 
-    Records whose kernel weight at the state's evaluation time is zero
-    leave the state untouched.  Otherwise rows i and j of P move mass
-    between their diagonal and their (i, j) / (j, i) entry: the change
-    P - v w' with v = d_ij e_i - d_ji e_j and w = e_j - e_i, folded into the
-    stationary vector in place and into H through the queue (``_fold``).
-    For a pair that already carries mass d_ji = -d_ij; the first in-window
-    record of a pair also lifts the pair sum from its teleport floor, so
-    both moves are computed directly.  If the record cannot be folded in,
-    the state is left as it was and the error is raised.
+    ``record`` is a ComparisonRecord or an (item_i, item_j, time, outcome)
+    tuple, which is checked as a ComparisonRecord is.  Records whose kernel
+    weight at the state's evaluation time is zero leave the state
+    untouched.  Otherwise rows i and j of P move mass between their
+    diagonal and their (i, j) / (j, i) entry: the change P - v w' with
+    v = d_ij e_i - d_ji e_j and w = e_j - e_i, folded into the stationary
+    vector in place and into H through the queue (``_fold``).  For a pair
+    that already carries mass d_ji = -d_ij; the first in-window record of a
+    pair also lifts the pair sum from its teleport floor, so both moves are
+    computed directly.  If the record cannot be folded in, the state is
+    left as it was and the error is raised.
     """
     if isinstance(record, tuple):
-        record = ComparisonRecord(*record)
-    rec = record.canonical()
-    i, j, y = rec.item_i, rec.item_j, rec.outcome
-    if not (0 <= i < state.n and 0 <= j < state.n):
-        raise RosterError(
-            f"record items ({i}, {j}) outside roster of size {state.n}"
-        )
-    w = float(state.kernel.weight(state.t, rec.time, state.h))
+        if len(record) != 4:
+            raise TypeError(f"a record tuple has 4 fields, got {len(record)}")
+        i, j, t_k, y = record
+        _check_record(i, j, t_k, y)
+    else:
+        i, j, t_k, y = record.item_i, record.item_j, record.time, record.outcome
+    if i > j:
+        i, j, y = j, i, 1 - y
+    n = state.n
+    if not (0 <= i and j < n):
+        raise RosterError(f"record items ({i}, {j}) outside roster of size {n}")
+    w = float(state.kernel.weight(state.t, t_k, state.h))
     if w == 0.0:
         return state
 
-    n, sigma = state.n, state.sigma_n
-    sums = state.pair_sums
-    old_den, old_num = sums[i, j], sums[j, i]
+    # The scalar work is on Python floats, which numpy's 0-d arrays and
+    # scalars would only slow down; the arithmetic is the same.
+    sigma = state.sigma_n
+    sums, P = state.pair_sums, state.P.entries
+    old_den, old_num = sums.item(i, j), sums.item(j, i)
     den, num = old_den + w, old_num + w * y
     frac = num / den
     p_new_ij = (1.0 - sigma) * (frac / n) + sigma / n
     p_new_ji = (1.0 - sigma) * ((1.0 - frac) / n) + sigma / n
-    P = state.P.entries
-    d_ij = P[i, j] - p_new_ij
-    d_ji = P[j, i] - p_new_ji
+    d_ij = P.item(i, j) - p_new_ij
+    d_ji = P.item(j, i) - p_new_ji
 
     # With prior mass the pair's off-diagonal sum is pinned, so row j's
     # entry must move exactly opposite to row i's.
@@ -323,13 +371,18 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
         )
     sums[i, j], sums[j, i] = den, num
 
-    # Rows i, j and columns i, j of H, read through the queue.
-    H, k, rows, v = state._H, state._pending, [i, j], np.array([d_ij, -d_ji])
-    X, Y = state._X[:k], state._Y[:k]
-    wH = H[j] - H[i] + (X[:, j] - X[:, i]) @ Y
-    Hv = H[:, rows] @ v + (Y[:, rows] @ v) @ X
+    # Rows i, j and columns i, j of H, read through the queue.  H v goes
+    # straight into the next queue slot, which is not part of the state
+    # until _pending counts it.
+    H, k, X, Y = state._H, state._pending, state._X, state._Y
+    wH = H[j] - H[i]
+    Hv = np.multiply(H[:, i], d_ij, out=X[k])
+    Hv -= H[:, j] * d_ji
+    if k:
+        wH += (X[:k, j] - X[:k, i]) @ Y[:k]
+        Hv += (Y[:k, i] * d_ij - Y[:k, j] * d_ji) @ X[:k]
     try:
-        state._X[k], state._Y[k] = _fold(state.pi.scores, rows, v, wH, Hv)
+        _fold(state.pi.scores, (i, j), (d_ij, -d_ji), wH, Hv, out=Y[k])
     except UpdateBreakdownError:
         # Nothing was written yet.  The sums already include the new
         # record, so rebuilding from them is exact; if that fails too, take
@@ -348,7 +401,6 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     if state._pending == _PENDING:
         _flush(state)
     state.updates_since_refresh += 1
-    pi = state.pi.scores
-    if state.updates_since_refresh >= state.refresh_every or np.min(pi) <= 0:
+    if state.updates_since_refresh >= state.refresh_every or state.pi.scores.min() <= 0:
         refresh(state)
     return state

@@ -52,13 +52,6 @@ def test_record_validation():
         ComparisonRecord(0, 1, float("nan"), 1)
 
 
-def test_record_canonical_flip():
-    rec = ComparisonRecord(3, 1, 0.25, 1).canonical()
-    assert (rec.item_i, rec.item_j, rec.outcome) == (1, 3, 0)
-    rec = ComparisonRecord(1, 3, 0.25, 1).canonical()
-    assert (rec.item_i, rec.item_j, rec.outcome) == (1, 3, 1)
-
-
 # -- ingestion -------------------------------------------------------------
 
 

@@ -7,7 +7,13 @@ import pytest
 
 import krc.online
 from krc.data import ComparisonDataset, ComparisonRecord
-from krc.errors import ConnectivityError, ConvergenceError, RosterError, UpdateBreakdownError
+from krc.errors import (
+    ConnectivityError,
+    ConvergenceError,
+    DataFormatError,
+    RosterError,
+    UpdateBreakdownError,
+)
 from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
@@ -445,10 +451,10 @@ def test_failed_fallback_refresh_leaves_state_unchanged(monkeypatch):
     apply_observation(state, (0, 1, 0.4, 1))
     snap = snapshot(state)
 
-    def failing_stationary(*args, **kwargs):
+    def failing_inverse(*args, **kwargs):
         raise ConvergenceError("injected")
 
-    monkeypatch.setattr(krc.online, "stationary", failing_stationary)
+    monkeypatch.setattr(krc.online, "_inverse", failing_inverse)
     with pytest.raises(ConvergenceError):
         refresh(state)
     assert_same_state(state, snap)
@@ -554,15 +560,116 @@ def test_mid_queue_failed_fallback_leaves_state_unchanged(monkeypatch):
         apply_observation(b, rec)
     assert a._pending == 4
 
-    def failing_stationary(*args, **kwargs):
+    def failing_inverse(*args, **kwargs):
         raise ConvergenceError("injected")
 
     monkeypatch.setattr(krc.online, "_BREAKDOWN_EPS", 10.0)
-    monkeypatch.setattr(krc.online, "stationary", failing_stationary)
+    monkeypatch.setattr(krc.online, "_inverse", failing_inverse)
     with pytest.raises(ConvergenceError):
         apply_observation(a, recs[20])
     assert a._pending == 4
     assert_same_state(a, snapshot(b))
+
+
+def queue_snapshot(state):
+    """The state's fields, the queue included, read without writing it."""
+    k = state._pending
+    return (
+        state.pair_sums.copy(),
+        state.P.entries.copy(),
+        state.pi.scores.copy(),
+        state._H.copy(),
+        state._X[:k].copy(),
+        state._Y[:k].copy(),
+        k,
+        state.updates_since_refresh,
+    )
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        ((3, 3, 0.5, 1), DataFormatError),
+        ((0, 1, 0.5, 2), DataFormatError),
+        ((0, 1, float("nan"), 1), DataFormatError),
+        ((-1, 2, 0.5, 1), RosterError),
+        ((0, 8, 0.5, 1), RosterError),
+        ((0, 1, 0.5), TypeError),
+    ],
+    ids=["self", "tie", "nan-time", "negative", "past-roster", "three-fields"],
+)
+def test_invalid_tuple_record_raises_and_writes_nothing(record, error):
+    # A tuple is checked as a ComparisonRecord is, before anything is written.
+    state, recs = queue_case(5)
+    for rec in recs:
+        apply_observation(state, rec)
+    snap = queue_snapshot(state)
+    with pytest.raises(error):
+        apply_observation(state, record)
+    with pytest.raises(error):  # the same fields as a ComparisonRecord
+        apply_observation(state, ComparisonRecord(*record))
+    for got, want in zip(queue_snapshot(state), snap):
+        assert np.array_equal(got, want)
+
+
+# -- refresh from a running state ------------------------------------------
+
+
+def seeded_from(state):
+    """A state seeded, as the constructors do, from ``state``'s sums."""
+    fresh = OnlineState.__new__(OnlineState)
+    fresh._start(
+        state.n, state.t, state.h, state.kernel, state.sigma_n,
+        state.refresh_every, state.tol, state.pair_sums.copy(),
+    )
+    return fresh
+
+
+def test_scheduled_refreshes_match_a_freshly_seeded_state():
+    # A running refresh takes one inverse of A + e pi_run'; a seeded state
+    # solves for pi and A# apart.  Both describe the same chain.
+    ds, _ = generate(SimConfig(n=30, m=2, seed=4))
+    state = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=25, tol=1e-13)
+    rng = np.random.default_rng(4)
+    refreshed = 0
+    for _ in range(110):
+        i, j = sorted(rng.choice(30, size=2, replace=False))
+        apply_observation(state, (int(i), int(j), float(rng.uniform()), int(rng.integers(2))))
+        if state.updates_since_refresh:
+            continue
+        refreshed += 1
+        fresh = seeded_from(state)
+        assert np.array_equal(state.P.entries, fresh.P.entries)
+        assert np.max(np.abs(state.pi.scores - fresh.pi.scores)) <= 1e-12
+        G, G_fresh = state.Ainv.entries, fresh.Ainv.entries
+        assert np.max(np.abs(G - G_fresh)) <= 1e-9 * np.max(np.abs(G_fresh))
+    assert refreshed == 4
+
+
+def test_refresh_from_a_perturbed_running_vector_is_stationary():
+    # Any c with c'e != 0 gives the stationary vector c'(A + e c')^-1.
+    state, recs = queue_case(20)
+    for rec in recs:
+        apply_observation(state, rec)
+    rng = np.random.default_rng(5)
+    state.pi.scores[:] += 1e-3 * rng.uniform(-1.0, 1.0, size=state.n)
+    refresh(state)
+    expect = stationary(state.P, tol=1e-14).scores
+    assert np.max(np.abs(state.pi.scores - expect)) <= 1e-13
+    assert abs(state.pi.scores.sum() - 1.0) <= 1e-14
+    assert max(group_inverse_residuals(state.P, state.pi, state.Ainv).values()) <= 1e-12
+
+
+def test_refresh_residual_above_tol_raises_and_leaves_state_unchanged():
+    state, recs = queue_case(20)
+    for rec in recs:
+        apply_observation(state, rec)
+    state.tol = 0.0
+    snap = snapshot(state)
+    with pytest.raises(ConvergenceError, match="refresh residual") as err:
+        refresh(state)
+    assert err.value.residual > 0.0
+    assert_same_state(state, snap)
 
 
 def test_folded_state_at_500_items_matches_batch():
