@@ -380,10 +380,25 @@ def _plain_text(fh) -> bool:
     return True
 
 
+class _Codes(dict):
+    """Raw label -> code, handing the next code to a label not seen before,
+    so the keys are the distinct raw labels in order of first lookup."""
+
+    def __missing__(self, raw: str) -> int:
+        self[raw] = code = len(self)
+        return code
+
+
 def _read_body(fh, encoding: TimeEncoding | None):
-    """(scheme, columns, None) from one np.loadtxt call, or None when the
-    text is not plain, the header is missing, unknown or mismatched, the body
-    is empty, or a column does not parse.  This reader keeps no raw fields."""
+    """(scheme, columns, raw labels, None) from one np.loadtxt call, or None
+    when the text is not plain, the header is missing, unknown or
+    mismatched, the body is empty, or a column does not parse.
+
+    Every column is read as numbers, so no Python object is kept per row:
+    the label columns are codes into the raw labels, handed out by a
+    ``_Codes`` that loadtxt calls field by field, row by row, and season and
+    day go through ``int``.  This reader keeps no raw fields.
+    """
     try:
         if not _plain_text(fh):
             return None
@@ -399,27 +414,31 @@ def _read_body(fh, encoding: TimeEncoding | None):
         first = next((line for line in fh if line.strip("\r\n")), None)
         if first is None:
             return None
-        # Season and day are read as text, to convert with int() below.
-        dtype = [(name, "f8" if name in ("time", "outcome") else "O") for name in header]
+        codes = _Codes()
+        convert = {"season": int, "day": int, "item_i": codes.__getitem__,
+                   "item_j": codes.__getitem__}
         body = np.loadtxt(
-            itertools.chain([first], fh), dtype=dtype,
+            itertools.chain([first], fh),
+            dtype=[(name, "f8" if name in ("time", "outcome") else "i8") for name in header],
+            converters={k: convert[name] for k, name in enumerate(header) if name in convert},
             delimiter=",", quotechar='"', comments=None, ndmin=1,
         )
         parsed = np.broadcast_to(True, body.shape)  # every token parsed
         columns = {
-            name: (body[name].astype(_NUMBERS[name][1], copy=False), parsed)
-            if name in _NUMBERS else body[name]
+            name: (body[name], parsed) if name in _NUMBERS else body[name]
             for name in header
         }
     except (ValueError, OverflowError, csv.Error):  # decoding errors are ValueErrors
         return None
-    return scheme, columns, None
+    return scheme, columns, list(codes), None
 
 
 def _read_rows(path: str, encoding: TimeEncoding | None):
-    """(scheme, columns, rows) from one csv.reader pass over any path, a pipe
-    included.  ``rows`` are the body's raw fields; the columns hold each row
-    cut or padded with empty fields to the header's width."""
+    """(scheme, columns, raw labels, rows) from one csv.reader pass over any
+    path, a pipe included.  ``rows`` are the body's raw fields; the columns
+    hold each row cut or padded with empty fields to the header's width, its
+    labels coded by a ``_Codes`` in row order, item_i before item_j, as
+    loadtxt codes them."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not rows:
@@ -438,7 +457,11 @@ def _read_rows(path: str, encoding: TimeEncoding | None):
     columns = dict(zip(header, table.reshape(-1, width).T))
     for name in columns.keys() & _NUMBERS:
         columns[name] = _parse_column(columns[name], *_NUMBERS[name])
-    return scheme, columns, rows
+    codes = _Codes()
+    pairs = np.stack((columns["item_i"], columns["item_j"]), axis=1).ravel().tolist()
+    coded = np.fromiter(map(codes.__getitem__, pairs), np.int64, len(pairs))
+    columns["item_i"], columns["item_j"] = coded.reshape(-1, 2).T
+    return scheme, columns, list(codes), rows
 
 
 def _parse_column(tokens: np.ndarray, parse, dtype):
@@ -455,17 +478,20 @@ def _parse_column(tokens: np.ndarray, parse, dtype):
 
 
 def _dataset(
-    scheme: str, columns: dict, rows: list[list[str]] | None,
+    scheme: str, columns: dict, raw_labels: list[str], rows: list[list[str]] | None,
     encoding: TimeEncoding | None, roster: Sequence[str] | None,
 ) -> ComparisonDataset | None:
     """The dataset that a reader's columns hold, or the error of the first
     bad row, in the order of ``_ERRORS``.
 
-    ``columns`` maps each header name to its column: raw labels as object
-    arrays, numbers as (values, mask of the rows that parsed).  ``rows``
-    holds the raw fields of each row; without them a failed check returns
-    None, to read the file again.  Each check runs on whole columns, and
-    only when one fails are the rows searched for the first that fails any.
+    ``columns`` maps each header name to its column: labels as int64 codes
+    into ``raw_labels``, the distinct raw labels in order of first
+    appearance (item_i before item_j), and numbers as (values, mask of the
+    rows that parsed).  ``rows`` holds the raw fields of each row; without
+    them a failed check returns None, to read the file again.  Each check
+    runs on whole columns, and only when one fails are the rows searched for
+    the first that fails any.  The columns are emptied before the dataset
+    sorts its copies, so the reader's body is not held beside them.
     """
     header = tuple(columns)
 
@@ -478,17 +504,13 @@ def _dataset(
     if labels is not None and len(set(labels)) < len(labels):
         duplicate = next(lab for k, lab in enumerate(labels) if lab in labels[:k])
         return fail("roster", label=duplicate)
-    raw_i, raw_j = columns["item_i"], columns["item_j"]
-    # Raw labels in order of first appearance, item_i before item_j.
-    first_seen = dict.fromkeys(np.stack((raw_i, raw_j), axis=1).ravel().tolist())
-    stripped = {raw: raw.strip() for raw in first_seen}
+    stripped = [raw.strip() for raw in raw_labels]
     if labels is None:
-        labels = list(dict.fromkeys(lab for lab in stripped.values() if lab))
+        labels = list(dict.fromkeys(lab for lab in stripped if lab))
     index = {lab: k for k, lab in enumerate(labels)}
     # -2 codes an empty label, -1 a label outside the roster.
-    code = {raw: index.get(lab, -1) if lab else -2 for raw, lab in stripped.items()}
-    ii = np.fromiter(map(code.__getitem__, raw_i), np.int64, raw_i.size)
-    jj = np.fromiter(map(code.__getitem__, raw_j), np.int64, raw_j.size)
+    code = np.array([index.get(lab, -1) if lab else -2 for lab in stripped], np.int64)
+    ii, jj = code[columns["item_i"]], code[columns["item_j"]]
     outcome, outcome_parsed = columns["outcome"]
     if scheme == "unit-interval":
         times, times_parsed = columns["time"]
@@ -505,7 +527,7 @@ def _dataset(
         else:
             yield "season/day", season_parsed & day_parsed
             yield "season", season >= 1
-        if min(code.values()) < 0:  # else every label passes
+        if code.min() < 0:  # else every label passes
             for col, codes in (("item_i", ii), ("item_j", jj)):
                 yield f"empty {col}", codes != -2
                 yield f"unknown {col}", codes != -1
@@ -514,7 +536,7 @@ def _dataset(
         yield "tie", (outcome == 0.0) | (outcome == 1.0)
 
     if not (
-        max(map(len, first_seen)) <= csv.field_size_limit()
+        max(map(len, raw_labels)) <= csv.field_size_limit()
         and all(passed.all() for _, passed in row_checks())
     ):
         if rows is None:
@@ -525,45 +547,59 @@ def _dataset(
         kind = checks[int(failed[:, r].argmax())][0]  # the first check that row fails
         numbers = {f"{n}_no": columns[n][0][r] for n in columns.keys() & _NUMBERS}
         return fail(
-            kind, r, width=len(header), got=len(rows[r]),
-            label_i=raw_i[r].strip(), label_j=raw_j[r].strip(), **numbers,
+            kind, r, width=len(header), got=len(rows[r]), **numbers,
+            label_i=stripped[columns["item_i"][r]], label_j=stripped[columns["item_j"][r]],
         )
 
     if scheme == "unit-interval":
-        enc, season, rank = TimeEncoding("unit-interval"), None, None
+        enc, season, day, times = TimeEncoding("unit-interval"), None, None, times.copy()
     else:
         declared = None if encoding is None else encoding.season_day_counts
-        if declared is not None and season.max() > len(declared):
-            return fail("seasons", season_no=season.max(), declared=len(declared))
-        if declared is None:
-            # Rank each day among its season's distinct days.
-            keys, inverse = np.unique(
-                np.stack((season, day), axis=1), axis=0, return_inverse=True
-            )
-            key_season = keys[:, 0]
-            first = np.searchsorted(key_season, key_season)
-            rank = (np.arange(key_season.size) - first + 1)[inverse.reshape(-1)]
-            counts = tuple(
-                np.bincount(key_season, minlength=int(season.max()) + 1)[1:].tolist()
-            )
-            n_days = np.array(counts, dtype=np.int64)[season - 1]
-        else:
-            counts, rank = tuple(declared), day
-            # Ints below 2**53 divide in float64 exactly as TimeEncoding.encode
-            # divides them; other counts divide as the Python objects they are.
-            plain = all(type(c) is int and abs(c) < 2**53 for c in counts)
-            n_days = np.array(counts, dtype=np.int64 if plain else object)[season - 1]
-            outside = ~((rank >= 1) & (rank <= n_days))
-            if outside.any():
-                r = int(outside.argmax())
-                return fail("day", r, day_no=rank[r], count=counts[season[r] - 1],
-                            season_no=season[r])
-        times = np.asarray((season - 1) + rank / (n_days + 1), dtype=float)
-        enc = TimeEncoding("season-day", counts)
+        encoded = _season_day(season, day, declared, fail)
+        if encoded is None:
+            return None
+        enc, season, day, times = encoded
+    # Every column the dataset gets is a fresh array, so dropping the reader's
+    # columns (loadtxt's are views of its whole body) frees them before the
+    # dataset sorts copies of its own.
+    outcome = outcome.astype(np.int64)
+    columns.clear()
     return ComparisonDataset(
-        len(labels), ii, jj, times, outcome.astype(np.int64),
-        item_labels=labels, encoding=enc, season=season, day=rank,
+        len(labels), ii, jj, times, outcome,
+        item_labels=labels, encoding=enc, season=season, day=day,
     )
+
+
+def _season_day(season: np.ndarray, day: np.ndarray, declared, fail):
+    """(encoding, season, day rank, time) as fresh columns, or ``fail``'s
+    result for the first season beyond ``declared`` or day outside it."""
+    if declared is not None and season.max() > len(declared):
+        return fail("seasons", season_no=season.max(), declared=len(declared))
+    if declared is None:
+        # Rank each day among its season's distinct days.
+        keys, inverse = np.unique(
+            np.stack((season, day), axis=1), axis=0, return_inverse=True
+        )
+        key_season = keys[:, 0]
+        first = np.searchsorted(key_season, key_season)
+        rank = (np.arange(key_season.size) - first + 1)[inverse.reshape(-1)]
+        counts = tuple(
+            np.bincount(key_season, minlength=int(season.max()) + 1)[1:].tolist()
+        )
+        n_days = np.array(counts, dtype=np.int64)[season - 1]
+    else:
+        counts, rank = tuple(declared), day.copy()
+        # Ints below 2**53 divide in float64 exactly as TimeEncoding.encode
+        # divides them; other counts divide as the Python objects they are.
+        plain = all(type(c) is int and abs(c) < 2**53 for c in counts)
+        n_days = np.array(counts, dtype=np.int64 if plain else object)[season - 1]
+        outside = ~((rank >= 1) & (rank <= n_days))
+        if outside.any():
+            r = int(outside.argmax())
+            return fail("day", r, day_no=rank[r], count=counts[season[r] - 1],
+                        season_no=season[r])
+    times = np.asarray((season - 1) + rank / (n_days + 1), dtype=float)
+    return TimeEncoding("season-day", counts), season.copy(), rank, times
 
 
 # -- connectivity ----------------------------------------------------------

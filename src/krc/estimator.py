@@ -345,7 +345,10 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
                 active = active[go]
                 if not active.size:
                     break
-                pi, Ma, last = pi[go], Ma[go], last[go]
+                # Drop the old copy of the active chains before gathering the
+                # next from M, so a stack peaks at two stacks, not three.
+                pi, last, Ma = pi[go], last[go], None
+                Ma = M[active]
     for c, stalled in enumerate(out):
         if isinstance(stalled, np.ndarray):
             continue

@@ -54,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
 from .data import ComparisonDataset, _check_record
 from .errors import ConvergenceError, RosterError, UpdateBreakdownError
@@ -88,17 +88,21 @@ class GroupInverse:
 
 
 def _inverse(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
-    """(A + e c')^-1 for A = I - P, built in place.  It exists exactly when
+    """(A + e c')^-1 for A = I - P, C-ordered, by LAPACK's LU factorization
+    and inversion at the workspace size it asks for.  It exists exactly when
     c' e != 0 and P has one stationary vector; else UpdateBreakdownError."""
     N = -P.entries
     N.flat[::P.n + 1] += 1.0  # A = I - P
     N += c  # A + e c'
-    try:
-        return scipy.linalg.inv(N, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    lu, piv, info = dgetrf(N, overwrite_a=True)
+    if not info:
+        lwork = int(dgetri_lwork(P.n)[0])
+        N, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    if info:  # > 0: an exact zero pivot; < 0 cannot arise for a square N
         raise UpdateBreakdownError(
             "A + e c' is singular: c' e = 0, or P has no unique stationary vector"
-        ) from None
+        )
+    return np.ascontiguousarray(N)
 
 
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:

@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import threading
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -710,6 +711,35 @@ def test_long_field_is_rejected_as_csv_reader_does(tmp_path):
             assert result[0] == "error" and "field larger than field limit" in result[2]
     finally:
         csv.field_size_limit(saved)
+
+
+@pytest.mark.parametrize("when", ["time", "season,day"])
+def test_ingest_holds_no_python_object_per_row(tmp_path, row_scans, when):
+    # The dataset keeps 32 B per row (48 with season and day), and ingest
+    # needs its sort's scratch beside that, but no Python object per row: a
+    # str per label field would take the peak past 230 B per row.  50,000
+    # rows, as each allocation inside loadtxt is slow under tracemalloc.
+    rows = 50_000
+    rng = np.random.default_rng(4)
+    i = rng.integers(0, 100, rows)
+    j = (i + rng.integers(1, 100, rows)) % 100
+    if when == "time":
+        times = map(repr, rng.random(rows).tolist())
+    else:
+        season, day = rng.integers(1, 11, rows).tolist(), rng.integers(1, 80, rows).tolist()
+        times = (f"{s},{d}" for s, d in zip(season, day))
+    body = zip(times, i.tolist(), j.tolist(), rng.integers(0, 2, rows).tolist())
+    path = write_exact(tmp_path / "big.csv", f"{when},item_i,item_j,outcome\n" + "".join(
+        f"{t},team{a},team{b},{y}\n" for t, a, b, y in body
+    ))
+    tracemalloc.start()
+    try:
+        ds = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row_scans == [] and ds.n_records == rows
+    assert peak <= 160 * rows
 
 
 def test_ingest_reads_a_pipe_once(tmp_path):

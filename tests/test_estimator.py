@@ -1,6 +1,7 @@
 """Transition construction, stationary solves, score curves."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,25 @@ def test_stack_falls_back_for_the_chains_out_of_iterations(monkeypatch):
             assert np.array_equal(seen[0], slow.entries)
         for pi, ref in zip(out, refs):
             assert np.array_equal(pi, ref)
+
+
+def test_stack_peaks_at_two_stacks_while_chains_leave():
+    # Lazy chains (1 - s) I + s R converge in about 25 / s sweeps, so the
+    # 100 chains leave the iteration over many sweeps, one compaction each.
+    rng = np.random.default_rng(8)
+    M = np.stack([
+        (1 - s) * np.eye(40) + s * teleported_chain(rng, 40, sigma=0.5).entries
+        for s in np.linspace(0.05, 1.0, 100)
+    ])
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = estimator._stationary_stack(M, 1e-10, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(pi, np.ndarray) for pi in out)
+    assert peak - entry <= 1.5 * M.nbytes
 
 
 @pytest.mark.parametrize("bad", ["zero", "negative-sum"])

@@ -1,6 +1,7 @@
 """Group inverse, rank-one updates, and the streaming estimator."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,15 @@ def test_group_inverse_of_a_singular_system_breaks_down():
     P = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(UpdateBreakdownError, match="singular"):
         group_inverse(P, ScoreVector(np.zeros(2)))
+
+
+def test_group_inverse_of_a_chain_with_two_absorbing_states_breaks_down():
+    # e_0 is one of many stationary vectors: rows 0 and 1 of A + e e_0' match.
+    P = TransitionMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UpdateBreakdownError, match="singular"):
+            group_inverse(P, ScoreVector(np.array([1.0, 0.0, 0.0])))
 
 
 # -- rank-one updates ------------------------------------------------------
