@@ -87,10 +87,13 @@ def _win_matrix(n: int, idx_i, idx_j, won, lost) -> np.ndarray:
 def _pair_log_likelihood(W, p, pinned, N, absent) -> np.ndarray:
     """Each row's log-likelihood sum_i W_i log p_i - sum_{i<j} N_ij log(p_i +
     p_j), from its win masses ``W`` and scores ``p`` (rows x n) and its pair
-    masses ``N`` (rows x n x n, symmetric).  ``pinned`` is 1 where W = 0 and
-    ``absent`` 1 where N = 0 (0 elsewhere), so 0 log 0 counts 0."""
+    masses ``N`` (rows x n x n, symmetric).  ``pinned`` is 1 where W = 0 (0
+    elsewhere) and ``absent`` True where N = 0, so 0 log 0 counts 0."""
     items = (W * np.log(p + pinned)).sum(axis=-1)
-    pairs = N * np.log(p[:, :, None] + p[:, None, :] + absent)
+    pairs = p[:, :, None] + p[:, None, :]  # one (rows x n x n) array, in place
+    pairs += absent
+    np.log(pairs, out=pairs)
+    pairs *= N
     return items - 0.5 * pairs.sum(axis=-1).sum(axis=-1)
 
 
@@ -148,7 +151,7 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
     p = np.where(wins, rates, 0.0)
     p /= p.sum(axis=1, keepdims=True)
     del win  # the iterations read W and N alone
-    absent = (N == 0).astype(float)
+    absent = N == 0
     pinned = (~wins).astype(float)
     free = wins.copy()
     # The item with the most wins is held fixed: its score equation, the one
@@ -165,7 +168,9 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
         for it in range(config.max_iter + 1):
             if not rows.size:
                 break
-            F = p[:, :, None] / (p[:, :, None] + p[:, None, :] + absent)
+            F = p[:, :, None] + p[:, None, :]
+            F += absent
+            np.divide(p[:, :, None], F, out=F)
             C = N * F
             g = W - C.sum(axis=-1)  # the score in theta
             resid = np.max(abs(g) / (W + pinned), axis=1)
@@ -178,18 +183,25 @@ def _mm_stack(win: np.ndarray, config: MMConfig) -> list:
                 last[rows] = resid
                 break
             if not keep.all():
-                rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g, resid = (
-                    x[keep] for x in
-                    (rows, W, pinned, N, absent, free, unit, p, ll, steps, F, C, g, resid)
+                rows, W, pinned, absent, free, p, ll, steps, g, resid = (
+                    x[keep] for x in (rows, W, pinned, absent, free, p, ll, steps, g, resid)
                 )
+                # One (rows x n x n) stack at a time, so an old one goes before
+                # the next is copied.
+                N = N[keep]
+                unit = unit[keep]
+                F = F[keep]
+                C = C[keep]
                 failed = failed[keep]
                 if not rows.size:
                     break
             C *= np.swapaxes(F, 1, 2)  # c_ab, from p_b / (p_a + p_b), not 1 - F
+            del F  # F, and C after the solve, go once read: fewer stacks held
             degree = C.sum(axis=-1)
             C *= unit  # the fixed items' rows and columns are unit
             C[:, diag, diag] = np.where(free, degree, 1.0)
             step = _newton_steps(C, np.where(free, g, 0.0))
+            del C
             solved = np.isfinite(step).all(axis=1)
             for a in np.flatnonzero(~solved).tolist():
                 failed[a] = True

@@ -161,9 +161,14 @@ class ComparisonDataset:
             for col in (ii, jj, tt, yy, pair_key, ss, dd):
                 if col is not None:  # permute the private copies in place
                     col[:] = col[order]
-        step = np.diff(pair_key, prepend=-1)
+        # One array holds the key's steps, the first from -1: np.diff with
+        # prepend holds two fresh column-sized temporaries, which the heap
+        # faults in again on every call.
+        step = np.empty_like(pair_key)
+        step[:1] = pair_key[:1] + 1
+        np.subtract(pair_key[1:], pair_key[:-1], out=step[1:])
         del pair_key
-        if np.any(step < 0) or np.any((step[1:] == 0) & (np.diff(tt) < 0)):
+        if np.any(step < 0) or np.any((step[1:] == 0) & (tt[1:] < tt[:-1])):
             raise ValueError(
                 "_presorted=True but records are not sorted by pair and time"
             )
@@ -176,7 +181,7 @@ class ComparisonDataset:
         if len(self.item_labels) != n:
             raise ValueError("label count does not match n")
         self.encoding = encoding if encoding is not None else TimeEncoding()
-        starts = np.flatnonzero(step)
+        starts = np.flatnonzero(step != 0)
         # Stored columns are read-only views, so a dataset may share them with
         # its caller or with the dataset it was derived from.
         (

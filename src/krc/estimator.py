@@ -168,11 +168,11 @@ def _pair_sums(
             if before:
                 past = times < chunk[:, None]
                 kept += np.count_nonzero(past, axis=1)
+            size = chunk.size * times.size  # a longer pair gets its own array
+            out = buf[:size].reshape(chunk.size, -1) if size <= buf.size else None
             if kernel is None:
-                w = past.astype(float)
+                w = np.multiply(past, 1.0, out=out)
             else:
-                size = chunk.size * times.size  # a longer pair gets its own array
-                out = buf[:size].reshape(chunk.size, -1) if size <= buf.size else None
                 w = kernel.weight(chunk[:, None], times, h, out=out)
                 if before:
                     w *= past  # weights are finite, so a masked record adds 0
@@ -180,7 +180,7 @@ def _pair_sums(
             w *= won[a:bounds[e]]  # zero the records item_j lost
             np.add.reduceat(w, offsets, axis=1, out=num[:, s:e])
             s = e
-        w = past = buf = None  # free the tiles while the caller works
+        w = past = out = buf = None  # free the tiles while the caller works
         yield chunk, den, num, kept
 
 

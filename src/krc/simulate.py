@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ComparisonDataset, TimeEncoding
+from .data import ComparisonDataset, TimeEncoding, _season_day
 from .util import float_token, format_float_array, write_csv
 
 _FAMILIES = ("sine", "constant", "custom")
@@ -201,12 +201,12 @@ def generate_season_dataset(
                 ss.append(l)
                 dd.append(k)
         log_s = log_s + rng.normal(0.0, drift, size=n)
-    enc = TimeEncoding("season-day", (days_per_season,) * n_seasons)
-    tt = np.array([enc.encode(l, k) for l, k in zip(ss, dd)])
+    # Every day lies inside its declared season, so _season_day never fails.
+    enc, season, day, tt = _season_day(
+        np.array(ss), np.array(dd), (days_per_season,) * n_seasons, fail=None
+    )
     dataset = ComparisonDataset(
         n, np.array(ii), np.array(jj), tt, np.array(yy),
-        encoding=enc,
-        season=np.array(ss),
-        day=np.array(dd),
+        encoding=enc, season=season, day=day,
     )
     return dataset, strengths

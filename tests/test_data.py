@@ -255,6 +255,30 @@ def test_presorted_flag_is_checked():
     assert np.array_equal(fixed.times, tt)
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [(0, 1, 0.5)],
+    [(0, 1, 0.5), (0, 1, 0.5)],  # equal times within a pair are in order
+    [(0, 1, 0.7), (1, 2, 0.2)],
+    "generated",
+])
+def test_presorted_segments_match_the_diff_reference(rows):
+    from krc.simulate import SimConfig, generate
+
+    if rows == "generated":
+        ds = generate(SimConfig(n=40, m=60, seed=3))[0]
+        n, ii, jj = ds.n, ds._ii, ds._jj
+    else:
+        n = 3
+        ii, jj, tt = (np.array(col, dtype=dtype) for col, dtype in zip(
+            zip(*rows) if rows else ([], [], []), (np.int64, np.int64, float)
+        ))
+        ds = ComparisonDataset(n, ii, jj, tt, np.ones_like(ii), _presorted=True)
+    starts = np.flatnonzero(np.diff(ii * n + jj, prepend=-1))
+    for got, want in zip(ds.pair_segments(), (starts, ii[starts], jj[starts])):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _columns(ds):
     return (ds._ii, ds._jj, ds._tt, ds._yy, ds._season, ds._day)
 

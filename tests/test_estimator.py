@@ -389,6 +389,23 @@ def test_stack_peaks_at_two_stacks_while_chains_leave():
     assert peak - entry <= 1.5 * M.nbytes
 
 
+@pytest.mark.parametrize("kernel, before", [(GAUSSIAN, False), (GAUSSIAN, True), (None, True)])
+def test_pair_sums_frees_its_weight_tile_while_the_caller_works(kernel, before):
+    ds, _ = generate(SimConfig(n=6, m=200, seed=1))
+    grid = np.linspace(0.01, 0.99, 50)
+    tile = grid.size * ds.n_records * 8  # bytes of the chunk's one weight buffer
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        sums = estimator._pair_sums(ds, grid, 0.1, kernel, before)
+        chunk, den, num, kept = next(sums)  # the generator stays open
+        held = tracemalloc.get_traced_memory()[0] - entry
+    finally:
+        tracemalloc.stop()
+    assert chunk.size == grid.size and den.shape == (grid.size, 15)
+    assert held < tile / 10
+
+
 @pytest.mark.parametrize("bad", ["zero", "negative-sum"])
 def test_non_convergent_chain_fails_alone(bad):
     # A zero chain has sum 0, -I a negative sum that still normalizes to a

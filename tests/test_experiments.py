@@ -28,6 +28,7 @@ from krc.estimator import (
 )
 from krc.experiments import (
     _ad_normal_critical_1pct,
+    _ad_normal_statistic,
     backtest,
     bandwidth_sweep,
     coverage_experiment,
@@ -401,6 +402,21 @@ def test_ad_critical_1pct_formula(n_samples, expected):
     N = n_samples
     assert _ad_normal_critical_1pct(N) == round(1.035 / (1 + 0.75 / N + 2.25 / N**2), 3)
     assert _ad_normal_critical_1pct(N) == expected
+
+
+@pytest.mark.parametrize("n_samples", [5, 6, 13, 100, 1000, 6000])
+@pytest.mark.parametrize("law", ["normal", "student-t3", "ties"])
+def test_ad_statistic_equals_scipy_anderson_bitwise(n_samples, law):
+    rng = np.random.default_rng(n_samples)
+    for _ in range(20):
+        if law == "student-t3":  # heavy tails
+            x = rng.standard_t(3, n_samples)
+        else:
+            x = rng.standard_normal(n_samples)
+            if law == "ties":
+                x = np.round(x, 1)
+        want = scipy.stats.anderson(x, dist="norm", method="interpolate").statistic
+        assert _ad_normal_statistic(x) == float(want)
 
 
 def test_coverage_needs_enough_replications():

@@ -1,8 +1,11 @@
 """Source hygiene: no module keeps an import that it never reads, no
-module-level private helper is left that nothing reads, and no public
-helper is left that only the tests read."""
+module-level private helper is left that nothing reads, no public helper
+is left that only the tests read, and ``import krc`` loads no scipy.stats."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import krc
@@ -197,3 +200,15 @@ def test_no_public_helper_is_read_only_by_tests():
     readers = sources((TESTS.parent / "benchmarks").glob("*.py"))
     assert readers
     assert unreached_helpers(modules, readers, KEPT) == []
+
+
+def test_import_krc_loads_no_scipy_stats():
+    # scipy.stats would be about half of every krc process's start-up; the
+    # Anderson-Darling statistic needs only scipy.special.
+    code = "import sys, krc, krc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.strip() == "[]"

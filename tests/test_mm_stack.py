@@ -1,6 +1,8 @@
 """The stacked MLE solve: every row of a win-matrix stack is solved as a
 stack of that row alone solves it, whatever the other rows do."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,24 @@ def test_stalled_row_reports_its_own_residual_after_a_row_leaves():
     assert got[0][1].iterations == 0 and got[0][1].final_change == 0.0
     assert isinstance(got[1], ConvergenceError) and str(got[1]) == str(alone.value)
     assert got[1].residual == alone.value.residual == 1.0
+
+
+def test_stack_peaks_under_six_stacks_while_rows_leave():
+    # Rows of skills spread from 0.1 to 3 take 3 to 8 steps, so rows leave
+    # the stack at several steps, one compaction each.
+    rng = np.random.default_rng(4)
+    k, n = 100, 30
+    skill = np.exp(rng.normal(0.0, np.linspace(0.1, 3.0, k)[:, None, None], (k, n, 1)))
+    win = rng.binomial(rng.integers(1, 6, (k, n, n)), skill / (skill + np.swapaxes(skill, 1, 2)))
+    win = win.astype(float)
+    win[:, np.arange(n), np.arange(n)] = 0.0
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        out = _mm_stack(win, MMConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = {fit[1].iterations for fit in out if isinstance(fit, tuple)}
+    assert len(steps) > 3
+    assert peak - entry <= 6 * win.nbytes  # beside the input stack

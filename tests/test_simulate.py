@@ -131,6 +131,15 @@ def test_season_dataset_shape():
     assert np.min(strengths) > 0.0
 
 
+def test_season_dataset_times_are_the_encoding_of_season_and_day():
+    ds, _ = generate_season_dataset(
+        n=6, n_seasons=4, days_per_season=7, games_per_day=2, seed=5
+    )
+    enc = ds.encoding
+    for l, k, t in zip(ds._season.tolist(), ds._day.tolist(), ds.times.tolist()):
+        assert t == enc.encode(l, k)
+
+
 def test_season_dataset_no_repeat_team_per_day():
     ds, _ = generate_season_dataset(
         n=6, n_seasons=2, days_per_season=5, games_per_day=3, seed=9
