@@ -121,13 +121,14 @@ class ComparisonDataset:
         season: np.ndarray | None = None,
         day: np.ndarray | None = None,
         _presorted: bool = False,
+        _owned: bool = False,
     ):
         if n < 2:
             raise ValueError(f"need at least two items, got n={n}")
-        # Presorted columns are taken as given and never written, so callers
-        # hand over arrays they are done with; others become private copies,
-        # canonicalized and sorted in place.
-        column = np.asarray if _presorted else np.array
+        # Presorted and owned columns are taken as given, so callers hand over
+        # arrays they are done with; others become private copies.  All but
+        # presorted ones are then canonicalized and sorted in place.
+        column = np.asarray if _presorted or _owned else np.array
         ii = column(item_i, dtype=np.int64)
         jj = column(item_j, dtype=np.int64)
         tt = column(time, dtype=float)
@@ -496,7 +497,7 @@ def _dataset(
     them a failed check returns None, to read the file again.  Each check
     runs on whole columns, and only when one fails are the rows searched for
     the first that fails any.  The columns are emptied before the dataset
-    sorts its copies, so the reader's body is not held beside them.
+    sorts the fresh ones in place, with no reader's body or copy beside them.
     """
     header = tuple(columns)
 
@@ -566,12 +567,12 @@ def _dataset(
         enc, season, day, times = encoded
     # Every column the dataset gets is a fresh array, so dropping the reader's
     # columns (loadtxt's are views of its whole body) frees them before the
-    # dataset sorts copies of its own.
+    # dataset sorts them in place as its own.
     outcome = outcome.astype(np.int64)
     columns.clear()
     return ComparisonDataset(
         len(labels), ii, jj, times, outcome,
-        item_labels=labels, encoding=enc, season=season, day=day,
+        item_labels=labels, encoding=enc, season=season, day=day, _owned=True,
     )
 
 

@@ -19,8 +19,8 @@ budget.  The chains' stack solver is :func:`_solve_sums`: it builds the
 teleported chains with :func:`_chain_stack`, as the online state's refresh
 does, and solves them together.  The solver runs power iteration from the
 uniform start, one batched matmul per sweep over the chains still
-iterating, each chain leaving once it converges, and a direct solve for a
-chain that stalls.
+iterating in a cache-sized sub-stack, each chain leaving once it converges,
+and a direct solve for a chain that stalls.
 :func:`estimate_curve` is the pass over a grid, :func:`fit_scores` its
 one-point case, and the walk-forward backtest its case masked to the
 records strictly before each day; :func:`stationary` is the solver's
@@ -117,10 +117,16 @@ def _no_mass(t: float, h: float, before: bool) -> EstimationError:
 _TOL = 1e-10
 _MAX_ITER = 100_000
 
-# Element budget of one (grid points x records) weight tile, about 8 MB per
-# float64 temporary.  It sizes the grid chunks, the record blocks, and the
-# stacks of chains (or MLE win matrices) solved together.
+# Element budget of the work done together, 8 MiB of float64: it sizes the
+# grid chunks and their (points x pairs) sums, and the stacks of chains (or
+# MLE win matrices) built and solved together.
 TILE_ELEMENTS = 1 << 20
+# Element budget of one weight tile and of one power-iteration sub-stack,
+# 1 MiB of float64, which a core's L2 cache holds; a smaller TILE_ELEMENTS
+# caps it too.
+CACHE_ELEMENTS = 1 << 17
+# Grid points per weight tile when a chunk's records do not all fit one.
+_TILE_ROWS = 8
 
 
 def _pair_sums(
@@ -131,16 +137,20 @@ def _pair_sums(
 
     ``den`` and ``num`` are (chunk x pairs): each pair's kernel mass and the
     mass on records item_j won.  Grid points go in chunks of one solver stack
-    (:func:`_stack_rows`), whose sums fit the budget as there are fewer pairs
-    than n^2; records go in blocks that end on pair boundaries, so each sum is
-    one ``np.add.reduceat`` over a pair's whole segment of a (chunk x block)
-    weight tile, written in place into the chunk's one buffer of at most
-    TILE_ELEMENTS.  With ``before`` a record weighs 0 at every point it is
-    not strictly earlier than, and ``kept`` counts, per point, the records
-    that weigh in (None otherwise).  A pair's records are time-sorted, so the
-    masked ones are the tail of its segment.  ``kernel=None`` (only with
-    ``before``) gives every record unit weight: pooled counts, at any time;
-    with a kernel, a time that is not finite is a ValueError.
+    (:func:`_stack_rows`), whose sums fit TILE_ELEMENTS as there are fewer
+    pairs than n^2.  Weights go in tiles of at most CACHE_ELEMENTS, written in
+    place into the chunk's one buffer: a tile is a group of _TILE_ROWS chunk
+    points (the whole chunk when its records all fit) by a block of records
+    that ends on pair boundaries, and a pair longer than a block is a block
+    alone, with as many points as fit (at least one).  Each sum is one
+    ``np.add.reduceat`` over a pair's whole segment of a tile row, so it does
+    not depend on the tiling.  With ``before`` a record weighs 0 at every
+    point it is not strictly earlier than, and ``kept`` counts, per point,
+    the records that weigh in (None otherwise).  A pair's records are
+    time-sorted, so the masked ones are the tail of its segment.
+    ``kernel=None`` (only with ``before``) gives every record unit weight:
+    pooled counts, at any time; with a kernel, a time that is not finite is a
+    ValueError.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
     if grid.size and kernel is not None and not h > 0:
@@ -152,11 +162,14 @@ def _pair_sums(
     starts = dataset.pair_segments()[0]
     bounds = np.append(starts, dataset.n_records)
     won = dataset.outcomes.astype(float)
-    rows = _stack_rows(dataset.n)
-    for g in range(0, grid.size, rows):
-        chunk = grid[g:g + rows]
-        buf = np.empty(min(TILE_ELEMENTS, chunk.size * dataset.n_records))
-        block = TILE_ELEMENTS // chunk.size  # a longer pair is a block alone
+    budget = min(TILE_ELEMENTS, CACHE_ELEMENTS)
+    longest = int(np.diff(bounds).max(initial=0))  # its one-point tile may exceed the budget
+    per_chunk = _stack_rows(dataset.n)
+    for g in range(0, grid.size, per_chunk):
+        chunk = grid[g:g + per_chunk]
+        rows = min(chunk.size, max(_TILE_ROWS, budget // dataset.n_records))
+        block = budget // rows
+        buf = np.empty(min(chunk.size * dataset.n_records, max(budget, longest)))
         den, num = np.empty((2, chunk.size, starts.size))
         kept = np.zeros(chunk.size, dtype=np.int64) if before else None
         s = 0
@@ -164,21 +177,23 @@ def _pair_sums(
             a = bounds[s]
             e = max(int(bounds.searchsorted(a + block, "right")) - 1, s + 1)
             offsets = starts[s:e] - a
-            times = dataset.times[a:bounds[e]]
-            if before:
-                past = times < chunk[:, None]
-                kept += np.count_nonzero(past, axis=1)
-            size = chunk.size * times.size  # a longer pair gets its own array
-            out = buf[:size].reshape(chunk.size, -1) if size <= buf.size else None
-            if kernel is None:
-                w = np.multiply(past, 1.0, out=out)
-            else:
-                w = kernel.weight(chunk[:, None], times, h, out=out)
+            times, wins = dataset.times[a:bounds[e]], won[a:bounds[e]]
+            step = min(rows, max(1, budget // times.size))  # fewer for a long pair
+            for r in range(0, chunk.size, step):
+                points = chunk[r:r + step, None]
+                out = buf[:points.size * times.size].reshape(points.size, -1)
                 if before:
-                    w *= past  # weights are finite, so a masked record adds 0
-            np.add.reduceat(w, offsets, axis=1, out=den[:, s:e])
-            w *= won[a:bounds[e]]  # zero the records item_j lost
-            np.add.reduceat(w, offsets, axis=1, out=num[:, s:e])
+                    past = times < points
+                    kept[r:r + step] += np.count_nonzero(past, axis=1)
+                if kernel is None:
+                    w = np.multiply(past, 1.0, out=out)
+                else:
+                    w = kernel.weight(points, times, h, out=out)
+                    if before:
+                        w *= past  # weights are finite, so a masked record adds 0
+                np.add.reduceat(w, offsets, axis=1, out=den[r:r + step, s:e])
+                w *= wins  # zero the records item_j lost
+                np.add.reduceat(w, offsets, axis=1, out=num[r:r + step, s:e])
             s = e
         w = past = out = buf = None  # free the tiles while the caller works
         yield chunk, den, num, kept
@@ -300,7 +315,20 @@ def _value(row, skip=()):
 
 def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     """Stationary vector of each chain in the (k, n, n) stack ``M``, or the
-    ConvergenceError its solve raises.
+    ConvergenceError its solve raises, in order.
+
+    The chains go to :func:`_power_iterate` in consecutive sub-stacks of at
+    most CACHE_ELEMENTS entries (at least one chain each), so that a sweep
+    reads them from a core's cache; no chain's result depends on the others.
+    Callers keep the whole stack within TILE_ELEMENTS (see :func:`_stack_rows`).
+    """
+    step = max(1, min(TILE_ELEMENTS, CACHE_ELEMENTS) // M.shape[-1] ** 2)
+    return [pi for a in range(0, len(M), step)
+            for pi in _power_iterate(M[a:a + step], tol, max_iter)]
+
+
+def _power_iterate(M: np.ndarray, tol: float, max_iter: int) -> list:
+    """:func:`_stationary_stack` on one sub-stack ``M``.
 
     Every chain iterates pi' <- pi' P from the uniform start until the
     infinity-norm residual drops below ``tol``; the chains still iterating
@@ -309,8 +337,7 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     or no halving of the residual over a 1,000-sweep window) or reaches
     ``max_iter`` is solved directly as the rank-deficient linear system with
     a normalization row; a final residual above ``tol`` is its
-    ConvergenceError.  No chain's result depends on the others.  Callers
-    keep a stack within the tile budget (see :func:`_stack_rows`).
+    ConvergenceError.
     """
     k, n = M.shape[:2]
     Ma = M
@@ -368,7 +395,9 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
 
 
 def _stack_rows(n: int) -> int:
-    """Chains of n items per stack: as many as fit TILE_ELEMENTS, at least one."""
+    """Chains of n items per stack, as many as fit TILE_ELEMENTS (at least
+    one): the points of a grid chunk, whose chains are built and gated as one
+    stack and solved in cache-sized sub-stacks (:func:`_stationary_stack`)."""
     return max(1, TILE_ELEMENTS // (n * n))
 
 

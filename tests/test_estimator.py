@@ -426,6 +426,40 @@ def test_non_convergent_chain_fails_alone(bad):
         assert np.array_equal(out[k], reference_stationary(chains[k]).scores)
 
 
+def test_stack_solves_in_sub_stacks_each_row_its_lone_solve(monkeypatch):
+    # Sub-stacks of two 3-item chains: the periodic chain stalls and takes the
+    # direct solve in the first, and the zero chain's ConvergenceError is in
+    # the third; every row is its one-chain solve's, in order.
+    rng = np.random.default_rng(11)
+    t0, t1, t2, t3, t4 = (teleported_chain(rng, 3) for _ in range(5))
+    chains = [t0, TransitionMatrix(PERIODIC), t1, t2, t3, TransitionMatrix(np.zeros((3, 3))), t4]
+    refs = []
+    for P in chains:
+        try:
+            refs.append(stationary(P).scores)
+        except ConvergenceError as err:
+            refs.append(err)
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 2 * 9)
+    sizes = []
+    real = estimator._power_iterate
+
+    def spy(M, tol, max_iter):
+        sizes.append(M.shape[0])
+        return real(M, tol, max_iter)
+
+    monkeypatch.setattr(estimator, "_power_iterate", spy)
+    seen = fallback_spy(monkeypatch)
+    out = estimator._stationary_stack(np.stack([P.entries for P in chains]), 1e-10, 100_000)
+    assert sizes == [2, 2, 2, 1] and len(seen) == 2
+    assert len(out) == len(refs)
+    for got, ref in zip(out, refs):
+        if isinstance(ref, ConvergenceError):
+            assert type(got) is ConvergenceError and str(got) == str(ref)
+        else:
+            assert np.array_equal(got, ref)
+    assert isinstance(out[5], ConvergenceError)
+
+
 def test_value_unwraps_a_stack_row():
     fit = ScoreVector(np.array([0.5, 0.5]))
     assert _value(fit) is fit and _value(fit, (EstimationError,)) is fit
@@ -551,26 +585,31 @@ def test_batched_curve_matches_pointwise_reference(monkeypatch, kernel, budget):
 
 
 def test_small_budget_splits_grid_and_records(monkeypatch):
-    # Guard for the test above: a budget of 72 does split the pass.  A grid
-    # chunk is one stack of 6-item chains, two of them at that budget, so its
-    # tiles hold 36 of the 45 records: two blocks per two-point chunk.
-    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 72)
-    tiles, buffers = [], set()
+    # Guard for the test above: small budgets do split the pass.  Grid chunks
+    # are stacks of four 6-item chains (4 + 3 points), and weight tiles hold
+    # 12 weights, so a tile takes the whole chunk over a block of 3 or 4
+    # records or, on a longer pair, fewer of its points.
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 36)
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 12)
+    grid = np.linspace(0.1, 0.9, 7)
+    tiles = []
     real = Kernel.weight
 
     def spy(self, t, t_k, h, out=None):
-        tiles.append((np.shape(t)[0], np.size(t_k)))
-        buffers.add((t[0, 0], id(out.base)))  # every tile fits its chunk's buffer
+        chunk = int(np.searchsorted(grid, t[0, 0])) // 4
+        tiles.append((chunk, np.shape(t)[0], np.size(t_k), out.base))  # every tile fits
         return real(self, t, t_k, h, out=out)
 
     monkeypatch.setattr(Kernel, "weight", spy)
     ds = ragged_dataset()
-    estimate_curve(ds, np.linspace(0.1, 0.9, 7), 0.2, GAUSSIAN)
-    rows = [r for r, _ in tiles]
-    assert max(rows) > 1 and min(rows) < max(rows)  # several multi-point chunks
-    assert len(tiles) > -(-7 // max(rows))  # records are split into blocks
-    assert sum(r * c for r, c in tiles) == 7 * ds.n_records  # each weight once
-    assert len(buffers) == len({t for t, _ in buffers})  # one buffer per chunk
+    estimate_curve(ds, grid, 0.2, GAUSSIAN)
+    assert {c for c, *_ in tiles} == {0, 1}  # two grid chunks
+    assert any(r < (4, 3)[c] for c, r, *_ in tiles)  # a tile takes part of a chunk
+    assert max(k for *_, k, _ in tiles) < ds.n_records  # records are split into blocks
+    assert sum(r * k for _, r, k, _ in tiles) == 7 * ds.n_records  # each weight once
+    for c in (0, 1):  # one buffer per chunk
+        assert len({id(base) for cc, *_, base in tiles if cc == c}) == 1
+    assert tiles[0][3] is not tiles[-1][3]
 
 
 @pytest.mark.parametrize("budget", [None, 1, 24, 72])
@@ -613,6 +652,66 @@ def test_pair_sums_at_the_gaussian_floor_point(monkeypatch, budget):
     near, far = (GAUSSIAN.weight(t, float(tk), h) for tk in ds.times)
     assert near >= WEIGHT_FLOOR and far == 0.0
     assert den[0].tolist() == [near, far] and num[0].tolist() == [near, 0.0]
+
+
+def long_pair_dataset():
+    """Five items whose pairs hold 1 to 150 records, times in [0, 1]."""
+    rng = np.random.default_rng(12)
+    ii, jj = np.triu_indices(5, 1)
+    counts = np.array([1, 3, 5, 8, 9, 20, 40, 70, 150, 2])
+    tt = rng.uniform(0.0, 1.0, size=counts.sum())
+    yy = rng.integers(0, 2, size=counts.sum())
+    return ComparisonDataset(5, np.repeat(ii, counts), np.repeat(jj, counts), tt, yy)
+
+
+@pytest.mark.parametrize("kernel, before", [
+    (GAUSSIAN, False), (GAUSSIAN, True), (EPANECHNIKOV, False), (EPANECHNIKOV, True),
+    (BOXCAR, False), (BOXCAR, True), (None, True),
+])
+def test_long_pairs_take_fewer_tile_rows_and_the_same_sums(monkeypatch, kernel, before):
+    # With 64-weight tiles a block holds 8 records for 8 of the 13 points;
+    # a pair of 9, 20 or 40 records takes 7, 3 or 1 points a tile, and one of
+    # 70 or 150 records a tile of its own, one point by more than 64
+    # records.  Every sum is bitwise that of the one-point pass.
+    ds = long_pair_dataset()
+    grid = np.linspace(-0.1, 1.1, 13)
+    lone = [next(estimator._pair_sums(ds, [t], 0.1, kernel, before)) for t in grid]
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    tiles = []
+    real = Kernel.weight
+
+    def spy(self, t, t_k, h, out=None):
+        tiles.append((np.shape(t)[0], np.size(t_k)))
+        return real(self, t, t_k, h, out=out)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    (chunk, den, num, kept), = estimator._pair_sums(ds, grid, 0.1, kernel, before)
+    assert np.array_equal(chunk, grid)
+    for d, (_, lone_den, lone_num, lone_kept) in enumerate(lone):
+        assert np.array_equal(den[d], lone_den[0]) and np.array_equal(num[d], lone_num[0])
+        assert (kept is None) == (lone_kept is None)
+        assert kept is None or kept[d] == lone_kept[0]
+    if kernel is not None:
+        rows = {r for r, _ in tiles}
+        assert {8, 7, 3, 1} <= rows and max(rows) == 8
+        assert (1, 150) in tiles and all(r * k <= 64 for r, k in tiles if k <= 64)
+
+
+def test_pair_sums_peak_near_one_tile_on_long_pairs():
+    # Every pair holds 20,000 records, longer than a record block: the pass
+    # holds the float outcomes (7.2 MB) and one tile (1 MiB), not a fresh
+    # (grid chunk x pair) array per pair (79 MB).
+    ds, _ = generate(SimConfig(n=10, m=20_000, seed=2))
+    grid = np.arange(1, 200) / 200
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        for _ in estimator._pair_sums(ds, grid, 0.1, GAUSSIAN):
+            pass
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_estimate_curve_raises_at_first_zero_mass_point():
