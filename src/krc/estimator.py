@@ -142,7 +142,8 @@ def _pair_sums(
     place into the chunk's one buffer: a tile is a group of _TILE_ROWS chunk
     points (the whole chunk when its records all fit) by a block of records
     that ends on pair boundaries, and a pair longer than a block is a block
-    alone, with as many points as fit (at least one).  Each sum is one
+    alone, with as many points as fit (at least one); a block's outcomes are
+    copied to float into one more buffer of that size.  Each sum is one
     ``np.add.reduceat`` over a pair's whole segment of a tile row, so it does
     not depend on the tiling.  With ``before`` a record weighs 0 at every
     point it is not strictly earlier than, and ``kept`` counts, per point,
@@ -161,7 +162,6 @@ def _pair_sums(
         raise EstimationError("no comparison records to aggregate")
     starts = dataset.pair_segments()[0]
     bounds = np.append(starts, dataset.n_records)
-    won = dataset.outcomes.astype(float)
     budget = min(TILE_ELEMENTS, CACHE_ELEMENTS)
     longest = int(np.diff(bounds).max(initial=0))  # its one-point tile may exceed the budget
     per_chunk = _stack_rows(dataset.n)
@@ -170,6 +170,7 @@ def _pair_sums(
         rows = min(chunk.size, max(_TILE_ROWS, budget // dataset.n_records))
         block = budget // rows
         buf = np.empty(min(chunk.size * dataset.n_records, max(budget, longest)))
+        won = np.empty(min(dataset.n_records, max(budget, longest)))  # a block's outcomes
         den, num = np.empty((2, chunk.size, starts.size))
         kept = np.zeros(chunk.size, dtype=np.int64) if before else None
         s = 0
@@ -177,7 +178,8 @@ def _pair_sums(
             a = bounds[s]
             e = max(int(bounds.searchsorted(a + block, "right")) - 1, s + 1)
             offsets = starts[s:e] - a
-            times, wins = dataset.times[a:bounds[e]], won[a:bounds[e]]
+            times, wins = dataset.times[a:bounds[e]], won[:bounds[e] - a]
+            wins[:] = dataset.outcomes[a:bounds[e]]
             step = min(rows, max(1, budget // times.size))  # fewer for a long pair
             for r in range(0, chunk.size, step):
                 points = chunk[r:r + step, None]
@@ -195,7 +197,7 @@ def _pair_sums(
                 w *= wins  # zero the records item_j lost
                 np.add.reduceat(w, offsets, axis=1, out=num[r:r + step, s:e])
             s = e
-        w = past = out = buf = None  # free the tiles while the caller works
+        w = past = out = buf = wins = won = None  # free the tiles while the caller works
         yield chunk, den, num, kept
 
 

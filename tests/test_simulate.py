@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from krc import simulate
+from krc.data import ComparisonDataset, TimeEncoding
 from krc.estimator import ScoreVector
 from krc.simulate import (
     GroundTruth,
     SimConfig,
+    _build_truth,
     _uniform_block,
     export_truth_csv,
     generate,
@@ -280,3 +283,255 @@ def test_times_in_unit_interval_and_sorted_per_pair():
     for times in np.split(ds.times, starts[1:]):
         assert times.size == 40
         assert np.all(np.diff(times) >= 0)
+
+
+# -- two-precision outcomes ------------------------------------------------
+
+
+def reference_generate(config: SimConfig):
+    """The float64 ``generate`` that the two-precision one replaced, verbatim."""
+    truth = _build_truth(config)
+    n, m = config.n, config.m
+    key = np.random.SeedSequence(config.seed).generate_state(2, np.uint64)
+    iu, ju = np.triu_indices(n, 1)
+    pair_key = (ju * (ju - 1) // 2 + iu).astype(np.uint64)
+    tt = _uniform_block(key[0], pair_key, np.empty((iu.size, m)))
+    tt.sort(axis=1)
+    u = _uniform_block(key[1], pair_key, np.empty_like(tt))
+    s_i, s_j = np.empty_like(tt), np.empty_like(tt)
+    for s, a in ((s_i, truth.alpha[iu, None]), (s_j, truth.alpha[ju, None])):
+        if truth.dynamic:
+            np.sin(np.multiply(5.0 * a, tt, out=s), out=s)
+            s += a
+        else:
+            s[:] = a
+    if s_i.min() <= 0 or s_j.min() <= 0:
+        raise RuntimeError("non-positive skill in generator")
+    p_j = np.divide(s_j, np.add(s_i, s_j, out=s_i), out=s_j)
+    yy = np.less(u, p_j, out=s_i.view(np.int64))
+    del s, s_i, s_j, p_j, u  # free the work blocks the dataset does not keep
+    dataset = ComparisonDataset(
+        n, np.repeat(iu, m), np.repeat(ju, m), tt.ravel(), yy.ravel(),
+        encoding=TimeEncoding("unit-interval"), _presorted=True,
+    )
+    return dataset, truth
+
+
+def assert_bitwise_reference(config: SimConfig):
+    ds, truth = generate(config)
+    ref, ref_truth = reference_generate(config)
+    assert np.array_equal(truth.alpha, ref_truth.alpha)
+    assert np.array_equal(ds.times, ref.times)
+    assert np.array_equal(ds.outcomes, ref.outcomes)
+    assert ds.outcomes.dtype == ref.outcomes.dtype
+    for got, want in zip(ds.pair_segments(), ref.pair_segments()):
+        assert np.array_equal(got, want)
+    return ds, truth
+
+
+def _custom(n, m, seed, scale):
+    alpha = 1.0 + np.random.default_rng((seed, 5)).uniform(0.0, scale, n)
+    return SimConfig(n=n, m=m, seed=seed, skill_family="custom", alpha=tuple(alpha))
+
+
+def _sweep_configs():
+    """Edge sizes, then seeded sizes over n in [2, 100] and m in [1, 200]:
+    about 5.6 million records in all."""
+    configs = [
+        SimConfig(n=2, m=1, seed=0),
+        SimConfig(n=100, m=200, seed=1),
+        SimConfig(n=100, m=1, seed=2),
+        SimConfig(n=2, m=200, seed=3),
+        SimConfig(n=100, m=200, seed=4, skill_family="constant"),
+        SimConfig(n=2, m=1, seed=5, skill_family="constant"),
+        _custom(100, 200, 6, 1e4),  # alpha up to 1e4: X near 5e4
+        _custom(2, 1, 7, 2.0),
+        _custom(30, 100, 8, 1e6),  # X near 5e6, under the float32 limit
+        _custom(20, 50, 9, 1e7),  # X past 2^23: the whole block in float64
+    ]
+    rng = np.random.default_rng(2024)
+    for k in range(24):
+        n, m = int(rng.integers(2, 101)), int(rng.integers(1, 201))
+        family = ("sine", "constant", "custom")[k % 3]
+        if family == "custom":
+            configs.append(_custom(n, m, 100 + k, float(10.0 ** rng.uniform(0, 4))))
+        else:
+            configs.append(SimConfig(n=n, m=m, seed=100 + k, skill_family=family))
+    return configs
+
+
+@pytest.mark.parametrize(
+    "config", _sweep_configs(),
+    ids=lambda c: f"{c.skill_family}-n{c.n}-m{c.m}-s{c.seed}",
+)
+def test_generate_is_bitwise_the_float64_formula(config):
+    assert_bitwise_reference(config)
+
+
+def exact_records(monkeypatch):
+    """Record the size of every float64 decision: (records, whole block)."""
+    seen = []
+    real = simulate._decide
+
+    def spy(u, s_i, s_j, out=None):
+        seen.append((u.size, out is not None))
+        return real(u, s_i, s_j, out)
+
+    monkeypatch.setattr(simulate, "_decide", spy)
+    return seen
+
+
+def test_thin_records_take_the_float64_formula_over_a_seed_sweep(monkeypatch):
+    seen = exact_records(monkeypatch)
+    for seed in range(30):
+        assert_bitwise_reference(SimConfig(n=40, m=60, seed=seed))
+    assert seen and not any(whole for _, whole in seen)
+    # about 6e-6 of the records lie inside the margin
+    assert 0 < sum(size for size, _ in seen) < 30 * 46_800 * 1e-4
+
+
+def test_every_record_inside_a_patched_margin_is_bitwise(monkeypatch):
+    seen = exact_records(monkeypatch)
+    monkeypatch.setattr(simulate, "_margin", lambda delta, a_max: np.inf)
+    for config in (SimConfig(n=30, m=70, seed=3), _custom(12, 150, 4, 1e4)):
+        ds, _ = assert_bitwise_reference(config)
+        assert seen.pop() == (ds.n_records, False)
+
+
+def _shifted_sine(signs, budget):
+    """float32 sines moved by ``sign * budget`` from float64 sin, rounded to
+    float32 toward it: the largest error that the budget admits.  The signs
+    are item i's, then item j's; (+1, -1) raises every e by the whole
+    budget, and (-1, +1) lowers it."""
+    signs = iter(signs)
+
+    def sin32(x, out):
+        sign = next(signs)
+        target = np.sin(x) + sign * budget
+        out[...] = target
+        over = sign * (out - target) > 0
+        out[over] = np.nextafter(out[over], np.float32(-sign * np.inf))
+        return out
+
+    return sin32
+
+
+SHIFTS = pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0)], ids=["up", "down"])
+
+
+@SHIFTS
+@pytest.mark.parametrize(
+    "config",
+    [SimConfig(n=100, m=200, seed=11), SimConfig(n=40, m=60, seed=12),
+     _custom(30, 100, 13, 1e4)],
+    ids=["sine-n100", "sine-n40", "custom-1e4"],
+)
+def test_sines_off_by_the_full_budget_give_bitwise_outcomes(monkeypatch, config, signs):
+    ref, truth = reference_generate(config)
+    x_max = 5.0 * float(truth.alpha.max()) * float(ref.times.max())  # as generate bounds it
+    seen = exact_records(monkeypatch)
+    monkeypatch.setattr(simulate, "_sin32", _shifted_sine(signs, simulate._sine_budget(x_max)))
+    ds, _ = generate(config)
+    assert np.array_equal(ds.outcomes, ref.outcomes)
+    assert not any(whole for _, whole in seen)  # decided from the shifted sines
+
+
+@pytest.mark.parametrize("signs", [(1.0, -1.0), (-1.0, 1.0), None], ids=["up", "down", "exact"])
+@pytest.mark.parametrize("scale", [2.0, 1e4])
+def test_records_planted_at_their_decision_are_bitwise(monkeypatch, signs, scale):
+    # Simulated records are rarely near their decision (about 6e-6 inside the
+    # margin), so here u is planted within twice the margin of it.
+    rng = np.random.default_rng(17)
+    alpha = 1.0 + rng.uniform(0.0, scale, 30)
+    iu, ju = np.triu_indices(alpha.size, 1)
+    tt = np.sort(rng.random((iu.size, 100)), axis=1)
+    a_i, a_j = alpha[iu, None], alpha[ju, None]
+    s_i, s_j = np.sin(5.0 * a_i * tt) + a_i, np.sin(5.0 * a_j * tt) + a_j
+    p = s_j / (s_i + s_j)  # the float64 formula's
+    x_max, a_max = 5.0 * alpha.max() * tt.max(), float(alpha.max())
+    delta = simulate._sine_budget(x_max) + (a_max + 2.0) * 2.0**-52
+    margin = simulate._margin(delta, a_max)
+    u = p + rng.uniform(-2.0, 2.0, p.shape) * margin / (s_i + s_j)
+    flat_u, flat_p = u.reshape(-1), p.reshape(-1)
+    flat_u[::50] = flat_p[::50]
+    flat_u[1::50] = np.nextafter(flat_p[1::50], 0.0)
+    flat_u[2::50] = np.nextafter(flat_p[2::50], 1.0)
+    seen = exact_records(monkeypatch)
+    if signs is not None:
+        monkeypatch.setattr(simulate, "_sin32", _shifted_sine(signs, simulate._sine_budget(x_max)))
+    yy = simulate._sine_outcomes(a_i, a_j, tt, u, np.empty_like(tt), np.empty_like(tt))
+    assert np.array_equal(yy, u < p)
+    ((thin, whole),) = seen
+    assert not whole and 0.3 < thin / u.size < 0.7
+
+
+def test_sines_off_by_more_than_the_margin_change_outcomes(monkeypatch):
+    # The check above has teeth: a shift of 1e-3 moves records past the margin.
+    config = SimConfig(n=40, m=60, seed=12)
+    ref, _ = reference_generate(config)
+    monkeypatch.setattr(simulate, "_sin32", _shifted_sine((1.0, -1.0), 1e-3))
+    ds, _ = generate(config)
+    assert not np.array_equal(ds.outcomes, ref.outcomes)
+
+
+def test_float32_sine_within_its_budget():
+    # The sine family's arguments lie in [0, 15); the float32 path takes any
+    # argument below 2^23.  Measured: at most 4.9e-7 on [0, 15), mostly the
+    # argument's own float32 rounding.
+    rng = np.random.default_rng(7)
+    x = np.concatenate([
+        np.linspace(0.0, 15.0, 2_000_001),
+        rng.uniform(15.0, 2.0**23, 500_000),
+        2.0 ** np.arange(-30, 23),
+    ])
+    out = simulate._sin32(x, np.empty(x.size, dtype=np.float32))
+    assert out.dtype == np.float32
+    err = np.abs(out - np.sin(x))
+    assert np.all(err <= simulate._sine_budget(x))
+    assert err[x < 15.0].max() < 5e-7
+
+
+def test_skill_near_zero_decides_the_whole_block_in_float64(monkeypatch):
+    # float32 sines of -3 put every skill below delta: the float64 formula,
+    # with its check, decides the whole block.
+    seen = exact_records(monkeypatch)
+    monkeypatch.setattr(simulate, "_sin32", lambda x, out: np.copyto(out, -3.0) or out)
+    ds, _ = assert_bitwise_reference(SimConfig(n=10, m=30, seed=2))
+    assert seen == [(ds.n_records, True)]
+
+
+def test_arguments_past_float32_decide_the_whole_block_in_float64(monkeypatch):
+    calls = []
+    monkeypatch.setattr(simulate, "_sin32", lambda x, out: calls.append(x.size))
+    config = _custom(6, 40, 3, 1e7)
+    assert 5.0 * max(config.alpha) > 2.0**23
+    assert_bitwise_reference(config)
+    assert calls == []
+
+
+def test_alphas_past_float32_decide_the_whole_block_in_float64(monkeypatch):
+    # Tiny times keep X small, but alpha = 1e300 would overflow float32.
+    calls = []
+    monkeypatch.setattr(simulate, "_sin32", lambda x, out: calls.append(x.size))
+    a_i, a_j = np.array([[1e300]]), np.array([[2.0]])
+    tt = np.array([[1e-310, 1e-305]])
+    u = np.array([[1e-301, 0.5]])
+    yy = simulate._sine_outcomes(a_i, a_j, tt, u, np.empty_like(tt), np.empty_like(tt))
+    s_i, s_j = np.sin(5.0 * a_i * tt) + a_i, np.sin(5.0 * a_j * tt) + a_j
+    assert np.array_equal(yy, u < s_j / (s_i + s_j))
+    assert yy.tolist() == [[1, 0]] and calls == []
+
+
+def test_non_positive_skill_raises_under_a_patched_sine(monkeypatch):
+    real = np.sin
+
+    def sin(x, out=None, **kwargs):  # every sine, float32 or float64, is -3
+        out = real(x, out=out, **kwargs)
+        out[...] = -3.0
+        return out
+
+    monkeypatch.setattr(np, "sin", sin)
+    with pytest.raises(RuntimeError, match="non-positive skill"):
+        generate(SimConfig(n=4, m=5, seed=0))
+    with pytest.raises(RuntimeError, match="non-positive skill"):
+        reference_generate(SimConfig(n=4, m=5, seed=0))
