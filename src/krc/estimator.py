@@ -13,11 +13,13 @@ at pi itself, which is what makes the estimator consistent.
 
 Every fit, the MLE baselines' included, runs one pass, :func:`_fits`: a
 blocked kernel pass gives each time's per-pair sums, one grid chunk at a
-time, writing the chunk's weight tiles in place into one buffer, and a
+time, its record blocks dealt to one thread per allowed CPU, each writing
+its weight tiles in place into a cache-sized buffer of its own, and a
 stack solver turns each chunk's sums into fits as one stack within the tile
-budget.  The chains' stack solver is :func:`_solve_sums`: it builds the
-teleported chains with :func:`_chain_stack`, as the online state's refresh
-does, and solves them together.  The solver runs power iteration from the
+budget.  The sums do not depend on the number of threads.  The chains'
+stack solver is :func:`_solve_sums`: it builds the teleported chains with
+:func:`_chain_stack`, as the online state's refresh does, and solves them
+together.  The solver runs power iteration from the
 uniform start, one batched matmul per sweep over the chains still
 iterating in a cache-sized sub-stack, each chain leaving once it converges,
 and a direct solve for a chain that stalls.
@@ -30,7 +32,10 @@ sums of many simulated datasets stacked together.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
@@ -127,6 +132,12 @@ TILE_ELEMENTS = 1 << 20
 CACHE_ELEMENTS = 1 << 17
 # Grid points per weight tile when a chunk's records do not all fit one.
 _TILE_ROWS = 8
+# Threads of the kernel pass: one per CPU this process may run on, as each
+# has its own L2 for its tiles.
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool = None  # (its threads, the ThreadPoolExecutor), made on first use
 
 
 def _pair_sums(
@@ -138,20 +149,23 @@ def _pair_sums(
     ``den`` and ``num`` are (chunk x pairs): each pair's kernel mass and the
     mass on records item_j won.  Grid points go in chunks of one solver stack
     (:func:`_stack_rows`), whose sums fit TILE_ELEMENTS as there are fewer
-    pairs than n^2.  Weights go in tiles of at most CACHE_ELEMENTS, written in
-    place into the chunk's one buffer: a tile is a group of _TILE_ROWS chunk
-    points (the whole chunk when its records all fit) by a block of records
-    that ends on pair boundaries, and a pair longer than a block is a block
-    alone, with as many points as fit (at least one); a block's outcomes are
-    copied to float into one more buffer of that size.  Each sum is one
-    ``np.add.reduceat`` over a pair's whole segment of a tile row, so it does
-    not depend on the tiling.  With ``before`` a record weighs 0 at every
-    point it is not strictly earlier than, and ``kept`` counts, per point,
-    the records that weigh in (None otherwise).  A pair's records are
-    time-sorted, so the masked ones are the tail of its segment.
-    ``kernel=None`` (only with ``before``) gives every record unit weight:
-    pooled counts, at any time; with a kernel, a time that is not finite is a
-    ValueError.
+    pairs than n^2.  A chunk's records go in blocks that end on pair
+    boundaries, and its weights in tiles of at most CACHE_ELEMENTS: a tile is
+    a group of _TILE_ROWS chunk points (the whole chunk when its records all
+    fit) by a block, and a pair longer than a block is a block alone, with as
+    many points as fit (at least one).  The blocks are dealt in turn to
+    _WORKERS threads (no more than there are blocks; one block runs in the
+    calling thread), each writing its tiles in place into its own buffer and
+    its blocks' outcomes, as floats, into one more (:func:`_sum_blocks`).
+    Each sum is one ``np.add.reduceat`` over a pair's whole segment of a tile
+    row, so it does not depend on the tiling nor on the workers.  With
+    ``before`` a record weighs 0 at every point it is not strictly earlier
+    than, and ``kept`` counts, per point, the records that weigh in (None
+    otherwise).  A pair's records are time-sorted, so the masked ones are the
+    tail of its segment.  ``kernel=None`` (only with ``before``) gives every
+    record unit weight: pooled counts, at any time; with a kernel, a time
+    that is not finite is a ValueError.  An error raised on a block is raised
+    once every worker has finished the chunk: the first in block order.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
     if grid.size and kernel is not None and not h > 0:
@@ -163,24 +177,54 @@ def _pair_sums(
     starts = dataset.pair_segments()[0]
     bounds = np.append(starts, dataset.n_records)
     budget = min(TILE_ELEMENTS, CACHE_ELEMENTS)
-    longest = int(np.diff(bounds).max(initial=0))  # its one-point tile may exceed the budget
     per_chunk = _stack_rows(dataset.n)
     for g in range(0, grid.size, per_chunk):
         chunk = grid[g:g + per_chunk]
         rows = min(chunk.size, max(_TILE_ROWS, budget // dataset.n_records))
         block = budget // rows
-        buf = np.empty(min(chunk.size * dataset.n_records, max(budget, longest)))
-        won = np.empty(min(dataset.n_records, max(budget, longest)))  # a block's outcomes
+        ends = [0]  # the blocks' pair boundaries
+        while ends[-1] < starts.size:
+            s = ends[-1]
+            ends.append(max(int(bounds.searchsorted(bounds[s] + block, "right")) - 1, s + 1))
+        blocks = list(zip(range(len(ends) - 1), ends, ends[1:]))
         den, num = np.empty((2, chunk.size, starts.size))
-        kept = np.zeros(chunk.size, dtype=np.int64) if before else None
-        s = 0
-        while s < starts.size:
+        work = partial(_sum_blocks, dataset, bounds, chunk, rows, h, kernel, before, den, num)
+        workers = min(_WORKERS, len(blocks))
+        if workers == 1:
+            results = [work(blocks)]
+        else:
+            pool = _executor()
+            futures = [pool.submit(work, blocks[w::workers]) for w in range(workers)]
+            wait(futures)
+            results = [f.result() for f in futures]
+        failed = [fail for _, fail in results if fail is not None]
+        if failed:
+            raise min(failed, key=lambda fail: fail[0])[1]
+        kept = sum(k for k, _ in results) if before else None
+        yield chunk, den, num, kept
+
+
+def _sum_blocks(dataset, bounds, chunk, rows, h, kernel, before, den, num, blocks):
+    """One worker's part of :func:`_pair_sums` on ``chunk``: the sums of its
+    record ``blocks`` (index, first pair, end pair), written into those pairs'
+    columns of ``den`` and ``num``.  Its tile buffer and outcome block are
+    sized to its largest tile and block, and each block's time range is
+    scanned once, for the Gaussian's floor test.  Returns its ``kept`` counts
+    (None without ``before``) and None or, if a block raised, (that block's
+    index, the error); the worker's later blocks are then not run."""
+    budget = min(TILE_ELEMENTS, CACHE_ELEMENTS)
+    sizes = [int(bounds[e] - bounds[s]) for _, s, e in blocks]
+    steps = [min(rows, max(1, budget // k)) for k in sizes]  # fewer points for a long pair
+    buf = np.empty(max(step * k for step, k in zip(steps, sizes)))
+    won = np.empty(max(sizes))
+    kept = np.zeros(chunk.size, dtype=np.int64) if before else None
+    for (b, s, e), step in zip(blocks, steps):
+        try:
             a = bounds[s]
-            e = max(int(bounds.searchsorted(a + block, "right")) - 1, s + 1)
-            offsets = starts[s:e] - a
+            offsets = bounds[s:e] - a
             times, wins = dataset.times[a:bounds[e]], won[:bounds[e] - a]
             wins[:] = dataset.outcomes[a:bounds[e]]
-            step = min(rows, max(1, budget // times.size))  # fewer for a long pair
+            span = None if kernel is None else (times.min(), times.max())
             for r in range(0, chunk.size, step):
                 points = chunk[r:r + step, None]
                 out = buf[:points.size * times.size].reshape(points.size, -1)
@@ -190,15 +234,40 @@ def _pair_sums(
                 if kernel is None:
                     w = np.multiply(past, 1.0, out=out)
                 else:
-                    w = kernel.weight(points, times, h, out=out)
+                    w = kernel.weight(points, times, h, out=out, t_k_span=span)
                     if before:
                         w *= past  # weights are finite, so a masked record adds 0
                 np.add.reduceat(w, offsets, axis=1, out=den[r:r + step, s:e])
                 w *= wins  # zero the records item_j lost
                 np.add.reduceat(w, offsets, axis=1, out=num[r:r + step, s:e])
-            s = e
-        w = past = out = buf = wins = won = None  # free the tiles while the caller works
-        yield chunk, den, num, kept
+        except Exception as err:  # raised by _pair_sums once every worker is done
+            return kept, (b, err)
+    return kept, None
+
+
+def _executor():
+    """The pass's pool of _WORKERS threads, made on first use (its module is
+    imported then, which keeps it out of ``import krc``).  Callers that race
+    here may each make one; each uses its own, and the dropped one's threads
+    end once its work is done."""
+    global _pool
+    from concurrent.futures.thread import ThreadPoolExecutor
+
+    workers, pool = _pool or (0, None)
+    if workers != _WORKERS:
+        pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="krc-pair-sums")
+        _pool = (_WORKERS, pool)
+    return pool
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has none of its threads."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _strong_components(adj: np.ndarray) -> np.ndarray:

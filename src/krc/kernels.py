@@ -46,7 +46,9 @@ class Kernel:
     second_moment: float
     squared_integral: float
 
-    def weight(self, t, t_k, h: float, out: np.ndarray | None = None):
+    def weight(
+        self, t, t_k, h: float, out: np.ndarray | None = None, t_k_span=None,
+    ):
         """K((t - t_k) / h) for one or many observation times ``t_k``: a float
         for one pair, else an array of the broadcast shape, written into the
         float64 array ``out`` when it is given.  The Gaussian takes four passes
@@ -54,7 +56,9 @@ class Kernel:
         Two more passes clamp the exponent above the subnormal range and clear
         the weights below WEIGHT_FLOOR; they are skipped when the ranges of t
         and t_k put every |d| / h below the floor point
-        sqrt(-2 log(WEIGHT_FLOOR sqrt(2 pi))), about 37.14."""
+        sqrt(-2 log(WEIGHT_FLOOR sqrt(2 pi))), about 37.14.  ``t_k_span``, the
+        (min, max) of the array ``t_k`` when the caller has it, spares that
+        scan of ``t_k``; a wrong span gives wrong weights."""
         if not h > 0:
             raise ValueError(f"bandwidth must be positive, got {h}")
         scale = max(-0.5 / (h * h), -sys.float_info.max)  # K(0) is not 0 * inf
@@ -83,7 +87,10 @@ class Kernel:
         d *= d
         d *= scale
         d -= _LOG_SQRT_2PI
-        reach = max(np.max(t) - np.min(t_k), np.max(t_k) - np.min(t)) if d.size else 0.0
+        reach = 0.0
+        if d.size:
+            lo, hi = (np.min(t_k), np.max(t_k)) if t_k_span is None else t_k_span
+            reach = max(np.max(t) - lo, hi - np.min(t))
         if reach < _FLOOR_U * h:  # every weight is above WEIGHT_FLOOR
             return np.exp(d, out=d)
         # exp is slow on arguments whose result is subnormal; any argument

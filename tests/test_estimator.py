@@ -1,7 +1,12 @@
 """Transition construction, stationary solves, score curves."""
 
+import os
+import signal
+import sys
+import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -589,16 +594,17 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
     # are stacks of four 6-item chains (4 + 3 points), and weight tiles hold
     # 12 weights, so a tile takes the whole chunk over a block of 3 or 4
     # records or, on a longer pair, fewer of its points.
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
     monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 36)
     monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 12)
     grid = np.linspace(0.1, 0.9, 7)
     tiles = []
     real = Kernel.weight
 
-    def spy(self, t, t_k, h, out=None):
+    def spy(self, t, t_k, h, out=None, **kw):
         chunk = int(np.searchsorted(grid, t[0, 0])) // 4
         tiles.append((chunk, np.shape(t)[0], np.size(t_k), out.base))  # every tile fits
-        return real(self, t, t_k, h, out=out)
+        return real(self, t, t_k, h, out=out, **kw)
 
     monkeypatch.setattr(Kernel, "weight", spy)
     ds = ragged_dataset()
@@ -610,6 +616,39 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
     for c in (0, 1):  # one buffer per chunk
         assert len({id(base) for cc, *_, base in tiles if cc == c}) == 1
     assert tiles[0][3] is not tiles[-1][3]
+
+
+def test_small_budget_takes_one_buffer_per_worker_and_chunk(monkeypatch):
+    # The test above on two workers.  A chunk's blocks are dealt to them in
+    # turn, and each worker writes all its tiles into one buffer of its own,
+    # off the calling thread.
+    monkeypatch.setattr(estimator, "_WORKERS", 2)
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 36)
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 12)
+    grid = np.linspace(0.1, 0.9, 7)
+    tiles = []
+    real = Kernel.weight
+
+    def spy(self, t, t_k, h, out=None, **kw):
+        chunk = int(np.searchsorted(grid, t[0, 0])) // 4
+        block = t_k.__array_interface__["data"][0]  # where its records start
+        tiles.append((chunk, block, np.shape(t)[0] * np.size(t_k), out.base,
+                      threading.get_ident()))
+        return real(self, t, t_k, h, out=out, **kw)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    ds = ragged_dataset()
+    estimate_curve(ds, grid, 0.2, GAUSSIAN)
+    assert sum(size for _, _, size, *_ in tiles) == 7 * ds.n_records  # each weight once
+    assert threading.get_ident() not in {thread for *_, thread in tiles}
+    for c in (0, 1):
+        buffer = {}  # each block's buffer, its tiles' all the same
+        for cc, block, _, base, _ in tiles:
+            if cc == c:
+                assert buffer.setdefault(block, base) is base
+        bases = [buffer[block] for block in sorted(buffer)]
+        assert len(bases) > 2 and bases[0] is not bases[1]
+        assert all(base is bases[b % 2] for b, base in enumerate(bases))
 
 
 @pytest.mark.parametrize("budget", [None, 1, 24, 72])
@@ -680,9 +719,9 @@ def test_long_pairs_take_fewer_tile_rows_and_the_same_sums(monkeypatch, kernel, 
     tiles = []
     real = Kernel.weight
 
-    def spy(self, t, t_k, h, out=None):
+    def spy(self, t, t_k, h, out=None, **kw):
         tiles.append((np.shape(t)[0], np.size(t_k)))
-        return real(self, t, t_k, h, out=out)
+        return real(self, t, t_k, h, out=out, **kw)
 
     monkeypatch.setattr(Kernel, "weight", spy)
     (chunk, den, num, kept), = estimator._pair_sums(ds, grid, 0.1, kernel, before)
@@ -697,11 +736,164 @@ def test_long_pairs_take_fewer_tile_rows_and_the_same_sums(monkeypatch, kernel, 
         assert (1, 150) in tiles and all(r * k <= 64 for r, k in tiles if k <= 64)
 
 
-def test_pair_sums_peak_near_one_tile_on_long_pairs():
-    # Every pair holds 20,000 records, longer than a record block: the pass
-    # holds one tile and one block of float outcomes (1 MiB each), not a
-    # fresh (grid chunk x pair) array per pair (79 MB), nor the float
-    # outcomes of every record (7.2 MB; the peak was 8.4 MB with them).
+def two_block_dataset():
+    """Three items, two pairs of 10 records each, times in [0, 1]."""
+    rng = np.random.default_rng(13)
+    return ComparisonDataset(3, [0] * 10 + [1] * 10, [1] * 10 + [2] * 10,
+                             rng.uniform(0.0, 1.0, 20), rng.integers(0, 2, 20))
+
+
+def all_pair_sums(ds, grid, kernel, before):
+    """Every chunk's (chunk, den, num, kept) of the pass."""
+    return list(estimator._pair_sums(ds, grid, 0.1, kernel, before))
+
+
+@pytest.mark.parametrize("kernel, before", [
+    (GAUSSIAN, False), (GAUSSIAN, True), (EPANECHNIKOV, False), (EPANECHNIKOV, True),
+    (BOXCAR, False), (BOXCAR, True), (None, True),
+])
+@pytest.mark.parametrize("case", ["long pairs", "ragged", "two blocks"])
+def test_pool_gives_the_sums_of_one_worker(monkeypatch, case, kernel, before):
+    # Long pairs: chunks of 4 points over 8 blocks of up to 16 records, four
+    # of them a pair longer than a block.  Ragged: one point a chunk over
+    # blocks of up to 12 records.  Two blocks: fewer than 3 workers.  Threads
+    # switch every microsecond, so a lost update between workers would show.
+    ds, tile, cache = {
+        "long pairs": (long_pair_dataset(), 4 * 25, 64),
+        "ragged": (ragged_dataset(), 24, 12),
+        "two blocks": (two_block_dataset(), estimator.TILE_ELEMENTS, 80),
+    }[case]
+    monkeypatch.setattr(estimator, "TILE_ELEMENTS", tile)
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", cache)
+    grid = np.linspace(-0.1, 1.1, 13)
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
+    want = all_pair_sums(ds, grid, kernel, before)
+    assert len(want) == {"long pairs": 4, "ragged": 13, "two blocks": 1}[case]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (2, 3):
+            monkeypatch.setattr(estimator, "_WORKERS", workers)
+            got = all_pair_sums(ds, grid, kernel, before)
+            assert len(got) == len(want)
+            for (chunk, den, num, kept), (w_chunk, w_den, w_num, w_kept) in zip(got, want):
+                assert np.array_equal(chunk, w_chunk)
+                assert np.array_equal(den, w_den) and np.array_equal(num, w_num)
+                assert (kept is None) == (w_kept is None)
+                assert kept is None or np.array_equal(kept, w_kept)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_each_block_scans_its_time_range_once(monkeypatch):
+    # Every tile of a block gets the one (min, max) of the block's times.
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    spans = {}
+    real = Kernel.weight
+
+    def spy(self, t, t_k, h, out=None, t_k_span=None):
+        spans.setdefault(t_k.__array_interface__["data"][0], []).append(t_k_span)
+        assert t_k_span == (t_k.min(), t_k.max())
+        return real(self, t, t_k, h, out=out, t_k_span=t_k_span)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    all_pair_sums(long_pair_dataset(), np.linspace(-0.1, 1.1, 13), GAUSSIAN, False)
+    assert len(spans) == 9 and max(len(tiles) for tiles in spans.values()) == 13
+    for tiles in spans.values():
+        assert all(span is tiles[0] for span in tiles)
+
+
+def test_worker_error_is_raised_after_every_worker_returns(monkeypatch):
+    # Three workers take blocks 0, 3, 6 / 1, 4, 7 / 2, 5, 8.  Block 4 fails
+    # at once and block 2 later; worker 0's tiles are slow.  The pass raises
+    # block 2's error, the first in block order though not in worker order,
+    # once worker 0 has computed all its tiles; the failed workers' later
+    # blocks are not run.
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    ds, grid = long_pair_dataset(), np.linspace(-0.1, 1.1, 13)
+    origin = ds.times.__array_interface__["data"][0]
+    real = Kernel.weight
+    seen = []
+
+    def spy(self, t, t_k, h, out=None, **kw):
+        seen.append((t_k.__array_interface__["data"][0] - origin) // 8)
+        return real(self, t, t_k, h, out=out, **kw)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    all_pair_sums(ds, grid, GAUSSIAN, False)
+    firsts = sorted(set(seen))  # each block's first record
+    assert len(firsts) == 9
+    tiles = {first: seen.count(first) for first in firsts}
+    ran, done = [], []
+
+    def failing(self, t, t_k, h, out=None, **kw):
+        block = firsts.index((t_k.__array_interface__["data"][0] - origin) // 8)
+        ran.append(block)
+        if block == 2:
+            time.sleep(0.1)
+            raise ValueError("block 2")
+        if block == 4:
+            raise ValueError("block 4")
+        time.sleep(0.005 if block % 3 == 0 else 0.0)
+        w = real(self, t, t_k, h, out=out, **kw)
+        done.append(time.perf_counter())
+        return w
+
+    monkeypatch.setattr(Kernel, "weight", failing)
+    monkeypatch.setattr(estimator, "_WORKERS", 3)
+    with pytest.raises(ValueError, match="^block 2$"):
+        all_pair_sums(ds, grid, GAUSSIAN, False)
+    raised = time.perf_counter()
+    assert max(done) < raised
+    for block in (0, 1, 3, 6):
+        assert ran.count(block) == tiles[firsts[block]]
+    assert ran.count(2) == ran.count(4) == 1
+    assert not {5, 7, 8} & set(ran)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
+def test_child_forked_after_a_pooled_pass_runs_one(monkeypatch):
+    # The child has none of the parent's pool threads; a pool it inherited
+    # would count both as idle, take its work and never run it.  Slow tiles
+    # in the parent's pass keep both workers busy at once, so the pool
+    # starts both threads.
+    monkeypatch.setattr(estimator, "_WORKERS", 2)
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    ds, grid = long_pair_dataset(), np.linspace(-0.1, 1.1, 13)
+    real = Kernel.weight
+
+    def slow(self, *args, **kw):
+        time.sleep(0.002)
+        return real(self, *args, **kw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "weight", slow)
+        (_, want, _, _), = all_pair_sums(ds, grid, GAUSSIAN, False)
+    assert estimator._pool is not None
+    with warnings.catch_warnings():  # a fork beside threads warns on Python 3.12+
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            (_, den, _, _), = all_pair_sums(ds, grid, GAUSSIAN, False)
+            code = 0 if np.array_equal(den, want) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's pass did not finish within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def pair_sums_peak(workers, monkeypatch):
+    """The tracemalloc peak, in bytes, of the curve's kernel pass over pairs
+    of 20,000 records each, on ``workers`` threads."""
+    monkeypatch.setattr(estimator, "_WORKERS", workers)
     ds, _ = generate(SimConfig(n=10, m=20_000, seed=2))
     grid = np.arange(1, 200) / 200
     tracemalloc.start()
@@ -709,10 +901,25 @@ def test_pair_sums_peak_near_one_tile_on_long_pairs():
         entry = tracemalloc.get_traced_memory()[0]
         for _ in estimator._pair_sums(ds, grid, 0.1, GAUSSIAN):
             pass
-        peak = tracemalloc.get_traced_memory()[1] - entry
+        return tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
+
+
+def test_pair_sums_peak_near_one_tile_on_long_pairs(monkeypatch):
+    # Every pair holds 20,000 records, longer than a record block: the pass
+    # holds one tile and one block of float outcomes (1 MiB each), not a
+    # fresh (grid chunk x pair) array per pair (79 MB), nor the float
+    # outcomes of every record (7.2 MB; the peak was 8.4 MB with them).
+    peak = pair_sums_peak(1, monkeypatch)
     assert peak < 3e6
+
+
+def test_pair_sums_peak_near_one_tile_per_worker_on_long_pairs(monkeypatch):
+    # The test above on two workers: each holds its own tile and block of
+    # float outcomes, so the bound takes one more of each (2 MiB).
+    peak = pair_sums_peak(2, monkeypatch)
+    assert peak < 2 * (2**20 + 2**20) + (3e6 - (2**20 + 2**20))
 
 
 def test_estimate_curve_raises_at_first_zero_mass_point():

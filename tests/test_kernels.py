@@ -101,6 +101,22 @@ def test_one_pair_weight_is_the_tile_weight_bitwise(kernel):
     assert kernel.weight(0, 0.0, 1.0) == kernel.weight(0.0, 0.0, 1.0) == kernel.weight(0.5, 0.5, h)
 
 
+@pytest.mark.parametrize("kernel", [GAUSSIAN, EPANECHNIKOV, BOXCAR])
+def test_weights_with_the_callers_span_are_bitwise(kernel):
+    # A caller that knows the times' (min, max) passes it; the weights are
+    # those of the scan, bitwise, either side of the Gaussian's floor point.
+    h = 0.25
+    times = 0.5 + h * np.array([-37.3, -37.13, -1.0, 0.0, 0.5, 36.9, 37.2])
+    t = np.array([[0.5], [0.6], [0.4 + 40 * h]])
+    want = kernel.weight(t, times, h)
+    got = kernel.weight(t, times, h, out=np.empty_like(want),
+                        t_k_span=(times.min(), times.max()))
+    assert np.array_equal(got, want)
+    if kernel is GAUSSIAN:  # the span is what the floor test reads
+        narrow = kernel.weight(t[:2], times, h, t_k_span=(0.5, 0.5))
+        assert np.count_nonzero(narrow) > np.count_nonzero(want[:2])
+
+
 def test_far_tail_clamps_to_exact_zero():
     # exp(-0.5 * 60^2) underflows past 1e-300 and must come back as 0.0
     assert GAUSSIAN.weight(60.0, 0.0, 1.0) == 0.0
