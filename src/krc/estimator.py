@@ -13,27 +13,28 @@ at pi itself, which is what makes the estimator consistent.
 
 Every fit, the MLE baselines' included, runs one pass, :func:`_fits`: a
 blocked kernel pass gives each time's per-pair sums, one grid chunk at a
-time, its record blocks dealt to one thread per allowed CPU, each writing
-its weight tiles in place into a cache-sized buffer of its own, and a
-stack solver turns each chunk's sums into fits as one stack within the tile
-budget.  The sums do not depend on the number of threads.  The chains'
-stack solver is :func:`_solve_sums`: it builds the teleported chains with
-:func:`_chain_stack`, as the online state's refresh does, and solves them
-together.  The solver runs power iteration from the
+time, its record blocks dealt by :func:`_deal` to one share per allowed
+CPU, each writing its weight tiles in place into a cache-sized buffer of
+its own, and a stack solver turns each chunk's sums into fits as one stack
+within the tile budget.  The sums do not depend on the number of threads.
+The chains' stack solver is :func:`_solve_sums`: it builds the teleported
+chains with :func:`_chain_stack`, as the online state's refresh does, and
+solves them together.  The solver runs power iteration from the
 uniform start, one batched matmul per sweep over the chains still
 iterating in a cache-sized sub-stack, each chain leaving once it converges,
 and a direct solve for a chain that stalls.
 :func:`estimate_curve` is the pass over a grid, :func:`fit_scores` its
 one-point case, and the walk-forward backtest its case masked to the
 records strictly before each day; :func:`stationary` is the solver's
-one-chain case.  The coverage experiment runs :func:`_solve_sums` on the
-sums of many simulated datasets stacked together.
+one-chain case.  The coverage experiment simulates its datasets in the
+shares of one :func:`_deal` call, the calling thread taking one, and runs
+:func:`_solve_sums` on their sums stacked together.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import wait
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -132,12 +133,12 @@ TILE_ELEMENTS = 1 << 20
 CACHE_ELEMENTS = 1 << 17
 # Grid points per weight tile when a chunk's records do not all fit one.
 _TILE_ROWS = 8
-# Threads of the kernel pass: one per CPU this process may run on, as each
-# has its own L2 for its tiles.
+# Shares of a _deal call, the calling thread's included: one per CPU this
+# process may run on, as each has its own L2 for a kernel pass's tiles.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-_pool = None  # (its threads, the ThreadPoolExecutor), made on first use
+_pool = None  # (the _WORKERS it serves, the ThreadPoolExecutor), made on first use
 
 
 def _pair_sums(
@@ -153,19 +154,20 @@ def _pair_sums(
     boundaries, and its weights in tiles of at most CACHE_ELEMENTS: a tile is
     a group of _TILE_ROWS chunk points (the whole chunk when its records all
     fit) by a block, and a pair longer than a block is a block alone, with as
-    many points as fit (at least one).  The blocks are dealt in turn to
-    _WORKERS threads (no more than there are blocks; one block runs in the
-    calling thread), each writing its tiles in place into its own buffer and
-    its blocks' outcomes, as floats, into one more (:func:`_sum_blocks`).
-    Each sum is one ``np.add.reduceat`` over a pair's whole segment of a tile
-    row, so it does not depend on the tiling nor on the workers.  With
-    ``before`` a record weighs 0 at every point it is not strictly earlier
-    than, and ``kept`` counts, per point, the records that weigh in (None
-    otherwise).  A pair's records are time-sorted, so the masked ones are the
-    tail of its segment.  ``kernel=None`` (only with ``before``) gives every
-    record unit weight: pooled counts, at any time; with a kernel, a time
-    that is not finite is a ValueError.  An error raised on a block is raised
-    once every worker has finished the chunk: the first in block order.
+    many points as fit (at least one).  The blocks are dealt to the shares of
+    one :func:`_deal` call, each writing its tiles in place into its own
+    buffer and its blocks' outcomes, as floats, into one more
+    (:func:`_sum_blocks`); a chunk of one block, or a pass run inside a
+    share, runs in the calling thread.  Each sum is one ``np.add.reduceat``
+    over a pair's whole segment of a tile row, so it does not depend on the
+    tiling nor on the threads.  With ``before`` a record weighs 0 at every
+    point it is not strictly earlier than, and ``kept`` counts, per point,
+    the records that weigh in (None otherwise).  A pair's records are
+    time-sorted, so the masked ones are the tail of its segment.
+    ``kernel=None`` (only with ``before``) gives every record unit weight:
+    pooled counts, at any time; with a kernel, a time that is not finite is
+    a ValueError.  An error raised on a block is raised once every share has
+    finished the chunk: the first in block order.
     """
     grid = np.asarray(time_grid, dtype=float).ravel()
     if grid.size and kernel is not None and not h > 0:
@@ -186,76 +188,114 @@ def _pair_sums(
         while ends[-1] < starts.size:
             s = ends[-1]
             ends.append(max(int(bounds.searchsorted(bounds[s] + block, "right")) - 1, s + 1))
-        blocks = list(zip(range(len(ends) - 1), ends, ends[1:]))
+        sizes = np.diff(bounds[ends])
+        steps = np.minimum(rows, np.maximum(1, budget // sizes))  # fewer points for a long pair
         den, num = np.empty((2, chunk.size, starts.size))
-        work = partial(_sum_blocks, dataset, bounds, chunk, rows, h, kernel, before, den, num)
-        workers = min(_WORKERS, len(blocks))
-        if workers == 1:
-            results = [work(blocks)]
-        else:
-            pool = _executor()
-            futures = [pool.submit(work, blocks[w::workers]) for w in range(workers)]
-            wait(futures)
-            results = [f.result() for f in futures]
-        failed = [fail for _, fail in results if fail is not None]
-        if failed:
-            raise min(failed, key=lambda fail: fail[0])[1]
-        kept = sum(k for k, _ in results) if before else None
-        yield chunk, den, num, kept
+        work = partial(_sum_blocks, dataset, bounds, chunk, h, kernel, before, den, num,
+                       int((steps * sizes).max()), int(sizes.max()))
+        kept = _deal(work, list(zip(ends, ends[1:], steps.tolist())))
+        yield chunk, den, num, sum(kept) if before else None
 
 
-def _sum_blocks(dataset, bounds, chunk, rows, h, kernel, before, den, num, blocks):
-    """One worker's part of :func:`_pair_sums` on ``chunk``: the sums of its
-    record ``blocks`` (index, first pair, end pair), written into those pairs'
-    columns of ``den`` and ``num``.  Its tile buffer and outcome block are
-    sized to its largest tile and block, and each block's time range is
-    scanned once, for the Gaussian's floor test.  Returns its ``kept`` counts
-    (None without ``before``) and None or, if a block raised, (that block's
-    index, the error); the worker's later blocks are then not run."""
-    budget = min(TILE_ELEMENTS, CACHE_ELEMENTS)
-    sizes = [int(bounds[e] - bounds[s]) for _, s, e in blocks]
-    steps = [min(rows, max(1, budget // k)) for k in sizes]  # fewer points for a long pair
-    buf = np.empty(max(step * k for step, k in zip(steps, sizes)))
-    won = np.empty(max(sizes))
+def _sum_blocks(dataset, bounds, chunk, h, kernel, before, den, num, tile, longest, blocks):
+    """One share of :func:`_pair_sums` on ``chunk``: the sums of its record
+    ``blocks`` (first pair, end pair, points per tile), written into those
+    pairs' columns of ``den`` and ``num``.  Its tile buffer and outcome block
+    hold the chunk's largest tile and block, ``tile`` weights and
+    ``longest`` records, and each block's time range is scanned once, for
+    the Gaussian's floor test.  Returns its ``kept`` counts (None without
+    ``before``)."""
+    buf = np.empty(tile)
+    won = np.empty(longest)
     kept = np.zeros(chunk.size, dtype=np.int64) if before else None
-    for (b, s, e), step in zip(blocks, steps):
-        try:
-            a = bounds[s]
-            offsets = bounds[s:e] - a
-            times, wins = dataset.times[a:bounds[e]], won[:bounds[e] - a]
-            wins[:] = dataset.outcomes[a:bounds[e]]
-            span = None if kernel is None else (times.min(), times.max())
-            for r in range(0, chunk.size, step):
-                points = chunk[r:r + step, None]
-                out = buf[:points.size * times.size].reshape(points.size, -1)
+    for s, e, step in blocks:
+        a = bounds[s]
+        offsets = bounds[s:e] - a
+        times, wins = dataset.times[a:bounds[e]], won[:bounds[e] - a]
+        wins[:] = dataset.outcomes[a:bounds[e]]
+        span = None if kernel is None else (times.min(), times.max())
+        for r in range(0, chunk.size, step):
+            points = chunk[r:r + step, None]
+            out = buf[:points.size * times.size].reshape(points.size, -1)
+            if before:
+                past = times < points
+                kept[r:r + step] += np.count_nonzero(past, axis=1)
+            if kernel is None:
+                w = np.multiply(past, 1.0, out=out)
+            else:
+                w = kernel.weight(points, times, h, out=out, t_k_span=span)
                 if before:
-                    past = times < points
-                    kept[r:r + step] += np.count_nonzero(past, axis=1)
-                if kernel is None:
-                    w = np.multiply(past, 1.0, out=out)
-                else:
-                    w = kernel.weight(points, times, h, out=out, t_k_span=span)
-                    if before:
-                        w *= past  # weights are finite, so a masked record adds 0
-                np.add.reduceat(w, offsets, axis=1, out=den[r:r + step, s:e])
-                w *= wins  # zero the records item_j lost
-                np.add.reduceat(w, offsets, axis=1, out=num[r:r + step, s:e])
-        except Exception as err:  # raised by _pair_sums once every worker is done
-            return kept, (b, err)
-    return kept, None
+                    w *= past  # weights are finite, so a masked record adds 0
+            np.add.reduceat(w, offsets, axis=1, out=den[r:r + step, s:e])
+            w *= wins  # zero the records item_j lost
+            np.add.reduceat(w, offsets, axis=1, out=num[r:r + step, s:e])
+    return kept
+
+
+_in_share = threading.local()  # .busy: this thread runs a share of a _deal call
+
+
+def _deal(work, parts, most: int | None = None) -> list:
+    """Run ``work`` on ``parts`` split into shares: each share's result, in
+    share order.
+
+    The parts are dealt in turn to as many shares as there are _WORKERS (no
+    more than ``most``, when given, nor than there are parts), and
+    ``work(share)`` takes an iterator over its share's parts, in order.  The
+    first share runs in the calling thread, the others on the pool.  A call
+    made inside a running share, on the calling thread or on the pool, runs
+    all its parts in that thread: threads are taken at the outermost call
+    only, so no share waits on one queued behind it.  The call returns or
+    raises once every share has returned.  A share that raises stops there,
+    its error belonging to the part it drew last; the call then raises the
+    error of the first such part in part order.
+    """
+    nested = getattr(_in_share, "busy", False)
+    shares = min(1 if nested else _WORKERS, len(parts), most or _WORKERS)
+    indexed = list(enumerate(parts))
+    dealt = [indexed[w::shares] for w in range(shares)]
+    futures = [_executor().submit(_run_share, work, share) for share in dealt[1:]]
+    results = [_run_share(work, share) for share in dealt[:1]]
+    results += [future.result() for future in futures]
+    failed = [fail for _, fail in results if fail is not None]
+    if failed:
+        raise min(failed, key=lambda fail: fail[0])[1]
+    return [result for result, _ in results]
+
+
+def _run_share(work, share) -> tuple:
+    """``work`` on one share of :func:`_deal`, a list of (index, part):
+    (its result, None) or, if it raised, (None, (the index of the part it
+    drew last, the error))."""
+    drawn = [share[0][0]]
+
+    def draw():
+        for index, part in share:
+            drawn[0] = index
+            yield part
+
+    outer = getattr(_in_share, "busy", False)
+    _in_share.busy = True
+    try:
+        return work(draw()), None
+    except Exception as err:  # raised by _deal once every share has returned
+        return None, (drawn[0], err)
+    finally:
+        _in_share.busy = outer
 
 
 def _executor():
-    """The pass's pool of _WORKERS threads, made on first use (its module is
-    imported then, which keeps it out of ``import krc``).  Callers that race
-    here may each make one; each uses its own, and the dropped one's threads
-    end once its work is done."""
+    """The pool of _WORKERS - 1 threads that runs the shares of :func:`_deal`
+    beside the calling thread, made on first use (its module is imported
+    then, which keeps it out of ``import krc``).  Callers that race here may
+    each make one; each uses its own, and the dropped one's threads end once
+    its work is done."""
     global _pool
     from concurrent.futures.thread import ThreadPoolExecutor
 
     workers, pool = _pool or (0, None)
     if workers != _WORKERS:
-        pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="krc-pair-sums")
+        pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="krc-share")
         _pool = (_WORKERS, pool)
     return pool
 

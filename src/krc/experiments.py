@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -25,6 +26,7 @@ from .errors import ConnectivityError, ConvergenceError, EstimationError, Infere
 from .estimator import (
     _TOL,
     ScoreVector,
+    _deal,
     _fits,
     _fitted,
     _pair_sums,
@@ -279,6 +281,33 @@ def _ad_normal_critical_1pct(n_samples: int) -> float:
     return round(1.035 / (1.0 + 0.75 / N + 2.25 / N**2), 3)
 
 
+# Records of simulated datasets that the coverage replications in flight
+# hold at once, whatever the number of CPUs: a replication peaks at about 50
+# bytes a record, so 2^21 records are about 100 MB, two replications at
+# n=100, m=200 (990,000 records each) and 44 at n=40, m=60.
+RECORDS_IN_FLIGHT = 1 << 21
+
+
+def _replicate(config, t, h, kernel, den, num, counts, truths, share):
+    """Simulate the coverage replications ``share`` (rows of ``den``,
+    ``num``, ``counts`` and ``truths``; row d has seed config.seed + d), each
+    writing its rows and dropping its dataset before the next.  Returns the
+    datasets' item labels."""
+    n = config.n
+    for d in share:
+        dataset, truth = generate(dataclasses.replace(config, seed=config.seed + d))
+        labels = dataset.item_labels
+        truths[d] = truth.normalized_skill(t)
+        starts, seg_i, seg_j = dataset.pair_segments()
+        slot = seg_i * (2 * n - seg_i - 1) // 2 + seg_j - seg_i - 1  # (i, j)'s in iu, ju
+        counts[d, slot] = np.diff(starts, append=dataset.n_records)
+        if dataset.n_records:  # else the row has no mass
+            _, den_t, num_t, _ = next(_pair_sums(dataset, [t], h, kernel))
+            den[d, slot], num[d, slot] = den_t[0], num_t[0]
+        del dataset
+    return labels
+
+
 def coverage_experiment(
     config: SimConfig,
     t: float = 0.5,
@@ -305,9 +334,14 @@ def coverage_experiment(
     Each replication's dataset gives its per-pair sums at t and its per-pair
     record counts, laid out over every pair of items, and is then dropped;
     each group's chains are built, checked, solved and priced as one stack.
-    Every replication's scores and precision are those that ``fit_scores``
-    and ``plug_in_alpha`` give it alone; the statistics are computed once
-    from the priced rows.
+    A group's replications are simulated in the shares of one ``_deal``
+    call, the calling thread taking one, and no more shares than keep
+    RECORDS_IN_FLIGHT records of datasets alive at once; each writes its
+    own rows.  Every replication's scores and precision are those that
+    ``fit_scores`` and ``plug_in_alpha`` give it alone; the statistics are
+    computed once from the priced rows, so the report does not depend on
+    the number of threads.  A replication that raises raises its error once
+    every share has returned, the first in replication order.
     """
     if replications < 100:
         raise ValueError("coverage needs at least 100 replications")
@@ -319,24 +353,15 @@ def coverage_experiment(
     priced = []  # (scores, alpha, truth) of each priced replication, in order
     n_disconnected = n_unpriced = 0
     group = _stack_rows(n)
+    most = max(1, RECORDS_IN_FLIGHT // (config.m * iu.size))
     for g in range(0, replications, group):
         k = min(group, replications - g)
         den, num = np.zeros((2, k, iu.size))
         counts = np.zeros((k, iu.size))
         truths = np.empty((k, n))
-        for d in range(k):
-            dataset, truth = generate(dataclasses.replace(config, seed=config.seed + g + d))
-            truths[d] = truth.normalized_skill(t)
-            starts, seg_i, seg_j = dataset.pair_segments()
-            slot = seg_i * (2 * n - seg_i - 1) // 2 + seg_j - seg_i - 1  # (i, j)'s in iu, ju
-            counts[d, slot] = np.diff(starts, append=dataset.n_records)
-            try:
-                _, den_t, num_t, _ = next(_pair_sums(dataset, [t], h, kernel))
-            except EstimationError:  # no records: the row has no mass
-                continue
-            den[d, slot], num[d, slot] = den_t[0], num_t[0]
-        labels = dataset.item_labels
-        del dataset
+        first = dataclasses.replace(config, seed=config.seed + g)
+        replicate = partial(_replicate, first, t, h, kernel, den, num, counts, truths)
+        labels = _deal(replicate, range(k), most)[0]
         rescued = []
         fits = _solve_sums(n, iu, ju, [t] * k, den, num, h, sigma_n, _TOL, rescued=rescued)
         n_disconnected += len(rescued)

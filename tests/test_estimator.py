@@ -620,8 +620,8 @@ def test_small_budget_splits_grid_and_records(monkeypatch):
 
 def test_small_budget_takes_one_buffer_per_worker_and_chunk(monkeypatch):
     # The test above on two workers.  A chunk's blocks are dealt to them in
-    # turn, and each worker writes all its tiles into one buffer of its own,
-    # off the calling thread.
+    # turn, and each worker writes all its tiles into one buffer of its own;
+    # the calling thread runs share 0, the chunk's even blocks.
     monkeypatch.setattr(estimator, "_WORKERS", 2)
     monkeypatch.setattr(estimator, "TILE_ELEMENTS", 4 * 36)
     monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 12)
@@ -640,7 +640,9 @@ def test_small_budget_takes_one_buffer_per_worker_and_chunk(monkeypatch):
     ds = ragged_dataset()
     estimate_curve(ds, grid, 0.2, GAUSSIAN)
     assert sum(size for _, _, size, *_ in tiles) == 7 * ds.n_records  # each weight once
-    assert threading.get_ident() not in {thread for *_, thread in tiles}
+    caller = {(c, block) for c, block, *_, thread in tiles if thread == threading.get_ident()}
+    assert caller == {(c, block) for c in (0, 1)
+                      for block in sorted({b for cc, b, *_ in tiles if cc == c})[::2]}
     for c in (0, 1):
         buffer = {}  # each block's buffer, its tiles' all the same
         for cc, block, _, base, _ in tiles:
@@ -851,12 +853,50 @@ def test_worker_error_is_raised_after_every_worker_returns(monkeypatch):
     assert not {5, 7, 8} & set(ran)
 
 
+def test_pair_sums_inside_a_share_runs_its_blocks_in_that_thread(monkeypatch):
+    # Two shares each run a pass of 9 blocks.  Nested in a share, the pass
+    # deals no block to the pool, whose one thread runs the other share: all
+    # its tiles run in its share's thread, and its sums are one worker's.
+    # The shares run in a daemon thread, so a deadlock fails the test
+    # instead of hanging it.
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    ds, grid = long_pair_dataset(), np.linspace(-0.1, 1.1, 13)
+    threads = []
+    real = Kernel.weight
+
+    def spy(self, *args, **kw):
+        threads.append(threading.get_ident())
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    monkeypatch.setattr(estimator, "_WORKERS", 1)
+    (_, want, _, _), = all_pair_sums(ds, grid, GAUSSIAN, False)
+    tiles, threads[:] = len(threads), []
+    monkeypatch.setattr(estimator, "_WORKERS", 2)
+    monkeypatch.setattr(estimator, "_pool", None)
+
+    def share(parts):
+        return [(threading.get_ident(), all_pair_sums(ds, grid, GAUSSIAN, False))
+                for _ in parts]
+
+    got = []
+    runner = threading.Thread(target=lambda: got.extend(estimator._deal(share, [0, 1])),
+                              daemon=True)
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "a pass inside a share waited on the pool"
+    [(first, [(_, den0, _, _)])], [(second, [(_, den1, _, _)])] = got
+    assert first == runner.ident and second != first
+    assert sorted(threads) == sorted([first] * tiles + [second] * tiles)
+    assert np.array_equal(den0, want) and np.array_equal(den1, want)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="forks the test process")
 def test_child_forked_after_a_pooled_pass_runs_one(monkeypatch):
     # The child has none of the parent's pool threads; a pool it inherited
-    # would count both as idle, take its work and never run it.  Slow tiles
-    # in the parent's pass keep both workers busy at once, so the pool
-    # starts both threads.
+    # would count its thread as idle, take its work and never run it.  Slow
+    # tiles in the parent's pass keep both workers busy at once, so the pool
+    # starts its thread.
     monkeypatch.setattr(estimator, "_WORKERS", 2)
     monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
     ds, grid = long_pair_dataset(), np.linspace(-0.1, 1.1, 13)

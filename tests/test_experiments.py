@@ -1,6 +1,10 @@
 """Metric grids, sweeps, timing, coverage, and walk-forward backtests."""
 
 import dataclasses
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -37,7 +41,7 @@ from krc.experiments import (
     timing_bench,
 )
 from krc.inference import normal_quantile, plug_in_alpha
-from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
+from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN, Kernel
 from krc.simulate import (
     GroundTruth,
     SimConfig,
@@ -417,6 +421,124 @@ def test_ad_statistic_equals_scipy_anderson_bitwise(n_samples, law):
                 x = np.round(x, 1)
         want = scipy.stats.anderson(x, dist="norm", method="interpolate").statistic
         assert _ad_normal_statistic(x) == float(want)
+
+
+def coverage_at(monkeypatch, workers, config, **kwargs):
+    """coverage_experiment's 100-replication report on ``workers`` shares,
+    with a fresh pool."""
+    monkeypatch.setattr(estimator, "_WORKERS", workers)
+    monkeypatch.setattr(estimator, "_pool", None)
+    return coverage_experiment(config, replications=100, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "config, kwargs, budget",
+    [
+        (SimConfig(n=10, m=20, seed=5), dict(t=0.3, h=0.05, sigma_n=None), None),
+        # disconnected sigma_n=0 replications, rescued, in stacks of six
+        (SimConfig(n=6, m=3, seed=11), dict(h=0.02), 6 * 36),
+        (SimConfig(n=4, m=60, seed=100), dict(h=0.05, alpha_source="oracle-truth"), None),
+    ],
+    ids=["default-teleport", "rescued-stacks", "oracle-truth"],
+)
+def test_coverage_is_the_same_at_any_worker_count(monkeypatch, config, kwargs, budget):
+    # Threads switch every microsecond, so a row written by the wrong
+    # replication, or lost, would show.
+    if budget is not None:
+        monkeypatch.setattr(estimator, "TILE_ELEMENTS", budget)
+    want = coverage_at(monkeypatch, 1, config, **kwargs)
+    if budget is not None:
+        assert want.n_disconnected > 0
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (2, 3):
+            assert_same_report(coverage_at(monkeypatch, workers, config, **kwargs), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_coverage_raises_the_first_replications_error_once_every_share_returns(monkeypatch):
+    # Two shares: the calling thread runs the even replications, the pool
+    # the odd ones.  Replication 2 fails at once and replication 1 after
+    # 0.1 s; the experiment raises replication 1's error, the earlier one,
+    # so it waited for the pool's share, and no share runs past its failure.
+    config = SimConfig(n=4, m=10, seed=20)
+    real = experiments.generate
+    ran = []
+
+    def failing(cfg):
+        rep = cfg.seed - config.seed
+        ran.append(rep)
+        if rep == 1:
+            time.sleep(0.1)
+            raise ValueError("replication 1")
+        if rep == 2:
+            raise ValueError("replication 2")
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "generate", failing)
+    with pytest.raises(ValueError, match="^replication 1$"):
+        coverage_at(monkeypatch, 2, config)
+    assert sorted(ran) == [0, 1, 2]
+
+
+def test_coverage_with_several_blocks_a_pass_equals_one_worker(monkeypatch):
+    # 64-weight tiles split each replication's one-point pass (15 pairs of
+    # 20 records) into five blocks, which run inside the replication's
+    # share.  The experiment runs in a daemon thread, so a deadlock fails
+    # the test instead of hanging it.
+    monkeypatch.setattr(estimator, "CACHE_ELEMENTS", 64)
+    config = SimConfig(n=6, m=20, seed=9)
+    want = coverage_at(monkeypatch, 1, config, h=0.05)
+    tiles = []
+    real = Kernel.weight
+
+    def spy(self, *args, **kw):
+        tiles.append(threading.get_ident())
+        return real(self, *args, **kw)
+
+    monkeypatch.setattr(Kernel, "weight", spy)
+    got = []
+    runner = threading.Thread(
+        target=lambda: got.append(coverage_at(monkeypatch, 2, config, h=0.05)), daemon=True
+    )
+    runner.start()
+    runner.join(60.0)
+    assert not runner.is_alive(), "a replication's pass waited on the pool"
+    assert_same_report(got[0], want)
+    assert len(tiles) == 5 * 100 and len(set(tiles)) == 2
+
+
+def test_coverage_keeps_at_most_the_budgets_replications_in_flight(monkeypatch):
+    # Eight CPUs, and a budget of three n=6, m=5 datasets (75 records each,
+    # and 74 records to spare): three shares, each dropping its dataset
+    # before it simulates the next.  A replication is in flight from its
+    # generate call until its dataset is freed.
+    monkeypatch.setattr(experiments, "RECORDS_IN_FLIGHT", 3 * 75 + 74)
+    config = SimConfig(n=6, m=5, seed=3)
+    real = experiments.generate
+    lock = threading.Lock()
+    live, peak, threads = [0], [0], set()
+
+    def land():
+        with lock:
+            live[0] -= 1
+
+    def spy(cfg):
+        with lock:
+            live[0] += 1
+            peak[0] = max(peak[0], live[0])
+            threads.add(threading.get_ident())
+        time.sleep(0.001)
+        dataset, truth = real(cfg)
+        weakref.finalize(dataset, land)
+        return dataset, truth
+
+    monkeypatch.setattr(experiments, "generate", spy)
+    report = coverage_at(monkeypatch, 8, config, h=0.05)
+    assert len(threads) == 3 and 1 <= peak[0] <= 3 and live[0] == 0
+    assert_same_report(report, coverage_at(monkeypatch, 1, config, h=0.05))
 
 
 def test_coverage_needs_enough_replications():
