@@ -18,11 +18,11 @@ CPU, each writing its weight tiles in place into a cache-sized buffer of
 its own, and a stack solver turns each chunk's sums into fits as one stack
 within the tile budget.  The sums do not depend on the number of threads.
 The chains' stack solver is :func:`_solve_sums`: it builds the teleported
-chains with :func:`_chain_stack`, as the online state's refresh does, and
-solves them together.  The solver runs power iteration from the
-uniform start, one batched matmul per sweep over the chains still
-iterating in a cache-sized sub-stack, each chain leaving once it converges,
-and a direct solve for a chain that stalls.
+chains with :func:`_chain_stack`, whose teleport and gate the online
+state's refresh shares, and solves them together.  The solver runs power
+iteration from the uniform start, one batched matmul per sweep over the
+chains still iterating in a cache-sized sub-stack, each chain leaving once
+it converges, and a direct solve for a chain that stalls.
 :func:`estimate_curve` is the pass over a grid, :func:`fit_scores` its
 one-point case, and the walk-forward backtest its case masked to the
 records strictly before each day; :func:`stationary` is the solver's
@@ -566,9 +566,18 @@ def _chain_stack(
     connected, as only then is the stationary vector unique (a share that
     rounds to 0 drops an edge), else None.  A pair without mass adds no edge.
     """
-    sigma = default_teleport(n) if sigma_n is None else sigma_n
     with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
         P = _chains(n, idx_i, idx_j, num / den, den > 0.0)
+    return _teleport_or_gate(P, ts, sigma_n, before)
+
+
+def _teleport_or_gate(
+    P: np.ndarray, ts: list, sigma_n: float | None, before: bool = False
+) -> tuple[np.ndarray, list]:
+    """The tail of :func:`_chain_stack`, which the online state's refresh
+    shares: the stack ``P`` (len(ts), n, n) teleported in place by
+    ``sigma_n`` (None: the default 1/n), and each row's gate entry."""
+    sigma = default_teleport(P.shape[-1]) if sigma_n is None else sigma_n
     if sigma != 0.0:
         return _teleport(P, sigma), [None] * len(ts)
     labels = np.sort(_strong_components(P > 0.0), axis=1)

@@ -43,10 +43,14 @@ is a multiple of e: N^-1 = A# + e x' is itself a valid H.  A refresh
 therefore takes c = the running pi, which sums to 1, and needs no
 stationary solve and no subtraction of e pi'; ``tol`` bounds the residual
 max|pi' P - pi'| it accepts.  The state keeps the batch fit's per-pair
-kernel sums and builds its chain as :func:`~krc.estimator.fit_scores`
-does.  Its seeding refresh, with no running pi yet, solves the chain as
-that fit does, by ``stationary`` and ``group_inverse``, so a state seeded
-from a dataset has the fit's scores to the last bit.
+kernel sums in one n x n array, and builds its chain from them in a few
+dense elementwise passes (``_chain``), the chain that
+:func:`~krc.estimator.fit_scores` builds from the same sums to the bit,
+through the same teleport and ``sigma_n=0`` gate.  LAPACK factors and
+inverts N' in place, in N's own memory.  The seeding refresh, with no
+running pi yet, solves the chain as that fit does, by ``stationary`` and
+``group_inverse``, so a state seeded from a dataset has the fit's scores
+to the last bit.
 """
 
 from __future__ import annotations
@@ -62,8 +66,9 @@ from .errors import ConvergenceError, RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
-    _chain_stack,
+    _fill_diagonal,
     _pair_sums,
+    _teleport_or_gate,
     _value,
     default_teleport,
     stationary,
@@ -90,19 +95,23 @@ class GroupInverse:
 def _inverse(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
     """(A + e c')^-1 for A = I - P, C-ordered, by LAPACK's LU factorization
     and inversion at the workspace size it asks for.  It exists exactly when
-    c' e != 0 and P has one stationary vector; else UpdateBreakdownError."""
+    c' e != 0 and P has one stationary vector; else UpdateBreakdownError.
+
+    Both LAPACK calls work in place on N', the Fortran-ordered view of the
+    C-ordered N = A + e c', so no copy is made; the transpose of N'^-1 is
+    N^-1 in N's own memory."""
     N = -P.entries
     N.flat[::P.n + 1] += 1.0  # A = I - P
     N += c  # A + e c'
-    lu, piv, info = dgetrf(N, overwrite_a=True)
+    lu, piv, info = dgetrf(N.T, overwrite_a=True)
     if not info:
         lwork = int(dgetri_lwork(P.n)[0])
-        N, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+        lu, info = dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
     if info:  # > 0: an exact zero pivot; < 0 cannot arise for a square N
         raise UpdateBreakdownError(
             "A + e c' is singular: c' e = 0, or P has no unique stationary vector"
         )
-    return np.ascontiguousarray(N)
+    return lu.T
 
 
 def group_inverse(P: TransitionMatrix, pi: ScoreVector) -> GroupInverse:
@@ -280,25 +289,46 @@ class OnlineState:
         return state
 
 
+def _chain(sums: np.ndarray, t: float, sigma_n: float) -> np.ndarray:
+    """The batch fit's chain at ``t`` of the n x n running ``sums`` (kernel
+    mass above the diagonal, won mass below), teleported by ``sigma_n``;
+    a ``sigma_n=0`` chain that is not strongly connected raises the batch
+    fit's ConnectivityError.
+
+    Dense passes over n x n build it: frac = sums' / sums on the pairs with
+    mass above the diagonal (0 elsewhere), frac / n there, and (1 - frac) / n
+    transposed below.  Each entry takes the IEEE operations, and each row
+    sum the contiguous row, that ``estimator._chain_stack`` gives them, so
+    the chain is that function's to the bit, without its pair index arrays
+    and gathers."""
+    n = len(sums)
+    mass = np.triu(sums > 0.0, 1)
+    P = np.divide(sums.T, sums, out=np.zeros((n, n)), where=mass)  # frac
+    down = np.subtract(1.0, P, out=np.zeros((n, n)), where=mass)
+    P /= n
+    down /= n
+    P += down.T
+    _fill_diagonal(P)
+    _, (gate,) = _teleport_or_gate(P[None], [t], sigma_n)
+    _value(gate)
+    return P
+
+
 def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.
 
-    The chain is the batch fit's, built by ``estimator._chain_stack`` from
-    the running sums as a stack of one; ``_value`` raises its gate entry, a
-    ``sigma_n=0`` chain's ConnectivityError.  A seeding refresh solves it as
-    the batch fit does, by ``stationary`` and ``group_inverse``.  A running
+    The chain is the batch fit's, built by :func:`_chain` from the running
+    sums in dense passes, bitwise ``estimator._chain_stack``'s; a
+    ``sigma_n=0`` chain that is not strongly connected raises that fit's
+    ConnectivityError.  A seeding refresh solves it as the batch fit does,
+    by ``stationary`` and ``group_inverse``.  A running
     state's refresh takes one inverse, H = (A + e pi_run')^-1 with pi_run
     its running vector, and pi' = pi_run' H, which is stationary whatever
     pi_run is (see the module docstring); a singular system raises
     UpdateBreakdownError, and a residual max|pi'P - pi'| above ``state.tol``
     ConvergenceError.  The state changes only once every step has
     succeeded, so a raised error leaves it as it was."""
-    i, j = np.triu_indices(state.n, 1)
-    sums = state.pair_sums
-    (chain,), (gate,) = _chain_stack(
-        state.n, i, j, [state.t], sums[i, j][None], sums[j, i][None], state.sigma_n
-    )
-    _value(gate)
+    chain = _chain(state.pair_sums, state.t, state.sigma_n)
     P = TransitionMatrix(chain)
     if not hasattr(state, "pi"):  # seeding: the batch fit's solve, to the bit
         pi = stationary(P, tol=state.tol).scores
@@ -337,7 +367,10 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     that already carries mass d_ji = -d_ij; the first in-window record of a
     pair also lifts the pair sum from its teleport floor, so both moves are
     computed directly.  If the record cannot be folded in, the state is
-    left as it was and the error is raised.
+    left as it was and the error is raised.  If the refresh that follows a
+    fold fails (a scheduled one, or one that a pi entry at or below 0 calls
+    for), its error is raised with the record folded in: the sums, P and pi
+    include it, and the next record folded tries the refresh again.
     """
     if isinstance(record, tuple):
         if len(record) != 4:

@@ -15,10 +15,18 @@ from krc.errors import (
     RosterError,
     UpdateBreakdownError,
 )
-from krc.estimator import ScoreVector, TransitionMatrix, fit_scores, stationary
+from krc.estimator import (
+    ScoreVector,
+    TransitionMatrix,
+    _chain_stack,
+    default_teleport,
+    fit_scores,
+    stationary,
+)
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
     OnlineState,
+    _chain,
     _fold,
     apply_observation,
     group_inverse,
@@ -422,6 +430,90 @@ def test_transition_from_mass_checks_diagonal_deficit():
         refresh(state)
 
 
+# -- the refresh's dense chain build ---------------------------------------
+
+
+def batch_chain(sums, t, sigma_n):
+    """``_chain_stack``'s chain of the n x n running ``sums``, and its gate."""
+    n = len(sums)
+    i, j = np.triu_indices(n, 1)
+    (chain,), (gate,) = _chain_stack(
+        n, i, j, [t], sums[i, j][None], sums[j, i][None], sigma_n
+    )
+    return chain, gate
+
+
+def assert_dense_chain_is_batch_chain(sums, t=0.5):
+    for sigma in (default_teleport(len(sums)), 0.0):
+        chain, gate = batch_chain(sums.copy(), t, sigma)
+        if gate is None:
+            dense = _chain(sums, t, sigma)
+            assert np.array_equal(dense.view(np.int64), chain.view(np.int64))
+        else:
+            with pytest.raises(ConnectivityError) as err:
+                _chain(sums, t, sigma)
+            assert str(err.value) == str(gate)
+
+
+def test_dense_chain_is_the_batch_chain_to_the_bit():
+    # pair (0, 3) has no mass, pair (0, 1) a share of exactly 0 and pair
+    # (1, 2) one of exactly 1; the sigma_n=0 chain stays strongly connected
+    # through item 2
+    edges = np.array([
+        [0.0, 0.7, 0.4, 0.0],
+        [0.0, 0.0, 0.3, 0.2],
+        [0.1, 0.3, 0.0, 0.9],
+        [0.0, 0.05, 0.6, 0.0],
+    ])
+    assert batch_chain(edges, 0.5, 0.0)[1] is None
+    assert_dense_chain_is_batch_chain(edges)
+    edges[2, 0] = 0.0  # row 0 loses its edge to item 2 too: gated
+    assert batch_chain(edges, 0.5, 0.0)[1] is not None
+    assert_dense_chain_is_batch_chain(edges)
+    for won in (0.0, 0.25, 0.5):  # n = 2: shares 0, 1/2 and 1
+        assert_dense_chain_is_batch_chain(np.array([[0.0, 0.5], [won, 0.0]]))
+    assert_dense_chain_is_batch_chain(np.zeros((3, 3)))
+    rng = np.random.default_rng(34)
+    for n in (3, 9, 40):
+        mass = np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7), 1)
+        won = mass * rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.9)
+        assert_dense_chain_is_batch_chain(mass + won.T, t=rng.uniform())
+
+
+def test_dense_chain_checks_the_diagonal_deficit():
+    # won mass above the pair's kernel mass, as _chain_stack refuses it
+    sums = np.array([[0.0, 0.5, 0.2], [1.5, 0.0, 0.1], [0.1, 0.0, 0.0]])
+    for sigma in (1.0 / 3, 0.0):
+        with pytest.raises(RuntimeError, match="diagonal deficit"):
+            batch_chain(sums, 0.5, sigma)
+        with pytest.raises(RuntimeError, match="diagonal deficit"):
+            _chain(sums, 0.5, sigma)
+
+
+def test_running_refresh_of_a_chain_that_lost_an_edge_is_gated():
+    # Two far records of the pair, one won by each item, then a near record
+    # won by item 1 whose weight is 5e21 times theirs: the pair's share of
+    # wins rounds to 1, and the sigma_n=0 chain loses its edge from 1 to 0.
+    base = ComparisonDataset(2, [0, 0], [1, 1], [-0.5, 1.5], [1, 0])
+    state = OnlineState.from_dataset(base, 0.5, 0.1, GAUSSIAN, sigma_n=0.0)
+    with pytest.raises(ConnectivityError) as online:
+        apply_observation(state, (0, 1, 0.5, 1))
+    # The fold itself succeeded: pi moved onto item 1, and the refresh that
+    # a pi entry at 0 calls for raised.  A forced refresh changes nothing.
+    assert state.pair_sums[1, 0] == state.pair_sums[0, 1]
+    assert state.pi.scores.min() <= 0.0
+    snap = queue_snapshot(state)
+    with pytest.raises(ConnectivityError) as forced:
+        refresh(state)
+    for got, want in zip(queue_snapshot(state), snap):
+        assert np.array_equal(got, want)
+    union = ComparisonDataset(2, [0, 0, 0], [1, 1, 1], [-0.5, 1.5, 0.5], [1, 0, 1])
+    with pytest.raises(ConnectivityError) as batch:
+        fit_scores(union, 0.5, 0.1, GAUSSIAN, sigma_n=0.0)
+    assert str(online.value) == str(forced.value) == str(batch.value)
+    assert "(2 components)" in str(batch.value)
+
+
 def test_refresh_rebuilds_the_streamed_off_diagonal_entries():
     # refresh and apply_observation build a pair's entries the same way
     ds, _ = generate(SimConfig(n=8, m=5, seed=3))
@@ -623,6 +715,37 @@ def test_invalid_tuple_record_raises_and_writes_nothing(record, error):
 
 
 # -- refresh from a running state ------------------------------------------
+
+
+def test_failed_scheduled_refresh_keeps_the_record_and_retries(monkeypatch):
+    # The fold succeeds, then the refresh it schedules fails: the record
+    # stays folded, the error is raised, and the next record retries.
+    ds, _ = generate(SimConfig(n=8, m=5, seed=3))
+    a = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=5)
+    b, recs = queue_case(6)  # never refreshes
+    for rec in recs[:4]:
+        apply_observation(a, rec)
+        apply_observation(b, rec)
+    real = krc.online._inverse
+
+    def failing_inverse(*args, **kwargs):
+        raise UpdateBreakdownError("injected")
+
+    monkeypatch.setattr(krc.online, "_inverse", failing_inverse)
+    with pytest.raises(UpdateBreakdownError, match="injected"):
+        apply_observation(a, recs[4])
+    apply_observation(b, recs[4])
+    assert a.updates_since_refresh == 5
+    for got, want in zip(queue_snapshot(a), queue_snapshot(b)):
+        assert np.array_equal(got, want)
+    monkeypatch.setattr(krc.online, "_inverse", real)
+    apply_observation(a, recs[5])
+    apply_observation(b, recs[5])
+    assert a.updates_since_refresh == 0
+    assert np.array_equal(a.pair_sums, b.pair_sums)
+    assert np.array_equal(a.P.entries, seeded_from(a).P.entries)
+    expect = stationary(a.P, tol=1e-14).scores
+    assert np.max(np.abs(a.pi.scores - expect)) <= 1e-13
 
 
 def seeded_from(state):
