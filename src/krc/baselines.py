@@ -51,6 +51,10 @@ class MMConfig:
     tol: float = 1e-10  # bound on max_i |W_i - sum_j N_ij p_i/(p_i+p_j)| / W_i
     max_iter: int = 10_000  # Newton steps before a fit fails
 
+    def __post_init__(self):
+        if not self.tol >= 0:  # a NaN tol would never be met
+            raise ValueError(f"tol must be non-negative, got {self.tol}")
+
 
 @dataclass
 class MMInfo:

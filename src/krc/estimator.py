@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .data import ComparisonDataset
 from .errors import ConnectivityError, ConvergenceError, EstimationError
@@ -318,8 +317,11 @@ def _strong_components(adj: np.ndarray) -> np.ndarray:
     is a sub-stack alone), each one csgraph call on the block-diagonal graph
     of its graphs, whose CSR arrays come in int32 from the per-node edge
     counts; the float64 edge weights csgraph reads are then the largest
-    temporary, one tile.
+    temporary, one tile.  scipy.sparse is imported here, on first use, which
+    keeps it out of ``import krc``.
     """
+    from scipy.sparse import csgraph, csr_matrix
+
     k, n = adj.shape[:2]
     degree = np.count_nonzero(adj, axis=2)  # (k, n) out-edges per node
     ends = np.cumsum(degree.sum(axis=1))  # edges up to and including each graph
@@ -432,7 +434,10 @@ def _stationary_stack(M: np.ndarray, tol: float, max_iter: int) -> list:
     most CACHE_ELEMENTS entries (at least one chain each), so that a sweep
     reads them from a core's cache; no chain's result depends on the others.
     Callers keep the whole stack within TILE_ELEMENTS (see :func:`_stack_rows`).
+    A NaN or negative ``tol`` is a ValueError: no residual would meet it.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
     step = max(1, min(TILE_ELEMENTS, CACHE_ELEMENTS) // M.shape[-1] ** 2)
     return [pi for a in range(0, len(M), step)
             for pi in _power_iterate(M[a:a + step], tol, max_iter)]

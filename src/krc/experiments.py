@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .baselines import EloConfig, MMConfig, _mm_sums, elo_update, static_rank_centrality
 from .data import ComparisonDataset
@@ -266,7 +265,10 @@ def _ad_normal_statistic(x: np.ndarray) -> float:
     """Stephens' (1974) Anderson-Darling A^2 of the sample ``x`` against the
     normal law with its own mean and ddof=1 deviation, computed as
     ``scipy.stats.anderson(x, "norm")`` does: with w the sorted sample
-    standardized, A^2 = -N - sum_i (2i - 1)/N (log Phi(w_i) + log Phi(-w_{N+1-i}))."""
+    standardized, A^2 = -N - sum_i (2i - 1)/N (log Phi(w_i) + log Phi(-w_{N+1-i})).
+    scipy.special is imported on first use, which keeps it out of ``import krc``."""
+    from scipy.special import log_ndtr
+
     N = x.size
     w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
     i = np.arange(1, N + 1)
@@ -347,6 +349,8 @@ def coverage_experiment(
         raise ValueError("coverage needs at least 100 replications")
     if alpha_source not in ("estimated", "oracle-truth"):
         raise ValueError(f"unknown alpha source {alpha_source!r}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
     n = config.n
     z = normal_quantile(0.5 * (1.0 + level))
     iu, ju = np.triu_indices(n, 1)

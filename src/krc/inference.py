@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import ComparisonDataset
 from .errors import InferenceError
@@ -44,7 +43,10 @@ from .online import GroupInverse, group_inverse
 
 
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF."""
+    """Inverse standard normal CDF.  scipy.special is imported on first use,
+    which keeps it out of ``import krc``."""
+    from scipy.special import ndtri
+
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p}")
     return float(ndtri(p))

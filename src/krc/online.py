@@ -58,8 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
 
 from .data import ComparisonDataset, _check_record
 from .errors import ConvergenceError, RosterError, UpdateBreakdownError
@@ -99,7 +97,10 @@ def _inverse(P: TransitionMatrix, c: np.ndarray) -> np.ndarray:
 
     Both LAPACK calls work in place on N', the Fortran-ordered view of the
     C-ordered N = A + e c', so no copy is made; the transpose of N'^-1 is
-    N^-1 in N's own memory."""
+    N^-1 in N's own memory.  scipy.linalg is imported on first use, as in
+    :func:`_add_outer_products`, which keeps it out of ``import krc``."""
+    from scipy.linalg.lapack import dgetrf, dgetri, dgetri_lwork
+
     N = -P.entries
     N.flat[::P.n + 1] += 1.0  # A = I - P
     N += c  # A + e c'
@@ -142,6 +143,8 @@ def group_inverse_residuals(
 
 def _add_outer_products(G: np.ndarray, X: np.ndarray, Y: np.ndarray) -> None:
     """G += sum_k outer(X[k], Y[k]) in place, as one BLAS pass over G."""
+    from scipy.linalg.blas import dgemm
+
     if not (G.dtype == np.float64 and G.flags.c_contiguous):
         raise ValueError("group inverse entries must be a C-ordered float64 array")
     # G' is a Fortran-ordered view of G, which dgemm overwrites where it lies.
@@ -243,6 +246,8 @@ class OnlineState:
             raise ValueError(f"evaluation time must be finite, got {t}")
         if refresh_every < 1:
             raise ValueError("refresh_every must be >= 1")
+        if not tol >= 0:  # a NaN tol would fail every running refresh
+            raise ValueError(f"tol must be non-negative, got {tol}")
         self.n = int(n)
         self.t = float(t)
         self.h = float(h)

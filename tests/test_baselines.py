@@ -130,6 +130,12 @@ def test_mle_convergence_error_on_tiny_budget():
         bt_mle_mm(ds, MMConfig(tol=1e-14, max_iter=2))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_mm_config_rejects_a_tol_that_no_residual_meets(tol):
+    with pytest.raises(ValueError, match=f"tol must be non-negative, got {tol}"):
+        MMConfig(tol=tol)
+
+
 # -- weighted MLE ----------------------------------------------------------
 
 

@@ -105,6 +105,14 @@ def test_fit_rejects_a_time_that_is_not_finite(sim_csv, tmp_path, capsys):
     assert "evaluation time must be finite, got nan" in capsys.readouterr().err
 
 
+def test_fit_rejects_a_nan_tol(sim_csv, tmp_path, capsys):
+    out = tmp_path / "scores.csv"
+    code = run(["fit", "--data", sim_csv, "--t", 0.5, "--h", 0.2, "--tol", "nan", "--out", out])
+    assert code == 2
+    assert "tol must be non-negative, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ci_command(sim_csv, tmp_path):
     out = tmp_path / "ci.csv"
     pairs_out = tmp_path / "pairs.csv"
@@ -172,6 +180,16 @@ def test_coverage_rejects_small_reps(tmp_path, capsys):
     )
     assert code == 2
     assert "100" in capsys.readouterr().err
+
+
+def test_coverage_rejects_a_level_outside_the_unit_interval(tmp_path, capsys):
+    # It named 0.5 * (1 + level), the quantile argument, not the level.
+    code = run(
+        ["coverage", "--n", 4, "--m", 10, "--reps", 100, "--level", 1.2,
+         "--out", tmp_path / "cov.json"]
+    )
+    assert code == 2
+    assert "level must be in (0, 1), got 1.2" in capsys.readouterr().err
 
 
 def test_backtest_command(tmp_path):

@@ -231,6 +231,19 @@ def test_stationary_singular_system_uses_least_squares(monkeypatch):
     np.testing.assert_allclose(sv.scores, [0.5, 0.0, 0.5], rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_a_tol_that_no_residual_meets_is_rejected(tol):
+    # A NaN tol passed the residual check (a NaN comparison is False), so the
+    # zero chain returned [0, 1]; a negative one ran 1,000 sweeps first.
+    with pytest.raises(ValueError, match=f"tol must be non-negative, got {tol}"):
+        stationary(TransitionMatrix(np.zeros((2, 2))), tol=tol)
+    ds, _ = generate(SimConfig(n=4, m=3, seed=2))
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        fit_scores(ds, 0.5, 0.3, GAUSSIAN, tol=tol)
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        estimate_curve(ds, [0.2, 0.8], 0.3, GAUSSIAN, tol=tol)
+
+
 # -- the stacked solver ----------------------------------------------------
 
 
@@ -1067,7 +1080,7 @@ def test_strong_components_partition_as_one_call_per_graph(monkeypatch, budget):
         return real(graph, **kwargs)
 
     adj = component_graphs()
-    monkeypatch.setattr(estimator.csgraph, "connected_components", spy)
+    monkeypatch.setattr(csgraph, "connected_components", spy)
     labels = estimator._strong_components(adj)
     monkeypatch.undo()
     assert labels.shape == (adj.shape[0], 7)

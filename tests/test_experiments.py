@@ -163,6 +163,15 @@ def test_timing_bench_rejects_zero_repetitions(monkeypatch):
             timing_bench([5], m=10, repetitions=reps)
 
 
+@pytest.mark.parametrize("level", [1.2, 0.0, 1.0, float("nan")])
+def test_coverage_experiment_rejects_a_level_outside_the_unit_interval(monkeypatch, level):
+    # The check comes before any work, and names the level itself, not the
+    # quantile argument 0.5 * (1 + level).
+    monkeypatch.setattr(experiments, "generate", None)
+    with pytest.raises(ValueError, match=rf"level must be in \(0, 1\), got {level}"):
+        coverage_experiment(SimConfig(n=4, m=10, seed=1), t=0.5, h=0.1, level=level)
+
+
 def test_timing_bench_raises_a_failed_stage(monkeypatch):
     real = baselines._mm_stack
 

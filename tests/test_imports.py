@@ -1,6 +1,7 @@
 """Source hygiene: no module keeps an import that it never reads, no
 module-level private helper is left that nothing reads, no public helper
-is left that only the tests read, and ``import krc`` loads no scipy.stats."""
+is left that only the tests read, ``import krc`` loads no scipy module,
+and each path loads only the scipy modules it calls."""
 
 import ast
 import os
@@ -202,13 +203,53 @@ def test_no_public_helper_is_read_only_by_tests():
     assert unreached_helpers(modules, readers, KEPT) == []
 
 
-def test_import_krc_loads_no_scipy_stats():
-    # scipy.stats would be about half of every krc process's start-up; the
-    # Anderson-Darling statistic needs only scipy.special.
-    code = "import sys, krc, krc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+def scipy_loaded(code: str) -> list[str]:
+    """The scipy packages (``scipy``, ``scipy.linalg``, ...) loaded once
+    ``code`` has run in a fresh interpreter that imported krc and krc.cli."""
+    code = (
+        "import sys, krc, krc.cli\n" + code + "\n"
+        "print(sorted({'.'.join(m.split('.')[:2]) for m in sys.modules if m.startswith('scipy')}))"
+    )
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    assert proc.stdout.strip() == "[]"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_import_krc_loads_no_scipy_stats():
+    # scipy's linalg, sparse and special were most of every krc process's
+    # start-up and memory; each is imported by the function that calls it.
+    assert scipy_loaded("") == []
+
+
+BATCH_PATHS = """
+from krc.experiments import backtest
+from krc.simulate import SimConfig, generate, generate_season_dataset
+ds, _ = generate(SimConfig(n=5, m=6, seed=1))
+krc.estimate_curve(ds, [0.2, 0.5, 0.8], 0.3, krc.GAUSSIAN)
+krc.fit_scores(ds, 0.5, 0.3, krc.GAUSSIAN)
+season, _ = generate_season_dataset(n=6, n_seasons=3, days_per_season=4, games_per_day=3, seed=7)
+for method in ("krc", "rc"):
+    assert backtest(season, 1, method, h=1.0).n_games > 0
+"""
+
+ONLINE_PATHS = """
+from krc.online import _PENDING, OnlineState, apply_observation
+from krc.simulate import SimConfig, generate
+ds, _ = generate(SimConfig(n=5, m=6, seed=1))
+state = OnlineState.from_dataset(ds, 0.5, 0.3, krc.GAUSSIAN, refresh_every=_PENDING + 2)
+for k in range(_PENDING + 2):  # one flush of the queue, then a running refresh
+    apply_observation(state, (k % 4, 4, 0.5, k % 2))
+assert state.updates_since_refresh == 0
+"""
+
+
+def test_each_path_loads_only_the_scipy_it_calls():
+    # A curve, a fit and a krc or rc walk-forward call no scipy; the online
+    # state's seed, folds and refresh call LAPACK and BLAS alone.
+    assert scipy_loaded(BATCH_PATHS) == []
+    online = scipy_loaded(ONLINE_PATHS)
+    assert "scipy.linalg" in online
+    assert "scipy.sparse" not in online and "scipy.special" not in online

@@ -360,6 +360,16 @@ def test_both_constructors_reject_a_time_that_is_not_finite(t):
         OnlineState.from_dataset(ds, t, 0.3, GAUSSIAN)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_both_constructors_reject_a_tol_that_no_residual_meets(tol):
+    # A NaN tol failed every running refresh with ConvergenceError.
+    ds, _ = generate(SimConfig(n=4, m=3, seed=2))
+    with pytest.raises(ValueError, match=f"tol must be non-negative, got {tol}"):
+        OnlineState(4, 0.5, 0.3, GAUSSIAN, tol=tol)
+    with pytest.raises(ValueError, match=f"tol must be non-negative, got {tol}"):
+        OnlineState.from_dataset(ds, 0.5, 0.3, GAUSSIAN, tol=tol)
+
+
 def loop_pair_sums(ds, t, h, kernel):
     """Reference: one kernel call and two sums per observed pair, the
     pair's mass above the diagonal and item_j's wins below it."""
