@@ -107,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="stream records from stdin into a running fit")
     add_common_fit(p)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--refresh-every", type=int, default=500)
+    p.add_argument("--refresh-every", type=int, default=500,
+                   help="check the state's residuals every N records; "
+                        "refresh only if they exceed rounding level")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ci", help="confidence intervals at one time")

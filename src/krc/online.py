@@ -31,8 +31,14 @@ records (delayed updates: McDaniel et al. 2017).  A record costs
 O(n _PENDING), against a fresh O(n^3) solve; its scalar work is done on
 Python floats.
 
-The running state refreshes itself from scratch periodically to cap
-floating point drift, with one inverse.  Take any c with c' e != 0 and let
+Every ``refresh_every`` records the running state checks two residuals
+(``_check``): pi's, max|pi' P - pi'|, and a fixed probe z's,
+max|(I - P) A# z - (z - e pi' z)|, with A# z read through the queue.  A#
+bounds pi's error by a constant times its residual (Cho and Meyer 2001),
+and folds keep both residuals at rounding level.  Only a state whose
+residuals exceed ``_CHECK_SLACK`` n eps times max pi, or times max|A# z|
+(a seed solved only to ``tol``, or a corrupted H), is refreshed from
+scratch, with one inverse.  Take any c with c' e != 0 and let
 N = A + e c'.  As N e = (c' e) e, N^-1 A = I - e c' / (c' e), so
 
     pi' = c' N^-1   has   pi' A = 0   and   pi' e = 1:
@@ -50,7 +56,8 @@ through the same teleport and ``sigma_n=0`` gate.  LAPACK factors and
 inverts N' in place, in N's own memory.  The seeding refresh, with no
 running pi yet, solves the chain as that fit does, by ``stationary`` and
 ``group_inverse``, so a state seeded from a dataset has the fit's scores
-to the last bit.
+to the last bit.  A seed that is exact only to ``tol`` fails the state's
+first check, which refreshes it.
 """
 
 from __future__ import annotations
@@ -76,6 +83,11 @@ from .kernels import Kernel
 # Denominators this small make the closed-form update numerically useless;
 # the caller falls back to a full refresh.
 _BREAKDOWN_EPS = 1e-12
+
+# A check passes when each residual is within this many n eps of the scale
+# of what it bounds.  Clean folds stay within 6 n eps at 5 to 500 items; a
+# seed solved to tol 1e-10 is about 1e5 n eps off.
+_CHECK_SLACK = 64.0
 
 # A pair update's two moves cancel exactly; anything beyond rounding noise
 # indicates corrupted state.
@@ -217,10 +229,17 @@ class OnlineState:
     ``pair_sums``, for i < j, ``[i, j]`` is the pair's kernel mass and
     ``[j, i]`` the mass on records item_j won.  ``apply_observation`` folds
     one record in with one fused pair update; every ``refresh_every``
-    updates (or on numerical breakdown) everything is recomputed from the
-    running sums.  ``tol`` is the seeding stationary solve's tolerance and
-    bounds the residual max|pi' P - pi'| of every later refresh.
-    Single-writer: mutate, and read ``Ainv``, from one thread.
+    updates it checks the state's residuals, and everything is recomputed
+    from the running sums only when they exceed rounding level (or on
+    numerical breakdown, or a pi entry at or below 0).  ``tol`` is the
+    seeding stationary solve's tolerance and bounds the residual
+    max|pi' P - pi'| of every later refresh.
+
+    Two counters report what the state did: ``checks``, the residual checks
+    run, and ``refreshes``, the refreshes since seeding, whatever called
+    them (a failed check, a breakdown, a pi entry at or below 0, or a direct
+    call of :func:`refresh`).  Single-writer: mutate, and read ``Ainv``,
+    from one thread.
     """
 
     def __init__(
@@ -256,9 +275,13 @@ class OnlineState:
         self.refresh_every = int(refresh_every)
         self.tol = float(tol)
         self.pair_sums = np.zeros((n, n)) if pair_sums is None else pair_sums
-        self.updates_since_refresh = 0
+        self.updates_since_refresh = self.checks = 0
         # H = A# + e x' is _H plus _X[:_pending]' _Y[:_pending], the queue.
         self._X, self._Y = np.zeros((2, _PENDING, self.n))
+        # The check's probe: the signs of a golden-ratio (Weyl) sequence, so
+        # that it sees every column of H with weight 1.
+        weyl = np.arange(self.n) * 0.6180339887498949 % 1.0
+        self._probe = np.where(weyl < 0.5, 1.0, -1.0)
         self.P: TransitionMatrix
         self.pi: ScoreVector
         refresh(self)
@@ -332,10 +355,12 @@ def refresh(state: OnlineState) -> OnlineState:
     pi_run is (see the module docstring); a singular system raises
     UpdateBreakdownError, and a residual max|pi'P - pi'| above ``state.tol``
     ConvergenceError.  The state changes only once every step has
-    succeeded, so a raised error leaves it as it was."""
+    succeeded, so a raised error leaves it as it was; a running refresh
+    that succeeds adds one to ``state.refreshes``."""
     chain = _chain(state.pair_sums, state.t, state.sigma_n)
     P = TransitionMatrix(chain)
-    if not hasattr(state, "pi"):  # seeding: the batch fit's solve, to the bit
+    seeding = not hasattr(state, "pi")
+    if seeding:  # the batch fit's solve, to the bit
         pi = stationary(P, tol=state.tol).scores
         H = group_inverse(P, pi).entries
     else:
@@ -349,7 +374,30 @@ def refresh(state: OnlineState) -> OnlineState:
             )
     state.P, state.pi, state._H = P, ScoreVector(pi, t=state.t), H
     state._pending = state.updates_since_refresh = 0
+    state.refreshes = 0 if seeding else state.refreshes + 1
     return state
+
+
+def _check(state: OnlineState) -> bool:
+    """Whether the state's residuals sit at rounding level: pi's,
+    max|pi' P - pi'|, within ``_CHECK_SLACK`` n eps max pi, and the probe's,
+    max|(I - P) A# z - (z - e pi' z)|, within ``_CHECK_SLACK`` n eps
+    max|A# z|.  A# z = (I - e pi') (_H z + X' (Y z)) is read through the
+    queue, which stays unwritten; only ``checks`` changes."""
+    state.checks += 1
+    P, pi, z = state.P.entries, state.pi.scores, state._probe
+    k = state._pending
+    Gz = state._H @ z
+    if k:
+        Gz += (state._Y[:k] @ z) @ state._X[:k]
+    Gz -= pi @ Gz
+    res_z = Gz - P @ Gz
+    res_z -= z - pi @ z
+    bound = _CHECK_SLACK * state.n * np.finfo(float).eps
+    return bool(
+        np.max(np.abs(pi @ P - pi)) <= bound * pi.max()
+        and np.max(np.abs(res_z)) <= bound * np.max(np.abs(Gz))
+    )
 
 
 def _flush(state: OnlineState) -> None:
@@ -372,10 +420,15 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     that already carries mass d_ji = -d_ij; the first in-window record of a
     pair also lifts the pair sum from its teleport floor, so both moves are
     computed directly.  If the record cannot be folded in, the state is
-    left as it was and the error is raised.  If the refresh that follows a
-    fold fails (a scheduled one, or one that a pi entry at or below 0 calls
-    for), its error is raised with the record folded in: the sums, P and pi
-    include it, and the next record folded tries the refresh again.
+    left as it was and the error is raised.
+
+    Every ``refresh_every`` folds the state checks its residuals (see the
+    module docstring).  A check that passes resets ``updates_since_refresh``
+    and changes nothing else; one that fails refreshes the state, as a pi
+    entry at or below 0 does.  If that refresh fails, its error is raised
+    with the record folded in: the sums, P and pi include it,
+    ``updates_since_refresh`` stays at or above ``refresh_every``, and the
+    next record folded checks and tries the refresh again.
     """
     if isinstance(record, tuple):
         if len(record) != 4:
@@ -443,6 +496,9 @@ def apply_observation(state: OnlineState, record) -> OnlineState:
     if state._pending == _PENDING:
         _flush(state)
     state.updates_since_refresh += 1
-    if state.updates_since_refresh >= state.refresh_every or state.pi.scores.min() <= 0:
+    due = state.updates_since_refresh >= state.refresh_every
+    if state.pi.scores.min() <= 0 or (due and not _check(state)):
         refresh(state)
+    elif due:
+        state.updates_since_refresh = 0
     return state

@@ -728,8 +728,9 @@ def test_invalid_tuple_record_raises_and_writes_nothing(record, error):
 
 
 def test_failed_scheduled_refresh_keeps_the_record_and_retries(monkeypatch):
-    # The fold succeeds, then the refresh it schedules fails: the record
-    # stays folded, the error is raised, and the next record retries.
+    # The fold succeeds, its check fails, then the refresh that the check
+    # calls for fails: the record stays folded, the error is raised, and the
+    # next record checks and retries.
     ds, _ = generate(SimConfig(n=8, m=5, seed=3))
     a = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=5)
     b, recs = queue_case(6)  # never refreshes
@@ -741,17 +742,20 @@ def test_failed_scheduled_refresh_keeps_the_record_and_retries(monkeypatch):
     def failing_inverse(*args, **kwargs):
         raise UpdateBreakdownError("injected")
 
+    monkeypatch.setattr(krc.online, "_CHECK_SLACK", 0.0)  # every check fails
     monkeypatch.setattr(krc.online, "_inverse", failing_inverse)
     with pytest.raises(UpdateBreakdownError, match="injected"):
         apply_observation(a, recs[4])
     apply_observation(b, recs[4])
     assert a.updates_since_refresh == 5
+    assert (a.checks, a.refreshes) == (1, 0)
     for got, want in zip(queue_snapshot(a), queue_snapshot(b)):
         assert np.array_equal(got, want)
     monkeypatch.setattr(krc.online, "_inverse", real)
     apply_observation(a, recs[5])
     apply_observation(b, recs[5])
     assert a.updates_since_refresh == 0
+    assert (a.checks, a.refreshes) == (2, 1)
     assert np.array_equal(a.pair_sums, b.pair_sums)
     assert np.array_equal(a.P.entries, seeded_from(a).P.entries)
     expect = stationary(a.P, tol=1e-14).scores
@@ -768,9 +772,11 @@ def seeded_from(state):
     return fresh
 
 
-def test_scheduled_refreshes_match_a_freshly_seeded_state():
+def test_scheduled_refreshes_match_a_freshly_seeded_state(monkeypatch):
     # A running refresh takes one inverse of A + e pi_run'; a seeded state
-    # solves for pi and A# apart.  Both describe the same chain.
+    # solves for pi and A# apart.  Both describe the same chain.  Every
+    # check fails, so every 25th record refreshes.
+    monkeypatch.setattr(krc.online, "_CHECK_SLACK", 0.0)
     ds, _ = generate(SimConfig(n=30, m=2, seed=4))
     state = OnlineState.from_dataset(ds, 0.5, 0.2, GAUSSIAN, refresh_every=25, tol=1e-13)
     rng = np.random.default_rng(4)
@@ -786,7 +792,7 @@ def test_scheduled_refreshes_match_a_freshly_seeded_state():
         assert np.max(np.abs(state.pi.scores - fresh.pi.scores)) <= 1e-12
         G, G_fresh = state.Ainv.entries, fresh.Ainv.entries
         assert np.max(np.abs(G - G_fresh)) <= 1e-9 * np.max(np.abs(G_fresh))
-    assert refreshed == 4
+    assert refreshed == state.refreshes == 4
 
 
 def test_refresh_from_a_perturbed_running_vector_is_stationary():
@@ -816,16 +822,17 @@ def test_refresh_residual_above_tol_raises_and_leaves_state_unchanged():
 
 
 def test_folded_state_at_500_items_matches_batch():
-    # Two scheduled refreshes, then 234 records folded since the last one,
-    # 10 of them still queued: the state a check right after a refresh never
-    # sees.
+    # The seed's refresh at the first check, a check that passes at the
+    # second, then 234 records folded since, 14 of them still queued: the
+    # state a check never sees.
     ds, _ = generate(SimConfig(n=500, m=1, seed=1))
     more, _ = generate(SimConfig(n=500, m=1, seed=2))
     state = OnlineState.from_dataset(ds, 0.5, 0.1, GAUSSIAN, refresh_every=500)
     tt, ii, jj, yy = (col[:1234] for col in more.in_time_order())
     for rec in zip(ii.tolist(), jj.tolist(), tt.tolist(), yy.tolist()):
         apply_observation(state, rec)
-    assert state.updates_since_refresh == 234 and state._pending == 10
+    assert state.updates_since_refresh == 234 and state._pending == 14
+    assert (state.checks, state.refreshes) == (2, 1)
     base_tt, base_ii, base_jj, base_yy = ds.in_time_order()
     union = ComparisonDataset(
         500,
@@ -836,3 +843,94 @@ def test_folded_state_at_500_items_matches_batch():
     )
     sv = fit_scores(union, 0.5, 0.1, GAUSSIAN, tol=1e-13)
     assert np.max(np.abs(state.pi.scores - sv.scores)) <= 1e-8
+
+
+# -- the residual check ----------------------------------------------------
+
+
+def clean_stream(n, n_records, refresh_every, seed=1):
+    """A state seeded at t=0.5, h=0.1, and random records in [0.3, 0.7]."""
+    ds, _ = generate(SimConfig(n=n, m=1, seed=seed))
+    state = OnlineState.from_dataset(ds, 0.5, 0.1, GAUSSIAN, refresh_every=refresh_every)
+    rng = np.random.default_rng(seed)
+    i = rng.integers(0, n, n_records)
+    j = (i + rng.integers(1, n, n_records)) % n
+    t = rng.uniform(0.3, 0.7, n_records)
+    y = rng.integers(0, 2, n_records)
+    return ds, state, list(zip(i.tolist(), j.tolist(), t.tolist(), y.tolist()))
+
+
+def with_records(ds, recs):
+    tt, ii, jj, yy = ds.in_time_order()
+    i, j, t, y = (np.array(col) for col in zip(*recs))
+    return ComparisonDataset(
+        ds.n, np.concatenate([ii, i]), np.concatenate([jj, j]),
+        np.concatenate([tt, t]), np.concatenate([yy, y]),
+    )
+
+
+def test_passing_checks_change_nothing():
+    # A check on every record of a clean stream: each passes, and the state
+    # is its never-checking twin's to the bit, queue included.
+    for n in (8, 30):
+        ds, a, recs = clean_stream(n, 200, refresh_every=1)
+        b = OnlineState.from_dataset(ds, 0.5, 0.1, GAUSSIAN, refresh_every=10**9)
+        refresh(a)  # past the seed's tol-level residuals
+        refresh(b)
+        for rec in recs:
+            apply_observation(a, rec)
+            apply_observation(b, rec)
+            assert a.updates_since_refresh == 0
+            got, want = queue_snapshot(a), queue_snapshot(b)
+            # Every field but updates_since_refresh, which a check resets.
+            for x, w in zip(got[:-1], want[:-1]):
+                assert np.asarray(x).tobytes() == np.asarray(w).tobytes()
+        assert (a.checks, a.refreshes) == (200, 1)
+        assert (b.checks, b.refreshes) == (0, 1)
+
+
+@pytest.mark.parametrize("field", ["H", "pi"])
+def test_a_corrupted_state_is_refreshed_at_the_next_check(field):
+    # Each residual alone sees its field's corruption: a 1e-9 error in a row
+    # of H that the next fold does not read leaves pi exact, and one in pi
+    # orthogonal to e and to the probe leaves the probe's residual as it was.
+    ds, state, recs = clean_stream(30, 60, refresh_every=20)
+    for rec in recs[:39]:  # the first check refreshes the seed
+        apply_observation(state, rec)
+    assert (state.checks, state.refreshes) == (1, 1)
+    i, j = recs[39][:2]
+    z = state._probe
+    a, b = [k for k in np.flatnonzero(z == z[0]) if k not in (i, j)][:2]
+    if field == "H":
+        state._H[a, b] += 1e-9
+    else:
+        state.pi.scores[[a, b]] += [1e-9, -1e-9]
+    apply_observation(state, recs[39])
+    assert (state.checks, state.refreshes) == (2, 2)
+    sv = fit_scores(with_records(ds, recs[:40]), 0.5, 0.1, GAUSSIAN, tol=1e-14)
+    assert np.max(np.abs(state.pi.scores - sv.scores)) <= 1e-12
+    for rec in recs[40:]:  # clean again: the next check passes
+        apply_observation(state, rec)
+    assert (state.checks, state.refreshes) == (3, 2)
+
+
+@pytest.mark.parametrize("n", [30, 100, 500])
+def test_one_check_window_after_seeding_the_state_is_exact(n):
+    # The seed is the batch fit's solve at tol 1e-10, about 1.4e-10 off
+    # unrefreshed; the first check catches that and refreshes.
+    ds, state, recs = clean_stream(n, 100, refresh_every=100)
+    for rec in recs:
+        apply_observation(state, rec)
+    assert (state.checks, state.refreshes) == (1, 1)
+    sv = fit_scores(with_records(ds, recs), 0.5, 0.1, GAUSSIAN, tol=1e-14)
+    assert np.max(np.abs(state.pi.scores - sv.scores)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [12, 30, 100])
+def test_a_clean_stream_refreshes_only_its_seed(n):
+    # 20 checks: the seed's residuals fail the first, and folds keep them
+    # within the bound ever after.
+    _, state, recs = clean_stream(n, 10_000, refresh_every=500)
+    for rec in recs:
+        apply_observation(state, rec)
+    assert (state.checks, state.refreshes) == (20, 1)

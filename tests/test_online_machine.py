@@ -1,7 +1,7 @@
 """Model-based test of the online state: a Hypothesis state machine folds
-valid, zero-weight and invalid records, reads A#, forces refreshes, and
-folds through breakdown refreshes that succeed or fail, against a model
-that is the list of the records folded so far."""
+valid, zero-weight and invalid records, reads A#, forces refreshes and
+residual checks, and folds through breakdown refreshes that succeed or
+fail, against a model that is the list of the records folded so far."""
 
 from contextlib import contextmanager
 
@@ -82,7 +82,7 @@ def fields(state):
     return (
         state.pair_sums.copy(), state.P.entries.copy(), state.pi.scores.copy(),
         state._H.copy(), state._X[:k].copy(), state._Y[:k].copy(),
-        k, state.updates_since_refresh,
+        k, state.updates_since_refresh, state.checks, state.refreshes,
     )
 
 
@@ -109,6 +109,19 @@ class OnlineMachine(RuleBasedStateMachine):
         )
         self.seed_sums = self.state.pair_sums.copy()
         self.folded = len(self.records)
+        # Whether no record was folded since the last refresh, and whether
+        # the state was refreshed, or passed a check, since its seeding
+        # solve, which is only as exact as its tol.
+        self.fresh, self.exact = True, False
+        self.refreshes = self.state.refreshes
+
+    def took(self, record):
+        """Add a folded record to the model, and note whether its fold
+        ended with a refresh, which the ``refreshes`` counter tells."""
+        self.records.append(record)
+        self.fresh = self.state.refreshes != self.refreshes
+        self.exact |= self.fresh
+        self.refreshes = self.state.refreshes
 
     def model_sums(self):
         """The seed's sums plus each record folded since, in order, by the
@@ -124,7 +137,7 @@ class OnlineMachine(RuleBasedStateMachine):
     @rule(record=VALID, as_tuple=st.booleans())
     def fold(self, record, as_tuple):
         apply_observation(self.state, record if as_tuple else ComparisonRecord(*record))
-        self.records.append(record)
+        self.took(record)
 
     @rule(record=FAR)
     def fold_zero_weight(self, record):
@@ -148,8 +161,8 @@ class OnlineMachine(RuleBasedStateMachine):
     def fold_through_a_breakdown(self, record):
         with patched(_BREAKDOWN_EPS=10.0):
             apply_observation(self.state, record)
-        self.records.append(record)
-        assert self.state.updates_since_refresh == 0
+        self.took(record)
+        assert self.state.updates_since_refresh == 0 and self.fresh
 
     @rule(record=VALID)
     def fold_through_a_failed_breakdown(self, record):
@@ -165,16 +178,37 @@ class OnlineMachine(RuleBasedStateMachine):
 
     @rule(record=VALID)
     def fold_then_fail_the_scheduled_refresh(self, record):
-        due = self.state.updates_since_refresh + 1 >= self.state.refresh_every
+        state = self.state
+        due = state.updates_since_refresh + 1 >= state.refresh_every
+        checks = state.checks
         with patched(_inverse=injected):
             try:
-                apply_observation(self.state, record)
+                apply_observation(state, record)
             except UpdateBreakdownError as err:
-                assert due and str(err) == "injected"
+                # Only a due check that fails calls for a refresh, and a
+                # state exact since a refresh passes its checks.
+                assert due and not self.exact and str(err) == "injected"
+                assert state.updates_since_refresh >= state.refresh_every
             else:
-                assert not due
+                assert state.updates_since_refresh == 0 or not due
+        assert state.checks == checks + due
         # Folded either way; a failed refresh is retried by the next record.
-        self.records.append(record)
+        self.took(record)
+
+    @rule(record=VALID)
+    def fold_through_a_due_check(self, record):
+        # Whatever refresh_every is, this fold checks the state.  A state
+        # exact since a refresh passes, and a check leaves it exact.
+        state = self.state
+        state.updates_since_refresh = max(
+            state.updates_since_refresh, state.refresh_every - 1
+        )
+        checks, refreshes = state.checks, state.refreshes
+        apply_observation(state, record)
+        assert state.checks == checks + 1 and state.updates_since_refresh == 0
+        assert state.refreshes == refreshes or not self.exact
+        self.took(record)
+        self.exact = True
 
     @rule()
     def read_group_inverse(self):
@@ -188,6 +222,9 @@ class OnlineMachine(RuleBasedStateMachine):
     def force_refresh(self):
         refresh(self.state)
         assert self.state.updates_since_refresh == 0
+        assert self.state.refreshes == self.refreshes + 1
+        self.fresh = self.exact = True
+        self.refreshes = self.state.refreshes
 
     def group_inverse(self):
         """A# = (I - e pi') (H + the queue), without writing the queue."""
@@ -201,7 +238,7 @@ class OnlineMachine(RuleBasedStateMachine):
 
     @invariant()
     def refreshed_chain_is_the_batch_chain(self):
-        if self.state.updates_since_refresh:
+        if not self.fresh:
             return
         sums = self.model_sums()
         i, j = np.triu_indices(N, 1)
