@@ -53,16 +53,24 @@ def _items(text: str, flag: str, what: str, parse) -> list:
 
 
 def _pair(dataset, token: str) -> tuple[int, int]:
-    """The item indices of a ``--pairs`` token: two labels joined by one colon."""
+    """The item indices of a ``--pairs`` token: two labels of distinct items
+    joined by one colon."""
     labels = [label.strip() for label in token.split(":")]
     if len(labels) != 2 or not all(labels):
         raise KrcError(f"--pairs token {token!r} is not two labels A:B")
-    return dataset.index_of(labels[0]), dataset.index_of(labels[1])
+    a, b = dataset.index_of(labels[0]), dataset.index_of(labels[1])
+    if a == b:
+        raise KrcError(f"--pairs token {token!r} names one item twice")
+    return a, b
 
 
 def _write_report(path: str, report) -> None:
+    """Write ``report`` as JSON, each float that is not finite as null: RFC
+    8259 has no NaN or infinity, which ``json`` writes and reads back as
+    bare NaN and Infinity tokens."""
+    text = json.dumps(asdict(report), default=lambda o: o.tolist())
     with open(path, "w") as fh:
-        json.dump(asdict(report), fh, indent=2, default=lambda o: o.tolist())
+        json.dump(json.loads(text, parse_constant=lambda _: None), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -179,27 +187,27 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    dataset = ingest_csv(args.data)
     kernel = kernel_by_name(args.kernel)
+    dataset = ingest_csv(args.data)
     sv = fit_scores(dataset, args.t, args.h, kernel, args.sigma, tol=args.tol)
     _write_curve(args.out, [sv], dataset.item_labels)
     return 0
 
 
 def _cmd_curve(args) -> int:
-    dataset = ingest_csv(args.data)
     kernel = kernel_by_name(args.kernel)
     if (args.grid is None) == (args.m is None):
         raise KrcError("curve needs exactly one of --grid or --m")
     grid = _items(args.grid, "--grid", "time", float) if args.m is None else metric_grid(args.m)
+    dataset = ingest_csv(args.data)
     curve = estimate_curve(dataset, grid, args.h, kernel, args.sigma, tol=args.tol)
     _write_curve(args.out, curve, dataset.item_labels)
     return 0
 
 
 def _cmd_update_stream(args) -> int:
-    dataset = ingest_csv(args.data)
     kernel = kernel_by_name(args.kernel)
+    dataset = ingest_csv(args.data)
     state = OnlineState.from_dataset(
         dataset, args.t, args.h, kernel,
         sigma_n=args.sigma, refresh_every=args.refresh_every, tol=args.tol,
@@ -252,8 +260,15 @@ def _stream_record(row: list[str], index: dict[str, int]) -> ComparisonRecord:
 
 
 def _cmd_ci(args) -> int:
-    dataset = ingest_csv(args.data)
     kernel = kernel_by_name(args.kernel)
+    if args.pairs and args.pairs_out is None:
+        raise KrcError("--pairs requires --pairs-out")
+    dataset = ingest_csv(args.data)
+    pair_list = []
+    if args.pairs and args.pairs.lower() == "all":
+        pair_list = itertools.permutations(range(dataset.n), 2)
+    elif args.pairs:
+        pair_list = _items(args.pairs, "--pairs", "pair", lambda token: _pair(dataset, token))
     sv = fit_scores(dataset, args.t, args.h, kernel, args.sigma, tol=args.tol)
     params = plug_in_alpha(sv, dataset, args.t, args.h, kernel)
     rows = []
@@ -265,14 +280,6 @@ def _cmd_ci(args) -> int:
         )
     write_csv(args.out, ("item", "point", "lower", "upper", "level"), rows)
     if args.pairs:
-        if args.pairs_out is None:
-            raise KrcError("--pairs requires --pairs-out")
-        if args.pairs.lower() == "all":
-            pair_list = itertools.permutations(range(dataset.n), 2)
-        else:
-            pair_list = _items(
-                args.pairs, "--pairs", "pair", lambda token: _pair(dataset, token)
-            )
         prows = []
         for a, b in pair_list:
             ci = pairwise_win_ci(sv, params, a, b, args.level)
@@ -344,13 +351,14 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_backtest(args) -> int:
+    kernel = kernel_by_name(args.kernel)
     dataset = ingest_csv(args.data)
     report = backtest(
         dataset,
         args.base_seasons,
         method=args.method,
         h=args.h,
-        kernel=kernel_by_name(args.kernel),
+        kernel=kernel,
         sigma_n=args.sigma,
     )
     _write_report(args.out, report)

@@ -18,8 +18,8 @@ CPU, each writing its weight tiles in place into a cache-sized buffer of
 its own, and a stack solver turns each chunk's sums into fits as one stack
 within the tile budget.  The sums do not depend on the number of threads.
 The chains' stack solver is :func:`_solve_sums`: it builds the teleported
-chains with :func:`_chain_stack`, whose teleport and gate the online
-state's refresh shares, and solves them together.  The solver runs power
+chains with :func:`_chain_stack`, the one chain builder, which the online
+state's refresh also calls, and solves them together.  The solver runs power
 iteration from the uniform start, one batched matmul per sweep over the
 chains still iterating in a cache-sized sub-stack, each chain leaving once
 it converges, and a direct solve for a chain that stalls.
@@ -346,18 +346,18 @@ def _strong_components(adj: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _chains(n: int, idx_i, idx_j, frac: np.ndarray, mass=None) -> np.ndarray:
+def _chains(n: int, idx_i, idx_j, frac: np.ndarray, mass=True) -> np.ndarray:
     """Comparison chains (..., n, n) from per-pair win fractions (..., pairs).
 
-    A pair outside ``mass`` (when given), like a pair absent from the index
-    arrays, contributes nothing: its off-diagonal entries stay 0.
+    A pair outside ``mass``, whose fraction must be 0, like a pair absent
+    from the index arrays, contributes nothing: its off-diagonal entries
+    stay 0.  The fractions and their complements go into the chains, which
+    are then divided by n in place: each entry is frac / n or (1 - frac) / n.
     """
     P = np.zeros(frac.shape[:-1] + (n, n))
-    up, down = frac / n, (1.0 - frac) / n
-    if mass is not None:
-        up[~mass] = down[~mass] = 0.0
-    P[..., idx_i, idx_j] = up
-    P[..., idx_j, idx_i] = down
+    P[..., idx_i, idx_j] = frac
+    P[..., idx_j, idx_i] = np.subtract(1.0, frac, out=np.zeros_like(frac), where=mass)
+    P /= n
     _fill_diagonal(P)
     return P
 
@@ -571,18 +571,9 @@ def _chain_stack(
     connected, as only then is the stationary vector unique (a share that
     rounds to 0 drops an edge), else None.  A pair without mass adds no edge.
     """
-    with np.errstate(invalid="ignore"):  # 0/0 for a pair without mass
-        P = _chains(n, idx_i, idx_j, num / den, den > 0.0)
-    return _teleport_or_gate(P, ts, sigma_n, before)
-
-
-def _teleport_or_gate(
-    P: np.ndarray, ts: list, sigma_n: float | None, before: bool = False
-) -> tuple[np.ndarray, list]:
-    """The tail of :func:`_chain_stack`, which the online state's refresh
-    shares: the stack ``P`` (len(ts), n, n) teleported in place by
-    ``sigma_n`` (None: the default 1/n), and each row's gate entry."""
-    sigma = default_teleport(P.shape[-1]) if sigma_n is None else sigma_n
+    mass = den > 0.0
+    P = _chains(n, idx_i, idx_j, np.divide(num, den, out=np.zeros_like(num), where=mass), mass)
+    sigma = default_teleport(n) if sigma_n is None else sigma_n
     if sigma != 0.0:
         return _teleport(P, sigma), [None] * len(ts)
     labels = np.sort(_strong_components(P > 0.0), axis=1)

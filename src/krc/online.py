@@ -49,15 +49,15 @@ is a multiple of e: N^-1 = A# + e x' is itself a valid H.  A refresh
 therefore takes c = the running pi, which sums to 1, and needs no
 stationary solve and no subtraction of e pi'; ``tol`` bounds the residual
 max|pi' P - pi'| it accepts.  The state keeps the batch fit's per-pair
-kernel sums in one n x n array, and builds its chain from them in a few
-dense elementwise passes (``_chain``), the chain that
-:func:`~krc.estimator.fit_scores` builds from the same sums to the bit,
-through the same teleport and ``sigma_n=0`` gate.  LAPACK factors and
-inverts N' in place, in N's own memory.  The seeding refresh, with no
-running pi yet, solves the chain as that fit does, by ``stationary`` and
-``group_inverse``, so a state seeded from a dataset has the fit's scores
-to the last bit.  A seed that is exact only to ``tol`` fails the state's
-first check, which refreshes it.
+kernel sums in one n x n array, and builds its chain from the pairs above
+the diagonal with the chain stage of :func:`~krc.estimator.fit_scores`,
+``estimator._chain_stack``, as a stack of one: the same chain, teleport
+and ``sigma_n=0`` gate.  LAPACK factors and inverts N' in place, in N's
+own memory.  The seeding refresh, with no running pi yet, solves the
+chain as that fit does, by ``stationary`` and ``group_inverse``, so a
+state seeded from a dataset has the fit's scores to the last bit.  A
+seed that is exact only to ``tol`` fails the state's first check, which
+refreshes it.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ from .errors import ConvergenceError, RosterError, UpdateBreakdownError
 from .estimator import (
     ScoreVector,
     TransitionMatrix,
-    _fill_diagonal,
+    _chain_stack,
     _pair_sums,
-    _teleport_or_gate,
     _value,
     default_teleport,
     stationary,
@@ -317,37 +316,12 @@ class OnlineState:
         return state
 
 
-def _chain(sums: np.ndarray, t: float, sigma_n: float) -> np.ndarray:
-    """The batch fit's chain at ``t`` of the n x n running ``sums`` (kernel
-    mass above the diagonal, won mass below), teleported by ``sigma_n``;
-    a ``sigma_n=0`` chain that is not strongly connected raises the batch
-    fit's ConnectivityError.
-
-    Dense passes over n x n build it: frac = sums' / sums on the pairs with
-    mass above the diagonal (0 elsewhere), frac / n there, and (1 - frac) / n
-    transposed below.  Each entry takes the IEEE operations, and each row
-    sum the contiguous row, that ``estimator._chain_stack`` gives them, so
-    the chain is that function's to the bit, without its pair index arrays
-    and gathers."""
-    n = len(sums)
-    mass = np.triu(sums > 0.0, 1)
-    P = np.divide(sums.T, sums, out=np.zeros((n, n)), where=mass)  # frac
-    down = np.subtract(1.0, P, out=np.zeros((n, n)), where=mass)
-    P /= n
-    down /= n
-    P += down.T
-    _fill_diagonal(P)
-    _, (gate,) = _teleport_or_gate(P[None], [t], sigma_n)
-    _value(gate)
-    return P
-
-
 def refresh(state: OnlineState) -> OnlineState:
     """Recompute chain, stationary vector, and group inverse from scratch.
 
-    The chain is the batch fit's, built by :func:`_chain` from the running
-    sums in dense passes, bitwise ``estimator._chain_stack``'s; a
-    ``sigma_n=0`` chain that is not strongly connected raises that fit's
+    The chain is the batch fit's, built by ``estimator._chain_stack`` from
+    the running sums of the pairs above the diagonal as a stack of one;
+    ``_value`` raises its gate entry, a ``sigma_n=0`` chain's
     ConnectivityError.  A seeding refresh solves it as the batch fit does,
     by ``stationary`` and ``group_inverse``.  A running
     state's refresh takes one inverse, H = (A + e pi_run')^-1 with pi_run
@@ -357,7 +331,12 @@ def refresh(state: OnlineState) -> OnlineState:
     ConvergenceError.  The state changes only once every step has
     succeeded, so a raised error leaves it as it was; a running refresh
     that succeeds adds one to ``state.refreshes``."""
-    chain = _chain(state.pair_sums, state.t, state.sigma_n)
+    i, j = np.triu_indices(state.n, 1)
+    sums = state.pair_sums
+    (chain,), (gate,) = _chain_stack(
+        state.n, i, j, [state.t], sums[i, j][None], sums[j, i][None], state.sigma_n
+    )
+    _value(gate)
     P = TransitionMatrix(chain)
     seeding = not hasattr(state, "pi")
     if seeding:  # the batch fit's solve, to the bit

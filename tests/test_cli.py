@@ -139,6 +139,7 @@ def test_ci_pairs_requires_out(sim_csv, tmp_path, capsys):
     )
     assert code == 2
     assert "pairs-out" in capsys.readouterr().err
+    assert not (tmp_path / "ci.csv").exists()
 
 
 def test_sweep_command(tmp_path):
@@ -208,6 +209,50 @@ def test_backtest_command(tmp_path):
     assert report["method"] == "rc"
     assert report["n_games"] + report["n_skipped"] == 4 * 3
     assert isinstance(report["per_season"], list)
+
+
+def test_backtest_report_is_strict_json(tmp_path):
+    # The one test game is skipped, so the accuracy is NaN, which JSON has
+    # no token for: the report writes it as null.
+    ds, _ = generate_season_dataset(n=4, n_seasons=2, days_per_season=1, games_per_day=1, seed=0)
+    data = tmp_path / "seasons.csv"
+    ds.export_csv(str(data))
+    out = tmp_path / "bt.json"
+    assert run(["backtest", "--data", data, "--base-seasons", 1, "--out", out]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=refuse)
+    assert report["total_accuracy"] is None
+    assert report["n_games"] == 0 and report["n_skipped"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--t", 0.5],
+    ["curve", "--m", 4],
+    ["update-stream", "--t", 0.5],
+    ["ci", "--t", 0.5],
+    ["backtest", "--base-seasons", 1],
+])
+def test_a_bad_kernel_is_reported_before_the_data_is_read(tmp_path, capsys, argv):
+    missing = tmp_path / "nope.csv"
+    code = run(argv + ["--data", missing, "--h", 0.2, "--kernel", "gauss",
+                       "--out", tmp_path / "out.csv"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown kernel 'gauss'")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m", 1], "need m >= 2"),
+    (["--grid", ","], "holds no time"),
+    ([], "exactly one of --grid or --m"),
+])
+def test_curve_checks_its_grid_before_the_data_is_read(tmp_path, capsys, argv, message):
+    code = run(["curve", "--data", tmp_path / "nope.csv", "--h", 0.2,
+                "--out", tmp_path / "c.csv"] + argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_missing_data_file_is_error(tmp_path, capsys):
@@ -376,6 +421,7 @@ def test_ci_rejects_pairs_without_a_pair(sim_csv, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: --pairs ',' holds no pair\n"
     assert not pairs_out.exists()
+    assert not (tmp_path / "ci.csv").exists()
 
 
 @pytest.mark.parametrize("token", ["item_0", "item_0:", ":item_1", "item_0:item_1:item_2"])
@@ -388,6 +434,22 @@ def test_ci_names_a_malformed_pair_token(sim_csv, tmp_path, capsys, token):
     assert code == 2
     assert capsys.readouterr().err == f"error: --pairs token {token!r} is not two labels A:B\n"
     assert not pairs_out.exists()
+    assert not (tmp_path / "ci.csv").exists()
+
+
+@pytest.mark.parametrize("token, message", [
+    ("item_0:zz", "unknown item label 'zz'"),
+    ("item_2:item_2", "--pairs token 'item_2:item_2' names one item twice"),
+])
+def test_ci_checks_its_pairs_before_writing(sim_csv, tmp_path, capsys, token, message):
+    # Each wrote --out and then failed on the pair.
+    pairs_out = tmp_path / "pairs.csv"
+    code = run(["ci", "--data", sim_csv, "--t", 0.5, "--h", 0.3, "--out", tmp_path / "ci.csv",
+                "--pairs", f"item_0:item_1,{token}", "--pairs-out", pairs_out])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not pairs_out.exists()
+    assert not (tmp_path / "ci.csv").exists()
 
 
 def test_ci_pairs_all_lists_every_ordered_pair(sim_csv, tmp_path):

@@ -18,15 +18,12 @@ from krc.errors import (
 from krc.estimator import (
     ScoreVector,
     TransitionMatrix,
-    _chain_stack,
-    default_teleport,
     fit_scores,
     stationary,
 )
 from krc.kernels import BOXCAR, EPANECHNIKOV, GAUSSIAN
 from krc.online import (
     OnlineState,
-    _chain,
     _fold,
     apply_observation,
     group_inverse,
@@ -438,66 +435,6 @@ def test_transition_from_mass_checks_diagonal_deficit():
     state.pair_sums[:] = [[0.0, 0.5], [1.5, 0.0]]
     with pytest.raises(RuntimeError, match="diagonal deficit"):
         refresh(state)
-
-
-# -- the refresh's dense chain build ---------------------------------------
-
-
-def batch_chain(sums, t, sigma_n):
-    """``_chain_stack``'s chain of the n x n running ``sums``, and its gate."""
-    n = len(sums)
-    i, j = np.triu_indices(n, 1)
-    (chain,), (gate,) = _chain_stack(
-        n, i, j, [t], sums[i, j][None], sums[j, i][None], sigma_n
-    )
-    return chain, gate
-
-
-def assert_dense_chain_is_batch_chain(sums, t=0.5):
-    for sigma in (default_teleport(len(sums)), 0.0):
-        chain, gate = batch_chain(sums.copy(), t, sigma)
-        if gate is None:
-            dense = _chain(sums, t, sigma)
-            assert np.array_equal(dense.view(np.int64), chain.view(np.int64))
-        else:
-            with pytest.raises(ConnectivityError) as err:
-                _chain(sums, t, sigma)
-            assert str(err.value) == str(gate)
-
-
-def test_dense_chain_is_the_batch_chain_to_the_bit():
-    # pair (0, 3) has no mass, pair (0, 1) a share of exactly 0 and pair
-    # (1, 2) one of exactly 1; the sigma_n=0 chain stays strongly connected
-    # through item 2
-    edges = np.array([
-        [0.0, 0.7, 0.4, 0.0],
-        [0.0, 0.0, 0.3, 0.2],
-        [0.1, 0.3, 0.0, 0.9],
-        [0.0, 0.05, 0.6, 0.0],
-    ])
-    assert batch_chain(edges, 0.5, 0.0)[1] is None
-    assert_dense_chain_is_batch_chain(edges)
-    edges[2, 0] = 0.0  # row 0 loses its edge to item 2 too: gated
-    assert batch_chain(edges, 0.5, 0.0)[1] is not None
-    assert_dense_chain_is_batch_chain(edges)
-    for won in (0.0, 0.25, 0.5):  # n = 2: shares 0, 1/2 and 1
-        assert_dense_chain_is_batch_chain(np.array([[0.0, 0.5], [won, 0.0]]))
-    assert_dense_chain_is_batch_chain(np.zeros((3, 3)))
-    rng = np.random.default_rng(34)
-    for n in (3, 9, 40):
-        mass = np.triu(rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7), 1)
-        won = mass * rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.9)
-        assert_dense_chain_is_batch_chain(mass + won.T, t=rng.uniform())
-
-
-def test_dense_chain_checks_the_diagonal_deficit():
-    # won mass above the pair's kernel mass, as _chain_stack refuses it
-    sums = np.array([[0.0, 0.5, 0.2], [1.5, 0.0, 0.1], [0.1, 0.0, 0.0]])
-    for sigma in (1.0 / 3, 0.0):
-        with pytest.raises(RuntimeError, match="diagonal deficit"):
-            batch_chain(sums, 0.5, sigma)
-        with pytest.raises(RuntimeError, match="diagonal deficit"):
-            _chain(sums, 0.5, sigma)
 
 
 def test_running_refresh_of_a_chain_that_lost_an_edge_is_gated():
